@@ -37,10 +37,13 @@ from .satake import (
     format_dpword,
     make_datum,
     make_iweight,
+    orbit_reps,
     parse_dpword,
     to_word,
     validate,
+    weight_sweep,
 )
+from .standard import SIGN_CONVENTION, STANDARD
 
 
 class ConfigError(Exception):
@@ -83,6 +86,13 @@ def _node_map(obj, nodes, path, kind):
             raise ConfigError(f"{path}.{k}", f"expected {kind.__name__}")
         out[k] = v
     return out
+
+
+def _check_order(order, path: str) -> int:
+    """The truncation order rule, for the config's N and the --N flag alike."""
+    if not isinstance(order, int) or isinstance(order, bool) or order < 1:
+        raise ConfigError(path, "truncation order must be a positive int")
+    return order
 
 
 def parse_config(text: str) -> Config:
@@ -149,9 +159,7 @@ def parse_config(text: str) -> Config:
     convention = raw.get("sign_convention", "body")
     if convention not in ("body", "intro"):
         raise ConfigError("sign_convention", 'must be "body" or "intro"')
-    order = raw.get("N", 20)
-    if not isinstance(order, int) or isinstance(order, bool) or order < 1:
-        raise ConfigError("N", "truncation order must be a positive int")
+    order = _check_order(raw.get("N", 20), "N")
 
     try:
         datum = make_datum(nodes, cartan, d, tau, varsigma)
@@ -186,41 +194,27 @@ def parse_config(text: str) -> Config:
 
 
 def _builtin_config(name: str) -> str | None:
-    base = {
-        "split_a1": dict(
-            nodes=["1"], cartan=[[2]], d=[1], tau={"1": "1"}, varsigma={"1": -1}
-        ),
-        "diag_a1a1": dict(
-            nodes=["1", "2"], cartan=[[2, 0], [0, 2]], d=[1, 1],
-            tau={"1": "2", "2": "1"}, varsigma={"1": 0, "2": 0},
-        ),
-        "qs_a2": dict(
-            nodes=["1", "2"], cartan=[[2, -1], [-1, 2]], d=[1, 1],
-            tau={"1": "2", "2": "1"}, varsigma={"1": 1, "2": 0},
-        ),
-        "qs_a3": dict(
-            nodes=["1", "2", "3"],
-            cartan=[[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
-            d=[1, 1, 1],
-            tau={"1": "3", "2": "2", "3": "1"},
-            varsigma={"1": 0, "2": -1, "3": 0},
-            sign_convention="intro",
-        ),
-        "split_a2": dict(
-            nodes=["1", "2"], cartan=[[2, -1], [-1, 2]], d=[1, 1],
-            tau={"1": "1", "2": "2"}, varsigma={"1": -1, "2": -1},
-        ),
-    }.get(name)
-    if base is None:
+    """The JSON config of a built-in datum, with weights L0 (zero) and L1
+    (1 at each orbit representative, odd parities)."""
+    make = STANDARD.get(name)
+    if make is None:
         return None
-    tau = base["tau"]
-    fixed = [i for i in base["nodes"] if tau[i] == i]
-    reps = [i for i in base["nodes"] if tau[i] != i and i <= tau[i]]
-    base["weights"] = {
-        "L0": {"lam": {}, "parity": {i: 0 for i in fixed}},
-        "L1": {"lam": {i: 1 for i in reps}, "parity": {i: 1 for i in fixed}},
-    }
-    return json.dumps(base)
+    datum = make()
+    reps, fixed = orbit_reps(datum)
+    return json.dumps(
+        {
+            "nodes": list(datum.nodes),
+            "cartan": [[datum.a[(i, j)] for j in datum.nodes] for i in datum.nodes],
+            "d": [datum.d[i] for i in datum.nodes],
+            "tau": datum.tau,
+            "varsigma": datum.varsigma,
+            "sign_convention": SIGN_CONVENTION[name],
+            "weights": {
+                "L0": {"lam": {}, "parity": {i: 0 for i in fixed}},
+                "L1": {"lam": {i: 1 for i in reps}, "parity": {i: 1 for i in fixed}},
+            },
+        }
+    )
 
 
 def load_config(arg: str) -> Config:
@@ -328,7 +322,7 @@ def _cmd_iserre(cfg: Config, args) -> int:
         jobs = [(args.i, args.j)]
     if args.lambda_range:
         lo, hi = _parse_range(args.lambda_range)
-        sweep = selftest.weight_sweep(datum, lo, hi)
+        sweep = weight_sweep(datum, lo, hi)
     elif args.lam:
         sweep = [_weight(cfg, args.lam)]
     else:
@@ -368,7 +362,7 @@ def _cmd_bkl(cfg: Config, args) -> int:
     m = 1 - datum.a[(i, datum.tau[i])]
     coeffs = [(n, iuea.f_coeff(datum, n, m, i, lw)) for n in range(m + 1)]
     total = iuea.bkl_sum(datum, i, lw)
-    closed = selftest.bkl_product_form(datum, i, lw)
+    closed = iuea.bkl_product_form(datum, i, lw)
     match = total == closed
     if args.json:
         _emit(
@@ -393,7 +387,7 @@ def _cmd_bkl(cfg: Config, args) -> int:
 
 def _cmd_grdim(cfg: Config, args) -> int:
     datum = cfg.datum
-    order = args.N if args.N is not None else cfg.order
+    order = cfg.order if args.N is None else _check_order(args.N, "--N")
     if args.end:
         series = shapes.end_grdim(datum, order)
         if args.json:
@@ -611,10 +605,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     """Parse arguments, dispatch, and return the process exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    # keep "--lambda-range -3..3" parseable despite the leading dash
-    for k, tok in enumerate(argv[:-1]):
-        if tok == "--lambda-range":
+    # keep "--lambda-range -3..3" parseable despite the leading dash; every
+    # occurrence is glued to its value, so the last one wins as usual
+    k = 0
+    while k < len(argv) - 1:
+        if argv[k] == "--lambda-range":
             argv[k : k + 2] = [f"--lambda-range={argv[k + 1]}"]
+        k += 1
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from . import freealg
-from .freealg import FElem, inv_one_minus_q2, inv_one_minus_qinv2
+from .freealg import FElem, inv_one_minus_q2
 from .qring import LaurentPoly, RatQ, qbinom, qfact, qint
 from .satake import (
     DPWord,
@@ -205,9 +205,9 @@ def iserre_check(datum: SatakeDatum, i: str, j: str, lw: IWeight) -> ISerreResul
     """Both sides of the degree-(1 - a_ij) straightening relation at lw.
 
     lhs is the alternating sum of b_i-divided powers around b_j; rhs is
-    nonzero only when j is the involution partner of i, where it is an
-    explicit q-scalar times b_i^{(-a_ij)}.  Equality is tested on jt-images
-    modulo the radical of the pairing.
+    nonzero only when j is the involution partner of i, where it is the
+    q-scalar ``bkl_product_form`` times b_i^{(-a_ij)}.  Equality is tested
+    on jt-images modulo the radical of the pairing.
     """
     if i == j:
         raise ValueError("iserre_check needs two distinct nodes")
@@ -223,19 +223,7 @@ def iserre_check(datum: SatakeDatum, i: str, j: str, lw: IWeight) -> ISerreResul
             term = term.scale(RatQ.from_int(-1))
         lhs = lhs + term
     if datum.tau[j] == i:
-        di = datum.qi(i)
-        li = lw.lam_of(i)
-        vs = datum.varsigma[i]
-        c2 = aij * (aij - 1) // 2
-        c = RatQ.one()
-        for r in range(1, -aij + 1):
-            c = c * RatQ.from_laurent(LaurentPoly({di * r: 1, -di * r: -1}))
-        s = RatQ.q_power(di * (li - vs - c2))
-        if aij % 2:
-            s = -s
-        s = s - RatQ.q_power(di * (c2 + vs - li))
-        c = c * s / RatQ.from_laurent(LaurentPoly({di: 1, -di: -1}))
-        rhs = b_divided(datum, i, -aij, unit(lw)).scale(c)
+        rhs = b_divided(datum, i, -aij, unit(lw)).scale(bkl_product_form(datum, i, lw))
     else:
         rhs = zero(lw)
     equal = _radical_zero(datum, lhs.jt - rhs.jt)
@@ -299,6 +287,28 @@ def bkl_sum(datum: SatakeDatum, i: str, lw: IWeight) -> RatQ:
             term = -term
         total = total + term
     return total
+
+
+def bkl_product_form(datum: SatakeDatum, i: str, lw: IWeight) -> RatQ:
+    """Closed product form of the alternating straightening sum at i.
+
+    The same scalar multiplies b_i^{(m-1)} on the right side of the
+    relation at (i, tau(i)), m = 1 - a_{i,tau(i)}; ``bkl_sum`` reaches it
+    through the coefficients instead.
+    """
+    d = datum.qi(i)
+    m = 1 - datum.a[(i, datum.tau[i])]
+    li = lw.lam_of(i)
+    vs = datum.varsigma[i]
+    c2 = m * (m - 1) // 2
+    prod = RatQ.one()
+    for r in range(1, m):
+        prod = prod * RatQ.from_laurent(LaurentPoly({d * r: 1, -d * r: -1}))
+    s = RatQ.q_power(d * (li - vs - c2))
+    if (m - 1) % 2:
+        s = -s
+    s = s - RatQ.q_power(d * (c2 + vs - li))
+    return prod * s / RatQ.from_laurent(LaurentPoly({d: 1, -d: -1}))
 
 
 def nahacurry_expand(

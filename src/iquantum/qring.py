@@ -147,9 +147,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no highest exponent")
         return max(self.c)
 
-    def leading_coeff(self) -> int:
-        return self.c[self.highest_exp()]
-
     def content(self) -> int:
         g = 0
         for v in self.c.values():

@@ -18,6 +18,7 @@ Encodings:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 
@@ -308,18 +309,22 @@ def format_dpword(word: DPWord) -> str:
 
 
 def orbit_reps(datum: SatakeDatum) -> tuple[list[str], list[str]]:
-    """(one representative per 2-element tau-orbit, list of fixed nodes)."""
-    two: list[str] = []
-    fixed: list[str] = []
-    seen: set[str] = set()
-    for i in datum.nodes:
-        if i in seen:
-            continue
-        ti = datum.tau[i]
-        if ti == i:
-            fixed.append(i)
-        else:
-            two.append(i)
-            seen.add(ti)
-        seen.add(i)
+    """(one representative per 2-element tau-orbit, list of fixed nodes).
+
+    The representative of {i, tau(i)} is the smaller name, so it does not
+    depend on the order the nodes are listed in.
+    """
+    two = [i for i in datum.nodes if datum.tau[i] != i and i <= datum.tau[i]]
+    fixed = [i for i in datum.nodes if datum.tau[i] == i]
     return two, fixed
+
+
+def weight_sweep(datum: SatakeDatum, lo: int = -4, hi: int = 4) -> list[IWeight]:
+    """Every iweight with orbit coordinates in [lo, hi], both parities at
+    fixed nodes."""
+    two, fixed = orbit_reps(datum)
+    return [
+        make_iweight(datum, dict(zip(two, vals)), dict(zip(fixed, pars)))
+        for vals in itertools.product(range(lo, hi + 1), repeat=len(two))
+        for pars in itertools.product((0, 1), repeat=len(fixed))
+    ]

@@ -17,7 +17,7 @@ import random
 from . import freealg, iuea, klr
 from .freealg import FElem
 from .qring import ASC_Q, LaurentPoly, RatQ, expand, qbinom, qint
-from .satake import leq_lambda, make_iweight, to_dpword, word_weight
+from .satake import leq_lambda, make_iweight, to_dpword, weight_sweep, word_weight
 from .shapes import (
     degree,
     degree_alt,
@@ -28,21 +28,7 @@ from .shapes import (
     pair_b_nabla,
     pair_theta,
 )
-from .standard import STANDARD
-
-
-def weight_sweep(datum, lo: int = -4, hi: int = 4):
-    """Every iweight with orbit coordinates in [lo, hi], both parities at
-    fixed nodes."""
-    reps = [i for i in datum.nodes if datum.tau[i] != i and i <= datum.tau[i]]
-    fixed = [i for i in datum.nodes if datum.tau[i] == i]
-    out = []
-    for vals in itertools.product(range(lo, hi + 1), repeat=len(reps)):
-        for pars in itertools.product((0, 1), repeat=len(fixed)):
-            lam = dict(zip(reps, vals))
-            lam.update({i: 0 for i in fixed})
-            out.append(make_iweight(datum, lam, dict(zip(fixed, pars))))
-    return out
+from .standard import SIGN_CONVENTION, STANDARD
 
 
 def word_pairs(datum, total: int):
@@ -73,7 +59,11 @@ def pairing_both_routes():
     for name, datum in _data():
         words, pairs = word_pairs(datum, _budget(name))
         for lw in weight_sweep(datum):
-            cache = {w: iuea.b_word(datum, to_dpword(w), lw) for w in words}
+            # b_word applies letters right to left and words come shortest
+            # first, so each image is one b_divided on its suffix's image
+            cache = {(): iuea.unit(lw)}
+            for w in words[1:]:
+                cache[w] = iuea.b_divided(datum, w[0], 1, cache[w[1:]])
             for top, bottom in pairs:
                 lhs = pair_b(datum, top, bottom, lw)
                 rhs = iuea.ipair(datum, cache[top], cache[bottom])
@@ -134,23 +124,6 @@ def iserre_sweep():
     return True, f"{checks} relation checks"
 
 
-def bkl_product_form(datum, i: str, lw) -> RatQ:
-    """Closed product form of the alternating straightening sum at i."""
-    d = datum.qi(i)
-    m = 1 - datum.a[(i, datum.tau[i])]
-    li = lw.lam_of(i)
-    vs = datum.varsigma[i]
-    c2 = m * (m - 1) // 2
-    prod = RatQ.one()
-    for r in range(1, m):
-        prod = prod * RatQ.from_laurent(LaurentPoly({d * r: 1, -d * r: -1}))
-    s = RatQ.q_power(d * (li - vs - c2))
-    if (m - 1) % 2:
-        s = -s
-    s = s - RatQ.q_power(d * (c2 + vs - li))
-    return prod * s / RatQ.from_laurent(LaurentPoly({d: 1, -d: -1}))
-
-
 def coefficient_formulas():
     """Straightening coefficients: closed form vs slid-strand sum, the
     product form of the alternating sum, and the signed binomial identity."""
@@ -170,7 +143,7 @@ def coefficient_formulas():
                                 f"coefficient differs on {name} i={i} n={n} m={m}"
                             )
                         checks += 1
-                if iuea.bkl_sum(datum, i, lw) != bkl_product_form(datum, i, lw):
+                if iuea.bkl_sum(datum, i, lw) != iuea.bkl_product_form(datum, i, lw):
                     return False, f"alternating sum differs on {name} i={i}"
                 checks += 1
     for m in range(1, 9):
@@ -293,13 +266,11 @@ def degree_well_defined():
 
 
 def _tables():
-    return [
-        klr.geometric_qtable(STANDARD["split_a1"]()),
-        klr.geometric_qtable(STANDARD["diag_a1a1"]()),
-        klr.geometric_qtable(STANDARD["qs_a2"]()),
-        klr.geometric_qtable(STANDARD["qs_a3"](), sign_convention="intro"),
-        klr.geometric_qtable(STANDARD["split_a2"]()),
-    ]
+    """The geometric Q-table of every built-in datum, in registry order."""
+    return {
+        name: klr.geometric_qtable(make(), sign_convention=SIGN_CONVENTION[name])
+        for name, make in STANDARD.items()
+    }
 
 
 def _random_perm(rng, top, bottom):
@@ -351,8 +322,9 @@ def operator_algebra():
                     f"for {_fmt(top)} | {_fmt(bottom)}"
                 )
             checks += 1
+    tables = _tables()
     rng = random.Random("associativity")
-    for qt in _tables():
+    for qt in tables.values():
         nodes = qt.datum.nodes
         for _ in range(40):
             wd = tuple(rng.choice(nodes) for _ in range(3))
@@ -367,7 +339,7 @@ def operator_algebra():
             if lhs != rhs:
                 return False, f"associativity fails over nodes {qt.datum.nodes}"
             checks += 1
-    nil = _tables()[0]
+    nil = tables["split_a1"]
     for n in range(1, 5):
         big = klr.divided_idempotent(nil, "1", n)
         if klr.mul(nil, big, big) != big:
@@ -384,7 +356,7 @@ def operator_algebra():
     if not klr.mul(nil, psi, psi).is_zero():
         return False, "equal-color double crossing is not zero"
     checks += 3
-    mixed = _tables()[2]
+    mixed = tables["qs_a2"]
     w = ("1", "2")
     if klr.mul(mixed, klr.crossing(w, 1), klr.dot(w, 1)) != klr.mul(
         mixed, klr.dot(("2", "1"), 2), klr.crossing(w, 1)
@@ -399,19 +371,16 @@ def operator_algebra():
 
 def serre_complexes():
     """The alternating-word complexes compose to zero and split."""
-    jobs = []
-    qt2 = klr.geometric_qtable(STANDARD["split_a2"]())
-    for i, j in (("1", "2"), ("2", "1")):
-        jobs.append(("split_a2", qt2, i, j))
-    datum3 = STANDARD["qs_a3"]()
-    qt3 = klr.geometric_qtable(datum3, sign_convention="intro")
+    tables = _tables()
+    jobs = [("split_a2", "1", "2"), ("split_a2", "2", "1")]
+    datum3 = tables["qs_a3"].datum
     for i in datum3.nodes:
         for j in datum3.nodes:
             if i != j and datum3.tau[j] != i:
-                jobs.append(("qs_a3", qt3, i, j))
+                jobs.append(("qs_a3", i, j))
     checks = 0
-    for name, qt, i, j in jobs:
-        rep = klr.serre_complex_check(qt, i, j)
+    for name, i, j in jobs:
+        rep = klr.serre_complex_check(tables[name], i, j)
         if not rep.ok:
             bad = "; ".join(s for s in rep.details if s.endswith("FAIL"))
             return False, f"complex fails on {name} ({i},{j}): {bad}"

@@ -39,9 +39,6 @@ class Shape:
     caps: tuple[tuple[int, int], ...]
     props: tuple[tuple[int, int], ...]
 
-    def strand_count(self) -> int:
-        return len(self.cups) + len(self.caps) + len(self.props)
-
 
 def enumerate_shapes(
     datum: SatakeDatum, top: Word, bottom: Word, mode: str = "all"
@@ -220,12 +217,18 @@ def _assemble(shapes_data: list[tuple[int, list[int]]], sign: int) -> RatQ:
     return RatQ(num, den)
 
 
-def _pair_sum(datum: SatakeDatum, top: Word, bottom: Word, lw: IWeight, mode: str) -> RatQ:
-    data = [
+def _shape_data(
+    datum: SatakeDatum, top: Word, bottom: Word, lw: IWeight, mode: str
+) -> list[tuple[int, list[int]]]:
+    """(degree, strand d-values) of every matching of one mode."""
+    return [
         (degree(datum, sh, lw), _strand_dvalues(datum, sh))
         for sh in enumerate_shapes(datum, top, bottom, mode)
     ]
-    return _assemble(data, -1)
+
+
+def _pair_sum(datum: SatakeDatum, top: Word, bottom: Word, lw: IWeight, mode: str) -> RatQ:
+    return _assemble(_shape_data(datum, top, bottom, lw, mode), -1)
 
 
 def pair_b(datum: SatakeDatum, top: Word, bottom: Word, lw: IWeight) -> RatQ:
@@ -278,10 +281,7 @@ def hom_rank(datum: SatakeDatum, top: Word, bottom: Word, lw: IWeight, order: in
     the bar of pair_b.  Freeness (hence coefficient nonnegativity) holds
     under the nondegeneracy the construction assumes throughout.
     """
-    data = [
-        (degree(datum, sh, lw), _strand_dvalues(datum, sh))
-        for sh in enumerate_shapes(datum, top, bottom, "all")
-    ]
+    data = _shape_data(datum, top, bottom, lw, "all")
     return RankSeries(expand(_assemble(data, 1), ASC_Q, order))
 
 

@@ -1,4 +1,5 @@
-"""Built-in Satake data used by the self-test harness and the docs.
+"""Built-in Satake data: the one source for the self-test harness, the
+command line's built-in config names and the docs.
 
 Five small data cover the behaviors that matter at desk scale:
 
@@ -52,4 +53,16 @@ STANDARD = {
     "qs_a2": qs_a2,
     "qs_a3": qs_a3,
     "split_a2": split_a2,
+}
+
+# The sign convention each datum's geometric Q-table is built with (see
+# klr.geometric_qtable).  "body" negates the rows of tau-fixed nodes, which
+# breaks the table's symmetry on qs_a3, where the fixed middle node has an
+# edge to both moved ends; "intro" keeps it symmetric.
+SIGN_CONVENTION = {
+    "split_a1": "body",
+    "diag_a1a1": "body",
+    "qs_a2": "body",
+    "qs_a3": "intro",
+    "split_a2": "body",
 }

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from iquantum import cli
+from iquantum.standard import SIGN_CONVENTION, STANDARD
 
 
 def run_cli(capsys, *argv):
@@ -22,6 +23,14 @@ def test_parse_config_builtin():
     assert cfg.order == 20
     assert set(cfg.weights) == {"L0", "L1"}
     assert cfg.weights["L1"].lam_of("1") == 1
+
+
+@pytest.mark.parametrize("name", list(STANDARD))
+def test_builtin_config_is_the_registry_datum(name):
+    cfg = cli.parse_config(cli._builtin_config(name))
+    assert cfg.datum.key() == STANDARD[name]().key()
+    assert cfg.sign_convention == SIGN_CONVENTION[name]
+    assert cfg.warnings == ()
 
 
 def test_parse_config_split_varsigma():
@@ -124,6 +133,16 @@ def test_iserre_sweep(capsys):
     assert out.strip().splitlines()[-1] == "all equal = true"
 
 
+def test_iserre_repeated_lambda_range_last_wins(capsys):
+    argv = ("iserre", "--config", "qs_a2", "--i", "1", "--j", "2")
+    code, out, err = run_cli(
+        capsys, *argv, "--lambda-range", "-1..1", "--lambda-range", "-2..2"
+    )
+    assert code == 0, err
+    assert len(out.splitlines()) == 6
+    assert (code, out) == run_cli(capsys, *argv, "--lambda-range", "-2..2")[:2]
+
+
 def test_iserre_single_pair_json(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -153,6 +172,13 @@ def test_grdim_end_series(capsys):
     code, out, _ = run_cli(capsys, "grdim", "--config", "split_a1", "--end", "--N", "10")
     assert code == 0
     assert out.strip() == "end series = +1*q^0 +1*q^2 +1*q^4 +2*q^6 +2*q^8 +3*q^10"
+
+
+@pytest.mark.parametrize("flag", ["-3", "0"])
+def test_grdim_order_flag_follows_the_config_rule(capsys, flag):
+    code, out, err = run_cli(capsys, "grdim", "--config", "split_a1", "--end", "--N", flag)
+    assert code == 2 and out == ""
+    assert err.strip() == "config error at --N: truncation order must be a positive int"
 
 
 def test_grdim_word_pair(capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from iquantum import freealg, iuea, satake
 from iquantum.freealg import FElem, inv_one_minus_q2, inv_one_minus_qinv2
-from iquantum.qring import LaurentPoly, RatQ, qfact, qint
+from iquantum.qring import LaurentPoly, RatQ, qint
 from iquantum.standard import STANDARD
 
 
@@ -19,33 +19,10 @@ def weight(datum, lam=None, par=None):
     return satake.make_iweight(datum, lam or {}, par)
 
 
-def weights_for(datum, lo=-2, hi=2):
-    """Small sweep of iweights for a datum: one representative two-orbit
-    coordinate set, and both parities at fixed nodes."""
-    two, fixed = satake.orbit_reps(datum)
-    out = []
-    coords = range(lo, hi + 1)
-
-    def rec_par(par_done):
-        if len(par_done) == len(fixed):
-            return [dict(zip(fixed, par_done))]
-        return [d for p in (0, 1) for d in rec_par(par_done + [p])]
-
-    def rec_lam(lam_done):
-        if len(lam_done) == len(two):
-            return [dict(zip(two, lam_done))]
-        return [d for v in coords for d in rec_lam(lam_done + [v])]
-
-    for lam in rec_lam([]):
-        for par in rec_par([]):
-            out.append(satake.make_iweight(datum, lam, par))
-    return out
-
-
 def test_unit_and_single_action():
     for name in STANDARD:
         datum = make(name)
-        for lw in weights_for(datum, -1, 1):
+        for lw in satake.weight_sweep(datum, -1, 1):
             one = iuea.unit(lw)
             assert one.jt == FElem.one() and one.j == FElem.one()
             for i in datum.nodes:
@@ -66,7 +43,7 @@ def test_two_step_constant():
                 continue
             di = datum.qi(i)
             vs = datum.varsigma[i]
-            for lw in weights_for(datum):
+            for lw in satake.weight_sweep(datum, -2, 2):
                 li = lw.lam_of(i)
                 xi = iuea.act_b(datum, ti, iuea.act_b(datum, i, iuea.unit(lw)))
                 c_jt = RatQ.q_power(di * (1 + vs - li)) * inv_one_minus_q2(di)
@@ -83,7 +60,7 @@ def test_single_strand_and_single_cup_pairings():
             ti = datum.tau[i]
             di = datum.qi(i)
             vs = datum.varsigma[i]
-            for lw in weights_for(datum, -2, 2):
+            for lw in satake.weight_sweep(datum, -2, 2):
                 strand = iuea.b_word(datum, ((i, 1),), lw)
                 assert iuea.ipair(datum, strand, strand) == inv_one_minus_qinv2(di)
                 cup = iuea.b_word(datum, ((ti, 1), (i, 1)), lw)
@@ -104,7 +81,7 @@ def test_b_words_are_bar_symmetric():
     rng = random.Random(20260823)
     for name in STANDARD:
         datum = make(name)
-        lws = weights_for(datum, -1, 1)
+        lws = satake.weight_sweep(datum, -1, 1)
         for _ in range(6):
             lw = rng.choice(lws)
             word = tuple((rng.choice(datum.nodes), rng.randint(1, 2)) for _ in range(rng.randint(0, 3)))
@@ -116,7 +93,7 @@ def test_rho_adjunction():
     rng = random.Random(991)
     for name in STANDARD:
         datum = make(name)
-        lws = weights_for(datum, -1, 1)
+        lws = satake.weight_sweep(datum, -1, 1)
         for _ in range(8):
             lw = rng.choice(lws)
             wx = tuple((rng.choice(datum.nodes), 1) for _ in range(rng.randint(0, 2)))
@@ -147,7 +124,7 @@ def test_divided_powers_of_nonfixed_node_stay_monomial():
     # so the divided power is exactly the divided theta word.
     for name in ("diag_a1a1", "qs_a2", "qs_a3"):
         datum = make(name)
-        for lw in weights_for(datum, -1, 1):
+        for lw in satake.weight_sweep(datum, -1, 1):
             for i in datum.nodes:
                 if datum.tau[i] == i:
                     continue
@@ -195,7 +172,7 @@ def test_fixed_node_expansion_table():
 def test_iserre_relation_sweep():
     for name in STANDARD:
         datum = make(name)
-        for lw in weights_for(datum, -2, 2):
+        for lw in satake.weight_sweep(datum, -2, 2):
             for i in datum.nodes:
                 for j in datum.nodes:
                     if i == j:
@@ -239,7 +216,7 @@ def test_iserre_rejects_equal_nodes():
 def test_f_coeff_against_oracle():
     for name in ("diag_a1a1", "qs_a2", "qs_a3"):
         datum = make(name)
-        for lw in weights_for(datum, -2, 2):
+        for lw in satake.weight_sweep(datum, -2, 2):
             for i in datum.nodes:
                 if datum.tau[i] == i:
                     continue
@@ -275,7 +252,7 @@ def test_f_coeff_range_errors():
 def test_bkl_sum_product_form():
     for name in ("diag_a1a1", "qs_a2", "qs_a3"):
         datum = make(name)
-        for lw in weights_for(datum, -2, 2):
+        for lw in satake.weight_sweep(datum, -2, 2):
             for i in datum.nodes:
                 ti = datum.tau[i]
                 if ti == i:
@@ -316,7 +293,7 @@ def test_nahacurry_constant_matches_pairing_quotient():
     # quotient of nabla pairings, computed by an entirely different route.
     for name in ("diag_a1a1", "qs_a2"):
         datum = make(name)
-        for lw in weights_for(datum, -2, 2):
+        for lw in satake.weight_sweep(datum, -2, 2):
             i, j = "1", "2"
             out = iuea.nahacurry_expand(datum, i, j, 1, 1, lw)
             num = iuea.pair_nabla(datum, iuea.b_word(datum, ((i, 1), (j, 1)), lw), ())

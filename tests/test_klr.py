@@ -5,8 +5,6 @@ import random
 import pytest
 
 from iquantum.klr import (
-    KLRBasisElem,
-    KLRElem,
     crossing,
     divided_idempotent,
     dot,
@@ -20,8 +18,11 @@ from iquantum.klr import (
 )
 from iquantum.qring import ASC_Q, expand
 from iquantum.satake import make_datum
+from iquantum.selftest import _basis as basis
+from iquantum.selftest import _random_elem as random_elem
+from iquantum.selftest import _shuffled as shuffled
 from iquantum.shapes import pair_theta
-from iquantum.standard import diag_a1a1, qs_a2, qs_a3, split_a1, split_a2
+from iquantum.standard import SIGN_CONVENTION, diag_a1a1, qs_a2, qs_a3, split_a1, split_a2
 
 
 def aux_a1a1():
@@ -36,37 +37,8 @@ def aux_double_edge():
     )
 
 
-def basis(top, bottom, perm, dots, coeff=1):
-    return KLRElem(tuple(top), tuple(bottom), {KLRBasisElem(tuple(top), tuple(bottom), perm, dots): coeff})
-
-
-def random_perm(rng, top, bottom):
-    slots = {}
-    for t, c in enumerate(top):
-        slots.setdefault(c, []).append(t)
-    for v in slots.values():
-        rng.shuffle(v)
-    taken = {c: iter(v) for c, v in slots.items()}
-    return tuple(next(taken[c]) for c in bottom)
-
-
-def random_elem(rng, top, bottom, nterms=2):
-    terms = {}
-    for _ in range(nterms):
-        b = KLRBasisElem(
-            tuple(top),
-            tuple(bottom),
-            random_perm(rng, top, bottom),
-            tuple(rng.randrange(3) for _ in bottom),
-        )
-        terms[b] = terms.get(b, 0) + rng.choice([-2, -1, 1, 2])
-    return KLRElem(tuple(top), tuple(bottom), terms)
-
-
-def shuffled(rng, w):
-    out = list(w)
-    rng.shuffle(out)
-    return tuple(out)
+def qs_a3_table():
+    return geometric_qtable(qs_a3(), sign_convention=SIGN_CONVENTION["qs_a3"])
 
 
 def test_geometric_qtable_split_a2():
@@ -90,7 +62,7 @@ def test_geometric_qtable_no_edge():
 def test_geometric_qtable_sign_conventions_on_a3():
     with pytest.raises(ValueError, match=r"\(1, 2\)|\(2, 1\)"):
         geometric_qtable(qs_a3(), sign_convention="body")
-    qt = geometric_qtable(qs_a3(), sign_convention="intro")
+    qt = qs_a3_table()
     assert qt.poly("1", "3") == -1
     assert qt.poly("3", "1") == -1
 
@@ -173,7 +145,7 @@ def triple_crossing(qt, w, first):
 
 
 def test_braid_without_correction():
-    qt = geometric_qtable(qs_a3(), sign_convention="intro")
+    qt = qs_a3_table()
     w = ("1", "2", "3")
     assert triple_crossing(qt, w, 1) == triple_crossing(qt, w, 2)
 
@@ -189,7 +161,7 @@ def test_braid_correction_signs():
 
 
 def test_distant_crossings_commute():
-    qt = geometric_qtable(qs_a3(), sign_convention="intro")
+    qt = qs_a3_table()
     w = ("1", "2", "3", "2")
     a = crossing(w, 1)
     b = crossing(a.top, 3)
@@ -203,7 +175,7 @@ def test_mul_associative_random():
     tables = [
         geometric_qtable(qs_a2()),
         geometric_qtable(split_a2()),
-        geometric_qtable(qs_a3(), sign_convention="intro"),
+        qs_a3_table(),
     ]
     for qt in tables:
         nodes = qt.datum.nodes
@@ -322,7 +294,7 @@ def test_serre_complex_single_edge():
     report = serre_complex_check(geometric_qtable(split_a2()), "1", "2")
     assert report.m == 2
     assert report.dd_zero and report.split_ok
-    qt = geometric_qtable(qs_a3(), sign_convention="intro")
+    qt = qs_a3_table()
     for i, j in (("1", "2"), ("3", "2")):
         report = serre_complex_check(qt, i, j)
         assert report.m == 2

@@ -16,40 +16,10 @@ from iquantum.satake import (
     shift,
     to_word,
     validate,
+    weight_sweep,
     word_weight,
 )
-
-
-def split_a1():
-    return make_datum(["1"], [[2]], [1], {"1": "1"}, {"1": -1})
-
-
-def diag_a1a1():
-    return make_datum(
-        ["1", "2"], [[2, 0], [0, 2]], [1, 1], {"1": "2", "2": "1"}, {"1": 0, "2": 0}
-    )
-
-
-def qs_a2():
-    return make_datum(
-        ["1", "2"], [[2, -1], [-1, 2]], [1, 1], {"1": "2", "2": "1"}, {"1": 1, "2": 0}
-    )
-
-
-def qs_a3():
-    return make_datum(
-        ["1", "2", "3"],
-        [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
-        [1, 1, 1],
-        {"1": "3", "2": "2", "3": "1"},
-        {"1": 0, "2": -1, "3": 0},
-    )
-
-
-def split_a2():
-    return make_datum(
-        ["1", "2"], [[2, -1], [-1, 2]], [1, 1], {"1": "1", "2": "2"}, {"1": -1, "2": -1}
-    )
+from iquantum.standard import diag_a1a1, qs_a2, qs_a3, split_a1, split_a2
 
 
 ALL_DATA = [split_a1, diag_a1a1, qs_a2, qs_a3, split_a2]
@@ -211,3 +181,16 @@ def test_orbit_reps():
     assert two == ["1"] and fixed == ["2"]
     two2, fixed2 = orbit_reps(split_a2())
     assert two2 == [] and fixed2 == ["1", "2"]
+
+
+def test_orbit_reps_ignore_node_order():
+    # the representative is the smaller name, whichever node is listed first
+    datum = make_datum(
+        ["b", "a"], [[2, -1], [-1, 2]], [1, 1], {"a": "b", "b": "a"}, {"a": 1, "b": 0}
+    )
+    assert validate(datum) == []
+    assert orbit_reps(datum) == (["a"], [])
+    assert [lw.lam for lw in weight_sweep(datum, 1, 2)] == [
+        (("b", -1), ("a", 1)),
+        (("b", -2), ("a", 2)),
+    ]

@@ -21,26 +21,6 @@ def weight(datum, lam=None, par=None):
     return satake.make_iweight(datum, lam or {}, par)
 
 
-def weights_for(datum, lo=-2, hi=2):
-    two, fixed = satake.orbit_reps(datum)
-    out = []
-
-    def rec_par(par_done):
-        if len(par_done) == len(fixed):
-            return [dict(zip(fixed, par_done))]
-        return [d for p in (0, 1) for d in rec_par(par_done + [p])]
-
-    def rec_lam(lam_done):
-        if len(lam_done) == len(two):
-            return [dict(zip(two, lam_done))]
-        return [d for v in range(lo, hi + 1) for d in rec_lam(lam_done + [v])]
-
-    for lam in rec_lam([]):
-        for par in rec_par([]):
-            out.append(satake.make_iweight(datum, lam, par))
-    return out
-
-
 def words_up_to(datum, n):
     return [w for k in range(n + 1) for w in itertools.product(datum.nodes, repeat=k)]
 
@@ -123,7 +103,7 @@ def test_degree_realizations_agree():
     rng = random.Random(20260823)
     for name in STANDARD:
         datum = make(name)
-        pool = weights_for(datum, -2, 2)
+        pool = satake.weight_sweep(datum, -2, 2)
         for _ in range(60):
             top = tuple(rng.choice(datum.nodes) for _ in range(rng.randrange(5)))
             bottom = tuple(rng.choice(datum.nodes) for _ in range(rng.randrange(5)))
@@ -138,7 +118,7 @@ def test_degree_realizations_agree():
 def test_pair_b_single_letter():
     for name in STANDARD:
         datum = make(name)
-        lw = weights_for(datum, 1, 1)[0]
+        lw = satake.weight_sweep(datum, 1, 1)[0]
         for i in datum.nodes:
             assert shapes.pair_b(datum, (i,), (i,), lw) == inv_one_minus_qinv2(datum.qi(i))
 
@@ -176,7 +156,7 @@ def test_pair_b_matches_ipair():
     for name in STANDARD:
         datum = make(name)
         words = words_up_to(datum, 2)
-        for lw in weights_for(datum, -1, 1):
+        for lw in satake.weight_sweep(datum, -1, 1):
             for wi in words:
                 for wj in words:
                     got = shapes.pair_b(datum, wi, wj, lw)
@@ -189,7 +169,7 @@ def test_pair_b_symmetric():
     for name in STANDARD:
         datum = make(name)
         words = words_up_to(datum, 3)
-        pool = weights_for(datum, -2, 2)
+        pool = satake.weight_sweep(datum, -2, 2)
         for _ in range(25):
             wi, wj = rng.choice(words), rng.choice(words)
             lw = rng.choice(pool)
@@ -200,7 +180,7 @@ def test_pair_b_nabla_triangular():
     for name in ("split_a1", "qs_a2", "split_a2"):
         datum = make(name)
         words = words_up_to(datum, 3)
-        lw = weights_for(datum, 0, 0)[0]
+        lw = satake.weight_sweep(datum, 0, 0)[0]
         for wi in words:
             for wj in words:
                 if not shapes.pair_b_nabla(datum, wi, wj, lw).is_zero():
@@ -214,7 +194,7 @@ def test_pair_delta_nabla_weight_free():
     # permutation-only pairing collapses to the theta pairing
     datum = make("qs_a3")
     words = words_up_to(datum, 2)
-    for lw in weights_for(datum, -1, 1)[:4]:
+    for lw in satake.weight_sweep(datum, -1, 1)[:4]:
         for wi in words:
             for wj in words:
                 assert shapes.pair_delta_nabla(datum, wi, wj, lw) == shapes.pair_theta(
@@ -228,7 +208,7 @@ def test_pair_delta_nabla_weight_free():
 def test_hom_rank_single_strand():
     for name in ("split_a1", "qs_a2"):
         datum = make(name)
-        lw = weights_for(datum, 0, 0)[0]
+        lw = satake.weight_sweep(datum, 0, 0)[0]
         for i in datum.nodes:
             d = datum.qi(i)
             rs = shapes.hom_rank(datum, (i,), (i,), lw, order=12)
@@ -268,7 +248,7 @@ def test_hom_rank_equals_bar_pair_b():
     for name in STANDARD:
         datum = make(name)
         words = words_up_to(datum, 2)
-        pool = weights_for(datum, -1, 1)
+        pool = satake.weight_sweep(datum, -1, 1)
         for _ in range(15):
             wi, wj = rng.choice(words), rng.choice(words)
             lw = rng.choice(pool)
