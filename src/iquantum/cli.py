@@ -88,10 +88,15 @@ def _node_map(obj, nodes, path, kind):
     return out
 
 
+MAX_ORDER = 1000
+
+
 def _check_order(order, path: str) -> int:
     """The truncation order rule, for the config's N and the --N flag alike."""
     if not isinstance(order, int) or isinstance(order, bool) or order < 1:
         raise ConfigError(path, "truncation order must be a positive int")
+    if order > MAX_ORDER:
+        raise ConfigError(path, f"truncation order must be at most {MAX_ORDER}")
     return order
 
 
@@ -518,16 +523,16 @@ def _cmd_klr(cfg: Config, args) -> int:
 
 
 def _cmd_selftest(cfg, args) -> int:
+    timing = (lambda line: print(line, file=sys.stderr)) if args.timings else None
     if args.json:
         results = []
         ok_all = True
-        for title, fn in selftest.CRITERIA:
-            ok, detail = fn()
+        for title, ok, detail in selftest.checks(timing):
             ok_all = ok_all and ok
             results.append({"title": title, "ok": ok, "detail": detail})
         _emit({"checks": results, "ok": ok_all})
         return 0 if ok_all else 1
-    return 0 if selftest.run_all() else 1
+    return 0 if selftest.run_all(timing=timing) else 1
 
 
 _HANDLERS = {
@@ -599,6 +604,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the full cross-check suite")
     common(p, config_required=False)
+    p.add_argument(
+        "--timings", action="store_true", help="wall seconds per check, on stderr"
+    )
     return parser
 
 

@@ -10,7 +10,9 @@ Encodings:
   positive leading coefficient, joint integer content 1) is unique, so
   structural equality of the two dictionaries is mathematical equality.  That
   structural equality is the tolerance used by every cross-check in this
-  package: there is none.
+  package: there is none.  Normalizing uses integers only: the common factor
+  is the primitive gcd over Z[q], which by Gauss's lemma is the gcd over
+  Q[q] up to a unit, and it is skipped when either side has one term.
 * ``PowerSeriesTrunc`` is a truncated expansion in either direction,
   ascending in q (dir ``"q"``) or ascending in q^-1 (dir ``"q^-1"``), with
   integer coefficients and all stored exponents of magnitude <= order.
@@ -167,15 +169,25 @@ class LaurentPoly:
         return f"LaurentPoly({self.c!r})"
 
 
+def _int_dense(p: LaurentPoly) -> tuple[int, list[int]]:
+    """(lowest exponent, ascending dense int coefficient list) of a nonzero p.
+
+    The list starts at the lowest exponent, so its constant term is nonzero:
+    the powers of q, units of Z[q, q^-1], are stripped off.
+    """
+    lo, hi = min(p.c), max(p.c)
+    out = [0] * (hi - lo + 1)
+    for e, v in p.c.items():
+        out[e - lo] = v
+    return lo, out
+
+
 def _dense(p: LaurentPoly) -> tuple[int, list[Fraction]]:
     """(lowest exponent, ascending dense Fraction coefficient list)."""
     if p.is_zero():
         return 0, []
-    lo, hi = p.lowest_exp(), p.highest_exp()
-    out = [Fraction(0)] * (hi - lo + 1)
-    for e, v in p.c.items():
-        out[e - lo] = Fraction(v)
-    return lo, out
+    lo, out = _int_dense(p)
+    return lo, [Fraction(v) for v in out]
 
 
 def _trim(v: list[Fraction]) -> list[Fraction]:
@@ -199,14 +211,78 @@ def _poly_divmod(a: list[Fraction], b: list[Fraction]):
     return _trim(q), _trim(a)
 
 
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [v / lead for v in a]
+def _primitive(a: list[int]) -> list[int]:
+    """a divided by its content, signed so the top coefficient is positive."""
+    g = 0
+    for v in a:
+        g = gcd(g, v)
+    if a[-1] < 0:
+        g = -g
+    return a if g == 1 else [v // g for v in a]
+
+
+def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+    """A nonzero integer multiple of the remainder of a by b, trimmed.
+
+    Each step cancels a's top term against b's.  It divides exactly when
+    b's top coefficient divides a's, and otherwise scales a by it first, as
+    pseudo-division does, so every value stays an integer.
+    """
+    a = list(a)
+    n = len(b) - 1
+    lead = b[-1]
+    while len(a) > n:
+        c = a.pop()
+        if not c:
+            continue
+        k = len(a) - n
+        if c % lead:
+            a = [lead * v for v in a]
+        else:
+            c //= lead
+        for j in range(n):
+            a[k + j] -= c * b[j]
+    while a and not a[-1]:
+        a.pop()
     return a
+
+
+def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd over Z[q] of two nonzero ascending int lists.
+
+    The primitive polynomial remainder sequence (Knuth, TAOCP vol. 2,
+    4.6.1): each pseudo-remainder is replaced by its primitive part, so the
+    coefficients stay small.  The result has content 1 and a positive top
+    coefficient; by Gauss's lemma it is the gcd over Q[q] up to a unit.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    a, b = _primitive(a), _primitive(b)
+    while len(b) > 1:
+        r = _pseudo_rem(a, b)
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return [1]
+
+
+def _exact_quo(a: list[int], g: list[int]) -> list[int]:
+    """a / g over Z[q] for ascending int lists, where g divides a."""
+    a = list(a)
+    n = len(g) - 1
+    lead = g[-1]
+    out = [0] * (len(a) - n)
+    for k in range(len(out) - 1, -1, -1):
+        c, r = divmod(a[k + n], lead)
+        if r:
+            raise ArithmeticError("internal error: inexact division by a polynomial gcd")
+        if c:
+            out[k] = c
+            for j in range(n + 1):
+                a[k + j] -= c * g[j]
+    if any(a[:n]):
+        raise ArithmeticError("internal error: inexact division by a polynomial gcd")
+    return out
 
 
 def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -230,7 +306,16 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 
 
 class RatQ:
-    """Normalized quotient of Laurent polynomials: the field Q(q) element."""
+    """Normalized quotient of Laurent polynomials: the field Q(q) element.
+
+    ``RatQ(num, den)`` brings num/den to the normal form of the module
+    docstring without leaving the integers.  Both sides are read as dense
+    int lists from their lowest exponents, which strips the powers of q.  If
+    both still have two or more terms, they are divided exactly by their
+    primitive gcd over Z[q] (``_poly_gcd``); a one-term side shares no
+    factor but a constant with the other.  Then the joint integer content is
+    divided out, signed so that den's top coefficient is positive.
+    """
 
     __slots__ = ("num", "den")
 
@@ -243,33 +328,27 @@ class RatQ:
             self.num = LaurentPoly.zero()
             self.den = LaurentPoly.one()
             return
-        ln, dn = _dense(num)
-        ld, dd = _dense(den)
-        g = _poly_gcd(list(dn), list(dd))
-        if len(g) > 1:
-            dn, _ = _poly_divmod(dn, g)
-            dd, _ = _poly_divmod(dd, g)
-        # den lowest nonzero coefficient sits at q^0 after this shift
-        shift_d = next(k for k, v in enumerate(dd) if v)
-        shift_n = next(k for k, v in enumerate(dn) if v)
-        num_lo = ln + shift_n - (ld + shift_d)
-        dn = dn[shift_n:]
-        dd = dd[shift_d:]
-        # clear rational content jointly, fix the sign on den's top term
-        mult = 1
-        for v in dn + dd:
-            mult = mult * v.denominator // gcd(mult, v.denominator)
-        ni = [int(v * mult) for v in dn]
-        di = [int(v * mult) for v in dd]
-        g2 = 0
-        for v in ni + di:
-            g2 = gcd(g2, v)
-        if di[-1] < 0:
-            g2 = -g2
-        ni = [v // g2 for v in ni]
-        di = [v // g2 for v in di]
-        self.num = LaurentPoly({num_lo + k: v for k, v in enumerate(ni) if v})
-        self.den = LaurentPoly({k: v for k, v in enumerate(di) if v})
+        ln, dn = _int_dense(num)
+        ld, dd = _int_dense(den)
+        # a one-term side is a unit times a constant, so the gcd is 1
+        if len(dn) > 1 and len(dd) > 1:
+            g = _poly_gcd(dn, dd)
+            if len(g) > 1:
+                dn = _exact_quo(dn, g)
+                dd = _exact_quo(dd, g)
+        # clear the joint integer content, fix the sign on den's top term
+        c = 0
+        for v in dn:
+            c = gcd(c, v)
+        for v in dd:
+            c = gcd(c, v)
+        if dd[-1] < 0:
+            c = -c
+        shift = ln - ld
+        self.num = LaurentPoly()
+        self.num.c = {shift + k: v // c for k, v in enumerate(dn) if v}
+        self.den = LaurentPoly()
+        self.den.c = {k: v // c for k, v in enumerate(dd) if v}
 
     @staticmethod
     def zero() -> "RatQ":

@@ -291,7 +291,10 @@ def parse_dpword(text: str, datum: SatakeDatum) -> DPWord:
             rest = rest.strip()
             if not (rest.startswith("(") and rest.endswith(")")):
                 raise ValueError(f"malformed divided-power suffix in {tok!r}")
-            mult = int(rest[1:-1])
+            try:
+                mult = int(rest[1:-1])
+            except ValueError:
+                raise ValueError(f"malformed divided-power suffix in {tok!r}") from None
         else:
             name, mult = tok, 1
         if name not in datum.nodes:

@@ -4,6 +4,8 @@ Every check the package promises is implemented here as a function returning
 (ok, detail).  The detail strings carry deterministic counts, never timings,
 so a passing report is byte-identical across runs.  run_all prints one line
 per check; tests/test_acceptance.py calls the same functions one at a time.
+Wall seconds per check are available on request, on a separate channel
+(``checks(timing)``, ``selftest --timings``).
 
 All comparisons are exact: RatQ equality is structural equality of canonical
 forms, never numeric tolerance.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 from . import freealg, iuea, klr
 from .freealg import FElem
@@ -402,11 +405,25 @@ CRITERIA = (
 )
 
 
-def run_all(write=print) -> bool:
+def checks(timing=None):
+    """Run every check in order, yielding (title, ok, detail).
+
+    ``timing``, if given, receives one line per check with its wall seconds
+    (``selftest --timings`` writes them to stderr); the seconds never enter
+    a detail string.
+    """
+    for k, (title, fn) in enumerate(CRITERIA, start=1):
+        t0 = time.perf_counter()
+        ok, detail = fn()
+        if timing is not None:
+            timing(f"[{k:2d}/10] {time.perf_counter() - t0:.2f} s  {title}")
+        yield title, ok, detail
+
+
+def run_all(write=print, timing=None) -> bool:
     """Run every check, print one line per check, return overall success."""
     ok_all = True
-    for k, (title, fn) in enumerate(CRITERIA, start=1):
-        ok, detail = fn()
+    for k, (title, ok, detail) in enumerate(checks(timing), start=1):
         ok_all = ok_all and ok
         status = "pass" if ok else "FAIL"
         write(f"[{k:2d}/10] {status}  {title}: {detail}")

@@ -1,12 +1,13 @@
 """Config diagnostics, subcommand output, and exit codes."""
 
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
-from iquantum import cli
+from iquantum import cli, selftest
 from iquantum.standard import SIGN_CONVENTION, STANDARD
 
 
@@ -179,6 +180,44 @@ def test_grdim_order_flag_follows_the_config_rule(capsys, flag):
     code, out, err = run_cli(capsys, "grdim", "--config", "split_a1", "--end", "--N", flag)
     assert code == 2 and out == ""
     assert err.strip() == "config error at --N: truncation order must be a positive int"
+
+
+def test_truncation_order_is_bounded(capsys):
+    assert cli._check_order(cli.MAX_ORDER, "N") == cli.MAX_ORDER
+    over = str(cli.MAX_ORDER + 1)
+    code, out, err = run_cli(capsys, "grdim", "--config", "split_a1", "--end", "--N", over)
+    assert code == 2 and out == ""
+    assert err.strip() == "config error at --N: truncation order must be at most 1000"
+    doc = base_config()
+    doc["N"] = cli.MAX_ORDER + 1
+    with pytest.raises(cli.ConfigError) as ei:
+        cli.parse_config(json.dumps(doc))
+    assert ei.value.path == "N"
+    assert "at most 1000" in ei.value.message
+
+
+@pytest.mark.parametrize("token", ["1^(x)", "1^()", "1^(2.5)"])
+def test_pair_rejects_a_non_integer_multiplicity(capsys, token):
+    code, out, err = run_cli(
+        capsys, "pair", "--config", "qs_a2", "--i", token, "--j", "1", "--lambda", "L0"
+    )
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: malformed divided-power suffix in {token!r}"
+
+
+def test_selftest_timings_go_to_stderr_only(capsys, monkeypatch):
+    fake = (("first check", lambda: (True, "3 agree")), ("second check", lambda: (True, "0 fail")))
+    monkeypatch.setattr(selftest, "CRITERIA", fake)
+    for extra in ([], ["--json"]):
+        code, plain_out, plain_err = run_cli(capsys, "selftest", *extra)
+        assert code == 0 and plain_err == ""
+        code, timed_out, timed_err = run_cli(capsys, "selftest", *extra, "--timings")
+        assert code == 0
+        assert timed_out == plain_out
+        assert re.sub(r"\d+\.\d\d s", "T s", timed_err).splitlines() == [
+            "[ 1/10] T s  first check",
+            "[ 2/10] T s  second check",
+        ]
 
 
 def test_grdim_word_pair(capsys):

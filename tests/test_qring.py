@@ -1,8 +1,18 @@
-"""Exact-arithmetic foundation: frozen values and algebraic properties."""
+"""Exact-arithmetic foundation: frozen values and algebraic properties.
+
+The RatQ normal form is pinned by golden values and by hypothesis
+properties: cancellation of common factors, the normal-form invariants
+(coprimality checked with sympy's gcd), and evaluation at exact rational q.
+"""
 
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
+import sympy
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from iquantum.qring import (
     ASC_Q,
@@ -10,6 +20,7 @@ from iquantum.qring import (
     LaurentPoly,
     PowerSeriesTrunc,
     RatQ,
+    _exact_quo,
     exact_div,
     expand,
     qbinom,
@@ -182,3 +193,148 @@ def test_exact_div_rejects_inexact():
         exact_div(L({1: 1, 0: 1}), L({0: 1, -1: 1, 1: 1}))
     with pytest.raises(ZeroDivisionError):
         exact_div(LaurentPoly.one(), LaurentPoly.zero())
+
+
+# --- The normal form: golden values, cancellation, invariants, evaluation ---
+
+# (num, den, normal-form num, normal-form den), computed independently by a
+# Euclid over Q with Fraction coefficients, not by the integer gcd RatQ uses
+GOLDEN_NORMAL_FORMS = [
+    # one-term numerator
+    ({3: -4}, {0: 2, 2: -2}, {3: 2}, {0: -1, 2: 1}),
+    # one-term denominator
+    ({-1: 6, 1: -4, 3: 2}, {5: -8}, {-6: -3, -4: 2, -2: -1}, {0: 4}),
+    # both sides one term
+    ({2: -6}, {-3: -9}, {5: 2}, {0: 3}),
+    # nontrivial gcd: (q^2 - q^-2)/(q - q^-1) = q + q^-1
+    ({2: 1, -2: -1}, {1: 1, -1: -1}, {-1: 1, 1: 1}, {0: 1}),
+    # a non-monic gcd 2q + 3, and content 5 left on top
+    ({0: 15, 1: 10, 2: 15, 3: 10}, {0: 3, 1: 2, 2: -6, 3: -4}, {0: -5, 2: -5}, {0: -1, 2: 2}),
+    # the gcd [3] of q^2 + 1 + q^-2 and 1 - q^6
+    ({2: 1, 0: 1, -2: 1}, {0: 1, 6: -1}, {-2: -1}, {0: -1, 2: 1}),
+    # negative top coefficient of the denominator, no gcd
+    ({0: 1, 1: 1}, {0: 1, 1: 2, 2: -3}, {0: -1, 1: -1}, {0: -1, 1: -2, 2: 3}),
+    # joint content above 1, and a negative top coefficient
+    ({-2: 4, 0: 6}, {1: 2, 3: -10}, {-3: -2, -1: -3}, {0: -1, 2: 5}),
+    # coprime dense sides
+    ({0: 2, 1: -1, 2: 3}, {-1: 1, 0: 1, 1: 1}, {1: 2, 2: -1, 3: 3}, {0: 1, 1: 1, 2: 1}),
+    # a gcd of cyclotomic factors: [2][3] over (1 - q^4)(1 - q^6)
+    ({-3: 1, -1: 2, 1: 2, 3: 1}, {0: 1, 4: -1, 6: -1, 10: 1}, {-3: 1}, {0: 1, 2: -2, 4: 1}),
+    # a repeated factor: (1 + q)^3 over (1 + q)^2 (1 - q)
+    ({0: 1, 1: 3, 2: 3, 3: 1}, {0: 1, 1: 1, 2: -1, 3: -1}, {0: -1, 1: -1}, {0: -1, 1: 1}),
+    # the denominator divides the numerator, content 4 shared
+    ({0: 12, 2: -12}, {0: 4, 1: -4}, {0: 3, 1: 3}, {0: 1}),
+]
+
+
+@pytest.mark.parametrize("num,den,want_num,want_den", GOLDEN_NORMAL_FORMS)
+def test_ratq_golden_normal_forms(num, den, want_num, want_den):
+    x = RatQ(L(num), L(den))
+    assert x.num.c == want_num
+    assert x.den.c == want_den
+    assert_normal_form(x)
+
+
+def test_exact_quo_rejects_a_non_divisor():
+    assert _exact_quo([2, 3, 1], [1, 1]) == [2, 1]  # (1 + q)(2 + q)
+    with pytest.raises(ArithmeticError):
+        _exact_quo([1, 0, 1], [1, 1])  # 1 + q^2 over 1 + q
+    with pytest.raises(ArithmeticError):
+        _exact_quo([1, 1], [1, 2])  # 1 + q over 1 + 2q
+
+
+_SYM_Q = sympy.Symbol("q")
+
+
+def _sym(p: LaurentPoly):
+    """p times q^-lowest as a sympy polynomial with a nonzero constant term."""
+    lo = p.lowest_exp()
+    return sympy.Poly({(e - lo,): v for e, v in p.c.items()}, _SYM_Q)
+
+
+def assert_normal_form(x: RatQ):
+    """The invariants the qring docstring promises, checked from outside."""
+    if x.is_zero():
+        assert x.num.c == {} and x.den == LaurentPoly.one()
+        return
+    assert x.den.lowest_exp() == 0
+    assert x.den.c[x.den.highest_exp()] > 0
+    assert gcd(x.num.content(), x.den.content()) == 1
+    # coprime over Q[q], by sympy's gcd rather than the package's own
+    assert sympy.gcd(_sym(x.num), _sym(x.den)).degree() == 0
+
+
+_laurent = st.dictionaries(
+    st.integers(-4, 4), st.integers(-5, 5), min_size=0, max_size=4
+).map(L)
+_nonzero = _laurent.filter(bool)
+
+
+def _cyclotomic(kind, k):
+    if kind == 0:
+        return L({0: 1, 2 * k: -1})  # 1 - q^{2k}
+    if kind == 1:
+        return L({k: 1, -k: -1})  # q^k - q^-k
+    return qint(k)  # [k]
+
+
+_cofactor = st.one_of(
+    _nonzero,  # non-monic, mixed signs
+    st.tuples(st.integers(2, 6), _nonzero).map(lambda t: t[1] * t[0]),  # content >= 2
+    st.builds(_cyclotomic, st.integers(0, 2), st.integers(1, 4)),
+    st.builds(lambda c, e: L({e: c}), st.sampled_from([-6, -2, 3, 4]), st.integers(-3, 3)),
+)
+
+_ratq = st.builds(RatQ, _laurent, _nonzero)
+
+_PROPERTY = settings(
+    max_examples=120,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+
+
+@_PROPERTY
+@given(_laurent, _nonzero, _cofactor, _cofactor)
+def test_ratq_cancels_common_factors(a, b, c1, c2):
+    c = c1 * c2
+    x = RatQ(a, b)
+    y = RatQ(a * c, b * c)
+    assert y.num.c == x.num.c and y.den.c == x.den.c
+    assert_normal_form(x)
+
+
+@_PROPERTY
+@given(_ratq, _ratq)
+def test_ratq_arithmetic_stays_normal(x, y):
+    for z in (x + y, x - y, x * y, x.bar(), -x):
+        assert_normal_form(z)
+    if y:
+        assert_normal_form(x / y)
+
+
+def _ev_laurent(p: LaurentPoly, q0: Fraction) -> Fraction:
+    return sum((v * q0**e for e, v in p.c.items()), Fraction(0))
+
+
+def _ev(x: RatQ, q0: Fraction) -> Fraction:
+    """x at q = q0; skips the example when q0 is a root of x's denominator."""
+    d = _ev_laurent(x.den, q0)
+    assume(d != 0)
+    return _ev_laurent(x.num, q0) / d
+
+
+_q0 = st.sampled_from([Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)])
+
+
+@_PROPERTY
+@given(_ratq, _ratq, _q0)
+def test_ratq_evaluation_is_a_field_map(x, y, q0):
+    ex, ey = _ev(x, q0), _ev(y, q0)
+    assert _ev(x + y, q0) == ex + ey
+    assert _ev(x * y, q0) == ex * ey
+    if ey:
+        assert _ev(x / y, q0) == ex / ey
+    assert _ev(x.bar(), q0) == _ev(x, 1 / q0)
