@@ -31,3 +31,12 @@ __all__ = [
     "klr",
     "cli",
 ]
+
+
+def cache_stats() -> dict[str, dict[str, int]]:
+    """Hits, misses and size of every module-level memo table, keyed
+    ``module.NAME``: ``freealg._WORD_PAIR_CACHE`` and the four ``klr``
+    caches.  Read on request only; nothing prints them."""
+    from . import freealg, klr
+
+    return {**freealg.cache_stats(), **klr.cache_stats()}

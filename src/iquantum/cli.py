@@ -464,13 +464,24 @@ def _cmd_shapes(cfg: Config, args) -> int:
     return 0
 
 
+# Products on seven strands run for minutes (the longest permutation alone
+# has 5040 terms in the twisted group algebra); six take seconds.
+MAX_STRANDS = 6
+
+
 def _parse_klr_expr(text: str, qt) -> klr.KLRElem:
-    """Parse 'e(1 2) ; x1 ; s1' style products, multiplying downward."""
+    """Parse 'e(1 2) ; x1 ; s1' style products, multiplying downward.
+
+    Every factor keeps the strand count of the head e(word), since each
+    product needs matching boundary words, so the one bound is checked there.
+    """
     factors = [f.strip() for f in text.split(";")]
     head = re.fullmatch(r"e\(([^)]*)\)", factors[0]) if factors else None
     if head is None:
         raise ValueError("expression must start with an idempotent e(word)")
     word = tuple(head.group(1).split())
+    if len(word) > MAX_STRANDS:
+        raise ValueError(f"e(...) has {len(word)} strands; at most {MAX_STRANDS} are supported")
     for tok in word:
         if tok not in qt.datum.nodes:
             raise ValueError(f"unknown node {tok!r} in e(...)")

@@ -196,6 +196,15 @@ def pair(datum: SatakeDatum, x: FElem, y: FElem) -> RatQ:
 
 
 _WORD_PAIR_CACHE: dict[tuple, RatQ] = {}
+_WORD_PAIR_STATS = [0, 0]  # hits, misses
+
+
+def cache_stats() -> dict[str, dict[str, int]]:
+    """Hits, misses and size of the word-pair memo table since import."""
+    hits, misses = _WORD_PAIR_STATS
+    return {
+        "freealg._WORD_PAIR_CACHE": {"hits": hits, "misses": misses, "size": len(_WORD_PAIR_CACHE)}
+    }
 
 
 def _word_pair(datum: SatakeDatum, wx: Word, wy: Word) -> RatQ:
@@ -211,7 +220,9 @@ def _word_pair(datum: SatakeDatum, wx: Word, wy: Word) -> RatQ:
     key = (datum.key(), wx, wy)
     hit = _WORD_PAIR_CACHE.get(key)
     if hit is not None:
+        _WORD_PAIR_STATS[0] += 1
         return hit
+    _WORD_PAIR_STATS[1] += 1
     i = wx[0]
     rest = wx[1:]
     d = datum.qi(i)

@@ -13,18 +13,20 @@ crossing acts as the difference-quotient operator on equal colors and as a
 twisted group algebra over rational functions, from which the basis
 coefficients are recovered by peeling longest permutations; the transition
 is triangular, so the peeling terminates and the recovered coefficients are
-the unique integral normal form.  Rational functions are held in sympy's
-dense field representation, which keeps the peeling exact and fast.
+the unique integral normal form.  Every table entry is +-(x - y)^n, so each
+rational function that arises is an integer polynomial times signed powers
+of the linear forms x_s - x_t; it is held in exactly that shape, sums need
+no gcd, and each peel divides exactly by the forms.  sympy is used only to
+build and validate the tables.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import sympy
-from sympy import QQ
-from sympy.polys.fields import field as _frac_field
 
 from .qring import ASC_Q, LaurentPoly, RatQ, expand
 from .satake import SatakeDatum, Word
@@ -73,44 +75,164 @@ def _lexmin_word(p) -> tuple[int, ...]:
             return tuple(out)
 
 
-_FIELDS: dict[int, tuple] = {}
+# -- exact coefficients of the twisted group algebra ---------------------
+#
+# On l strands a coefficient is a pair (num, ex): num is a sparse integer
+# polynomial {exponent tuple: int} and ex a signed exponent vector over the
+# linear forms x_s - x_t (s < t, in the order of _Forms.pairs).  The value
+# is num * prod (x_s - x_t)^ex.  Every table entry is +-(x - y)^n, so the
+# divided differences, the table weights and the variable permutations keep
+# this shape; a sum takes the componentwise minimum of the exponents and
+# multiplies each numerator by the forms it has in excess.  No gcd runs: the
+# peel in _extract divides exactly by the forms once per basis diagram.
 
 
-def _field(l: int):
+class _Forms:
+    """The linear forms x_s - x_t (s < t) on l strands, and how a strand
+    permutation x_t -> x_{p[t]} acts on them."""
+
+    def __init__(self, l: int):
+        self.pairs = tuple((s, t) for s in range(l) for t in range(s + 1, l))
+        self.index = {st: k for k, st in enumerate(self.pairs)}
+        self.identity = _identity(l)
+        self.zero = (0,) * len(self.pairs)
+        self.one = ({(0,) * l: 1}, self.zero)
+        self._moves: dict[tuple, tuple] = {}
+
+    def move(self, p):
+        """(q, src, rev) for x_t -> x_{p[t]}: a monomial's new exponents are
+        its old ones read through q = p^-1, form k of the image is form
+        src[k] of the original, and the forms in rev came out reversed."""
+        got = self._moves.get(p)
+        if got is None:
+            src = [0] * len(self.pairs)
+            rev = []
+            for k, (s, t) in enumerate(self.pairs):
+                a, b = p[s], p[t]
+                if a < b:
+                    src[self.index[(a, b)]] = k
+                else:
+                    src[self.index[(b, a)]] = k
+                    rev.append(k)
+            got = (_inverse(p), tuple(src), tuple(rev))
+            self._moves[p] = got
+        return got
+
+
+_FIELDS: dict[int, _Forms] = {}
+
+
+def _forms(l: int) -> _Forms:
     got = _FIELDS.get(l)
     if got is None:
-        names = ",".join(f"x{t + 1}" for t in range(l))
-        F, *xs = _frac_field(names, QQ)
-        got = (F, tuple(xs))
-        _FIELDS[l] = got
+        _STATS["_FIELDS"][1] += 1
+        got = _FIELDS[l] = _Forms(l)
+    else:
+        _STATS["_FIELDS"][0] += 1
     return got
 
 
-def _map_monomials(F, f, remap):
-    R = F.ring
+def _pmul(a: dict, b: dict) -> dict:
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        ((ea, ca),) = a.items()
+        return {tuple(x + y for x, y in zip(ea, eb)): ca * cb for eb, cb in b.items()}
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
 
-    def on_poly(p):
-        return R.from_dict({remap(exp): c for exp, c in p.terms()})
 
-    return F.new(on_poly(f.numer), on_poly(f.denom))
+def _times_form(num: dict, s: int, t: int, n: int) -> dict:
+    """num * (x_s - x_t)^n."""
+    for _ in range(n):
+        out: dict = {}
+        for e, c in num.items():
+            up = e[:s] + (e[s] + 1,) + e[s + 1 :]
+            out[up] = out.get(up, 0) + c
+            up = e[:t] + (e[t] + 1,) + e[t + 1 :]
+            out[up] = out.get(up, 0) - c
+        num = {e: c for e, c in out.items() if c}
+    return num
 
 
-def _permute_frac(F, f, p):
+def _div_form(num: dict, s: int, t: int):
+    """num / (x_s - x_t), or None when x_s = x_t leaves a remainder.
+
+    x_s^k = (x_s - x_t) * sum_{i<k} x_s^i x_t^(k-1-i) + x_t^k, term by term.
+    """
+    quo: dict = {}
+    rem: dict = {}
+    for e, c in num.items():
+        k, j = e[s], e[t]
+        head, mid, tail = e[:s], e[s + 1 : t], e[t + 1 :]
+        for i in range(k):
+            key = head + (i,) + mid + (j + k - 1 - i,) + tail
+            quo[key] = quo.get(key, 0) + c
+        key = head + (0,) + mid + (j + k,) + tail
+        rem[key] = rem.get(key, 0) + c
+    if any(rem.values()):
+        return None
+    return {e: c for e, c in quo.items() if c}
+
+
+def _cmul(f, g):
+    return _pmul(f[0], g[0]), tuple(a + b for a, b in zip(f[1], g[1]))
+
+
+def _cadd(forms: _Forms, f, g):
+    (nf, ef), (ng, eg) = f, g
+    if ef != eg:
+        low = tuple(map(min, ef, eg))
+        for k, (a, b, m) in enumerate(zip(ef, eg, low)):
+            if a > m:
+                nf = _times_form(nf, *forms.pairs[k], a - m)
+            elif b > m:
+                ng = _times_form(ng, *forms.pairs[k], b - m)
+        ef = low
+    out = dict(nf)
+    for e, c in ng.items():
+        v = out.get(e, 0) + c
+        if v:
+            out[e] = v
+        else:
+            del out[e]
+    return out, ef
+
+
+def _cneg(f):
+    return {e: -c for e, c in f[0].items()}, f[1]
+
+
+def _cdiv_form(f, k: int):
+    """f / (x_s - x_t) for form k = (s, t)."""
+    num, ex = f
+    return num, ex[:k] + (ex[k] - 1,) + ex[k + 1 :]
+
+
+def _permute(forms: _Forms, f, p):
     """Substitute x_t by x_{p[t]}; the coefficient twist when a permutation
     moves past a function in the twisted group algebra."""
-    if all(p[t] == t for t in range(len(p))):
+    if p == forms.identity:
         return f
-    q = _inverse(p)
-    return _map_monomials(F, f, lambda exp: tuple(exp[q[s]] for s in range(len(q))))
-
-
-def _swap_frac(F, f, r):
-    return _map_monomials(F, f, lambda exp: exp[:r] + (exp[r + 1], exp[r]) + exp[r + 2 :])
+    num, ex = f
+    q, src, rev = forms.move(p)
+    sign = -1 if sum(ex[k] for k in rev) & 1 else 1
+    num = {tuple(e[i] for i in q): sign * c for e, c in num.items()}
+    return num, tuple(ex[k] for k in src)
 
 
 def _acc(d, k, v):
     cur = d.get(k)
     d[k] = v if cur is None else cur + v
+
+
+def _acc_coeff(forms: _Forms, d, k, v):
+    cur = d.get(k)
+    d[k] = v if cur is None else _cadd(forms, cur, v)
 
 
 class QTable:
@@ -123,17 +245,24 @@ class QTable:
         self.t = t
         self.sign_convention = sign_convention
         self.serial = next(_qtable_serial)
-        self._terms: dict[tuple[str, str], tuple] = {}
-        for key, p in polys.items():
-            if p == 0:
-                self._terms[key] = ()
+        # (sign, n) with Q_{i,j}(x, y) = sign * (x - y)^n, for i != j
+        self._factors: dict[tuple[str, str], tuple[int, int]] = {}
+        for (i, j), p in polys.items():
+            if i == j:
                 continue
-            items = []
-            for (dx, dy), c in sympy.Poly(p, _X, _Y).terms():
-                if not c.is_Integer:
-                    raise ValueError("table coefficients must be integers")
-                items.append(((int(dx), int(dy)), int(c)))
-            self._terms[key] = tuple(items)
+            terms = {}
+            if p != 0:
+                for (dx, dy), c in sympy.Poly(p, _X, _Y).terms():
+                    if not c.is_Integer:
+                        raise ValueError("table coefficients must be integers")
+                    terms[(int(dx), int(dy))] = int(c)
+            n = max((dx + dy for dx, dy in terms), default=0)
+            sign = terms.get((n, 0))
+            if sign not in (1, -1) or terms != {
+                (k, n - k): sign * math.comb(n, k) * (-1) ** (n - k) for k in range(n + 1)
+            }:
+                raise ValueError(f"table entry ({i}, {j}) is not +-(x - y)^n")
+            self._factors[(i, j)] = (sign, n)
 
     def poly(self, i: str, j: str):
         return self.polys[(i, j)]
@@ -326,32 +455,53 @@ def tensor(a: KLRElem, b: KLRElem) -> KLRElem:
 
 
 _PSI_CACHE: dict[tuple, tuple[Word, dict]] = {}
-_ENTRY_CACHE: dict[tuple, object] = {}
+_ENTRY_CACHE: dict[tuple, tuple] = {}
 _ELEM_CACHE: dict[tuple, dict] = {}
+_CACHES = {
+    "_PSI_CACHE": _PSI_CACHE,
+    "_ENTRY_CACHE": _ENTRY_CACHE,
+    "_ELEM_CACHE": _ELEM_CACHE,
+    "_FIELDS": _FIELDS,
+}
+_STATS = {name: [0, 0] for name in _CACHES}  # hits, misses
+
+
+def cache_stats() -> dict[str, dict[str, int]]:
+    """Hits, misses and size of each module-level cache since import or the
+    last clear_caches(), keyed ``klr.NAME``."""
+    return {
+        f"klr.{name}": {"hits": hits, "misses": misses, "size": len(_CACHES[name])}
+        for name, (hits, misses) in _STATS.items()
+    }
+
+
+def clear_caches() -> None:
+    """Empty the module-level caches and zero their counters."""
+    for name, cache in _CACHES.items():
+        cache.clear()
+        _STATS[name][:] = [0, 0]
 
 
 def _pinned_entry(qt: QTable, i: str, j: str, l: int, r: int):
-    """The table polynomial at (i, j) as a rational function in l variables,
-    pinned to strands r, r+1 (0-based)."""
+    """The table polynomial at (i, j) as a coefficient on l strands, pinned
+    to strands r, r+1 (0-based): sign * (x_r - x_{r+1})^n."""
     key = (qt.serial, i, j, l, r)
     hit = _ENTRY_CACHE.get(key)
     if hit is None:
-        F, _ = _field(l)
-        R = F.ring
-        d = {}
-        for (dx, dy), c in qt._terms[(i, j)]:
-            exp = [0] * l
-            exp[r] = dx
-            exp[r + 1] = dy
-            d[tuple(exp)] = QQ(c)
-        hit = F.new(R.from_dict(d), R.one)
+        _STATS["_ENTRY_CACHE"][1] += 1
+        forms = _forms(l)
+        sign, n = qt._factors[(i, j)]
+        k = forms.index[(r, r + 1)]
+        hit = ({(0,) * l: sign}, forms.zero[:k] + (n,) + forms.zero[k + 1 :])
         _ENTRY_CACHE[key] = hit
+    else:
+        _STATS["_ENTRY_CACHE"][0] += 1
     return hit
 
 
 def _expand_psi(qt: QTable, bottom: Word, perm) -> tuple[Word, dict]:
     """Expand the crossing diagram of perm over the bottom word into the
-    twisted group algebra: a map permutation -> rational function.
+    twisted group algebra: a map permutation -> coefficient.
 
     The expansion is supported on products of subwords of the reduced word,
     so the only term of maximal length sits at perm itself; that is the
@@ -360,28 +510,30 @@ def _expand_psi(qt: QTable, bottom: Word, perm) -> tuple[Word, dict]:
     key = (qt.serial, bottom, perm)
     hit = _PSI_CACHE.get(key)
     if hit is not None:
+        _STATS["_PSI_CACHE"][0] += 1
         return hit
+    _STATS["_PSI_CACHE"][1] += 1
     l = len(bottom)
-    F, xs = _field(l)
-    terms = {_identity(l): F.one}
+    forms = _forms(l)
+    terms = {forms.identity: forms.one}
     cw = list(bottom)
     for r in reversed(_lexmin_word(perm)):
         a, b = cw[r], cw[r + 1]
+        swap = _swap_values(forms.identity, r)
         new: dict = {}
         if a == b:
-            den = xs[r] - xs[r + 1]
+            k = forms.index[(r, r + 1)]
             for u, f in terms.items():
-                _acc(new, u, f / den)
-                _acc(new, _swap_values(u, r), -_swap_frac(F, f, r) / den)
+                _acc_coeff(forms, new, u, _cdiv_form(f, k))
+                g = _cneg(_permute(forms, f, swap))
+                _acc_coeff(forms, new, _swap_values(u, r), _cdiv_form(g, k))
         else:
-            if qt.order(a) < qt.order(b):
-                mult = F.one
-            else:
-                mult = _pinned_entry(qt, b, a, l, r)
+            mult = None if qt.order(a) < qt.order(b) else _pinned_entry(qt, b, a, l, r)
             for u, f in terms.items():
-                _acc(new, _swap_values(u, r), mult * _swap_frac(F, f, r))
+                g = _permute(forms, f, swap)
+                _acc_coeff(forms, new, _swap_values(u, r), g if mult is None else _cmul(mult, g))
             cw[r], cw[r + 1] = cw[r + 1], cw[r]
-        terms = {u: f for u, f in new.items() if f}
+        terms = {u: f for u, f in new.items() if f[0]}
     result = (tuple(cw), terms)
     _PSI_CACHE[key] = result
     return result
@@ -391,46 +543,66 @@ def _expand_elem(qt: QTable, x: KLRElem) -> dict:
     key = (qt.serial, x.top, x.bottom, frozenset(x.terms.items()))
     hit = _ELEM_CACHE.get(key)
     if hit is not None:
+        _STATS["_ELEM_CACHE"][0] += 1
         return hit
-    l = len(x.bottom)
-    F, _ = _field(l)
-    R = F.ring
+    _STATS["_ELEM_CACHE"][1] += 1
+    forms = _forms(len(x.bottom))
     out: dict = {}
     for bas, c in x.terms.items():
-        mono = F.new(R.from_dict({bas.dots: QQ(c)}), R.one)
+        mono = ({bas.dots: c}, forms.zero)
         _, exp = _expand_psi(qt, x.bottom, bas.perm)
         for u, f in exp.items():
-            _acc(out, u, f * _permute_frac(F, mono, u))
-    out = {u: f for u, f in out.items() if f}
+            _acc_coeff(forms, out, u, _cmul(f, _permute(forms, mono, u)))
+    out = {u: f for u, f in out.items() if f[0]}
     _ELEM_CACHE[key] = out
     return out
 
 
+def _polynomial(forms: _Forms, f):
+    """The coefficient f as a polynomial, or None if it is not one."""
+    num, ex = f
+    for k, n in enumerate(ex):
+        for _ in range(-n):
+            num = _div_form(num, *forms.pairs[k])
+            if num is None:
+                return None
+    for k, n in enumerate(ex):
+        if n > 0:
+            num = _times_form(num, *forms.pairs[k], n)
+    return num
+
+
 def _extract(qt: QTable, top: Word, bottom: Word, table: dict) -> KLRElem:
     l = len(bottom)
-    F, _ = _field(l)
-    R = F.ring
+    forms = _forms(l)
     for u in table:
         for s in range(l):
             if top[u[s]] != bottom[s]:
                 raise ValueError("mismatched strand colors in straightening")
     out: dict[KLRBasisElem, int] = {}
-    work = {u: f for u, f in table.items() if f}
+    work = {u: f for u, f in table.items() if f[0]}
     while work:
         w = max(work, key=_inv_count)
         _, exp = _expand_psi(qt, bottom, w)
-        quot = work[w] / exp[w]
-        dotspoly = _permute_frac(F, quot, _inverse(w))
-        if dotspoly.denom != R.one:
+        # the single path to w: a sign times a product of linear forms
+        lead, lead_ex = exp[w]
+        sign = lead.get((0,) * l)
+        if len(lead) != 1 or sign not in (1, -1):
+            raise ArithmeticError("leading crossing coefficient is not a signed product of forms")
+        num, ex = work[w]
+        quot = ({e: sign * c for e, c in num.items()}, tuple(a - b for a, b in zip(ex, lead_ex)))
+        dotspoly = _polynomial(forms, _permute(forms, quot, _inverse(w)))
+        if dotspoly is None:
             raise ValueError("straightening left a non-polynomial dot part")
-        for exps, coeff in dotspoly.numer.terms():
-            if coeff.denominator != 1:
-                raise ValueError(f"non-integer coefficient {coeff} in straightening")
-            b = KLRBasisElem(tuple(top), tuple(bottom), w, tuple(int(n) for n in exps))
-            _acc(out, b, int(coeff.numerator))
+        for exps, coeff in dotspoly.items():
+            _acc(out, KLRBasisElem(tuple(top), tuple(bottom), w, exps), coeff)
+        neg = _cneg((dotspoly, forms.zero))
         for u, f in exp.items():
-            g = work.get(u, F.zero) - f * _permute_frac(F, dotspoly, u)
-            if g:
+            g = _cmul(f, _permute(forms, neg, u))
+            cur = work.get(u)
+            if cur is not None:
+                g = _cadd(forms, cur, g)
+            if g[0]:
                 work[u] = g
             else:
                 work.pop(u, None)
@@ -446,14 +618,14 @@ def mul(qt: QTable, a: KLRElem, b: KLRElem) -> KLRElem:
         ca = sum(a.terms.values())
         cb = sum(b.terms.values())
         return e(()).scale(ca * cb)
-    F, _ = _field(len(b.bottom))
+    forms = _forms(len(b.bottom))
     ea = _expand_elem(qt, a)
     eb = _expand_elem(qt, b)
     comp: dict = {}
     for u, f in ea.items():
         for w, g in eb.items():
-            _acc(comp, _compose(u, w), f * _permute_frac(F, g, u))
-    comp = {u: f for u, f in comp.items() if f}
+            _acc_coeff(forms, comp, _compose(u, w), _cmul(f, _permute(forms, g, u)))
+    comp = {u: f for u, f in comp.items() if f[0]}
     return _extract(qt, a.top, b.bottom, comp)
 
 

@@ -261,6 +261,17 @@ def test_klr_bad_expressions(capsys):
     assert code == 2
 
 
+def test_klr_strand_count_is_bounded(capsys):
+    assert cli.MAX_STRANDS == 6
+    word = " ".join(["1"] * (cli.MAX_STRANDS + 1))
+    code, out, err = run_cli(capsys, "klr", "--config", "split_a1", "--expr", f"e({word}) ; s1")
+    assert code == 2 and out == ""
+    assert err.strip() == "error: e(...) has 7 strands; at most 6 are supported"
+    word = " ".join(["1"] * cli.MAX_STRANDS)
+    code, out, _ = run_cli(capsys, "klr", "--config", "split_a1", "--expr", f"e({word}) ; x5 ; s5")
+    assert code == 0 and "normal form = (+1)*[e] + (+1)*[x6^1 s(5)]" in out
+
+
 def test_usage_and_config_errors(capsys):
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == 2

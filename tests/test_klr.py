@@ -3,8 +3,12 @@
 import random
 
 import pytest
+import sympy
 
+import iquantum
+from iquantum import klr
 from iquantum.klr import (
+    QTable,
     crossing,
     divided_idempotent,
     dot,
@@ -21,6 +25,7 @@ from iquantum.satake import make_datum
 from iquantum.selftest import _basis as basis
 from iquantum.selftest import _random_elem as random_elem
 from iquantum.selftest import _shuffled as shuffled
+from iquantum.selftest import _tables
 from iquantum.shapes import pair_theta
 from iquantum.standard import SIGN_CONVENTION, diag_a1a1, qs_a2, qs_a3, split_a1, split_a2
 
@@ -327,3 +332,102 @@ def test_zero_and_scale():
     assert (e(w) + e(w).scale(-1)).is_zero()
     assert str(z) == "0"
     assert "e" in str(e(w))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [lambda x, y: 2 * (x - y), lambda x, y: x**2 - y**2, lambda x, y: x - 2 * y, lambda x, y: 0],
+    ids=["content", "two-forms", "other-form", "zero"],
+)
+def test_qtable_entry_must_be_a_signed_power_of_x_minus_y(entry):
+    x, y = sympy.symbols("qt_x qt_y")
+    good = geometric_qtable(split_a2())
+    polys = dict(good.polys)
+    polys[("1", "2")] = sympy.expand(entry(x, y))
+    with pytest.raises(ValueError, match=r"table entry \(1, 2\) is not"):
+        QTable(good.datum, polys, good.t, good.sign_convention)
+
+
+# -- an independent oracle: the polynomial action, no twisted group algebra --
+
+
+def _act(qt, elem, g, xs):
+    """elem acting on the polynomial g (a sympy Poly in xs) at its bottom
+    word: dots multiply, an equal-color crossing is the divided difference
+    (g - s_r g)/(x_r - x_{r+1}), a mixed crossing swaps x_r and x_{r+1}, and
+    when the lower strand comes later in the node order it also multiplies
+    by the table entry Q(x_r, x_{r+1})."""
+    x, y = sympy.symbols("qt_x qt_y")
+    out = sympy.Poly(0, *xs)
+    for b, c in elem.terms.items():
+        h = g * sympy.Poly.from_dict({b.dots: 1}, *xs)
+        cw = list(b.bottom)
+        for r in reversed(klr._lexmin_word(b.perm)):
+            swapped = sympy.Poly.from_dict(
+                {e[:r] + (e[r + 1], e[r]) + e[r + 2 :]: v for e, v in h.as_dict().items()}, *xs
+            )
+            lo, hi = cw[r], cw[r + 1]
+            if lo == hi:
+                h = (h - swapped).exquo(sympy.Poly(xs[r] - xs[r + 1], *xs))
+            else:
+                h = swapped
+                if qt.order(lo) > qt.order(hi):
+                    weight = qt.poly(hi, lo).subs({x: xs[r], y: xs[r + 1]}, simultaneous=True)
+                    h = h * sympy.Poly(weight, *xs)
+                cw[r], cw[r + 1] = hi, lo
+        out = out + c * h
+    return out
+
+
+def _probes(xs):
+    staircase = sympy.prod(v ** (len(xs) - 1 - s) for s, v in enumerate(xs))
+    mixed = sum((s + 1) * v ** (s + 1) for s, v in enumerate(xs)) - 3 * xs[0] * xs[-1] ** 2
+    return [sympy.Poly(p, *xs) for p in (sympy.Integer(1), staircase + 2, mixed)]
+
+
+def test_mul_agrees_with_the_polynomial_action():
+    rng = random.Random(5150)
+    for name, qt in _tables().items():
+        nodes = qt.datum.nodes
+        for k in range(6):
+            wc = tuple(rng.choice(nodes) for _ in range(3 if k % 3 else 4))
+            wb = shuffled(rng, wc)
+            wa = shuffled(rng, wc)
+            a = random_elem(rng, wa, wb)
+            b = random_elem(rng, wb, wc)
+            xs = sympy.symbols(f"z1:{len(wc) + 1}")
+            prod = mul(qt, a, b)
+            for g in _probes(xs):
+                assert _act(qt, prod, g, xs) == _act(qt, a, _act(qt, b, g, xs), xs), (name, k)
+
+
+def test_cache_stats_count_hits_misses_and_sizes():
+    klr.clear_caches()
+    stats = klr.cache_stats()
+    assert set(stats) == {"klr._PSI_CACHE", "klr._ENTRY_CACHE", "klr._ELEM_CACHE", "klr._FIELDS"}
+    assert all(v == {"hits": 0, "misses": 0, "size": 0} for v in stats.values())
+    qt = geometric_qtable(qs_a2())
+    w = ("1", "2")
+    x = crossing(("2", "1"), 1)
+    y = crossing(w, 1)
+    mul(qt, x, y)
+    first = klr.cache_stats()
+    mul(qt, x, y)
+    second = klr.cache_stats()
+    for name, cache in (
+        ("_PSI_CACHE", klr._PSI_CACHE),
+        ("_ENTRY_CACHE", klr._ENTRY_CACHE),
+        ("_ELEM_CACHE", klr._ELEM_CACHE),
+        ("_FIELDS", klr._FIELDS),
+    ):
+        assert first[f"klr.{name}"]["size"] == len(cache) > 0
+        assert first[f"klr.{name}"]["misses"] == len(cache)
+    # the repeat expands both factors from the element cache
+    assert second["klr._ELEM_CACHE"]["hits"] == first["klr._ELEM_CACHE"]["hits"] + 2
+    assert second["klr._ELEM_CACHE"]["misses"] == first["klr._ELEM_CACHE"]["misses"]
+    every = iquantum.cache_stats()
+    assert set(every) == set(stats) | {"freealg._WORD_PAIR_CACHE"}
+    assert set(every["freealg._WORD_PAIR_CACHE"]) == {"hits", "misses", "size"}
+    klr.clear_caches()
+    assert klr.cache_stats() == stats
+    assert mul(qt, x, y) == basis(w, w, (0, 1), (1, 0)) - basis(w, w, (0, 1), (0, 1))
