@@ -273,10 +273,25 @@ def _pair_normalizer(datum: SatakeDatum, dp) -> RatQ:
     return c
 
 
+# Two 8-letter words on qs_a2 take about 5 s in pair, most of it on the shape
+# route; two of 10 letters run past a minute.
+MAX_WORD = 8
+
+
+def _parse_word(text: str, datum: SatakeDatum):
+    """A command-line word, at most MAX_WORD letters once divided powers
+    are expanded."""
+    dp = parse_dpword(text, datum)
+    n = len(to_word(dp))
+    if n > MAX_WORD:
+        raise ValueError(f"word {text!r} has {n} letters; at most {MAX_WORD} are supported")
+    return dp
+
+
 def _cmd_pair(cfg: Config, args) -> int:
     datum = cfg.datum
-    dp_i = parse_dpword(args.i, datum)
-    dp_j = parse_dpword(args.j, datum)
+    dp_i = _parse_word(args.i, datum)
+    dp_j = _parse_word(args.j, datum)
     lw = _weight(cfg, args.lam)
     norm = _pair_normalizer(datum, dp_i) * _pair_normalizer(datum, dp_j)
     shape_val = shapes.pair_b(datum, to_word(dp_i), to_word(dp_j), lw) / norm
@@ -304,6 +319,11 @@ def _cmd_pair(cfg: Config, args) -> int:
     return 0 if match else 1
 
 
+# iserre --all takes about 6 ms per weight on qs_a2 and 15 ms on qs_a3, so
+# 1000 weights take seconds.
+MAX_SWEEP = 1000
+
+
 def _parse_range(text: str) -> tuple[int, int]:
     m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text.strip())
     if not m:
@@ -312,6 +332,18 @@ def _parse_range(text: str) -> tuple[int, int]:
     if lo > hi:
         raise ConfigError("", f"empty range {text!r}")
     return lo, hi
+
+
+def _sweep(datum: SatakeDatum, lo: int, hi: int) -> list[IWeight]:
+    """weight_sweep over [lo, hi], refused before it is built when it would
+    hold more than MAX_SWEEP weights."""
+    reps, fixed = orbit_reps(datum)
+    size = (hi - lo + 1) ** len(reps) * 2 ** len(fixed)
+    if size > MAX_SWEEP:
+        raise ConfigError(
+            "", f"--lambda-range {lo}..{hi} gives {size} weights; at most {MAX_SWEEP} are supported"
+        )
+    return weight_sweep(datum, lo, hi)
 
 
 def _cmd_iserre(cfg: Config, args) -> int:
@@ -326,8 +358,7 @@ def _cmd_iserre(cfg: Config, args) -> int:
                 raise ConfigError("", f"unknown node {n!r}")
         jobs = [(args.i, args.j)]
     if args.lambda_range:
-        lo, hi = _parse_range(args.lambda_range)
-        sweep = weight_sweep(datum, lo, hi)
+        sweep = _sweep(datum, *_parse_range(args.lambda_range))
     elif args.lam:
         sweep = [_weight(cfg, args.lam)]
     else:
@@ -403,8 +434,8 @@ def _cmd_grdim(cfg: Config, args) -> int:
     if args.lam is None:
         raise ConfigError("", "grdim needs --lambda NAME (or --end)")
     lw = _weight(cfg, args.lam)
-    top = to_word(parse_dpword(args.i, datum))
-    bottom = to_word(parse_dpword(args.j, datum))
+    top = to_word(_parse_word(args.i, datum))
+    bottom = to_word(_parse_word(args.j, datum))
     try:
         series = shapes.hom_rank(datum, top, bottom, lw, order)
     except ValueError as exc:
@@ -431,8 +462,8 @@ def _fmt_arcs(arcs) -> str:
 
 def _cmd_shapes(cfg: Config, args) -> int:
     datum = cfg.datum
-    top = to_word(parse_dpword(args.i, datum))
-    bottom = to_word(parse_dpword(args.j, datum))
+    top = to_word(_parse_word(args.i, datum))
+    bottom = to_word(_parse_word(args.j, datum))
     lw = _weight(cfg, args.lam)
     found = shapes.enumerate_shapes(datum, top, bottom, args.mode)
     rows = [

@@ -8,8 +8,10 @@ Encodings:
 * Twisted derivations: ``iR`` peels from the left, ``Ri`` from the right,
   both sending theta_j to delta_{ij}/(1 - q_i^-2); ``iRtilde`` is the
   psi-conjugate of iR, with value delta_{ij}/(1 - q_i^2) and inverse twist.
-  Each is computed by a single scan over letter positions with the exponent
-  prefix sums of the Cartan pairing.
+  Each is one scan over letter positions with the exponent prefix sums of
+  the Cartan pairing, then one multiplication by its value.  The scan
+  (``_derivation``) only shifts and adds, so ``iuea`` runs the same scan on
+  its Laurent numerators.
 * ``pair`` is the bilinear form with (1,1) = 1 and adjunction peeling the
   left argument's leading letter through iR; ``sesq(x,y) = pair(psi(x), y)``.
   Symmetry of ``pair`` is a tested property, not an assumption.
@@ -130,19 +132,20 @@ class FElem:
         return f"FElem({self})"
 
 
-def _derivation(
-    datum: SatakeDatum, i: str, y: FElem, prefix_side: str, twist_sign: int, value: RatQ
-) -> FElem:
-    """Shared scan for the three twisted derivations.
+def _derivation(datum: SatakeDatum, i: str, terms: dict, prefix_side: str, twist_sign: int) -> dict:
+    """Shared scan for the three twisted derivations, before their value.
 
-    prefix_side "left": the twist exponent sums Cartan entries a_{i, letter}
-    over letters strictly before the removed position; "right": strictly
-    after.  twist_sign multiplies the exponent; value is the image of
-    theta_i.
+    Removes each letter i of each word, shifting the word's coefficient by
+    q_i to the twist exponent: prefix_side "left" sums the Cartan entries
+    a_{i, letter} over letters strictly before the removed position,
+    "right" strictly after; twist_sign multiplies the exponent.  The scan
+    only shifts and adds, so a coefficient is anything with ``shifted``,
+    ``+`` and ``is_zero``: RatQ here, a Laurent numerator in ``iuea``.  The
+    caller multiplies by the derivation's value on theta_i.
     """
     d = datum.qi(i)
-    out = FElem.zero()
-    for w, c in y.terms.items():
+    out: dict = {}
+    for w, c in terms.items():
         pref = 0
         totals = [0] * (len(w) + 1)
         for t, letter in enumerate(w):
@@ -156,24 +159,33 @@ def _derivation(
                 e = totals[s]
             else:
                 e = pref - totals[s] - datum.a[(i, i)]
-            coeff = c * RatQ.q_power(d * twist_sign * e) * value
-            out = out + FElem({w[:s] + w[s + 1 :]: coeff})
+            key = w[:s] + w[s + 1 :]
+            v = c.shifted(d * twist_sign * e)
+            if key in out:
+                v = out[key] + v
+                if v.is_zero():
+                    del out[key]
+                    continue
+            out[key] = v
     return out
 
 
 def iR(datum: SatakeDatum, i: str, y: FElem) -> FElem:
     """Left-peeling twisted derivation with theta_j -> delta_ij/(1-q_i^-2)."""
-    return _derivation(datum, i, y, "left", 1, inv_one_minus_qinv2(datum.qi(i)))
+    scan = _derivation(datum, i, y.terms, "left", 1)
+    return FElem(scan).scale(inv_one_minus_qinv2(datum.qi(i)))
 
 
 def Ri(datum: SatakeDatum, i: str, y: FElem) -> FElem:
     """Right-peeling twisted derivation with theta_j -> delta_ij/(1-q_i^-2)."""
-    return _derivation(datum, i, y, "right", 1, inv_one_minus_qinv2(datum.qi(i)))
+    scan = _derivation(datum, i, y.terms, "right", 1)
+    return FElem(scan).scale(inv_one_minus_qinv2(datum.qi(i)))
 
 
 def iRtilde(datum: SatakeDatum, i: str, y: FElem) -> FElem:
     """psi-conjugate of iR: theta_j -> delta_ij/(1-q_i^2), inverse twist."""
-    return _derivation(datum, i, y, "left", -1, inv_one_minus_q2(datum.qi(i)))
+    scan = _derivation(datum, i, y.terms, "left", -1)
+    return FElem(scan).scale(inv_one_minus_q2(datum.qi(i)))
 
 
 def theta_word(datum: SatakeDatum, word: DPWord) -> FElem:

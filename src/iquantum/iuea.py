@@ -5,6 +5,16 @@ evolve in parallel under ``act_b``: ``jt`` feeds the left slot of the
 sesquilinear pairing and ``j`` the right slot.  Both are kept because only
 bar-symmetric elements allow recovering one image from the other.
 
+Both images are stored as integer Laurent numerators, one per word, over one
+denominator ``den`` that they share.  The recursion knows every denominator
+in advance: each action of b_i multiplies ``den`` by f = 1 - q^{2 d_i},
+which absorbs the twisted derivations' values 1/f and
+1/(1 - q^{-2 d_i}) = -q^{2 d_i}/f, and each divided power multiplies it by
+[n]_i!.  So ``act_b`` and ``b_divided`` run on Laurent polynomials and never
+take a gcd.  ``ipair`` builds one normalized RatQ per pairing, and reading
+``.jt`` or ``.j`` builds the free-algebra image with one normalized RatQ per
+word.
+
 Equality of module elements (``iserre_check``) is tested through the
 pairing: the difference of the two sides is paired against every monomial
 whose letter content occurs in its support.  Coefficientwise comparison of
@@ -30,40 +40,120 @@ from .satake import (
     to_word,
 )
 
+Numerators = dict[Word, LaurentPoly]
 
-@dataclass
+
+def _times(nums: Numerators, p: LaurentPoly) -> Numerators:
+    if p.is_zero():
+        return {}
+    return {w: n * p for w, n in nums.items()}
+
+
+def _add(a: Numerators, b: Numerators) -> Numerators:
+    out = dict(a)
+    for w, n in b.items():
+        if w in out:
+            s = out[w] + n
+            if s.is_zero():
+                del out[w]
+                continue
+            n = s
+        out[w] = n
+    return out
+
+
+def _image(nums: Numerators, den: LaurentPoly) -> FElem:
+    return FElem({w: RatQ(n, den) for w, n in nums.items()})
+
+
 class IElem:
-    """A module element: base weight plus the two free-algebra images."""
+    """A module element: base weight plus the two images over ``den``.
 
-    base: IWeight
-    jt: FElem
-    j: FElem | None
+    ``num_jt`` and ``num_j`` map words to nonzero Laurent numerators;
+    ``num_j`` is None while the j-image is not materialized (``delta``).
+    """
+
+    __slots__ = ("base", "den", "num_jt", "num_j")
+
+    def __init__(
+        self, base: IWeight, den: LaurentPoly, num_jt: Numerators, num_j: Numerators | None
+    ):
+        self.base = base
+        self.den = den
+        self.num_jt = num_jt
+        self.num_j = num_j
+
+    @property
+    def jt(self) -> FElem:
+        return _image(self.num_jt, self.den)
+
+    @property
+    def j(self) -> FElem | None:
+        return None if self.num_j is None else _image(self.num_j, self.den)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IElem):
+            return NotImplemented
+        return self.base == other.base and self.jt == other.jt and self.j == other.j
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"IElem({self.base}, jt={self.jt}, j={self.j})"
 
     def __add__(self, other: "IElem") -> "IElem":
         if self.base != other.base:
             raise ValueError("cannot add elements over different base weights")
-        if self.j is None or other.j is None:
+        if self.num_j is None or other.num_j is None:
             raise ValueError("cannot add elements without materialized j-images")
-        return IElem(self.base, self.jt + other.jt, self.j + other.j)
+        if not self.num_jt and not self.num_j:
+            return other
+        if not other.num_jt and not other.num_j:
+            return self
+        if self.den == other.den:
+            return IElem(
+                self.base, self.den, _add(self.num_jt, other.num_jt), _add(self.num_j, other.num_j)
+            )
+        # cross-multiplied; the sum is normalized only when an image is read
+        a, b = self.den, other.den
+        return IElem(
+            self.base,
+            a * b,
+            _add(_times(self.num_jt, b), _times(other.num_jt, a)),
+            _add(_times(self.num_j, b), _times(other.num_j, a)),
+        )
 
     def __sub__(self, other: "IElem") -> "IElem":
         return self + other.scale(RatQ.from_int(-1))
 
+    def over(self, num: LaurentPoly, den: LaurentPoly) -> "IElem":
+        """self times num/den, multiplied out without normalizing."""
+        return IElem(
+            self.base,
+            self.den * den,
+            _times(self.num_jt, num),
+            None if self.num_j is None else _times(self.num_j, num),
+        )
+
     def scale(self, c: RatQ) -> "IElem":
-        return IElem(self.base, self.jt.scale(c), None if self.j is None else self.j.scale(c))
+        return self.over(c.num, c.den)
 
 
 def unit(lw: IWeight) -> IElem:
     """The generator 1_lambda: both images are the empty word."""
-    return IElem(lw, FElem.one(), FElem.one())
+    return IElem(lw, LaurentPoly.one(), {(): LaurentPoly.one()}, {(): LaurentPoly.one()})
 
 
 def zero(lw: IWeight) -> IElem:
-    return IElem(lw, FElem.zero(), FElem.zero())
+    return IElem(lw, LaurentPoly.one(), {}, {})
 
 
 def _component_weight(datum: SatakeDatum, base: IWeight, w: Word) -> IWeight:
     return apply_word(datum, base, to_dpword(w))
+
+
+def _support(xi: IElem) -> set[Word]:
+    return xi.num_jt.keys() | xi.num_j.keys()
 
 
 def act_b(datum: SatakeDatum, i: str, xi: IElem) -> IElem:
@@ -71,39 +161,50 @@ def act_b(datum: SatakeDatum, i: str, xi: IElem) -> IElem:
 
     Each image gains a concatenated letter plus a twisted-derivation
     correction whose q-power reads off the weight of the component the
-    correction came from.
+    correction came from.  Over the new denominator den * f, with
+    f = 1 - q^{2 d}, the concatenated words carry n * f, iRtilde's value
+    1/f is 1 and iR's value -q^{2d}/f is a shift and a sign, so each
+    numerator is twisted first and each image takes one derivation scan.
     """
-    if xi.j is None:
+    if xi.num_j is None:
         raise ValueError("cannot act on an element without a materialized j-image")
     ti = datum.tau[i]
     di = datum.qi(i)
+    d = datum.qi(ti)
     vs = datum.varsigma[i]
-    th = FElem.theta(i)
-    new_jt = th * xi.jt
-    new_j = th * xi.j
-    for w, c in xi.jt.terms.items():
-        ki = _component_weight(datum, xi.base, w).lam_of(i)
-        tw = RatQ.q_power(di * (ki - vs - 1))
-        new_jt = new_jt + freealg.iRtilde(datum, ti, FElem({w: c})).scale(tw)
-    for w, c in xi.j.terms.items():
-        ki = _component_weight(datum, xi.base, w).lam_of(i)
-        tw = RatQ.q_power(di * (1 + vs - ki))
-        new_j = new_j + freealg.iR(datum, ti, FElem({w: c})).scale(tw)
-    return IElem(xi.base, new_jt, new_j)
+    f = LaurentPoly({0: 1, 2 * d: -1})
+    lam = {w: _component_weight(datum, xi.base, w).lam_of(i) for w in _support(xi)}
+    jt = freealg._derivation(
+        datum,
+        ti,
+        {w: n.shifted(di * (lam[w] - vs - 1)) for w, n in xi.num_jt.items()},
+        "left",
+        -1,
+    )
+    j = freealg._derivation(
+        datum,
+        ti,
+        {w: -n.shifted(di * (1 + vs - lam[w]) + 2 * d) for w, n in xi.num_j.items()},
+        "left",
+        1,
+    )
+    return IElem(
+        xi.base,
+        xi.den * f,
+        _add({(i,) + w: n * f for w, n in xi.num_jt.items()}, jt),
+        _add({(i,) + w: n * f for w, n in xi.num_j.items()}, j),
+    )
 
 
 def _split_by_parity(datum: SatakeDatum, i: str, xi: IElem) -> dict[int, IElem]:
-    """Partition an element by the parity of its component weights at i."""
-    parts: dict[int, list[FElem]] = {}
-    for w, c in xi.jt.terms.items():
-        p = _component_weight(datum, xi.base, w).par_of(i)
-        slot = parts.setdefault(p, [FElem.zero(), FElem.zero()])
-        slot[0] = slot[0] + FElem({w: c})
-    for w, c in xi.j.terms.items():
-        p = _component_weight(datum, xi.base, w).par_of(i)
-        slot = parts.setdefault(p, [FElem.zero(), FElem.zero()])
-        slot[1] = slot[1] + FElem({w: c})
-    return {p: IElem(xi.base, a, b) for p, (a, b) in parts.items()}
+    """Partition an element by the parity of its component weights at i;
+    every part keeps the element's denominator."""
+    par = {w: _component_weight(datum, xi.base, w).par_of(i) for w in _support(xi)}
+    parts: dict[int, tuple[Numerators, Numerators]] = {}
+    for k, nums in enumerate((xi.num_jt, xi.num_j)):
+        for w, n in nums.items():
+            parts.setdefault(par[w], ({}, {}))[k][w] = n
+    return {p: IElem(xi.base, xi.den, a, b) for p, (a, b) in parts.items()}
 
 
 def b_divided(datum: SatakeDatum, i: str, n: int, xi: IElem) -> IElem:
@@ -113,30 +214,34 @@ def b_divided(datum: SatakeDatum, i: str, n: int, xi: IElem) -> IElem:
     tau-fixed node the numerator is instead a product of (b_i^2 - [m]^2)
     factors over m of one parity, with b_i left over once when n is odd; the
     parity is read off the source weight of each component, so the element
-    is split by parity first.
+    is split by parity first.  Two actions multiply the denominator by f^2,
+    so [m]^2 cur is subtracted as [m]^2 f^2 cur over the same denominator,
+    and both parity parts take as many steps and end over one denominator.
     """
     if n < 0:
         raise ValueError("divided power needs n >= 0")
     if n == 0:
         return xi
     di = datum.qi(i)
-    fact = RatQ.one() / RatQ.from_laurent(qfact(n, di))
+    one = LaurentPoly.one()
+    fact = qfact(n, di)
     if datum.tau[i] != i:
         out = xi
         for _ in range(n):
             out = act_b(datum, i, out)
-        return out.scale(fact)
+        return out.over(one, fact)
+    f = LaurentPoly({0: 1, 2 * di: -1})
+    f2 = f * f
     result = zero(xi.base)
     for p, part in _split_by_parity(datum, i, xi).items():
         cur = part
         for m in range(n % 2, n):
             if m % 2 != p:
                 continue
-            sq = RatQ.from_laurent(qint(m, di)) ** 2
-            cur = act_b(datum, i, act_b(datum, i, cur)) - cur.scale(sq)
+            cur = act_b(datum, i, act_b(datum, i, cur)) - cur.over(qint(m, di) ** 2 * f2, f2)
         if n % 2:
             cur = act_b(datum, i, cur)
-        result = result + cur.scale(fact)
+        result = result + cur.over(one, fact)
     return result
 
 
@@ -155,16 +260,38 @@ def delta(datum: SatakeDatum, word: DPWord, lw: IWeight) -> IElem:
     mean inverting the recursion, and every pairing this package needs
     consumes these vectors through ``pair_nabla`` instead.
     """
-    return IElem(lw, freealg.theta_word(datum, word), None)
+    den = LaurentPoly.one()
+    for i, n in word:
+        den = den * qfact(n, datum.qi(i))
+    return IElem(lw, den, {to_word(word): LaurentPoly.one()}, None)
 
 
 def ipair(datum: SatakeDatum, xi: IElem, eta: IElem) -> RatQ:
-    """Sesquilinear pairing: bar the left jt-image against the right j-image."""
-    if eta.j is None:
+    """Sesquilinear pairing: bar the left jt-image against the right j-image.
+
+    Sums bar(n_x) n_y (w_x, w_y) over the memoized word pairings, grouped by
+    the denominator of the word pairing, then divides by bar(den_x) den_y
+    and normalizes once.
+    """
+    if eta.num_j is None:
         raise ValueError("right argument has no materialized j-image; use pair_nabla")
     if xi.base != eta.base:
         return RatQ.zero()
-    return freealg.sesq(datum, xi.jt, eta.j)
+    groups: dict[LaurentPoly, LaurentPoly] = {}
+    for wx, nx in xi.num_jt.items():
+        bx = nx.bar()
+        for wy, ny in eta.num_j.items():
+            p = freealg._word_pair(datum, wx, wy)
+            if p.is_zero():
+                continue
+            t = bx * ny * p.num
+            groups[p.den] = groups[p.den] + t if p.den in groups else t
+    if not groups:
+        return RatQ.zero()
+    num, den = LaurentPoly.zero(), LaurentPoly.one()
+    for g, t in groups.items():
+        num, den = num * g + t * den, den * g
+    return RatQ(num, den * xi.den.bar() * eta.den)
 
 
 def pair_nabla(datum: SatakeDatum, xi: IElem, word: DPWord) -> RatQ:
@@ -178,10 +305,10 @@ def pair_nabla(datum: SatakeDatum, xi: IElem, word: DPWord) -> RatQ:
 
 def jt_delta_coeff(datum: SatakeDatum, xi: IElem, word: DPWord) -> RatQ:
     """Coefficient of the delta vector of word in xi, read off the jt-image."""
-    c = xi.jt.coeff(to_word(word))
+    num = xi.num_jt.get(to_word(word), LaurentPoly.zero())
     for i, n in word:
-        c = c * RatQ.from_laurent(qfact(n, datum.qi(i)))
-    return c
+        num = num * qfact(n, datum.qi(i))
+    return RatQ(num, xi.den)
 
 
 def _radical_zero(datum: SatakeDatum, x: FElem) -> bool:
@@ -226,7 +353,7 @@ def iserre_check(datum: SatakeDatum, i: str, j: str, lw: IWeight) -> ISerreResul
         rhs = b_divided(datum, i, -aij, unit(lw)).scale(bkl_product_form(datum, i, lw))
     else:
         rhs = zero(lw)
-    equal = _radical_zero(datum, lhs.jt - rhs.jt)
+    equal = _radical_zero(datum, (lhs - rhs).jt)
     return ISerreResult(lhs, rhs, equal)
 
 

@@ -408,6 +408,14 @@ class RatQ:
     def __sub__(self, other: "RatQ") -> "RatQ":
         return self + (-other)
 
+    def shifted(self, k: int) -> "RatQ":
+        """Multiply by q^k.  Only the numerator moves, so the value stays in
+        normal form and is not normalized again."""
+        r = RatQ.__new__(RatQ)
+        r.num = self.num.shifted(k)
+        r.den = self.den
+        return r
+
     def __rsub__(self, other) -> "RatQ":
         return (-self) + other
 

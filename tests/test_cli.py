@@ -272,6 +272,40 @@ def test_klr_strand_count_is_bounded(capsys):
     assert code == 0 and "normal form = (+1)*[e] + (+1)*[x6^1 s(5)]" in out
 
 
+@pytest.mark.parametrize("cmd", ["pair", "shapes", "grdim"])
+def test_word_length_is_bounded(capsys, cmd):
+    assert cli.MAX_WORD == 8
+    long = "1^(5) 2^(4)"  # nine letters once the divided powers are expanded
+    for flag_i, flag_j in ((long, "1"), ("1", long)):
+        code, out, err = run_cli(
+            capsys, cmd, "--config", "qs_a2", "--i", flag_i, "--j", flag_j, "--lambda", "L0"
+        )
+        assert code == 2 and out == ""
+        assert err.strip() == f"error: word {long!r} has 9 letters; at most 8 are supported"
+    datum = STANDARD["qs_a2"]()
+    assert cli._parse_word("1^(4) 2^(3) 1", datum) == (("1", 4), ("2", 3), ("1", 1))
+
+
+def test_lambda_range_sweep_is_bounded(capsys):
+    assert cli.MAX_SWEEP == 1000
+    for name, rng, size in (("qs_a2", "-500..500", 1001), ("qs_a3", "-250..250", 1002)):
+        code, out, err = run_cli(
+            capsys, "iserre", "--config", name, "--all", "--lambda-range", rng
+        )
+        assert code == 2 and out == ""
+        assert err.strip() == (
+            f"config error: --lambda-range {rng} gives {size} weights; at most 1000 are supported"
+        )
+    code, _, err = run_cli(
+        capsys, "iserre", "--config", "qs_a2", "--all", "--lambda-range", "-4000..4000"
+    )
+    assert code == 2 and "8001 weights" in err
+    assert len(cli._sweep(STANDARD["qs_a2"](), -500, 499)) == 1000
+    assert len(cli._sweep(STANDARD["qs_a3"](), -250, 249)) == 1000
+    # no tau-orbit of two nodes: the range does not enter the count
+    assert len(cli._sweep(STANDARD["split_a2"](), -4000, 4000)) == 4
+
+
 def test_usage_and_config_errors(capsys):
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == 2

@@ -32,6 +32,56 @@ def test_unit_and_single_action():
             assert iuea.ipair(datum, one, one) == RatQ.one()
 
 
+def _act_b_reference(datum, i, base, jt, j):
+    """b_i on the two images coefficient by coefficient: theta_i times the
+    image plus the iRtilde (jt) or iR (j) correction of each word, twisted
+    by the weight of the component it came from."""
+    ti = datum.tau[i]
+    di = datum.qi(i)
+    vs = datum.varsigma[i]
+    th = FElem.theta(i)
+    new_jt = th * jt
+    new_j = th * j
+    for w, c in jt.terms.items():
+        ki = satake.apply_word(datum, base, satake.to_dpword(w)).lam_of(i)
+        tw = RatQ.q_power(di * (ki - vs - 1))
+        new_jt = new_jt + freealg.iRtilde(datum, ti, FElem({w: c})).scale(tw)
+    for w, c in j.terms.items():
+        ki = satake.apply_word(datum, base, satake.to_dpword(w)).lam_of(i)
+        tw = RatQ.q_power(di * (1 + vs - ki))
+        new_j = new_j + freealg.iR(datum, ti, FElem({w: c})).scale(tw)
+    return new_jt, new_j
+
+
+def _random_laurent(rng):
+    return LaurentPoly({rng.randint(-4, 4): rng.choice([-3, -1, 1, 2]) for _ in range(rng.randint(1, 3))})
+
+
+def _random_ielem(rng, datum, lw):
+    """Random numerators over a random denominator, on random words of
+    length at most 3; the two images get independent numerators."""
+    words = {tuple(rng.choice(datum.nodes) for _ in range(rng.randint(0, 3))) for _ in range(4)}
+    num_jt = {w: _random_laurent(rng) for w in words}
+    num_j = {w: _random_laurent(rng) for w in words if rng.randrange(4)}
+    den = LaurentPoly({0: 1, 2 * rng.randint(1, 3): -1}) * LaurentPoly.q_power(rng.randint(-2, 2))
+    return iuea.IElem(lw, den, num_jt, num_j)
+
+
+def test_act_b_matches_the_derivation_reference():
+    rng = random.Random(6061)
+    for name in STANDARD:
+        datum = make(name)
+        lws = satake.weight_sweep(datum, -2, 2)
+        for _ in range(12):
+            lw = rng.choice(lws)
+            xi = _random_ielem(rng, datum, lw)
+            i = rng.choice(datum.nodes)
+            got = iuea.act_b(datum, i, xi)
+            want_jt, want_j = _act_b_reference(datum, i, lw, xi.jt, xi.j)
+            assert got.jt == want_jt and got.j == want_j, (name, i, lw)
+            assert got.base == lw
+
+
 def test_two_step_constant():
     # Acting by b_i then b_{tau i} on 1_lambda leaves, besides the length-two
     # word, a constant whose exponent collapses to 1 + vs_i - lam_i.

@@ -338,3 +338,11 @@ def test_ratq_evaluation_is_a_field_map(x, y, q0):
     if ey:
         assert _ev(x / y, q0) == ex / ey
     assert _ev(x.bar(), q0) == _ev(x, 1 / q0)
+
+
+@_PROPERTY
+@given(_ratq, st.integers(-5, 5))
+def test_ratq_shifted_is_a_q_power_multiple_in_normal_form(x, k):
+    z = x.shifted(k)
+    assert_normal_form(z)
+    assert z == x * RatQ.q_power(k)
