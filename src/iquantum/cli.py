@@ -273,8 +273,8 @@ def _pair_normalizer(datum: SatakeDatum, dp) -> RatQ:
     return c
 
 
-# Two 8-letter words on qs_a2 take about 5 s in pair, most of it on the shape
-# route; two of 10 letters run past a minute.
+# Two 8-letter words on qs_a2 take about 1 s in pair; two of 10 letters run
+# past a minute, most of it on the shape route.
 MAX_WORD = 8
 
 
@@ -288,10 +288,26 @@ def _parse_word(text: str, datum: SatakeDatum):
     return dp
 
 
+# The shape route enumerates every matching of the two words.  Two 7-letter
+# words of one fixed-node letter have 13!! = 135135 of them and take about 3 s
+# in pair; two of 8 letters have 15!! = 2027025 and run for minutes.  On the
+# built-in data no pair of words within MAX_WORD has a count in between.
+MAX_SHAPES = 200000
+
+
+def _check_shapes(datum: SatakeDatum, top, bottom, mode: str = "all") -> None:
+    """Refuse a pair of words with more than MAX_SHAPES matchings before any
+    is enumerated."""
+    n = shapes.shape_count(datum, top, bottom, mode)
+    if n > MAX_SHAPES:
+        raise ValueError(f"the two words have {n} shapes; at most {MAX_SHAPES} are supported")
+
+
 def _cmd_pair(cfg: Config, args) -> int:
     datum = cfg.datum
     dp_i = _parse_word(args.i, datum)
     dp_j = _parse_word(args.j, datum)
+    _check_shapes(datum, to_word(dp_i), to_word(dp_j))
     lw = _weight(cfg, args.lam)
     norm = _pair_normalizer(datum, dp_i) * _pair_normalizer(datum, dp_j)
     shape_val = shapes.pair_b(datum, to_word(dp_i), to_word(dp_j), lw) / norm
@@ -436,6 +452,7 @@ def _cmd_grdim(cfg: Config, args) -> int:
     lw = _weight(cfg, args.lam)
     top = to_word(_parse_word(args.i, datum))
     bottom = to_word(_parse_word(args.j, datum))
+    _check_shapes(datum, top, bottom)
     try:
         series = shapes.hom_rank(datum, top, bottom, lw, order)
     except ValueError as exc:
@@ -464,6 +481,7 @@ def _cmd_shapes(cfg: Config, args) -> int:
     datum = cfg.datum
     top = to_word(_parse_word(args.i, datum))
     bottom = to_word(_parse_word(args.j, datum))
+    _check_shapes(datum, top, bottom, args.mode)
     lw = _weight(cfg, args.lam)
     found = shapes.enumerate_shapes(datum, top, bottom, args.mode)
     rows = [

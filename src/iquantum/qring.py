@@ -351,20 +351,29 @@ class RatQ:
         self.den.c = {k: v // c for k, v in enumerate(dd) if v}
 
     @staticmethod
+    def _trusted(num: LaurentPoly, den: LaurentPoly) -> "RatQ":
+        """num/den that is already in normal form, taken as it is."""
+        r = RatQ.__new__(RatQ)
+        r.num = num
+        r.den = den
+        return r
+
+    @staticmethod
     def zero() -> "RatQ":
-        return RatQ(LaurentPoly.zero())
+        return RatQ._trusted(LaurentPoly.zero(), LaurentPoly.one())
 
     @staticmethod
     def one() -> "RatQ":
-        return RatQ(LaurentPoly.one())
+        return RatQ._trusted(LaurentPoly.one(), LaurentPoly.one())
 
     @staticmethod
     def from_int(n: int) -> "RatQ":
-        return RatQ(LaurentPoly.from_int(n))
+        return RatQ.q_power(0, n)
 
     @staticmethod
     def q_power(e: int, coeff: int = 1) -> "RatQ":
-        return RatQ(LaurentPoly.q_power(e, coeff))
+        """coeff * q^e; over the denominator 1 a single term is normal."""
+        return RatQ._trusted(LaurentPoly.q_power(e, coeff), LaurentPoly.one())
 
     @staticmethod
     def from_laurent(p: LaurentPoly) -> "RatQ":
@@ -398,12 +407,9 @@ class RatQ:
     def __neg__(self) -> "RatQ":
         if self.is_zero():
             return self
-        r = RatQ.zero()
-        r.num = -self.num
-        r.den = self.den
         # sign convention keeps den's leading coefficient positive, so simply
         # negating the numerator preserves the normal form
-        return r
+        return RatQ._trusted(-self.num, self.den)
 
     def __sub__(self, other: "RatQ") -> "RatQ":
         return self + (-other)
@@ -411,10 +417,7 @@ class RatQ:
     def shifted(self, k: int) -> "RatQ":
         """Multiply by q^k.  Only the numerator moves, so the value stays in
         normal form and is not normalized again."""
-        r = RatQ.__new__(RatQ)
-        r.num = self.num.shifted(k)
-        r.den = self.den
-        return r
+        return RatQ._trusted(self.num.shifted(k), self.den)
 
     def __rsub__(self, other) -> "RatQ":
         return (-self) + other
@@ -572,9 +575,10 @@ class PowerSeriesTrunc:
 def expand(a: RatQ, dir: str, order: int) -> PowerSeriesTrunc:
     """Expand a rational function as a truncated integer series.
 
-    Long division oriented by ``dir``.  A non-integer coefficient in the
-    result means some upstream quantity was not the integer series it claims
-    to be, so it raises rather than rounding.
+    Long division oriented by ``dir``, in integers: each coefficient is
+    divided exactly by the denominator's lowest term.  A non-integer
+    coefficient in the result means some upstream quantity was not the
+    integer series it claims to be, so it raises rather than rounding.
     """
     if dir == ASC_QINV:
         mirrored = expand(a.bar(), ASC_Q, order)
@@ -585,30 +589,44 @@ def expand(a: RatQ, dir: str, order: int) -> PowerSeriesTrunc:
         raise ValueError(f"unknown direction {dir!r}")
     if a.is_zero():
         return PowerSeriesTrunc(ASC_Q, order, {})
-    ln, nd = _dense(a.num)
-    ld, dd = _dense(a.den)
-    # strip the denominator's lowest term to q^0 and divide term by term
-    sh = next(k for k, v in enumerate(dd) if v)
-    dd = dd[sh:]
-    val = ln - (ld + sh)  # valuation of the expansion
+    ln, nd = _int_dense(a.num)
+    ld, dd = _int_dense(a.den)
+    val = ln - ld  # valuation of the expansion
     out: dict[int, int] = {}
-    coeffs: list[Fraction] = []
+    coeffs: list[int] = []
     for k in range(order - val + 1):
-        c = nd[k] if k < len(nd) else Fraction(0)
+        c = nd[k] if k < len(nd) else 0
         for j in range(1, min(k, len(dd) - 1) + 1):
             c -= dd[j] * coeffs[k - j]
-        c /= dd[0]
+        c, r = divmod(c, dd[0])
+        if r:
+            raise _expand_error(nd, dd, coeffs, val, order)
         coeffs.append(c)
         e = val + k
         if c and abs(e) <= order:
-            if c.denominator != 1:
-                raise ValueError(
-                    f"non-integer coefficient {c} at q^{e} in series expansion"
-                )
-            out[e] = c.numerator
-    for k, c in enumerate(coeffs):
-        if c and c.denominator != 1:
-            raise ValueError(
-                f"non-integer coefficient {c} at q^{val + k} in series expansion"
-            )
+            out[e] = c
     return PowerSeriesTrunc(ASC_Q, order, out)
+
+
+def _expand_error(nd: list[int], dd: list[int], coeffs: list[int], val: int, order: int) -> ValueError:
+    """The error of an expansion whose next coefficient is not an integer.
+
+    It names the first non-integer coefficient at an exponent within the
+    order, or the first one at all if none is; the division goes on over Q
+    from ``coeffs``, the integer coefficients so far, to find it.
+    """
+    seq = [Fraction(c) for c in coeffs]
+    first = None
+    for k in range(len(coeffs), order - val + 1):
+        c = Fraction(nd[k] if k < len(nd) else 0)
+        for j in range(1, min(k, len(dd) - 1) + 1):
+            c -= dd[j] * seq[k - j]
+        c /= dd[0]
+        seq.append(c)
+        if c.denominator != 1:
+            if val + k >= -order:
+                first = (c, val + k)
+                break
+            first = first or (c, val + k)
+    c, e = first
+    return ValueError(f"non-integer coefficient {c} at q^{e} in series expansion")

@@ -18,9 +18,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import comb, factorial, perm, prod
 
 from .qring import ASC_Q, LaurentPoly, PowerSeriesTrunc, RatQ, expand
-from .satake import IWeight, SatakeDatum, Word, apply_word, orbit_reps
+from .satake import IWeight, SatakeDatum, Word, orbit_reps
+# Not called here any more; perfbench's tracer test still lists this binding
+# site (perfbench/tests/test_perfbench.py), so it stays until that list moves.
+from .satake import apply_word  # noqa: F401
 
 MODES = ("all", "cap_free", "cup_cap_free")
 
@@ -48,7 +52,8 @@ def enumerate_shapes(
     Cups need the later top label to be the involution partner of the
     earlier one, caps likewise on the bottom, props need equal labels.  The
     recursion always matches the first open point, so each matching is
-    produced exactly once; modes drop caps, or both cups and caps.
+    produced exactly once, and cups and caps come out sorted by their first
+    foot; modes drop caps, or both cups and caps.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -62,9 +67,7 @@ def enumerate_shapes(
 
     def rec(ut, ub, cups, caps, props):
         if not ut and not ub:
-            out.append(
-                Shape(top, bottom, tuple(sorted(cups)), tuple(sorted(caps)), tuple(sorted(props)))
-            )
+            out.append(Shape(top, bottom, cups, caps, tuple(sorted(props))))
             return
         if ut:
             p = ut[0]
@@ -89,6 +92,58 @@ def enumerate_shapes(
     return out
 
 
+def _matchings(n: int, allowed: bool) -> int:
+    """Perfect matchings of n interchangeable points: (n-1)!!, and only the
+    empty one when arcs among them are not allowed."""
+    if n % 2:
+        return 0
+    if not allowed:
+        return 1 if n == 0 else 0
+    return prod(range(n - 1, 0, -2))
+
+
+def shape_count(datum: SatakeDatum, top: Word, bottom: Word, mode: str = "all") -> int:
+    """len(enumerate_shapes(datum, top, bottom, mode)) without enumerating.
+
+    Points of different tau-orbits never meet, so the count is a product
+    over orbits.  At a fixed node with A top and C bottom points, p props
+    leave A - p tops to pair by cups and C - p bottoms by caps; with both
+    allowed the sum is (A+C-1)!!.  On a two-point orbit {i, j} with tops
+    A, B and bottoms C, D, k cups each join an i top to a j top; the other
+    tops go down as props, and the m = C-(A-k) = D-(B-k) bottoms left over
+    pair off by caps:
+
+        sum_k C(A,k) C(B,k) k! P(C,A-k) P(D,B-k) m!.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    allow_cups = mode in ("all", "cap_free")
+    allow_caps = mode == "all"
+    ct, cb = Counter(top), Counter(bottom)
+    two, fixed = orbit_reps(datum)
+    total = 1
+    for i in fixed:
+        A, C = ct[i], cb[i]
+        total *= sum(
+            comb(A, p) * perm(C, p) * _matchings(A - p, allow_cups) * _matchings(C - p, allow_caps)
+            for p in range(min(A, C) + 1)
+        )
+    for i in two:
+        j = datum.tau[i]
+        A, B, C, D = ct[i], ct[j], cb[i], cb[j]
+        orbit = 0
+        for k in range(min(A, B) + 1 if allow_cups else 1):
+            m = C - (A - k)
+            if m < 0 or m != D - (B - k) or (m and not allow_caps):
+                continue
+            orbit += (
+                comb(A, k) * comb(B, k) * factorial(k)
+                * perm(C, A - k) * perm(D, B - k) * factorial(m)
+            )
+        total *= orbit
+    return total
+
+
 def _annihilation_degree(
     datum: SatakeDatum,
     word: Word,
@@ -103,58 +158,69 @@ def _annihilation_degree(
     through the letters between the feet; in the reflected order ties go
     right to left and the right foot slides leftward.  Either way the
     annihilation generator then acts on the adjacent pair, reading its label
-    from the right foot and its weight from the letters still strictly to
-    the right of the pair.
+    i from the right foot and its weight from the letters w_r still strictly
+    to the right of the pair.  That weight is lam_i of lw minus the weight of
+    those letters, and the weight is additive in the letters:
+
+        mu_i = lw.lam_of(i) - sum_r (a[i, w_r] - a[i, tau w_r]),
+
+    the integer that shifting lw by -alpha_{w_r} one letter at a time would
+    leave at i (``satake.apply_word``).  At a tau-fixed i it is 0, since an
+    IWeight holds no lam at a fixed node.
     """
     if reflected:
         ordered = sorted(arcs, key=lambda a: (a[1] - a[0], -a[0]))
     else:
         ordered = sorted(arcs, key=lambda a: (a[1] - a[0], a[0]))
-    cur = list(range(len(word)))
+    a, d, tau = datum.a, datum.d, datum.tau
+    n = len(word)
+    alive = [True] * n
     deg = 0
     for p, q in ordered:
-        ip = cur.index(p)
-        iq = cur.index(q)
-        between = cur[ip + 1 : iq]
         slider = word[q] if reflected else word[p]
-        for b in between:
-            deg -= datum.qi(slider) * datum.a[(slider, word[b])]
         i = word[q]
-        if reflected:
-            right = between + cur[iq + 1 :]
-        else:
-            right = cur[iq + 1 :]
-        mu = apply_word(datum, lw, tuple((word[r], 1) for r in right))
-        deg += datum.qi(i) * (1 + datum.varsigma[i] - mu.lam_of(i))
-        cur.remove(p)
-        cur.remove(q)
+        moved = tau[i] != i
+        mu = lw.lam_of(i) if moved else 0
+        for b in range(p + 1, q):
+            if alive[b]:
+                w = word[b]
+                deg -= d[slider] * a[(slider, w)]
+                if reflected and moved:
+                    mu -= a[(i, w)] - a[(i, tau[w])]
+        if moved:
+            for r in range(q + 1, n):
+                if alive[r]:
+                    w = word[r]
+                    mu -= a[(i, w)] - a[(i, tau[w])]
+        deg += d[i] * (1 + datum.varsigma[i] - mu)
+        alive[p] = alive[q] = False
     return deg
 
 
 def _crossing_degree(datum: SatakeDatum, strands: list[tuple[str, int]]) -> int:
-    """Bubble-sort the (label, target) strands; each swap is one crossing."""
-    arr = list(strands)
+    """Crossing degree of (label, target) strands listed by source.
+
+    Two strands cross exactly when their targets are out of order, and the
+    crossing of a left strand labelled i over a right one labelled j has
+    degree -d_i a_{i,j}.
+    """
+    a, d = datum.a, datum.d
     deg = 0
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(arr) - 1):
-            if arr[k][1] > arr[k + 1][1]:
-                a, b = arr[k][0], arr[k + 1][0]
-                deg -= datum.qi(a) * datum.a[(a, b)]
-                arr[k], arr[k + 1] = arr[k + 1], arr[k]
-                changed = True
+    for k, (i, t) in enumerate(strands):
+        for j, u in strands[k + 1 :]:
+            if t > u:
+                deg -= d[i] * a[(i, j)]
     return deg
 
 
 def _degree(datum: SatakeDatum, sh: Shape, lw: IWeight, reflected: bool) -> int:
-    deg = _annihilation_degree(datum, sh.bottom, sh.caps, lw, reflected)
-    capped = {p for arc in sh.caps for p in arc}
-    targets = dict(sh.props)
-    strands = [(sh.bottom[b], targets[b]) for b in range(len(sh.bottom)) if b not in capped]
-    deg += _crossing_degree(datum, strands)
-    deg += _annihilation_degree(datum, sh.top, sh.cups, lw, reflected)
-    return deg
+    # props are sorted by bottom index, so they list the strands by source
+    strands = [(sh.bottom[b], t) for b, t in sh.props]
+    return (
+        _annihilation_degree(datum, sh.bottom, sh.caps, lw, reflected)
+        + _crossing_degree(datum, strands)
+        + _annihilation_degree(datum, sh.top, sh.cups, lw, reflected)
+    )
 
 
 def degree(datum: SatakeDatum, sh: Shape, lw: IWeight) -> int:

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -284,6 +285,22 @@ def test_word_length_is_bounded(capsys, cmd):
         assert err.strip() == f"error: word {long!r} has 9 letters; at most 8 are supported"
     datum = STANDARD["qs_a2"]()
     assert cli._parse_word("1^(4) 2^(3) 1", datum) == (("1", 4), ("2", 3), ("1", 1))
+
+
+@pytest.mark.parametrize("cmd", ["pair", "shapes", "grdim"])
+def test_shape_count_is_bounded(capsys, cmd):
+    assert cli.MAX_SHAPES == 200000
+    eight = " ".join(["1"] * 8)  # 16 points at one fixed node: 15!! matchings
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, cmd, "--config", "split_a1", "--i", eight, "--j", eight, "--lambda", "L1"
+    )
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert err.strip() == "error: the two words have 2027025 shapes; at most 200000 are supported"
+    datum = STANDARD["split_a1"]()
+    cli._check_shapes(datum, ("1",) * 7, ("1",) * 7)  # 13!! = 135135 is allowed
+    cli._check_shapes(datum, ("1",) * 8, ("1",) * 8, "cup_cap_free")  # 8! = 40320
 
 
 def test_lambda_range_sweep_is_bounded(capsys):

@@ -166,6 +166,42 @@ def test_expand_integrality_guard():
         expand(RatQ(LaurentPoly.one(), L({0: 2, 1: -1})), ASC_Q, 3)
 
 
+@pytest.mark.parametrize(
+    "num,den,order,message",
+    [
+        # 1/(2 - q): the first coefficient is already 1/2
+        ({0: 1}, {0: 2, 1: -1}, 3, "non-integer coefficient 1/2 at q^0 in series expansion"),
+        # (1 + q^2)/(3 - q): 1/3, then (0 + 1/3)/3 = 1/9 at q^1
+        ({1: 3, 3: 3}, {0: 9, 1: -3}, 3, "non-integer coefficient 1/3 at q^1 in series expansion"),
+        # a non-integer below the window defers to the first one inside it ...
+        ({-5: 1, 0: 1}, {0: 2}, 2, "non-integer coefficient 1/2 at q^0 in series expansion"),
+        # ... and is named itself when the window holds none
+        ({-5: 1}, {0: 2}, 2, "non-integer coefficient 1/2 at q^-5 in series expansion"),
+    ],
+)
+def test_expand_error_names_the_coefficient(num, den, order, message):
+    with pytest.raises(ValueError) as ei:
+        expand(RatQ(L(num), L(den)), ASC_Q, order)
+    assert str(ei.value) == message
+
+
+def test_trusted_constructors_give_the_normal_form():
+    cases = [
+        (RatQ.zero(), RatQ(LaurentPoly.zero())),
+        (RatQ.one(), RatQ(LaurentPoly.one())),
+    ]
+    for e in range(-3, 4):
+        for c in (-7, -1, 0, 1, 2, 12):
+            cases.append((RatQ.q_power(e, c), RatQ(LaurentPoly({e: c}))))
+            cases.append((RatQ.from_int(c), RatQ(LaurentPoly({0: c}))))
+    cases.append((RatQ.q_power(5), RatQ(LaurentPoly({5: 1}))))
+    for got, want in cases:
+        assert got.num.c == want.num.c and got.den.c == want.den.c
+        assert_normal_form(got)
+    # fresh objects: a caller may not mutate a shared zero by accident
+    assert RatQ.zero().num is not RatQ.zero().num
+
+
 def test_series_arithmetic():
     a = PowerSeriesTrunc(ASC_Q, 4, {0: 1, 2: 1})
     b = PowerSeriesTrunc(ASC_Q, 4, {0: 1, 2: -1})
@@ -346,3 +382,64 @@ def test_ratq_shifted_is_a_q_power_multiple_in_normal_form(x, k):
     z = x.shifted(k)
     assert_normal_form(z)
     assert z == x * RatQ.q_power(k)
+
+
+def _unit_ended(p: LaurentPoly, top: int, low: int) -> LaurentPoly:
+    """p with its lowest and highest coefficients set to the units low, top."""
+    c = dict(p.c) or {0: 1}
+    c[min(c)] = low
+    c[max(c)] = top
+    return LaurentPoly(c)
+
+
+# denominators whose lowest and highest coefficients are +-1, so their
+# expansions in either direction have integer coefficients
+_unit_den = st.builds(_unit_ended, _laurent, st.sampled_from([1, -1]), st.sampled_from([1, -1]))
+
+
+def _window_agrees(series: PowerSeriesTrunc, x: RatQ):
+    """series * den == num at every exponent the truncation leaves exact.
+
+    The full expansion S vanishes beyond its valuation (below it ascending in
+    q, above it ascending in q^-1); at e, (S * den)_e sums den_j S_{e-j}, so
+    it is exact when each S_{e-j} is either stored or known to vanish.
+    """
+    n = series.order
+    if series.dir == ASC_Q:
+        val = x.num.lowest_exp() - x.den.lowest_exp()
+        known = lambda k: -n <= k <= n or k < val  # noqa: E731
+    else:
+        val = x.num.highest_exp() - x.den.highest_exp()
+        known = lambda k: -n <= k <= n or k > val  # noqa: E731
+    prod = {}
+    for e, v in series.coeffs.items():
+        for j, w in x.den.c.items():
+            prod[e + j] = prod.get(e + j, 0) + v * w
+    exact = [
+        e
+        for e in range(-n - 12, n + 13)
+        if all(known(e - j) for j in x.den.c)
+    ]
+    for e in exact:
+        assert prod.get(e, 0) == x.num.c.get(e, 0), (e, series, x)
+    return exact
+
+
+@_PROPERTY
+@given(_laurent, _unit_den, st.integers(0, 12), st.sampled_from([ASC_Q, ASC_QINV]))
+def test_expand_times_denominator_is_the_numerator(num, den, order, dir):
+    x = RatQ(num, den)
+    series = expand(x, dir, order)
+    assert series.dir == dir and series.order == order
+    if x.is_zero():
+        assert series.coeffs == {}
+        return
+    exact = _window_agrees(series, x)
+    # the leading term is checked whenever every S_{val-j} it sums is stored
+    val = (
+        x.num.lowest_exp() - x.den.lowest_exp()
+        if dir == ASC_Q
+        else x.num.highest_exp() - x.den.highest_exp()
+    )
+    if -order <= val - x.den.highest_exp() and val - x.den.lowest_exp() <= order:
+        assert val in exact

@@ -33,6 +33,94 @@ def monomial(word):
     return FElem({tuple(word): RatQ.one()})
 
 
+def strand_pair(rng, datum, strands):
+    """Two shuffled words built from seeded strands, a prop (i over i), a cup
+    (i, tau i on top) or a cap (i, tau i below): at least one matching."""
+    top, bottom = [], []
+    for _ in range(strands):
+        i = rng.choice(datum.nodes)
+        kind = rng.choice(("prop", "cup", "cap"))
+        if kind == "prop":
+            top.append(i)
+            bottom.append(i)
+        else:
+            (top if kind == "cup" else bottom).extend((i, datum.tau[i]))
+    rng.shuffle(top)
+    rng.shuffle(bottom)
+    return tuple(top), tuple(bottom)
+
+
+def oracle_weights(rng, datum):
+    """L0, L1 and two seeded weights of the sweep."""
+    reps, fixed = satake.orbit_reps(datum)
+    sweep = satake.weight_sweep(datum)
+    return [
+        weight(datum, {}, {i: 0 for i in fixed}),
+        weight(datum, {i: 1 for i in reps}, {i: 1 for i in fixed}),
+        rng.choice(sweep),
+        rng.choice(sweep),
+    ]
+
+
+# ------------------------------------------------------ reference degree route
+#
+# The letter-by-letter route the package used before it read each weight off
+# the Cartan matrix: every annihilation weight comes from shifting lw through
+# satake.apply_word, and the crossings are counted by bubble-sorting.  Kept
+# unchanged as the oracle of shapes.degree and shapes.degree_alt.
+
+
+def _annihilation_degree_reference(datum, word, arcs, lw, reflected):
+    if reflected:
+        ordered = sorted(arcs, key=lambda a: (a[1] - a[0], -a[0]))
+    else:
+        ordered = sorted(arcs, key=lambda a: (a[1] - a[0], a[0]))
+    cur = list(range(len(word)))
+    deg = 0
+    for p, q in ordered:
+        ip = cur.index(p)
+        iq = cur.index(q)
+        between = cur[ip + 1 : iq]
+        slider = word[q] if reflected else word[p]
+        for b in between:
+            deg -= datum.qi(slider) * datum.a[(slider, word[b])]
+        i = word[q]
+        if reflected:
+            right = between + cur[iq + 1 :]
+        else:
+            right = cur[iq + 1 :]
+        mu = satake.apply_word(datum, lw, tuple((word[r], 1) for r in right))
+        deg += datum.qi(i) * (1 + datum.varsigma[i] - mu.lam_of(i))
+        cur.remove(p)
+        cur.remove(q)
+    return deg
+
+
+def _crossing_degree_reference(datum, strands):
+    arr = list(strands)
+    deg = 0
+    changed = True
+    while changed:
+        changed = False
+        for k in range(len(arr) - 1):
+            if arr[k][1] > arr[k + 1][1]:
+                a, b = arr[k][0], arr[k + 1][0]
+                deg -= datum.qi(a) * datum.a[(a, b)]
+                arr[k], arr[k + 1] = arr[k + 1], arr[k]
+                changed = True
+    return deg
+
+
+def _degree_reference(datum, sh, lw, reflected):
+    deg = _annihilation_degree_reference(datum, sh.bottom, sh.caps, lw, reflected)
+    capped = {p for arc in sh.caps for p in arc}
+    targets = dict(sh.props)
+    strands = [(sh.bottom[b], targets[b]) for b in range(len(sh.bottom)) if b not in capped]
+    deg += _crossing_degree_reference(datum, strands)
+    deg += _annihilation_degree_reference(datum, sh.top, sh.cups, lw, reflected)
+    return deg
+
+
 # ---------------------------------------------------------------- enumeration
 
 
@@ -75,6 +163,40 @@ def test_enumerate_unknown_mode():
     datum = make("split_a1")
     with pytest.raises(ValueError):
         shapes.enumerate_shapes(datum, (), (), "reduced")
+    with pytest.raises(ValueError):
+        shapes.shape_count(datum, (), (), "reduced")
+
+
+def test_shape_count_is_the_number_of_matchings():
+    rng = random.Random(90210)
+    for name in STANDARD:
+        datum = make(name)
+        pairs = [strand_pair(rng, datum, rng.randint(0, 5)) for _ in range(30)]
+        pairs += [
+            tuple(tuple(rng.choice(datum.nodes) for _ in range(rng.randint(0, 5))) for _ in "tb")
+            for _ in range(30)
+        ]
+        for top, bottom in pairs:
+            if max(len(top), len(bottom)) > 5:
+                continue
+            for mode in shapes.MODES:
+                got = shapes.shape_count(datum, top, bottom, mode)
+                assert got == len(shapes.enumerate_shapes(datum, top, bottom, mode)), (
+                    name, top, bottom, mode,
+                )
+
+
+def test_shape_count_closed_forms():
+    split = make("split_a1")
+    ones = ("1",) * 8
+    assert shapes.shape_count(split, ones, ones) == 2027025  # 15!!
+    assert shapes.shape_count(split, ones[:7], ones[:7]) == 135135  # 13!!
+    assert shapes.shape_count(split, ones, ones, "cup_cap_free") == 40320  # 8!
+    assert shapes.shape_count(split, ones[:7], ()) == 0
+    qs = make("qs_a2")  # tau swaps 1 and 2
+    assert shapes.shape_count(qs, ("1", "2"), ()) == 1
+    assert shapes.shape_count(qs, ("1", "1"), ()) == 0
+    assert shapes.shape_count(qs, ("1",) * 8, ("1",) * 8) == 40320
 
 
 # --------------------------------------------------------------------- degree
@@ -110,6 +232,24 @@ def test_degree_realizations_agree():
             lw = rng.choice(pool)
             for sh in shapes.enumerate_shapes(datum, top, bottom):
                 assert shapes.degree(datum, sh, lw) == shapes.degree_alt(datum, sh, lw)
+
+
+def test_degrees_match_the_letter_by_letter_reference():
+    rng = random.Random(31337)
+    checked = 0
+    for name in STANDARD:
+        datum = make(name)
+        pairs = [strand_pair(rng, datum, rng.randint(1, 5)) for _ in range(12)]
+        pairs = [(t, b) for t, b in pairs if max(len(t), len(b)) <= 5]
+        for lw in oracle_weights(rng, datum):
+            for top, bottom in pairs:
+                for sh in shapes.enumerate_shapes(datum, top, bottom):
+                    want = _degree_reference(datum, sh, lw, reflected=False)
+                    assert shapes.degree(datum, sh, lw) == want, (name, sh, lw)
+                    want_alt = _degree_reference(datum, sh, lw, reflected=True)
+                    assert shapes.degree_alt(datum, sh, lw) == want_alt, (name, sh, lw)
+                    checked += 1
+    assert checked >= 1500
 
 
 # ------------------------------------------------------------------- pairings

@@ -1,0 +1,101 @@
+"""Shape degrees and the shape-route values pinned byte for byte.
+
+``tests/golden/shape_degrees.json`` holds, for seeded word pairs on the five
+built-in data at the weights L0, L1 and two seeded sweep weights, the
+``degree`` and ``degree_alt`` of every matching, the ``str()`` of
+``pair_b`` and of ``hom_rank``, and, once per pair, the ``str()`` of
+``pair_theta``.  The values were captured from the route that read each
+annihilation weight through ``satake.apply_word`` and bubble-sorted the
+crossings, so they pin the degrees across rewrites of ``shapes``.
+Regenerate them (``python tests/test_shapes_golden.py --write``) only for an
+intended change.
+"""
+
+import json
+import random
+import sys
+from pathlib import Path
+
+from iquantum import shapes
+from iquantum.satake import make_iweight, orbit_reps, weight_sweep
+from iquantum.standard import STANDARD
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "shape_degrees.json"
+
+
+def _arcs(arcs) -> str:
+    return " ".join(f"{p}:{q}" for p, q in arcs) or "-"
+
+
+def _pairs(rng, datum):
+    """Eight distinct seeded pairs of words of at most five letters each.
+
+    Each pair is built from one to four seeded strands, a prop (i over i), a
+    cup (i, tau i on top) or a cap (i, tau i below), and both words are then
+    shuffled, so every pair has at least one matching and most have several.
+    """
+    out = []
+    while len(out) < 8:
+        top, bottom = [], []
+        for _ in range(rng.randint(1, 4)):
+            i = rng.choice(datum.nodes)
+            kind = rng.choice(("prop", "cup", "cap"))
+            if kind == "prop":
+                top.append(i)
+                bottom.append(i)
+            else:
+                (top if kind == "cup" else bottom).extend((i, datum.tau[i]))
+        rng.shuffle(top)
+        rng.shuffle(bottom)
+        pair = (tuple(top), tuple(bottom))
+        if max(len(top), len(bottom)) <= 5 and pair not in out:
+            out.append(pair)
+    return out
+
+
+def _weights(rng, datum):
+    reps, fixed = orbit_reps(datum)
+    sweep = weight_sweep(datum)
+    return {
+        "L0": make_iweight(datum, {}, {i: 0 for i in fixed}),
+        "L1": make_iweight(datum, {i: 1 for i in reps}, {i: 1 for i in fixed}),
+        "sweep a": rng.choice(sweep),
+        "sweep b": rng.choice(sweep),
+    }
+
+
+def _capture():
+    values, thetas = {}, {}
+    for name, make in STANDARD.items():
+        datum = make()
+        rng = random.Random(f"shape-golden:{name}")
+        pairs = _pairs(rng, datum)
+        for label, lw in _weights(rng, datum).items():
+            for top, bottom in pairs:
+                pair = f"[{' '.join(top)}] | [{' '.join(bottom)}]"
+                degrees = [
+                    f"{_arcs(sh.cups)} / {_arcs(sh.caps)} / {_arcs(sh.props)}: "
+                    f"{shapes.degree(datum, sh, lw)} {shapes.degree_alt(datum, sh, lw)}"
+                    for sh in shapes.enumerate_shapes(datum, top, bottom)
+                ]
+                values[f"{name} {label} {lw} {pair}"] = {
+                    "degrees": degrees,
+                    "pair_b": str(shapes.pair_b(datum, top, bottom, lw)),
+                    "hom_rank": str(shapes.hom_rank(datum, top, bottom, lw, order=12)),
+                }
+                thetas[f"{name} {pair}"] = str(shapes.pair_theta(datum, top, bottom))
+    return {"values": values, "pair_theta": thetas}
+
+
+def test_shape_degrees_and_values_match_golden():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    got = _capture()
+    assert len(got["values"]) == 160
+    assert sum(len(v["degrees"]) for v in got["values"].values()) >= 1900
+    assert got == golden
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_shapes_golden.py --write")
+    GOLDEN.write_text(json.dumps(_capture(), indent=1) + "\n", encoding="utf-8")
