@@ -12,11 +12,18 @@ representative as a sequence of elementary slices (see ``degree``).  All
 defining relations of the calculus are homogeneous, so any realization gives
 the same number; ``degree_alt`` realizes a second, differently ordered
 representative and exists purely so that independence can be asserted.
+
+The shape sums (``pair_b`` and its restricted modes, ``pair_theta`` and
+``hom_rank``) need only a histogram of the degrees.  Every strand joins two
+points of one tau-orbit and tau-partners share d, so all matchings of one
+word pair carry the same strands, counted once from the letters; the sum is
+the histogram over one product of strand factors 1 - q^(2d).
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import comb, factorial, perm, prod
 
@@ -239,86 +246,67 @@ def degree_alt(datum: SatakeDatum, sh: Shape, lw: IWeight) -> int:
     return _degree(datum, sh, lw, reflected=True)
 
 
-def _strand_dvalues(datum: SatakeDatum, sh: Shape) -> list[int]:
-    """The d-value of each strand; partner labels share d, so the choice of
-    which end labels a strand does not matter."""
-    vals = []
-    for p, q in sh.cups:
-        vals.append(datum.qi(sh.top[p]))
-    for p, q in sh.caps:
-        vals.append(datum.qi(sh.bottom[p]))
-    for b, t in sh.props:
-        vals.append(datum.qi(sh.bottom[b]))
-    return vals
+def _strand_counts(datum: SatakeDatum, top: Word, bottom: Word) -> dict[int, int]:
+    """Number of strands of each d-value, shared by every matching.
 
-
-def _assemble(shapes_data: list[tuple[int, list[int]]], sign: int) -> RatQ:
-    """Sum q^(sign*deg) / prod(1 - q^(2*sign*d)) over (deg, strand d-values).
-
-    Each strand contributes a geometric factor 1/(1 - q^(2*sign*d)).  All
-    terms are accumulated over one common denominator so the gcd reduction
-    in RatQ runs once per sum rather than once per shape.
+    A strand joins two points of one tau-orbit (a prop i over i, a cup or
+    cap i beside tau i), and tau-partners share d, so each orbit carries
+    half of its top and bottom letters as strands of its d.  Read off the
+    letters once per word pair; meaningful only when a matching exists.
     """
-    if not shapes_data:
-        return RatQ.zero()
-    counts = [Counter(vals) for _, vals in shapes_data]
-    worst: Counter = Counter()
-    for c in counts:
-        for v, n in c.items():
-            if n > worst[v]:
-                worst[v] = n
+    points = Counter(map(datum.qi, (*top, *bottom)))
+    return {v: n // 2 for v, n in points.items()}
+
+
+def _assemble(degs: Counter, strands: dict[int, int], sign: int) -> RatQ:
+    """Sum of q^(sign*deg) / prod(1 - q^(2*sign*d)) over the matchings.
+
+    ``degs`` is the degree histogram of the matchings and ``strands`` the
+    strand count of ``_strand_counts``.  Each strand contributes a
+    geometric factor 1/(1 - q^(2*sign*d)) for its dots, and every matching
+    of one word pair has the same strands, so the sum is the histogram over
+    one denominator and RatQ normalizes it once.
+    """
     den = LaurentPoly.one()
-    for v in sorted(worst):
+    for v, n in strands.items():
         f = LaurentPoly({0: 1, 2 * sign * v: -1})
-        for _ in range(worst[v]):
+        for _ in range(n):
             den = den * f
-    num = LaurentPoly.zero()
-    for (deg, _), c in zip(shapes_data, counts):
-        term = LaurentPoly.q_power(sign * deg)
-        for v, n in worst.items():
-            f = LaurentPoly({0: 1, 2 * sign * v: -1})
-            for _ in range(n - c[v]):
-                term = term * f
-        num = num + term
-    return RatQ(num, den)
+    return RatQ(LaurentPoly({sign * deg: n for deg, n in degs.items()}), den)
 
 
-def _shape_data(
-    datum: SatakeDatum, top: Word, bottom: Word, lw: IWeight, mode: str
-) -> list[tuple[int, list[int]]]:
-    """(degree, strand d-values) of every matching of one mode."""
-    return [
-        (degree(datum, sh, lw), _strand_dvalues(datum, sh))
-        for sh in enumerate_shapes(datum, top, bottom, mode)
-    ]
-
-
-def _pair_sum(datum: SatakeDatum, top: Word, bottom: Word, lw: IWeight, mode: str) -> RatQ:
-    return _assemble(_shape_data(datum, top, bottom, lw, mode), -1)
+def _shape_sum(
+    datum: SatakeDatum, top: Word, bottom: Word, mode: str, sign: int, deg_of: Callable[[Shape], int]
+) -> RatQ:
+    """``_assemble`` over the histogram of ``deg_of`` on the matchings of
+    one mode; zero, with no strand count, when there are none."""
+    found = enumerate_shapes(datum, top, bottom, mode)
+    if not found:
+        return RatQ.zero()
+    return _assemble(Counter(map(deg_of, found)), _strand_counts(datum, top, bottom), sign)
 
 
 def pair_b(datum: SatakeDatum, top: Word, bottom: Word, lw: IWeight) -> RatQ:
     """Shape sum over all matchings; the combinatorial route to ipair."""
-    return _pair_sum(datum, top, bottom, lw, "all")
+    return _shape_sum(datum, top, bottom, "all", -1, lambda sh: degree(datum, sh, lw))
 
 
 def pair_b_nabla(datum: SatakeDatum, top: Word, bottom: Word, lw: IWeight) -> RatQ:
     """Shape sum over cap-free matchings; nonzero forces |bottom| <= |top|."""
-    return _pair_sum(datum, top, bottom, lw, "cap_free")
+    return _shape_sum(datum, top, bottom, "cap_free", -1, lambda sh: degree(datum, sh, lw))
 
 
 def pair_delta_nabla(datum: SatakeDatum, top: Word, bottom: Word, lw: IWeight) -> RatQ:
     """Shape sum over permutation matchings (no cups, no caps)."""
-    return _pair_sum(datum, top, bottom, lw, "cup_cap_free")
+    return _shape_sum(datum, top, bottom, "cup_cap_free", -1, lambda sh: degree(datum, sh, lw))
 
 
 def pair_theta(datum: SatakeDatum, top: Word, bottom: Word) -> RatQ:
     """Permutation matchings with the weight-independent crossing degree."""
-    data = []
-    for sh in enumerate_shapes(datum, top, bottom, "cup_cap_free"):
-        strands = [(sh.bottom[b], t) for b, t in sh.props]
-        data.append((_crossing_degree(datum, strands), _strand_dvalues(datum, sh)))
-    return _assemble(data, -1)
+    return _shape_sum(
+        datum, top, bottom, "cup_cap_free", -1,
+        lambda sh: _crossing_degree(datum, [(sh.bottom[b], t) for b, t in sh.props]),
+    )
 
 
 @dataclass(frozen=True)
@@ -347,8 +335,8 @@ def hom_rank(datum: SatakeDatum, top: Word, bottom: Word, lw: IWeight, order: in
     the bar of pair_b.  Freeness (hence coefficient nonnegativity) holds
     under the nondegeneracy the construction assumes throughout.
     """
-    data = _shape_data(datum, top, bottom, lw, "all")
-    return RankSeries(expand(_assemble(data, 1), ASC_Q, order))
+    rank = _shape_sum(datum, top, bottom, "all", 1, lambda sh: degree(datum, sh, lw))
+    return RankSeries(expand(rank, ASC_Q, order))
 
 
 def end_grdim(datum: SatakeDatum, order: int = 20) -> RankSeries:

@@ -3,13 +3,14 @@ graded-rank series, including the cross-checks against the algebraic routes."""
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from iquantum import freealg, iuea, satake, shapes
 from iquantum.freealg import FElem, inv_one_minus_qinv2
-from iquantum.qring import ASC_Q, PowerSeriesTrunc, RatQ, expand
-from iquantum.satake import to_dpword, word_weight
+from iquantum.qring import ASC_Q, LaurentPoly, PowerSeriesTrunc, RatQ, expand
+from iquantum.satake import make_datum, to_dpword, word_weight
 from iquantum.standard import STANDARD
 
 
@@ -119,6 +120,58 @@ def _degree_reference(datum, sh, lw, reflected):
     deg += _crossing_degree_reference(datum, strands)
     deg += _annihilation_degree_reference(datum, sh.top, sh.cups, lw, reflected)
     return deg
+
+
+# ------------------------------------------------------- reference shape sums
+#
+# The per-shape assembly the package used before it summed a degree
+# histogram: every shape lists its strands' d-values and gets the cofactor
+# product that brings it over the common denominator.  Kept unchanged as the
+# oracle of the histogram route.
+
+
+def _strand_dvalues_reference(datum, sh):
+    vals = []
+    for p, q in sh.cups:
+        vals.append(datum.qi(sh.top[p]))
+    for p, q in sh.caps:
+        vals.append(datum.qi(sh.bottom[p]))
+    for b, t in sh.props:
+        vals.append(datum.qi(sh.bottom[b]))
+    return vals
+
+
+def _assemble_reference(shapes_data, sign):
+    if not shapes_data:
+        return RatQ.zero()
+    counts = [Counter(vals) for _, vals in shapes_data]
+    worst = Counter()
+    for c in counts:
+        for v, n in c.items():
+            if n > worst[v]:
+                worst[v] = n
+    den = LaurentPoly.one()
+    for v in sorted(worst):
+        f = LaurentPoly({0: 1, 2 * sign * v: -1})
+        for _ in range(worst[v]):
+            den = den * f
+    num = LaurentPoly.zero()
+    for (deg, _), c in zip(shapes_data, counts):
+        term = LaurentPoly.q_power(sign * deg)
+        for v, n in worst.items():
+            f = LaurentPoly({0: 1, 2 * sign * v: -1})
+            for _ in range(n - c[v]):
+                term = term * f
+        num = num + term
+    return RatQ(num, den)
+
+
+def mixed_d_datum():
+    """Two fixed nodes with d = 2, 1 (from tests/test_satake.py): the only
+    datum here whose strands carry more than one d-value."""
+    return make_datum(
+        ["1", "2"], [[2, -1], [-2, 2]], [2, 1], {"1": "1", "2": "2"}, {"1": -1, "2": -1}
+    )
 
 
 # ---------------------------------------------------------------- enumeration
@@ -340,6 +393,74 @@ def test_pair_delta_nabla_weight_free():
                 assert shapes.pair_delta_nabla(datum, wi, wj, lw) == shapes.pair_theta(
                     datum, wi, wj
                 )
+
+
+def test_every_shape_has_the_strands_counted_from_the_letters():
+    rng = random.Random(4242)
+    data = [(name, make(name)) for name in STANDARD] + [("mixed_d", mixed_d_datum())]
+    seen_mixed = 0
+    for name, datum in data:
+        for _ in range(25):
+            top, bottom = strand_pair(rng, datum, rng.randint(1, 4))
+            if max(len(top), len(bottom)) > 5:
+                continue
+            strands = shapes._strand_counts(datum, top, bottom)
+            for mode in shapes.MODES:
+                for sh in shapes.enumerate_shapes(datum, top, bottom, mode):
+                    assert Counter(_strand_dvalues_reference(datum, sh)) == strands, (
+                        name, sh,
+                    )
+            seen_mixed += len(strands) > 1
+    assert seen_mixed >= 5
+
+
+def test_shape_sums_match_the_per_shape_assembly():
+    rng = random.Random(8086)
+    data = [(name, make(name)) for name in STANDARD] + [("mixed_d", mixed_d_datum())]
+    routes = (
+        ("all", shapes.pair_b),
+        ("cap_free", shapes.pair_b_nabla),
+        ("cup_cap_free", shapes.pair_delta_nabla),
+    )
+    mixed = 0
+    for name, datum in data:
+        pairs = [strand_pair(rng, datum, rng.randint(1, 4)) for _ in range(10)]
+        if name == "mixed_d":
+            pairs += [strand_pair(rng, datum, rng.randint(2, 4)) for _ in range(20)]
+        pairs += [
+            tuple(tuple(rng.choice(datum.nodes) for _ in range(rng.randint(0, 4))) for _ in "tb")
+            for _ in range(5)
+        ]
+        pairs = [(t, b) for t, b in pairs if max(len(t), len(b)) <= 5]
+        for lw in oracle_weights(rng, datum)[1:3]:
+            for top, bottom in pairs:
+                for mode, route in routes:
+                    found = shapes.enumerate_shapes(datum, top, bottom, mode)
+                    data_ = [
+                        (shapes.degree(datum, sh, lw), _strand_dvalues_reference(datum, sh))
+                        for sh in found
+                    ]
+                    want = _assemble_reference(data_, -1)
+                    assert route(datum, top, bottom, lw) == want, (name, top, bottom, mode)
+                    mixed += bool(want) and len({v for _, vals in data_ for v in vals}) > 1
+                    if mode == "all":
+                        rank = shapes.hom_rank(datum, top, bottom, lw, order=12)
+                        assert rank.series == expand(
+                            _assemble_reference(data_, 1), ASC_Q, 12
+                        ), (name, top, bottom)
+        for top, bottom in pairs:
+            found = shapes.enumerate_shapes(datum, top, bottom, "cup_cap_free")
+            data_ = [
+                (
+                    _crossing_degree_reference(datum, [(sh.bottom[b], t) for b, t in sh.props]),
+                    _strand_dvalues_reference(datum, sh),
+                )
+                for sh in found
+            ]
+            assert shapes.pair_theta(datum, top, bottom) == _assemble_reference(data_, -1), (
+                name, top, bottom,
+            )
+    assert mixed >= 30
 
 
 # --------------------------------------------------------------- rank series
