@@ -35,8 +35,9 @@ __all__ = [
 
 def cache_stats() -> dict[str, dict[str, int]]:
     """Hits, misses and size of every module-level memo table, keyed
-    ``module.NAME``: ``freealg._WORD_PAIR_CACHE`` and the four ``klr``
-    caches.  Read on request only; nothing prints them."""
-    from . import freealg, klr
+    ``module.NAME``: ``freealg._WORD_PAIR_CACHE``, ``iuea._B_WORD_MEMO``
+    and the four ``klr`` caches.  Read on request only; nothing prints
+    them."""
+    from . import freealg, iuea, klr
 
-    return {**freealg.cache_stats(), **klr.cache_stats()}
+    return {**freealg.cache_stats(), **iuea.cache_stats(), **klr.cache_stats()}

@@ -15,6 +15,12 @@ take a gcd.  ``ipair`` builds one normalized RatQ per pairing, and reading
 ``.jt`` or ``.j`` builds the free-algebra image with one normalized RatQ per
 word.
 
+``b_word`` memoizes the images of word suffixes, since b_word(w) is one
+``b_divided`` on b_word(w[1:]).  The memo's scope is its bound: it holds the
+suffixes computed at the (datum content, weight) of the last call, and a
+call at another datum content or weight empties it.  ``cache_stats``
+reports its hits, misses and size.
+
 Equality of module elements (``iserre_check``) is tested through the
 pairing: the difference of the two sides is paired against every monomial
 whose letter content occurs in its support.  Coefficientwise comparison of
@@ -245,11 +251,43 @@ def b_divided(datum: SatakeDatum, i: str, n: int, xi: IElem) -> IElem:
     return result
 
 
+# b_word's suffix images at the (datum.key(), lw) scope of its last call
+_B_WORD_SCOPE: tuple | None = None
+_B_WORD_MEMO: dict[DPWord, IElem] = {}
+_B_WORD_STATS = [0, 0]  # hits, misses
+
+
+def cache_stats() -> dict[str, dict[str, int]]:
+    """Hits (the word's image was stored), misses and size of the b_word
+    memo since import."""
+    hits, misses = _B_WORD_STATS
+    return {"iuea._B_WORD_MEMO": {"hits": hits, "misses": misses, "size": len(_B_WORD_MEMO)}}
+
+
 def b_word(datum: SatakeDatum, word: DPWord, lw: IWeight) -> IElem:
-    """Apply the divided powers of a word right to left to 1_lambda."""
-    xi = unit(lw)
-    for i, n in reversed(word):
+    """Apply the divided powers of a word right to left to 1_lambda.
+
+    b_word(w) = b_divided(w[0], b_word(w[1:])), so the fold starts from the
+    longest suffix already in the memo and stores every new suffix image,
+    the word's own included.  The memo holds one (datum.key(), lw) scope:
+    a call with another datum content or weight empties it.  Elements are
+    never mutated in place, so the stored images are shared with callers.
+    """
+    global _B_WORD_SCOPE
+    scope = (datum.key(), lw)
+    if scope != _B_WORD_SCOPE:
+        _B_WORD_MEMO.clear()
+        _B_WORD_MEMO[()] = unit(lw)
+        _B_WORD_SCOPE = scope
+    k = 0
+    while word[k:] not in _B_WORD_MEMO:
+        k += 1
+    _B_WORD_STATS[0 if k == 0 else 1] += 1
+    xi = _B_WORD_MEMO[word[k:]]
+    for k in range(k - 1, -1, -1):
+        i, n = word[k]
         xi = b_divided(datum, i, n, xi)
+        _B_WORD_MEMO[word[k:]] = xi
     return xi
 
 

@@ -22,7 +22,6 @@ build and validate the tables.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,7 +32,11 @@ from .satake import SatakeDatum, Word
 from .shapes import RankSeries
 
 _X, _Y = sympy.symbols("qt_x qt_y")
-_qtable_serial = itertools.count()
+# One small id per distinct table content, (datum.key(), sorted (sign, n)
+# factors); the product caches are keyed by it, so equal tables share
+# entries.  It holds one entry per distinct table and is never cleared, so
+# an id always names one content.
+_TABLE_IDS: dict[tuple, int] = {}
 
 
 def _identity(l: int) -> tuple[int, ...]:
@@ -244,7 +247,6 @@ class QTable:
         self.polys = polys
         self.t = t
         self.sign_convention = sign_convention
-        self.serial = next(_qtable_serial)
         # (sign, n) with Q_{i,j}(x, y) = sign * (x - y)^n, for i != j
         self._factors: dict[tuple[str, str], tuple[int, int]] = {}
         for (i, j), p in polys.items():
@@ -263,6 +265,8 @@ class QTable:
             }:
                 raise ValueError(f"table entry ({i}, {j}) is not +-(x - y)^n")
             self._factors[(i, j)] = (sign, n)
+        content = (datum.key(), tuple(sorted(self._factors.items())))
+        self.content_id = _TABLE_IDS.setdefault(content, len(_TABLE_IDS))
 
     def poly(self, i: str, j: str):
         return self.polys[(i, j)]
@@ -485,7 +489,7 @@ def clear_caches() -> None:
 def _pinned_entry(qt: QTable, i: str, j: str, l: int, r: int):
     """The table polynomial at (i, j) as a coefficient on l strands, pinned
     to strands r, r+1 (0-based): sign * (x_r - x_{r+1})^n."""
-    key = (qt.serial, i, j, l, r)
+    key = (qt.content_id, i, j, l, r)
     hit = _ENTRY_CACHE.get(key)
     if hit is None:
         _STATS["_ENTRY_CACHE"][1] += 1
@@ -507,7 +511,7 @@ def _expand_psi(qt: QTable, bottom: Word, perm) -> tuple[Word, dict]:
     so the only term of maximal length sits at perm itself; that is the
     triangularity the extraction in mul relies on.
     """
-    key = (qt.serial, bottom, perm)
+    key = (qt.content_id, bottom, perm)
     hit = _PSI_CACHE.get(key)
     if hit is not None:
         _STATS["_PSI_CACHE"][0] += 1
@@ -540,7 +544,7 @@ def _expand_psi(qt: QTable, bottom: Word, perm) -> tuple[Word, dict]:
 
 
 def _expand_elem(qt: QTable, x: KLRElem) -> dict:
-    key = (qt.serial, x.top, x.bottom, frozenset(x.terms.items()))
+    key = (qt.content_id, x.top, x.bottom, frozenset(x.terms.items()))
     hit = _ELEM_CACHE.get(key)
     if hit is not None:
         _STATS["_ELEM_CACHE"][0] += 1

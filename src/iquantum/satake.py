@@ -29,6 +29,22 @@ class SatakeDatum:
     d: dict[str, int] = field(compare=False)
     tau: dict[str, str] = field(compare=False)
     varsigma: dict[str, int] = field(compare=False)
+    _key: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # the content is never mutated after construction, so its sorted
+        # form is built once here rather than on every key() call
+        object.__setattr__(
+            self,
+            "_key",
+            (
+                self.nodes,
+                tuple(sorted(self.a.items())),
+                tuple(sorted(self.d.items())),
+                tuple(sorted(self.tau.items())),
+                tuple(sorted(self.varsigma.items())),
+            ),
+        )
 
     def cartan(self, i: str, j: str) -> int:
         return self.a[(i, j)]
@@ -41,15 +57,10 @@ class SatakeDatum:
         """Canonical hashable form of the full content, usable as a cache key.
 
         The dataclass hash only sees the node tuple, so two data over the
-        same nodes would collide; this key does not.
+        same nodes would collide; this key does not.  It is computed once,
+        at construction.
         """
-        return (
-            self.nodes,
-            tuple(sorted(self.a.items())),
-            tuple(sorted(self.d.items())),
-            tuple(sorted(self.tau.items())),
-            tuple(sorted(self.varsigma.items())),
-        )
+        return self._key
 
 
 def make_datum(

@@ -62,14 +62,10 @@ def pairing_both_routes():
     for name, datum in _data():
         words, pairs = word_pairs(datum, _budget(name))
         for lw in weight_sweep(datum):
-            # b_word applies letters right to left and words come shortest
-            # first, so each image is one b_divided on its suffix's image
-            cache = {(): iuea.unit(lw)}
-            for w in words[1:]:
-                cache[w] = iuea.b_divided(datum, w[0], 1, cache[w[1:]])
+            images = {w: iuea.b_word(datum, to_dpword(w), lw) for w in words}
             for top, bottom in pairs:
                 lhs = pair_b(datum, top, bottom, lw)
-                rhs = iuea.ipair(datum, cache[top], cache[bottom])
+                rhs = iuea.ipair(datum, images[top], images[bottom])
                 if lhs != rhs:
                     return False, (
                         f"mismatch on {name} for {_fmt(top)} | {_fmt(bottom)} at {lw}"

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from iquantum import freealg, iuea, satake
+from iquantum import freealg, iuea, satake, selftest
 from iquantum.freealg import FElem, inv_one_minus_q2, inv_one_minus_qinv2
 from iquantum.qring import LaurentPoly, RatQ, qint
 from iquantum.standard import STANDARD
@@ -156,6 +156,105 @@ def test_rho_adjunction():
             lhs = iuea.ipair(datum, iuea.act_b(datum, i, x), y)
             rhs = mult * iuea.ipair(datum, x, iuea.act_b(datum, datum.tau[i], y))
             assert lhs == rhs
+
+
+def _b_word_reference(datum, word, lw):
+    """b_word without the memo: every letter folded right to left from 1_lambda."""
+    xi = iuea.unit(lw)
+    for i, n in reversed(word):
+        xi = iuea.b_divided(datum, i, n, xi)
+    return xi
+
+
+def _seeded_dpwords(rng, datum, count, weight_budget):
+    """Seeded divided-power words with their suffixes and one-letter
+    extensions, so later calls find partial suffixes in the memo."""
+    out = set()
+    while len(out) < count:
+        word, used = [], 0
+        for _ in range(rng.randint(1, 3)):
+            n = rng.choice((1, 1, 2, 3))
+            if used + n > weight_budget:
+                break
+            word.append((rng.choice(datum.nodes), n))
+            used += n
+        word = tuple(word)
+        out.update(word[k:] for k in range(len(word) + 1))
+        if used < weight_budget:
+            out.add(((rng.choice(datum.nodes), 1),) + word)
+    words = sorted(out)
+    rng.shuffle(words)
+    return words
+
+
+def test_b_word_memo_matches_the_reference_fold():
+    rng = random.Random(1010)
+    # two data over the same nodes with different Cartan rows, whose
+    # weights at equal parities are equal IWeight values
+    a1a1 = satake.make_datum(
+        ["1", "2"], [[2, 0], [0, 2]], [1, 1], {"1": "1", "2": "2"}, {"1": -1, "2": -1}
+    )
+    data = [make(name) for name in STANDARD] + [a1a1]
+    powers = {"fixed": 0, "moved": 0}
+    for datum in data:
+        sweep = satake.weight_sweep(datum, -2, 2)
+        lw_a, lw_b = rng.sample(sweep, 2)
+        words = _seeded_dpwords(rng, datum, 16, 4 if len(datum.nodes) > 2 else 5)
+        for i, n in {letter for w in words for letter in w}:
+            if n > 1:
+                powers["fixed" if datum.tau[i] == i else "moved"] += 1
+        want = {
+            lw: {w: _b_word_reference(datum, w, lw) for w in words} for lw in (lw_a, lw_b)
+        }
+        for lw in (lw_a, lw_b, lw_a):
+            for w in words:
+                assert iuea.b_word(datum, w, lw) == want[lw][w], (datum.key(), lw, w)
+    assert powers["fixed"] >= 5 and powers["moved"] >= 5
+    split = make("split_a2")
+    assert split.nodes == a1a1.nodes and split.key() != a1a1.key()
+    par = {"1": 0, "2": 1}
+    lw = satake.make_iweight(split, {}, par)
+    assert satake.make_iweight(a1a1, {}, par) == lw
+    words = [(), (("2", 1),), (("1", 2), ("2", 1)), (("2", 1), ("1", 2), ("2", 1))]
+    want = {d.key(): [_b_word_reference(d, w, lw) for w in words] for d in (split, a1a1)}
+    assert want[split.key()][-1] != want[a1a1.key()][-1]
+    for datum in (split, a1a1, split, a1a1):
+        assert [iuea.b_word(datum, w, lw) for w in words] == want[datum.key()]
+
+
+def test_b_word_acts_once_per_distinct_word_in_a_block(monkeypatch):
+    # one criterion-01 block: every word within the budget on qs_a2 at one
+    # weight, where every letter is one b_i
+    datum = make("qs_a2")
+    words, _ = selftest.word_pairs(datum, selftest._budget("qs_a2"))
+    lw = weight(datum, {"1": 1})
+    iuea.b_word(datum, (), weight(datum, {"1": 2}))  # another scope empties the memo
+    calls = []
+    act_b = iuea.act_b
+
+    def counted(datum, i, xi):
+        calls.append(i)
+        return act_b(datum, i, xi)
+
+    monkeypatch.setattr(iuea, "act_b", counted)
+    before = iuea.cache_stats()["iuea._B_WORD_MEMO"]
+    images = {w: iuea.b_word(datum, satake.to_dpword(w), lw) for w in words}
+    assert len(calls) == len(words) - 1 == 62
+    after = iuea.cache_stats()["iuea._B_WORD_MEMO"]
+    assert after["misses"] - before["misses"] == 62
+    assert after["hits"] - before["hits"] == 1  # the empty word
+    assert after["size"] == len(words)
+    # a repeat is served from the memo, and so is any order of the words
+    for w in reversed(words):
+        assert iuea.b_word(datum, satake.to_dpword(w), lw) is images[w]
+    assert len(calls) == 62
+    shuffled = list(words)
+    random.Random(11).shuffle(shuffled)
+    calls.clear()
+    other = weight(datum, {"1": -1})
+    for w in shuffled:
+        iuea.b_word(datum, satake.to_dpword(w), other)
+    assert len(calls) == 62
 
 
 def test_divided_power_basics():

@@ -426,8 +426,59 @@ def test_cache_stats_count_hits_misses_and_sizes():
     assert second["klr._ELEM_CACHE"]["hits"] == first["klr._ELEM_CACHE"]["hits"] + 2
     assert second["klr._ELEM_CACHE"]["misses"] == first["klr._ELEM_CACHE"]["misses"]
     every = iquantum.cache_stats()
-    assert set(every) == set(stats) | {"freealg._WORD_PAIR_CACHE"}
+    assert set(every) == set(stats) | {"freealg._WORD_PAIR_CACHE", "iuea._B_WORD_MEMO"}
     assert set(every["freealg._WORD_PAIR_CACHE"]) == {"hits", "misses", "size"}
+    assert set(every["iuea._B_WORD_MEMO"]) == {"hits", "misses", "size"}
     klr.clear_caches()
     assert klr.cache_stats() == stats
     assert mul(qt, x, y) == basis(w, w, (0, 1), (1, 0)) - basis(w, w, (0, 1), (0, 1))
+
+
+_PRODUCT_CACHES = ("klr._PSI_CACHE", "klr._ENTRY_CACHE", "klr._ELEM_CACHE")
+
+
+def _mixed_products(qt):
+    """Products on two strands of split_a2 that read the (1, 2) table entry."""
+    x = crossing(("2", "1"), 1)
+    y = crossing(("1", "2"), 1)
+    return [mul(qt, x, y), mul(qt, y, x), mul(qt, mul(qt, x, y), dot(("1", "2"), 1))]
+
+
+def test_equal_tables_share_cache_entries():
+    klr.clear_caches()
+    qt = geometric_qtable(split_a2())
+    twin = geometric_qtable(split_a2())
+    assert twin is not qt and twin.content_id == qt.content_id
+    want = _mixed_products(qt)
+    first = klr.cache_stats()
+    assert _mixed_products(twin) == want
+    second = klr.cache_stats()
+    for name in _PRODUCT_CACHES:
+        assert second[name]["misses"] == first[name]["misses"], name
+        assert second[name]["size"] == first[name]["size"], name
+    assert second["klr._PSI_CACHE"]["hits"] > first["klr._PSI_CACHE"]["hits"]
+    klr.clear_caches()
+
+
+def test_tables_of_different_content_never_share_entries():
+    klr.clear_caches()
+    flipped = geometric_qtable(split_a2(), orientation={("2", "1"): 1})
+    fresh = _mixed_products(flipped)
+    fresh_stats = klr.cache_stats()
+    klr.clear_caches()
+    qt = geometric_qtable(split_a2())
+    assert flipped.content_id != qt.content_id
+    theirs = _mixed_products(qt)
+    assert theirs[0] != fresh[0]
+    before = klr.cache_stats()
+    assert _mixed_products(flipped) == fresh
+    after = klr.cache_stats()
+    # the flipped table's products record exactly the hits and misses they
+    # record on empty caches: not one of them was read from qt's entries
+    for name in _PRODUCT_CACHES:
+        for field in ("hits", "misses"):
+            assert after[name][field] - before[name][field] == fresh_stats[name][field], (name, field)
+    ids = {qt.content_id, flipped.content_id}
+    for cache in (klr._PSI_CACHE, klr._ENTRY_CACHE, klr._ELEM_CACHE):
+        assert {key[0] for key in cache} == ids
+    klr.clear_caches()

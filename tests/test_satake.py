@@ -194,3 +194,28 @@ def test_orbit_reps_ignore_node_order():
         (("b", -1), ("a", 1)),
         (("b", -2), ("a", 2)),
     ]
+
+
+@pytest.mark.parametrize("make", ALL_DATA)
+def test_key_is_the_content_computed_at_construction(make):
+    datum = make()
+    assert datum.key() is datum.key()
+    assert datum.key() == (
+        datum.nodes,
+        tuple(sorted(datum.a.items())),
+        tuple(sorted(datum.d.items())),
+        tuple(sorted(datum.tau.items())),
+        tuple(sorted(datum.varsigma.items())),
+    )
+    twin = make()
+    assert twin == datum and hash(twin) == hash(datum) and twin.key() == datum.key()
+    assert repr(twin) == repr(datum) and "_key" not in repr(datum)
+
+
+def test_key_tells_apart_data_over_the_same_nodes():
+    a2 = split_a2()
+    b2 = make_datum(["1", "2"], [[2, -1], [-2, 2]], [2, 1], {"1": "1", "2": "2"}, {"1": -1, "2": -1})
+    a1a1 = make_datum(["1", "2"], [[2, 0], [0, 2]], [1, 1], {"1": "1", "2": "2"}, {"1": -1, "2": -1})
+    # equality and hashing still see only the node tuple
+    assert a2 == b2 == a1a1 and hash(a2) == hash(b2) == hash(a1a1)
+    assert len({a2.key(), b2.key(), a1a1.key()}) == 3
