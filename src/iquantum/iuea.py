@@ -52,6 +52,9 @@ Numerators = dict[Word, LaurentPoly]
 def _times(nums: Numerators, p: LaurentPoly) -> Numerators:
     if p.is_zero():
         return {}
+    if p.c == {0: 1}:
+        # shared, not copied: numerator maps are never mutated in place
+        return nums
     return {w: n * p for w, n in nums.items()}
 
 
@@ -309,16 +312,24 @@ def ipair(datum: SatakeDatum, xi: IElem, eta: IElem) -> RatQ:
 
     Sums bar(n_x) n_y (w_x, w_y) over the memoized word pairings, grouped by
     the denominator of the word pairing, then divides by bar(den_x) den_y
-    and normalizes once.
+    and normalizes once.  Words of different letter content pair to zero,
+    so the right words are bucketed by sorted content once, and a left word
+    meets only its own bucket.
     """
     if eta.num_j is None:
         raise ValueError("right argument has no materialized j-image; use pair_nabla")
     if xi.base != eta.base:
         return RatQ.zero()
+    buckets: dict[Word, list[tuple[Word, LaurentPoly]]] = {}
+    for wy, ny in eta.num_j.items():
+        buckets.setdefault(tuple(sorted(wy)), []).append((wy, ny))
     groups: dict[LaurentPoly, LaurentPoly] = {}
     for wx, nx in xi.num_jt.items():
+        bucket = buckets.get(tuple(sorted(wx)))
+        if bucket is None:
+            continue
         bx = nx.bar()
-        for wy, ny in eta.num_j.items():
+        for wy, ny in bucket:
             p = freealg._word_pair(datum, wx, wy)
             if p.is_zero():
                 continue

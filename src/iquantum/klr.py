@@ -85,9 +85,14 @@ def _lexmin_word(p) -> tuple[int, ...]:
 # linear forms x_s - x_t (s < t, in the order of _Forms.pairs).  The value
 # is num * prod (x_s - x_t)^ex.  Every table entry is +-(x - y)^n, so the
 # divided differences, the table weights and the variable permutations keep
-# this shape; a sum takes the componentwise minimum of the exponents and
-# multiplies each numerator by the forms it has in excess.  No gcd runs: the
-# peel in _extract divides exactly by the forms once per basis diagram.
+# this shape.  The expansions of single diagrams and elements are summed
+# eagerly (_cadd): a sum takes the componentwise minimum of the exponents and
+# multiplies each numerator by the forms it has in excess.  The products in
+# mul and the peel in _extract sum lazily instead (_lazy_add): a coefficient
+# is a map {ex: num}, a term merges its numerator into the one under the same
+# exponent with no multiplication, and the parts are lifted to their
+# componentwise minimum once (_lift), when the peel reads the coefficient.
+# No gcd runs: the peel divides exactly by the forms once per basis diagram.
 
 
 class _Forms:
@@ -186,6 +191,16 @@ def _cmul(f, g):
     return _pmul(f[0], g[0]), tuple(a + b for a, b in zip(f[1], g[1]))
 
 
+def _merge(cur: dict, num: dict) -> None:
+    """cur += num in place, dropping the monomials that cancel."""
+    for e, c in num.items():
+        c += cur.get(e, 0)
+        if c:
+            cur[e] = c
+        else:
+            del cur[e]
+
+
 def _cadd(forms: _Forms, f, g):
     (nf, ef), (ng, eg) = f, g
     if ef != eg:
@@ -197,12 +212,7 @@ def _cadd(forms: _Forms, f, g):
                 ng = _times_form(ng, *forms.pairs[k], b - m)
         ef = low
     out = dict(nf)
-    for e, c in ng.items():
-        v = out.get(e, 0) + c
-        if v:
-            out[e] = v
-        else:
-            del out[e]
+    _merge(out, ng)
     return out, ef
 
 
@@ -236,6 +246,56 @@ def _acc(d, k, v):
 def _acc_coeff(forms: _Forms, d, k, v):
     cur = d.get(k)
     d[k] = v if cur is None else _cadd(forms, cur, v)
+
+
+def _lazy_add(d, k, v):
+    """Add the coefficient v = (num, ex) into d[k], a map {ex: num}, with no
+    lift.  A numerator that cancels drops its exponent, and a key with no
+    exponent left is dropped.  Every v added is a fresh _cmul product, owned
+    by d, so merging in place never touches a cached numerator."""
+    num, ex = v
+    parts = d.get(k)
+    if parts is None:
+        d[k] = {ex: num}
+        return
+    cur = parts.get(ex)
+    if cur is None:
+        parts[ex] = num
+        return
+    _merge(cur, num)
+    if not cur:
+        del parts[ex]
+        if not parts:
+            del d[k]
+
+
+def _lift(forms: _Forms, parts: dict):
+    """The sum of the parts {ex: num}, owned by the caller, as one
+    coefficient (num, ex) over their componentwise minimum exponent.
+
+    The excess is multiplied out one form at a time, and the parts that then
+    agree on every form are merged, so a factor that several parts share is
+    multiplied once.
+    """
+    if len(parts) == 1:
+        ((ex, num),) = parts.items()
+        return num, ex
+    low = tuple(map(min, zip(*parts)))
+    acc = {tuple(a - m for a, m in zip(ex, low)): num for ex, num in parts.items()}
+    for k, (s, t) in enumerate(forms.pairs):
+        lifted: dict = {}
+        for exc, num in acc.items():
+            if exc[k]:
+                num = _times_form(num, s, t, exc[k])
+                exc = exc[:k] + (0,) + exc[k + 1 :]
+            cur = lifted.get(exc)
+            if cur is None:
+                lifted[exc] = num
+            else:
+                _merge(cur, num)
+        acc = lifted
+    ((_, num),) = acc.items()
+    return num, low
 
 
 class QTable:
@@ -576,24 +636,35 @@ def _polynomial(forms: _Forms, f):
     return num
 
 
-def _extract(qt: QTable, top: Word, bottom: Word, table: dict) -> KLRElem:
+def _extract(qt: QTable, top: Word, bottom: Word, work: dict) -> KLRElem:
+    """Peel the basis coefficients off a composite {permutation: {ex: num}},
+    which is consumed.
+
+    The longest permutation w left is read first: its parts are lifted once
+    and summed, divided by the single path to w in its crossing expansion,
+    and the dot polynomial found there is recorded; its multiple of that
+    expansion is then subtracted lazily from every shorter permutation.  The
+    term at w cancels exactly, so w is popped and never comes back.  Parts
+    that sum to zero at the lift are skipped.
+    """
     l = len(bottom)
     forms = _forms(l)
-    for u in table:
+    for u in work:
         for s in range(l):
             if top[u[s]] != bottom[s]:
                 raise ValueError("mismatched strand colors in straightening")
     out: dict[KLRBasisElem, int] = {}
-    work = {u: f for u, f in table.items() if f[0]}
     while work:
         w = max(work, key=_inv_count)
+        num, ex = _lift(forms, work.pop(w))
+        if not num:
+            continue
         _, exp = _expand_psi(qt, bottom, w)
         # the single path to w: a sign times a product of linear forms
         lead, lead_ex = exp[w]
         sign = lead.get((0,) * l)
         if len(lead) != 1 or sign not in (1, -1):
             raise ArithmeticError("leading crossing coefficient is not a signed product of forms")
-        num, ex = work[w]
         quot = ({e: sign * c for e, c in num.items()}, tuple(a - b for a, b in zip(ex, lead_ex)))
         dotspoly = _polynomial(forms, _permute(forms, quot, _inverse(w)))
         if dotspoly is None:
@@ -602,14 +673,8 @@ def _extract(qt: QTable, top: Word, bottom: Word, table: dict) -> KLRElem:
             _acc(out, KLRBasisElem(tuple(top), tuple(bottom), w, exps), coeff)
         neg = _cneg((dotspoly, forms.zero))
         for u, f in exp.items():
-            g = _cmul(f, _permute(forms, neg, u))
-            cur = work.get(u)
-            if cur is not None:
-                g = _cadd(forms, cur, g)
-            if g[0]:
-                work[u] = g
-            else:
-                work.pop(u, None)
+            if u != w:
+                _lazy_add(work, u, _cmul(f, _permute(forms, neg, u)))
     return KLRElem(tuple(top), tuple(bottom), out)
 
 
@@ -628,8 +693,7 @@ def mul(qt: QTable, a: KLRElem, b: KLRElem) -> KLRElem:
     comp: dict = {}
     for u, f in ea.items():
         for w, g in eb.items():
-            _acc_coeff(forms, comp, _compose(u, w), _cmul(f, _permute(forms, g, u)))
-    comp = {u: f for u, f in comp.items() if f[0]}
+            _lazy_add(comp, _compose(u, w), _cmul(f, _permute(forms, g, u)))
     return _extract(qt, a.top, b.bottom, comp)
 
 

@@ -182,35 +182,6 @@ def _int_dense(p: LaurentPoly) -> tuple[int, list[int]]:
     return lo, out
 
 
-def _dense(p: LaurentPoly) -> tuple[int, list[Fraction]]:
-    """(lowest exponent, ascending dense Fraction coefficient list)."""
-    if p.is_zero():
-        return 0, []
-    lo, out = _int_dense(p)
-    return lo, [Fraction(v) for v in out]
-
-
-def _trim(v: list[Fraction]) -> list[Fraction]:
-    while v and v[-1] == 0:
-        v.pop()
-    return v
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    """Ordinary polynomial division of ascending dense lists over Q."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    for k in range(len(a) - len(b), -1, -1):
-        c = a[k + len(b) - 1] / b[-1]
-        if c:
-            q[k] = c
-            for j, bv in enumerate(b):
-                a[k + j] -= c * bv
-    return _trim(q), _trim(a)
-
-
 def _primitive(a: list[int]) -> list[int]:
     """a divided by its content, signed so the top coefficient is positive."""
     g = 0
@@ -283,26 +254,6 @@ def _exact_quo(a: list[int], g: list[int]) -> list[int]:
     if any(a[:n]):
         raise ArithmeticError("internal error: inexact division by a polynomial gcd")
     return out
-
-
-def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Divide a by b, requiring an exact integer Laurent result."""
-    if b.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if a.is_zero():
-        return LaurentPoly.zero()
-    la, da = _dense(a)
-    lb, db = _dense(b)
-    quot, rem = _poly_divmod(da, db)
-    if rem:
-        raise ValueError("inexact Laurent division")
-    out: dict[int, int] = {}
-    for k, v in enumerate(quot):
-        if v:
-            if v.denominator != 1:
-                raise ValueError("non-integer coefficient in Laurent division")
-            out[k + la - lb] = v.numerator
-    return LaurentPoly(out)
 
 
 class RatQ:
@@ -481,15 +432,21 @@ def qfact(n: int, d: int = 1) -> LaurentPoly:
 def qbinom(m: int, n: int, d: int = 1) -> LaurentPoly:
     """Balanced quantum binomial [m; n]; zero for n < 0.
 
-    Computed by the product formula prod_{k=1..n} [m-n+k]/[k], which stays
-    integral at every step and works for negative m.
+    Built row by row with no division, by the q-Pascal rule
+    [m; k] = q_i^-k [m-1; k] + q_i^(m-k) [m-1; k-1] from [0; k] = 0^k;
+    a negative m goes through [m; n] = (-1)^n [n - m - 1; n].
     """
     if n < 0:
         return LaurentPoly.zero()
-    r = LaurentPoly.one()
-    for k in range(1, n + 1):
-        r = exact_div(r * qint(m - n + k, d), qint(k, d))
-    return r
+    if m < 0:
+        r = qbinom(n - m - 1, n, d)
+        return -r if n % 2 else r
+    row = [LaurentPoly.one()] + [LaurentPoly.zero()] * n
+    for top in range(1, m + 1):
+        row = [row[0]] + [
+            row[k].shifted(-d * k) + row[k - 1].shifted(d * (top - k)) for k in range(1, n + 1)
+        ]
+    return row[n]
 
 
 class PowerSeriesTrunc:

@@ -479,3 +479,58 @@ def test_delta_is_lazy():
         iuea.ipair(datum, iuea.unit(lw), dv)
     with pytest.raises(ValueError):
         iuea.act_b(datum, "1", dv)
+
+
+def _ipair_reference(datum, xi, eta):
+    """bar(n_x / den_x) (n_y / den_y) (w_x, w_y) summed over every word pair."""
+    total = RatQ.zero()
+    for wx, nx in xi.num_jt.items():
+        for wy, ny in eta.num_j.items():
+            total = total + RatQ(nx, xi.den).bar() * RatQ(ny, eta.den) * freealg._word_pair(
+                datum, wx, wy
+            )
+    return total
+
+
+def test_ipair_pairs_only_words_of_one_content(monkeypatch):
+    rng = random.Random(1118)
+    word_pair = freealg._word_pair
+    seen = []
+
+    def recorded(datum, wx, wy):
+        seen.append((wx, wy))
+        return word_pair(datum, wx, wy)
+
+    nonzero = 0
+    for name in STANDARD:
+        datum = make(name)
+        lws = satake.weight_sweep(datum, -1, 1)
+        for _ in range(10):
+            lw = rng.choice(lws)
+            xi = _random_ielem(rng, datum, lw)
+            eta = _random_ielem(rng, datum, lw)
+            want = _ipair_reference(datum, xi, eta)
+            seen.clear()
+            with monkeypatch.context() as m:
+                m.setattr(freealg, "_word_pair", recorded)
+                got = iuea.ipair(datum, xi, eta)
+            assert got == want
+            nonzero += not got.is_zero()
+            # every pair of equal content is paired once, and no other pair
+            same = [
+                (wx, wy) for wx in xi.num_jt for wy in eta.num_j if sorted(wx) == sorted(wy)
+            ]
+            assert sorted(seen) == sorted(same)
+    assert nonzero >= 20
+
+
+def test_over_by_one_shares_the_numerators():
+    rng = random.Random(1119)
+    datum = make("qs_a2")
+    xi = _random_ielem(rng, datum, rng.choice(satake.weight_sweep(datum, -1, 1)))
+    fact = qint(2) * qint(3)
+    got = xi.over(LaurentPoly.one(), fact)
+    assert got.num_jt is xi.num_jt and got.num_j is xi.num_j
+    assert got.den == xi.den * fact
+    assert got.jt == xi.jt.scale(RatQ(LaurentPoly.one(), fact))
+    assert got.j == xi.j.scale(RatQ(LaurentPoly.one(), fact))

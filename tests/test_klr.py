@@ -1,5 +1,6 @@
 """Quiver Hecke layer: relations, normal forms, idempotents, Serre complex."""
 
+import copy
 import random
 
 import pytest
@@ -8,6 +9,8 @@ import sympy
 import iquantum
 from iquantum import klr
 from iquantum.klr import (
+    KLRBasisElem,
+    KLRElem,
     QTable,
     crossing,
     divided_idempotent,
@@ -482,3 +485,124 @@ def test_tables_of_different_content_never_share_entries():
     for cache in (klr._PSI_CACHE, klr._ENTRY_CACHE, klr._ELEM_CACHE):
         assert {key[0] for key in cache} == ids
     klr.clear_caches()
+
+
+# -- the eager peel, kept as a reference for the lazy sums in mul ----------
+
+
+def _extract_reference(qt, top, bottom, table):
+    """The peel as it was before the lazy sums: work holds one coefficient
+    (num, ex) per permutation, and every subtraction lifts both sides to
+    their componentwise minimum exponent at once (klr._cadd)."""
+    l = len(bottom)
+    forms = klr._forms(l)
+    out = {}
+    work = {u: f for u, f in table.items() if f[0]}
+    while work:
+        w = max(work, key=klr._inv_count)
+        _, exp = klr._expand_psi(qt, bottom, w)
+        lead, lead_ex = exp[w]
+        sign = lead[(0,) * l]
+        num, ex = work[w]
+        quot = ({e: sign * c for e, c in num.items()}, tuple(a - b for a, b in zip(ex, lead_ex)))
+        dotspoly = klr._polynomial(forms, klr._permute(forms, quot, klr._inverse(w)))
+        assert dotspoly is not None
+        for exps, coeff in dotspoly.items():
+            klr._acc(out, klr.KLRBasisElem(top, bottom, w, exps), coeff)
+        neg = klr._cneg((dotspoly, forms.zero))
+        for u, f in exp.items():
+            g = klr._cmul(f, klr._permute(forms, neg, u))
+            cur = work.get(u)
+            if cur is not None:
+                g = klr._cadd(forms, cur, g)
+            if g[0]:
+                work[u] = g
+            else:
+                work.pop(u, None)
+    return klr.KLRElem(top, bottom, out)
+
+
+def _mul_reference(qt, a, b):
+    """mul with the eager composite table and the eager peel."""
+    assert a.bottom == b.top
+    if a.is_zero() or b.is_zero():
+        return zero(a.top, b.bottom)
+    if not b.bottom:
+        return e(()).scale(sum(a.terms.values()) * sum(b.terms.values()))
+    forms = klr._forms(len(b.bottom))
+    ea = klr._expand_elem(qt, a)
+    eb = klr._expand_elem(qt, b)
+    comp = {}
+    for u, f in ea.items():
+        for w, g in eb.items():
+            klr._acc_coeff(forms, comp, klr._compose(u, w), klr._cmul(f, klr._permute(forms, g, u)))
+    return _extract_reference(qt, a.top, b.bottom, comp)
+
+
+def _reference_cases():
+    """(table, a, b): seeded products on 2-4 strands over the five tables,
+    squares of the 3- and 4-strand divided idempotents, and the products
+    that build a Serre differential."""
+    rng = random.Random(20261018)
+    tables = _tables()
+    for qt in tables.values():
+        nodes = qt.datum.nodes
+        for k in range(9):
+            wc = tuple(rng.choice(nodes) for _ in range(2 + k % 3))
+            wb = shuffled(rng, wc)
+            wa = shuffled(rng, wc)
+            yield qt, random_elem(rng, wa, wb, nterms=1 + k % 3), random_elem(rng, wb, wc)
+    for name, i, n in (("split_a1", "1", 3), ("split_a1", "1", 4), ("qs_a2", "2", 3)):
+        d = divided_idempotent(tables[name], i, n)
+        yield tables[name], d, d
+    # d_2 of the double-edge complex, from i^(2) j i^(1) to i^(1) j i^(2)
+    qt = geometric_qtable(aux_double_edge())
+    left = tensor(tensor(divided_idempotent(qt, "1", 1), e(("2",))), divided_idempotent(qt, "1", 2))
+    right = tensor(tensor(divided_idempotent(qt, "1", 2), e(("2",))), divided_idempotent(qt, "1", 1))
+    top, bottom = left.bottom, right.top
+    lateral = KLRElem(top, bottom, {KLRBasisElem(top, bottom, (2, 0, 1, 3), (0,) * 4): 1})
+    yield qt, lateral, right
+    yield qt, left, mul(qt, lateral, right)
+
+
+def test_mul_matches_the_eager_reference():
+    klr.clear_caches()
+    cases = list(_reference_cases())
+    nonzero = 0
+    for qt, a, b in cases:
+        got = mul(qt, a, b)
+        assert got == _mul_reference(qt, a, b), (a, b)
+        nonzero += not got.is_zero()
+    assert nonzero >= 30
+    # the lazy sums merge only into their own products: a second pass reads
+    # every expansion from the caches and leaves them as they were
+    snapshot = copy.deepcopy((klr._PSI_CACHE, klr._ELEM_CACHE, klr._ENTRY_CACHE))
+    for qt, a, b in cases:
+        mul(qt, a, b)
+    assert (klr._PSI_CACHE, klr._ELEM_CACHE, klr._ENTRY_CACHE) == snapshot
+    klr.clear_caches()
+
+
+def _count_times_form(monkeypatch, product):
+    calls = [0]
+    times_form = klr._times_form
+
+    def counted(*args):
+        calls[0] += 1
+        return times_form(*args)
+
+    klr.clear_caches()
+    qt = geometric_qtable(split_a1())
+    d = divided_idempotent(qt, "1", 4)
+    with monkeypatch.context() as m:
+        m.setattr(klr, "_times_form", counted)
+        assert product(qt, d, d) == d
+    klr.clear_caches()
+    return calls[0]
+
+
+def test_lazy_sums_multiply_by_fewer_forms(monkeypatch):
+    # one square of the 4-strand divided idempotent, each from the same
+    # cache state: lifting once per peel multiplies by fewer forms than
+    # lifting at every addition
+    assert _count_times_form(monkeypatch, mul) < _count_times_form(monkeypatch, _mul_reference)

@@ -21,7 +21,6 @@ from iquantum.qring import (
     PowerSeriesTrunc,
     RatQ,
     _exact_quo,
-    exact_div,
     expand,
     qbinom,
     qfact,
@@ -31,6 +30,31 @@ from iquantum.qring import (
 
 def L(coeffs):
     return LaurentPoly(coeffs)
+
+
+def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """a / b by long division over Q, requiring an exact integer Laurent
+    quotient: the division-based reference for qbinom's product formula."""
+    if b.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if a.is_zero():
+        return LaurentPoly.zero()
+    la, lb = min(a.c), min(b.c)
+    num = [Fraction(a.c.get(la + k, 0)) for k in range(max(a.c) - la + 1)]
+    den = [Fraction(b.c.get(lb + k, 0)) for k in range(max(b.c) - lb + 1)]
+    quot = [Fraction(0)] * max(0, len(num) - len(den) + 1)
+    terms = [(j, v) for j, v in enumerate(den) if v]
+    for k in range(len(quot) - 1, -1, -1):
+        c = num[k + len(den) - 1] / den[-1]
+        if c:
+            quot[k] = c
+            for j, v in terms:
+                num[k + j] -= c * v
+    if any(num):
+        raise ValueError("inexact Laurent division")
+    if any(c.denominator != 1 for c in quot):
+        raise ValueError("non-integer coefficient in Laurent division")
+    return L({k + la - lb: int(c) for k, c in enumerate(quot)})
 
 
 def test_qint_small():
@@ -53,6 +77,18 @@ def test_qfact_qbinom_values():
     # negative top argument stays integral: [-1; n] = (-1)^n q^{+-...}
     assert qbinom(-1, 1, 1) == L({0: -1})
     assert qbinom(-1, 2, 1) == exact_div(qint(-1) * qint(-2), qint(1) * qint(2))
+
+
+def test_qbinom_matches_the_product_formula():
+    # the product formula prod_{k=1..n} [m-n+k] / [n]!, divided over Q
+    for d in (1, 2, 3):
+        for m in range(-6, 9):
+            assert qbinom(m, -1, d) == qbinom(m, -2, d) == LaurentPoly.zero()
+            for n in range(0, 9):
+                top = LaurentPoly.one()
+                for k in range(1, n + 1):
+                    top = top * qint(m - n + k, d)
+                assert qbinom(m, n, d) == exact_div(top, qfact(n, d)), (m, n, d)
 
 
 @pytest.mark.parametrize("m", range(0, 9))
