@@ -35,9 +35,22 @@ __all__ = [
 
 def cache_stats() -> dict[str, dict[str, int]]:
     """Hits, misses and size of every module-level memo table, keyed
-    ``module.NAME``: ``freealg._WORD_PAIR_CACHE``, ``iuea._B_WORD_MEMO``
-    and the four ``klr`` caches.  Read on request only; nothing prints
-    them."""
-    from . import freealg, iuea, klr
+    ``module.NAME``: ``freealg._WORD_PAIR_CACHE``, ``iuea._B_WORD_MEMO``,
+    ``shapes._ARC_MEMO`` and the four ``klr`` caches.  Read on request
+    (``selftest --cache-stats`` writes them to stderr)."""
+    from . import freealg, iuea, klr, shapes
 
-    return {**freealg.cache_stats(), **iuea.cache_stats(), **klr.cache_stats()}
+    return {
+        **freealg.cache_stats(),
+        **iuea.cache_stats(),
+        **shapes.cache_stats(),
+        **klr.cache_stats(),
+    }
+
+
+def clear_caches() -> None:
+    """Empty every module-level memo table and zero its counters."""
+    from . import freealg, iuea, klr, shapes
+
+    for module in (freealg, iuea, shapes, klr):
+        module.clear_caches()

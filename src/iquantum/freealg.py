@@ -212,11 +212,18 @@ _WORD_PAIR_STATS = [0, 0]  # hits, misses
 
 
 def cache_stats() -> dict[str, dict[str, int]]:
-    """Hits, misses and size of the word-pair memo table since import."""
+    """Hits, misses and size of the word-pair memo table since import or
+    the last clear_caches()."""
     hits, misses = _WORD_PAIR_STATS
     return {
         "freealg._WORD_PAIR_CACHE": {"hits": hits, "misses": misses, "size": len(_WORD_PAIR_CACHE)}
     }
+
+
+def clear_caches() -> None:
+    """Empty the word-pair memo and zero its counters."""
+    _WORD_PAIR_CACHE.clear()
+    _WORD_PAIR_STATS[:] = [0, 0]
 
 
 def _word_pair(datum: SatakeDatum, wx: Word, wy: Word) -> RatQ:

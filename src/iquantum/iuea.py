@@ -262,9 +262,17 @@ _B_WORD_STATS = [0, 0]  # hits, misses
 
 def cache_stats() -> dict[str, dict[str, int]]:
     """Hits (the word's image was stored), misses and size of the b_word
-    memo since import."""
+    memo since import or the last clear_caches()."""
     hits, misses = _B_WORD_STATS
     return {"iuea._B_WORD_MEMO": {"hits": hits, "misses": misses, "size": len(_B_WORD_MEMO)}}
+
+
+def clear_caches() -> None:
+    """Empty the b_word memo, forget its scope and zero its counters."""
+    global _B_WORD_SCOPE
+    _B_WORD_MEMO.clear()
+    _B_WORD_SCOPE = None
+    _B_WORD_STATS[:] = [0, 0]
 
 
 def b_word(datum: SatakeDatum, word: DPWord, lw: IWeight) -> IElem:

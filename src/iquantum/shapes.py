@@ -13,6 +13,14 @@ defining relations of the calculus are homogeneous, so any realization gives
 the same number; ``degree_alt`` realizes a second, differently ordered
 representative and exists purely so that independence can be asserted.
 
+A degree is two annihilation terms, closing off the caps on the bottom word
+and the cups on the top word, plus the crossing degree of the props.  The
+annihilation terms depend only on (datum, word, arcs, weight, realization),
+and the matchings of one word pair share a few dozen arc sets, so they are
+memoized in ``_ARC_MEMO`` keyed by (word, arcs, reflected).  The memo holds
+the (datum.key(), weight) scope of its last call and is emptied whenever
+another datum content or weight arrives (``cache_stats``, ``clear_caches``).
+
 The shape sums (``pair_b`` and its restricted modes, ``pair_theta`` and
 ``hom_rank``) need only a histogram of the degrees.  Every strand joins two
 points of one tau-orbit and tau-partners share d, so all matchings of one
@@ -151,7 +159,7 @@ def shape_count(datum: SatakeDatum, top: Word, bottom: Word, mode: str = "all") 
     return total
 
 
-def _annihilation_degree(
+def _close_arcs(
     datum: SatakeDatum,
     word: Word,
     arcs: tuple[tuple[int, int], ...],
@@ -201,6 +209,61 @@ def _annihilation_degree(
                     mu -= a[(i, w)] - a[(i, tau[w])]
         deg += d[i] * (1 + datum.varsigma[i] - mu)
         alive[p] = alive[q] = False
+    return deg
+
+
+# annihilation degrees at the (datum.key(), lw) scope of the last call,
+# keyed (word, arcs, reflected)
+_ARC_SCOPE: tuple | None = None
+_ARC_MEMO: dict[tuple, int] = {}
+_ARC_STATS = [0, 0]  # hits, misses
+
+
+def cache_stats() -> dict[str, dict[str, int]]:
+    """Hits, misses and size of the annihilation-degree memo since import
+    or the last clear_caches()."""
+    hits, misses = _ARC_STATS
+    return {"shapes._ARC_MEMO": {"hits": hits, "misses": misses, "size": len(_ARC_MEMO)}}
+
+
+def clear_caches() -> None:
+    """Empty the annihilation-degree memo, forget its scope and zero its
+    counters."""
+    global _ARC_SCOPE
+    _ARC_MEMO.clear()
+    _ARC_SCOPE = None
+    _ARC_STATS[:] = [0, 0]
+
+
+def _annihilation_degree(
+    datum: SatakeDatum,
+    word: Word,
+    arcs: tuple[tuple[int, int], ...],
+    lw: IWeight,
+    reflected: bool,
+) -> int:
+    """``_close_arcs`` memoized by (word, arcs, reflected).
+
+    All matchings of one word pair close off the same two words, and only a
+    few dozen distinct cup or cap sets occur among hundreds of matchings, so
+    most calls repeat one.  The memo holds one (datum.key(), lw) scope: a
+    call with another datum content or weight empties it first, so the
+    scope is its only bound.  ``reflected`` is part of the key, so
+    ``degree_alt`` never reads a value that ``degree`` stored and their
+    agreement stays a check of realization independence.
+    """
+    global _ARC_SCOPE
+    scope = (datum.key(), lw)
+    if scope != _ARC_SCOPE:
+        _ARC_MEMO.clear()
+        _ARC_SCOPE = scope
+    key = (word, arcs, reflected)
+    deg = _ARC_MEMO.get(key)
+    if deg is None:
+        _ARC_STATS[1] += 1
+        deg = _ARC_MEMO[key] = _close_arcs(datum, word, arcs, lw, reflected)
+    else:
+        _ARC_STATS[0] += 1
     return deg
 
 

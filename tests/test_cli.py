@@ -8,7 +8,8 @@ import time
 
 import pytest
 
-from iquantum import cli, selftest
+import iquantum
+from iquantum import cli, selftest, shapes
 from iquantum.standard import SIGN_CONVENTION, STANDARD
 
 
@@ -219,6 +220,43 @@ def test_selftest_timings_go_to_stderr_only(capsys, monkeypatch):
             "[ 1/10] T s  first check",
             "[ 2/10] T s  second check",
         ]
+
+
+CACHE_NAMES = {
+    "freealg._WORD_PAIR_CACHE",
+    "iuea._B_WORD_MEMO",
+    "shapes._ARC_MEMO",
+    "klr._PSI_CACHE",
+    "klr._ENTRY_CACHE",
+    "klr._ELEM_CACHE",
+    "klr._FIELDS",
+}
+
+
+def test_selftest_cache_stats_go_to_stderr_only(capsys, monkeypatch):
+    cfg = cli.parse_config(cli._builtin_config("qs_a2"))
+
+    def shape_check():
+        value = shapes.pair_b(cfg.datum, ("1", "2", "1"), ("2", "1", "1"), cfg.weights["L1"])
+        return True, str(value)
+
+    fake = (("first check", lambda: (True, "3 agree")), ("shape check", shape_check))
+    monkeypatch.setattr(selftest, "CRITERIA", fake)
+    for extra in ([], ["--json"]):
+        iquantum.clear_caches()
+        code, plain_out, plain_err = run_cli(capsys, "selftest", *extra)
+        assert code == 0 and plain_err == ""
+        iquantum.clear_caches()
+        code, counted_out, counted_err = run_cli(capsys, "selftest", *extra, "--cache-stats")
+        assert code == 0
+        assert counted_out == plain_out
+        lines = counted_err.splitlines()
+        assert len(lines) == 1
+        stats = json.loads(lines[0])
+        assert set(stats) == CACHE_NAMES == set(iquantum.cache_stats())
+        assert all(set(v) == {"hits", "misses", "size"} for v in stats.values())
+        arcs = stats["shapes._ARC_MEMO"]
+        assert arcs["misses"] == arcs["size"] > 0 and arcs["hits"] > 0
 
 
 def test_grdim_word_pair(capsys):

@@ -2,11 +2,14 @@
 graded-rank series, including the cross-checks against the algebraic routes."""
 
 import itertools
+import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import iquantum
 from iquantum import freealg, iuea, satake, shapes
 from iquantum.freealg import FElem, inv_one_minus_qinv2
 from iquantum.qring import ASC_Q, LaurentPoly, PowerSeriesTrunc, RatQ, expand
@@ -303,6 +306,154 @@ def test_degrees_match_the_letter_by_letter_reference():
                     assert shapes.degree_alt(datum, sh, lw) == want_alt, (name, sh, lw)
                     checked += 1
     assert checked >= 1500
+
+
+# ------------------------------------------------------- annihilation memo
+#
+# degree and degree_alt read each annihilation term through shapes._ARC_MEMO;
+# the memo-free route calls the miss path, shapes._close_arcs, every time.
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "shape_degrees.json"
+
+# the per-datum word content of perfbench's shape_series items, 630 to 945
+# matchings per pair
+SERIES_CONTENT = {
+    "split_a1": "11111",
+    "diag_a1a1": "111222",
+    "qs_a2": "111222",
+    "qs_a3": "1132222",
+    "split_a2": "111112",
+}
+
+
+def _degree_memo_free(datum, sh, lw, reflected):
+    strands = [(sh.bottom[b], t) for b, t in sh.props]
+    return (
+        shapes._close_arcs(datum, sh.bottom, sh.caps, lw, reflected)
+        + shapes._crossing_degree(datum, strands)
+        + shapes._close_arcs(datum, sh.top, sh.cups, lw, reflected)
+    )
+
+
+def _golden_pairs():
+    """The word pairs of tests/golden/shape_degrees.json, by datum name."""
+    out = {}
+    for key in json.loads(GOLDEN.read_text(encoding="utf-8"))["pair_theta"]:
+        name, pair = key.split(" ", 1)
+        top, bottom = (tuple(side.strip()[1:-1].split()) for side in pair.split("|"))
+        out.setdefault(name, []).append((top, bottom))
+    return out
+
+
+def _series_pair(rng, name):
+    content = list(SERIES_CONTENT[name])
+    return tuple(rng.sample(content, len(content))), tuple(rng.sample(content, len(content)))
+
+
+def _all_shapes(datum, pairs):
+    """Every matching of the pairs in all three modes."""
+    return [
+        sh
+        for top, bottom in pairs
+        for mode in shapes.MODES
+        for sh in shapes.enumerate_shapes(datum, top, bottom, mode)
+    ]
+
+
+def _memo_free_table(datum, found, lw):
+    return [
+        (_degree_memo_free(datum, sh, lw, False), _degree_memo_free(datum, sh, lw, True))
+        for sh in found
+    ]
+
+
+def _memo_table(datum, found, lw):
+    return [(shapes.degree(datum, sh, lw), shapes.degree_alt(datum, sh, lw)) for sh in found]
+
+
+def test_memoized_degrees_match_the_memo_free_route():
+    iquantum.clear_caches()
+    assert all(v == {"hits": 0, "misses": 0, "size": 0} for v in iquantum.cache_stats().values())
+    rng = random.Random(1212)
+    golden = _golden_pairs()
+    assert sorted(golden) == sorted(STANDARD) and sum(map(len, golden.values())) == 40
+    weights_differ = 0
+    for name in STANDARD:
+        datum = make(name)
+        found = _all_shapes(datum, golden[name] + [_series_pair(rng, name)])
+        assert len(found) >= 630
+        lw_a, lw_b = oracle_weights(rng, datum)[:2]
+        want = {lw: _memo_free_table(datum, found, lw) for lw in (lw_a, lw_b)}
+        weights_differ += want[lw_a] != want[lw_b]
+        # weight A, weight B, then A again: every change of weight is a new scope
+        for lw in (lw_a, lw_b, lw_a):
+            assert _memo_table(datum, found, lw) == want[lw], (name, lw)
+    assert weights_differ >= 3
+    # two data over the same nodes with different content, at one IWeight value
+    a1a1 = make_datum(
+        ["1", "2"], [[2, 0], [0, 2]], [1, 1], {"1": "1", "2": "2"}, {"1": -1, "2": -1}
+    )
+    split = make("split_a2")
+    assert split.nodes == a1a1.nodes and split.key() != a1a1.key()
+    par = {"1": 0, "2": 1}
+    lw = weight(split, {}, par)
+    assert weight(a1a1, {}, par) == lw
+    pairs = [(("1", "2", "1", "2"), ("2", "1")), (("1", "2", "2", "1"), ("2", "1", "1", "2"))]
+    found = _all_shapes(split, pairs)
+    want = {d.key(): _memo_free_table(d, found, lw) for d in (split, a1a1)}
+    assert want[split.key()] != want[a1a1.key()]
+    for datum in (split, a1a1, split, a1a1):
+        assert _memo_table(datum, found, lw) == want[datum.key()]
+    # equal IWeight values that are distinct instances share one scope
+    datum = make("qs_a3")
+    found = _all_shapes(datum, golden["qs_a3"] + [_series_pair(rng, "qs_a3")])
+    reps, fixed = satake.orbit_reps(datum)
+    lam, par = {i: 2 for i in reps}, {i: 1 for i in fixed}
+    lw, twin = weight(datum, lam, par), weight(datum, lam, par)
+    assert lw == twin and lw is not twin
+    want = _memo_free_table(datum, found, lw)
+    assert _memo_table(datum, found, lw) == want
+    before = shapes.cache_stats()["shapes._ARC_MEMO"]
+    assert _memo_table(datum, found, twin) == want
+    after = shapes.cache_stats()["shapes._ARC_MEMO"]
+    assert after["misses"] == before["misses"] and after["size"] == before["size"]
+    assert after["hits"] == before["hits"] + 4 * len(found)
+
+
+def test_arc_memo_closes_each_arc_set_once_per_realization(monkeypatch):
+    shapes.clear_caches()
+    assert shapes.cache_stats() == {"shapes._ARC_MEMO": {"hits": 0, "misses": 0, "size": 0}}
+    datum = make("qs_a2")
+    top, bottom = _series_pair(random.Random(77), "qs_a2")
+    lw = weight(datum, {"1": 1})
+    found = shapes.enumerate_shapes(datum, top, bottom)
+    assert len(found) == 720
+    calls = []
+    close = shapes._close_arcs
+
+    def recorded(datum, word, arcs, lw, reflected):
+        calls.append((word, arcs, reflected))
+        return close(datum, word, arcs, lw, reflected)
+
+    monkeypatch.setattr(shapes, "_close_arcs", recorded)
+    arc_sets = {(sh.top, sh.cups) for sh in found} | {(sh.bottom, sh.caps) for sh in found}
+    degs = [shapes.degree(datum, sh, lw) for sh in found]
+    n = len(arc_sets)
+    assert len(calls) == n and {c[:2] for c in calls} == arc_sets
+    assert not any(reflected for *_, reflected in calls)
+    # the reflected realization reads nothing that degree stored
+    assert [shapes.degree_alt(datum, sh, lw) for sh in found] == degs
+    assert len(calls) == 2 * n and {c[:2] for c in calls[n:]} == arc_sets
+    assert all(reflected for *_, reflected in calls[n:])
+    # a repeat of either is served from the memo
+    assert [shapes.degree(datum, sh, lw) for sh in found] == degs
+    assert [shapes.degree_alt(datum, sh, lw) for sh in found] == degs
+    assert len(calls) == 2 * n
+    assert shapes.cache_stats()["shapes._ARC_MEMO"] == {
+        "hits": 8 * len(found) - 2 * n, "misses": 2 * n, "size": 2 * n,
+    }
+    shapes.clear_caches()
+    assert shapes.cache_stats()["shapes._ARC_MEMO"] == {"hits": 0, "misses": 0, "size": 0}
 
 
 # ------------------------------------------------------------------- pairings
