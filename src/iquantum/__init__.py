@@ -13,6 +13,9 @@ Submodules:
   graded rank series.
 * ``klr``: the quiver Hecke algebra with signed two-variable parameters,
   normal forms, divided-power idempotents and the Serre complex check.
+* ``memo``: the ``Memo`` dict behind every module-level memo table, with
+  the hit/miss counters and scope that ``cache_stats`` and
+  ``clear_caches`` read.
 * ``cli``: configuration parsing and the command line front end
   (``python -m iquantum``).
 
@@ -29,8 +32,17 @@ __all__ = [
     "iuea",
     "shapes",
     "klr",
+    "memo",
     "cli",
 ]
+
+
+def _memos():
+    # importing the modules that own memo tables registers every table
+    from . import freealg, iuea, klr, shapes  # noqa: F401
+    from .memo import MEMOS
+
+    return MEMOS
 
 
 def cache_stats() -> dict[str, dict[str, int]]:
@@ -38,19 +50,11 @@ def cache_stats() -> dict[str, dict[str, int]]:
     ``module.NAME``: ``freealg._WORD_PAIR_CACHE``, ``iuea._B_WORD_MEMO``,
     ``shapes._ARC_MEMO`` and the four ``klr`` caches.  Read on request
     (``selftest --cache-stats`` writes them to stderr)."""
-    from . import freealg, iuea, klr, shapes
-
-    return {
-        **freealg.cache_stats(),
-        **iuea.cache_stats(),
-        **shapes.cache_stats(),
-        **klr.cache_stats(),
-    }
+    return {m.name: {"hits": m.hits, "misses": m.misses, "size": len(m)} for m in _memos()}
 
 
 def clear_caches() -> None:
-    """Empty every module-level memo table and zero its counters."""
-    from . import freealg, iuea, klr, shapes
-
-    for module in (freealg, iuea, shapes, klr):
-        module.clear_caches()
+    """Empty every module-level memo table, forget its scope and zero its
+    counters."""
+    for m in _memos():
+        m.reset()

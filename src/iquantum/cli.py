@@ -280,9 +280,9 @@ MAX_WORD = 8
 
 def _parse_word(text: str, datum: SatakeDatum):
     """A command-line word, at most MAX_WORD letters once divided powers
-    are expanded."""
+    are expanded; the letters are counted without expanding them."""
     dp = parse_dpword(text, datum)
-    n = len(to_word(dp))
+    n = sum(k for _, k in dp)
     if n > MAX_WORD:
         raise ValueError(f"word {text!r} has {n} letters; at most {MAX_WORD} are supported")
     return dp

@@ -19,8 +19,9 @@ Encodings:
 
 from __future__ import annotations
 
+from .memo import Memo
 from .qring import LaurentPoly, RatQ, qfact
-from .satake import DPWord, SatakeDatum, Word, to_word, word_weight
+from .satake import DPWord, SatakeDatum, Word, to_word
 
 
 def inv_one_minus_qinv2(d: int) -> RatQ:
@@ -115,10 +116,6 @@ class FElem:
         r.terms = {w: c.bar() for w, c in self.terms.items()}
         return r
 
-    def weights(self):
-        """Set of LamVec weights occurring among the words."""
-        return {word_weight(tuple((i, 1) for i in w)) for w in self.terms}
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -207,23 +204,7 @@ def pair(datum: SatakeDatum, x: FElem, y: FElem) -> RatQ:
     return total
 
 
-_WORD_PAIR_CACHE: dict[tuple, RatQ] = {}
-_WORD_PAIR_STATS = [0, 0]  # hits, misses
-
-
-def cache_stats() -> dict[str, dict[str, int]]:
-    """Hits, misses and size of the word-pair memo table since import or
-    the last clear_caches()."""
-    hits, misses = _WORD_PAIR_STATS
-    return {
-        "freealg._WORD_PAIR_CACHE": {"hits": hits, "misses": misses, "size": len(_WORD_PAIR_CACHE)}
-    }
-
-
-def clear_caches() -> None:
-    """Empty the word-pair memo and zero its counters."""
-    _WORD_PAIR_CACHE.clear()
-    _WORD_PAIR_STATS[:] = [0, 0]
+_WORD_PAIR_CACHE = Memo("freealg._WORD_PAIR_CACHE")
 
 
 def _word_pair(datum: SatakeDatum, wx: Word, wy: Word) -> RatQ:
@@ -239,9 +220,9 @@ def _word_pair(datum: SatakeDatum, wx: Word, wy: Word) -> RatQ:
     key = (datum.key(), wx, wy)
     hit = _WORD_PAIR_CACHE.get(key)
     if hit is not None:
-        _WORD_PAIR_STATS[0] += 1
+        _WORD_PAIR_CACHE.hits += 1
         return hit
-    _WORD_PAIR_STATS[1] += 1
+    _WORD_PAIR_CACHE.misses += 1
     i = wx[0]
     rest = wx[1:]
     d = datum.qi(i)

@@ -18,8 +18,8 @@ word.
 ``b_word`` memoizes the images of word suffixes, since b_word(w) is one
 ``b_divided`` on b_word(w[1:]).  The memo's scope is its bound: it holds the
 suffixes computed at the (datum content, weight) of the last call, and a
-call at another datum content or weight empties it.  ``cache_stats``
-reports its hits, misses and size.
+call at another datum content or weight empties it.
+``iquantum.cache_stats`` reports its hits, misses and size.
 
 Equality of module elements (``iserre_check``) is tested through the
 pairing: the difference of the two sides is paired against every monomial
@@ -35,6 +35,7 @@ from itertools import permutations
 
 from . import freealg
 from .freealg import FElem, inv_one_minus_q2
+from .memo import Memo
 from .qring import LaurentPoly, RatQ, qbinom, qfact, qint
 from .satake import (
     DPWord,
@@ -254,25 +255,8 @@ def b_divided(datum: SatakeDatum, i: str, n: int, xi: IElem) -> IElem:
     return result
 
 
-# b_word's suffix images at the (datum.key(), lw) scope of its last call
-_B_WORD_SCOPE: tuple | None = None
-_B_WORD_MEMO: dict[DPWord, IElem] = {}
-_B_WORD_STATS = [0, 0]  # hits, misses
-
-
-def cache_stats() -> dict[str, dict[str, int]]:
-    """Hits (the word's image was stored), misses and size of the b_word
-    memo since import or the last clear_caches()."""
-    hits, misses = _B_WORD_STATS
-    return {"iuea._B_WORD_MEMO": {"hits": hits, "misses": misses, "size": len(_B_WORD_MEMO)}}
-
-
-def clear_caches() -> None:
-    """Empty the b_word memo, forget its scope and zero its counters."""
-    global _B_WORD_SCOPE
-    _B_WORD_MEMO.clear()
-    _B_WORD_SCOPE = None
-    _B_WORD_STATS[:] = [0, 0]
+# b_word's suffix images, scoped to the (datum.key(), lw) of its last call
+_B_WORD_MEMO = Memo("iuea._B_WORD_MEMO")
 
 
 def b_word(datum: SatakeDatum, word: DPWord, lw: IWeight) -> IElem:
@@ -284,16 +268,17 @@ def b_word(datum: SatakeDatum, word: DPWord, lw: IWeight) -> IElem:
     a call with another datum content or weight empties it.  Elements are
     never mutated in place, so the stored images are shared with callers.
     """
-    global _B_WORD_SCOPE
     scope = (datum.key(), lw)
-    if scope != _B_WORD_SCOPE:
-        _B_WORD_MEMO.clear()
+    if scope != _B_WORD_MEMO.scope:
+        _B_WORD_MEMO.rescope(scope)
         _B_WORD_MEMO[()] = unit(lw)
-        _B_WORD_SCOPE = scope
     k = 0
     while word[k:] not in _B_WORD_MEMO:
         k += 1
-    _B_WORD_STATS[0 if k == 0 else 1] += 1
+    if k:
+        _B_WORD_MEMO.misses += 1
+    else:
+        _B_WORD_MEMO.hits += 1
     xi = _B_WORD_MEMO[word[k:]]
     for k in range(k - 1, -1, -1):
         i, n = word[k]

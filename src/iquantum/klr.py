@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import sympy
 
+from .memo import Memo
 from .qring import ASC_Q, LaurentPoly, RatQ, expand
 from .satake import SatakeDatum, Word
 from .shapes import RankSeries
@@ -85,14 +86,13 @@ def _lexmin_word(p) -> tuple[int, ...]:
 # linear forms x_s - x_t (s < t, in the order of _Forms.pairs).  The value
 # is num * prod (x_s - x_t)^ex.  Every table entry is +-(x - y)^n, so the
 # divided differences, the table weights and the variable permutations keep
-# this shape.  The expansions of single diagrams and elements are summed
-# eagerly (_cadd): a sum takes the componentwise minimum of the exponents and
-# multiplies each numerator by the forms it has in excess.  The products in
-# mul and the peel in _extract sum lazily instead (_lazy_add): a coefficient
-# is a map {ex: num}, a term merges its numerator into the one under the same
-# exponent with no multiplication, and the parts are lifted to their
-# componentwise minimum once (_lift), when the peel reads the coefficient.
-# No gcd runs: the peel divides exactly by the forms once per basis diagram.
+# this shape.  Sums are lazy (_lazy_add): while a sum is built, a
+# coefficient is a map {ex: num}, and a term merges its numerator into the
+# one under the same exponent with no multiplication.  The parts are lifted
+# to their componentwise minimum exponent once per permutation (_lift): at
+# the end of each crossing step of _expand_psi, at the end of _expand_elem,
+# and when the peel in _extract reads the coefficient.  No gcd runs: the
+# peel divides exactly by the forms once per basis diagram.
 
 
 class _Forms:
@@ -104,7 +104,6 @@ class _Forms:
         self.index = {st: k for k, st in enumerate(self.pairs)}
         self.identity = _identity(l)
         self.zero = (0,) * len(self.pairs)
-        self.one = ({(0,) * l: 1}, self.zero)
         self._moves: dict[tuple, tuple] = {}
 
     def move(self, p):
@@ -127,16 +126,16 @@ class _Forms:
         return got
 
 
-_FIELDS: dict[int, _Forms] = {}
+_FIELDS = Memo("klr._FIELDS")
 
 
 def _forms(l: int) -> _Forms:
     got = _FIELDS.get(l)
     if got is None:
-        _STATS["_FIELDS"][1] += 1
+        _FIELDS.misses += 1
         got = _FIELDS[l] = _Forms(l)
     else:
-        _STATS["_FIELDS"][0] += 1
+        _FIELDS.hits += 1
     return got
 
 
@@ -201,27 +200,12 @@ def _merge(cur: dict, num: dict) -> None:
             del cur[e]
 
 
-def _cadd(forms: _Forms, f, g):
-    (nf, ef), (ng, eg) = f, g
-    if ef != eg:
-        low = tuple(map(min, ef, eg))
-        for k, (a, b, m) in enumerate(zip(ef, eg, low)):
-            if a > m:
-                nf = _times_form(nf, *forms.pairs[k], a - m)
-            elif b > m:
-                ng = _times_form(ng, *forms.pairs[k], b - m)
-        ef = low
-    out = dict(nf)
-    _merge(out, ng)
-    return out, ef
-
-
 def _cneg(f):
     return {e: -c for e, c in f[0].items()}, f[1]
 
 
 def _cdiv_form(f, k: int):
-    """f / (x_s - x_t) for form k = (s, t)."""
+    """f / (x_s - x_t) for form k = (s, t), sharing f's numerator."""
     num, ex = f
     return num, ex[:k] + (ex[k] - 1,) + ex[k + 1 :]
 
@@ -243,16 +227,12 @@ def _acc(d, k, v):
     d[k] = v if cur is None else cur + v
 
 
-def _acc_coeff(forms: _Forms, d, k, v):
-    cur = d.get(k)
-    d[k] = v if cur is None else _cadd(forms, cur, v)
-
-
 def _lazy_add(d, k, v):
     """Add the coefficient v = (num, ex) into d[k], a map {ex: num}, with no
     lift.  A numerator that cancels drops its exponent, and a key with no
-    exponent left is dropped.  Every v added is a fresh _cmul product, owned
-    by d, so merging in place never touches a cached numerator."""
+    exponent left is dropped.  Later terms merge into num in place, so d
+    takes ownership of it: the caller passes a numerator nothing else holds,
+    a fresh product or a copy."""
     num, ex = v
     parts = d.get(k)
     if parts is None:
@@ -296,6 +276,17 @@ def _lift(forms: _Forms, parts: dict):
         acc = lifted
     ((_, num),) = acc.items()
     return num, low
+
+
+def _lift_all(forms: _Forms, d: dict) -> dict:
+    """The lazy sums {key: {ex: num}} lifted to {key: (num, ex)}, dropping
+    the sums that vanish."""
+    out = {}
+    for k, parts in d.items():
+        f = _lift(forms, parts)
+        if f[0]:
+            out[k] = f
+    return out
 
 
 class QTable:
@@ -518,32 +509,9 @@ def tensor(a: KLRElem, b: KLRElem) -> KLRElem:
     return KLRElem(top, bottom, out)
 
 
-_PSI_CACHE: dict[tuple, tuple[Word, dict]] = {}
-_ENTRY_CACHE: dict[tuple, tuple] = {}
-_ELEM_CACHE: dict[tuple, dict] = {}
-_CACHES = {
-    "_PSI_CACHE": _PSI_CACHE,
-    "_ENTRY_CACHE": _ENTRY_CACHE,
-    "_ELEM_CACHE": _ELEM_CACHE,
-    "_FIELDS": _FIELDS,
-}
-_STATS = {name: [0, 0] for name in _CACHES}  # hits, misses
-
-
-def cache_stats() -> dict[str, dict[str, int]]:
-    """Hits, misses and size of each module-level cache since import or the
-    last clear_caches(), keyed ``klr.NAME``."""
-    return {
-        f"klr.{name}": {"hits": hits, "misses": misses, "size": len(_CACHES[name])}
-        for name, (hits, misses) in _STATS.items()
-    }
-
-
-def clear_caches() -> None:
-    """Empty the module-level caches and zero their counters."""
-    for name, cache in _CACHES.items():
-        cache.clear()
-        _STATS[name][:] = [0, 0]
+_PSI_CACHE = Memo("klr._PSI_CACHE")
+_ENTRY_CACHE = Memo("klr._ENTRY_CACHE")
+_ELEM_CACHE = Memo("klr._ELEM_CACHE")
 
 
 def _pinned_entry(qt: QTable, i: str, j: str, l: int, r: int):
@@ -552,14 +520,14 @@ def _pinned_entry(qt: QTable, i: str, j: str, l: int, r: int):
     key = (qt.content_id, i, j, l, r)
     hit = _ENTRY_CACHE.get(key)
     if hit is None:
-        _STATS["_ENTRY_CACHE"][1] += 1
+        _ENTRY_CACHE.misses += 1
         forms = _forms(l)
         sign, n = qt._factors[(i, j)]
         k = forms.index[(r, r + 1)]
         hit = ({(0,) * l: sign}, forms.zero[:k] + (n,) + forms.zero[k + 1 :])
         _ENTRY_CACHE[key] = hit
     else:
-        _STATS["_ENTRY_CACHE"][0] += 1
+        _ENTRY_CACHE.hits += 1
     return hit
 
 
@@ -574,12 +542,13 @@ def _expand_psi(qt: QTable, bottom: Word, perm) -> tuple[Word, dict]:
     key = (qt.content_id, bottom, perm)
     hit = _PSI_CACHE.get(key)
     if hit is not None:
-        _STATS["_PSI_CACHE"][0] += 1
+        _PSI_CACHE.hits += 1
         return hit
-    _STATS["_PSI_CACHE"][1] += 1
+    _PSI_CACHE.misses += 1
     l = len(bottom)
     forms = _forms(l)
-    terms = {forms.identity: forms.one}
+    # terms owns its numerators: _cdiv_form hands f's own to _lazy_add
+    terms = {forms.identity: ({(0,) * l: 1}, forms.zero)}
     cw = list(bottom)
     for r in reversed(_lexmin_word(perm)):
         a, b = cw[r], cw[r + 1]
@@ -588,16 +557,16 @@ def _expand_psi(qt: QTable, bottom: Word, perm) -> tuple[Word, dict]:
         if a == b:
             k = forms.index[(r, r + 1)]
             for u, f in terms.items():
-                _acc_coeff(forms, new, u, _cdiv_form(f, k))
+                _lazy_add(new, u, _cdiv_form(f, k))
                 g = _cneg(_permute(forms, f, swap))
-                _acc_coeff(forms, new, _swap_values(u, r), _cdiv_form(g, k))
+                _lazy_add(new, _swap_values(u, r), _cdiv_form(g, k))
         else:
             mult = None if qt.order(a) < qt.order(b) else _pinned_entry(qt, b, a, l, r)
             for u, f in terms.items():
                 g = _permute(forms, f, swap)
-                _acc_coeff(forms, new, _swap_values(u, r), g if mult is None else _cmul(mult, g))
+                _lazy_add(new, _swap_values(u, r), g if mult is None else _cmul(mult, g))
             cw[r], cw[r + 1] = cw[r + 1], cw[r]
-        terms = {u: f for u, f in new.items() if f[0]}
+        terms = _lift_all(forms, new)
     result = (tuple(cw), terms)
     _PSI_CACHE[key] = result
     return result
@@ -607,17 +576,17 @@ def _expand_elem(qt: QTable, x: KLRElem) -> dict:
     key = (qt.content_id, x.top, x.bottom, frozenset(x.terms.items()))
     hit = _ELEM_CACHE.get(key)
     if hit is not None:
-        _STATS["_ELEM_CACHE"][0] += 1
+        _ELEM_CACHE.hits += 1
         return hit
-    _STATS["_ELEM_CACHE"][1] += 1
+    _ELEM_CACHE.misses += 1
     forms = _forms(len(x.bottom))
     out: dict = {}
     for bas, c in x.terms.items():
         mono = ({bas.dots: c}, forms.zero)
         _, exp = _expand_psi(qt, x.bottom, bas.perm)
         for u, f in exp.items():
-            _acc_coeff(forms, out, u, _cmul(f, _permute(forms, mono, u)))
-    out = {u: f for u, f in out.items() if f[0]}
+            _lazy_add(out, u, _cmul(f, _permute(forms, mono, u)))
+    out = _lift_all(forms, out)
     _ELEM_CACHE[key] = out
     return out
 

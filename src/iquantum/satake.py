@@ -46,9 +46,6 @@ class SatakeDatum:
             ),
         )
 
-    def cartan(self, i: str, j: str) -> int:
-        return self.a[(i, j)]
-
     def qi(self, i: str) -> int:
         """The exponent d_i with q_i = q^{d_i}."""
         return self.d[i]
@@ -79,7 +76,7 @@ def make_datum(
     return SatakeDatum(
         nodes=nodes,
         a=a,
-        d={i: int(d[k]) for k, i in enumerate(nodes)} if not isinstance(d, dict) else {str(k): int(v) for k, v in d.items()},
+        d={i: int(d[k]) for k, i in enumerate(nodes)},
         tau={str(k): str(v) for k, v in tau.items()},
         varsigma={str(k): int(v) for k, v in varsigma.items()},
     )

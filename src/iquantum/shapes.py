@@ -19,7 +19,8 @@ annihilation terms depend only on (datum, word, arcs, weight, realization),
 and the matchings of one word pair share a few dozen arc sets, so they are
 memoized in ``_ARC_MEMO`` keyed by (word, arcs, reflected).  The memo holds
 the (datum.key(), weight) scope of its last call and is emptied whenever
-another datum content or weight arrives (``cache_stats``, ``clear_caches``).
+another datum content or weight arrives (``iquantum.cache_stats``,
+``iquantum.clear_caches``).
 
 The shape sums (``pair_b`` and its restricted modes, ``pair_theta`` and
 ``hom_rank``) need only a histogram of the degrees.  Every strand joins two
@@ -35,6 +36,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from math import comb, factorial, perm, prod
 
+from .memo import Memo
 from .qring import ASC_Q, LaurentPoly, PowerSeriesTrunc, RatQ, expand
 from .satake import IWeight, SatakeDatum, Word, orbit_reps
 # Not called here any more; perfbench's tracer test still lists this binding
@@ -212,27 +214,9 @@ def _close_arcs(
     return deg
 
 
-# annihilation degrees at the (datum.key(), lw) scope of the last call,
-# keyed (word, arcs, reflected)
-_ARC_SCOPE: tuple | None = None
-_ARC_MEMO: dict[tuple, int] = {}
-_ARC_STATS = [0, 0]  # hits, misses
-
-
-def cache_stats() -> dict[str, dict[str, int]]:
-    """Hits, misses and size of the annihilation-degree memo since import
-    or the last clear_caches()."""
-    hits, misses = _ARC_STATS
-    return {"shapes._ARC_MEMO": {"hits": hits, "misses": misses, "size": len(_ARC_MEMO)}}
-
-
-def clear_caches() -> None:
-    """Empty the annihilation-degree memo, forget its scope and zero its
-    counters."""
-    global _ARC_SCOPE
-    _ARC_MEMO.clear()
-    _ARC_SCOPE = None
-    _ARC_STATS[:] = [0, 0]
+# annihilation degrees keyed (word, arcs, reflected), scoped to the
+# (datum.key(), lw) of the last call
+_ARC_MEMO = Memo("shapes._ARC_MEMO")
 
 
 def _annihilation_degree(
@@ -252,18 +236,16 @@ def _annihilation_degree(
     ``degree_alt`` never reads a value that ``degree`` stored and their
     agreement stays a check of realization independence.
     """
-    global _ARC_SCOPE
     scope = (datum.key(), lw)
-    if scope != _ARC_SCOPE:
-        _ARC_MEMO.clear()
-        _ARC_SCOPE = scope
+    if scope != _ARC_MEMO.scope:
+        _ARC_MEMO.rescope(scope)
     key = (word, arcs, reflected)
     deg = _ARC_MEMO.get(key)
     if deg is None:
-        _ARC_STATS[1] += 1
+        _ARC_MEMO.misses += 1
         deg = _ARC_MEMO[key] = _close_arcs(datum, word, arcs, lw, reflected)
     else:
-        _ARC_STATS[0] += 1
+        _ARC_MEMO.hits += 1
     return deg
 
 

@@ -1,6 +1,7 @@
 """Config diagnostics, subcommand output, and exit codes."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -312,15 +313,26 @@ def test_klr_strand_count_is_bounded(capsys):
 
 
 @pytest.mark.parametrize("cmd", ["pair", "shapes", "grdim"])
-def test_word_length_is_bounded(capsys, cmd):
+def test_word_length_is_bounded(capsys, monkeypatch, cmd):
     assert cli.MAX_WORD == 8
-    long = "1^(5) 2^(4)"  # nine letters once the divided powers are expanded
-    for flag_i, flag_j in ((long, "1"), ("1", long)):
-        code, out, err = run_cli(
-            capsys, cmd, "--config", "qs_a2", "--i", flag_i, "--j", flag_j, "--lambda", "L0"
-        )
-        assert code == 2 and out == ""
-        assert err.strip() == f"error: word {long!r} has 9 letters; at most 8 are supported"
+    to_word = cli.to_word
+
+    def bounded(dp):
+        # the bound must hold before a word is expanded: 10^11 letters
+        # would exhaust memory
+        if sum(n for _, n in dp) > cli.MAX_WORD:
+            raise MemoryError("expanded a word longer than MAX_WORD")
+        return to_word(dp)
+
+    monkeypatch.setattr(cli, "to_word", bounded)
+    # nine letters once the divided powers are expanded, and 10^11
+    for long, n in (("1^(5) 2^(4)", 9), ("1^(99999999999)", 99999999999)):
+        for flag_i, flag_j in ((long, "1"), ("1", long)):
+            code, out, err = run_cli(
+                capsys, cmd, "--config", "qs_a2", "--i", flag_i, "--j", flag_j, "--lambda", "L0"
+            )
+            assert code == 2 and out == ""
+            assert err.strip() == f"error: word {long!r} has {n} letters; at most 8 are supported"
     datum = STANDARD["qs_a2"]()
     assert cli._parse_word("1^(4) 2^(3) 1", datum) == (("1", 4), ("2", 3), ("1", 1))
 
@@ -391,10 +403,14 @@ def test_config_file_loading(tmp_path, capsys):
 
 
 def test_module_entry_point():
+    # the child finds the package where this process imported it from
+    src = os.path.dirname(os.path.dirname(os.path.abspath(iquantum.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "iquantum", "grdim", "--config", "split_a1", "--end", "--N", "4"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("end series =")

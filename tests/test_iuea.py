@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from iquantum import freealg, iuea, satake, selftest
+import iquantum
+from iquantum import freealg, iuea, satake, selftest, shapes
 from iquantum.freealg import FElem, inv_one_minus_q2, inv_one_minus_qinv2
 from iquantum.qring import LaurentPoly, RatQ, qint
 from iquantum.standard import STANDARD
@@ -237,10 +238,10 @@ def test_b_word_acts_once_per_distinct_word_in_a_block(monkeypatch):
         return act_b(datum, i, xi)
 
     monkeypatch.setattr(iuea, "act_b", counted)
-    before = iuea.cache_stats()["iuea._B_WORD_MEMO"]
+    before = iquantum.cache_stats()["iuea._B_WORD_MEMO"]
     images = {w: iuea.b_word(datum, satake.to_dpword(w), lw) for w in words}
     assert len(calls) == len(words) - 1 == 62
-    after = iuea.cache_stats()["iuea._B_WORD_MEMO"]
+    after = iquantum.cache_stats()["iuea._B_WORD_MEMO"]
     assert after["misses"] - before["misses"] == 62
     assert after["hits"] - before["hits"] == 1  # the empty word
     assert after["size"] == len(words)
@@ -255,6 +256,23 @@ def test_b_word_acts_once_per_distinct_word_in_a_block(monkeypatch):
     for w in shuffled:
         iuea.b_word(datum, satake.to_dpword(w), other)
     assert len(calls) == 62
+
+
+def test_clear_caches_forgets_the_scopes():
+    datum = make("qs_a2")
+    lw = weight(datum, {"1": 1})
+    word = satake.to_dpword(("1", "2"))
+    iuea.b_word(datum, word, lw)
+    (sh,) = shapes.enumerate_shapes(datum, ("1",), ("1",))
+    shapes.degree(datum, sh, lw)
+    assert iuea._B_WORD_MEMO.scope == shapes._ARC_MEMO.scope == (datum.key(), lw)
+    iquantum.clear_caches()
+    assert iuea._B_WORD_MEMO.scope is None and shapes._ARC_MEMO.scope is None
+    # the same weight again is a new scope: the memo is seeded with () and
+    # the word's image is computed afresh
+    iuea.b_word(datum, word, lw)
+    assert iquantum.cache_stats()["iuea._B_WORD_MEMO"] == {"hits": 0, "misses": 1, "size": 3}
+    assert () in iuea._B_WORD_MEMO
 
 
 def test_divided_power_basics():

@@ -413,16 +413,16 @@ def test_memoized_degrees_match_the_memo_free_route():
     assert lw == twin and lw is not twin
     want = _memo_free_table(datum, found, lw)
     assert _memo_table(datum, found, lw) == want
-    before = shapes.cache_stats()["shapes._ARC_MEMO"]
+    before = iquantum.cache_stats()["shapes._ARC_MEMO"]
     assert _memo_table(datum, found, twin) == want
-    after = shapes.cache_stats()["shapes._ARC_MEMO"]
+    after = iquantum.cache_stats()["shapes._ARC_MEMO"]
     assert after["misses"] == before["misses"] and after["size"] == before["size"]
     assert after["hits"] == before["hits"] + 4 * len(found)
 
 
 def test_arc_memo_closes_each_arc_set_once_per_realization(monkeypatch):
-    shapes.clear_caches()
-    assert shapes.cache_stats() == {"shapes._ARC_MEMO": {"hits": 0, "misses": 0, "size": 0}}
+    iquantum.clear_caches()
+    assert iquantum.cache_stats()["shapes._ARC_MEMO"] == {"hits": 0, "misses": 0, "size": 0}
     datum = make("qs_a2")
     top, bottom = _series_pair(random.Random(77), "qs_a2")
     lw = weight(datum, {"1": 1})
@@ -449,11 +449,11 @@ def test_arc_memo_closes_each_arc_set_once_per_realization(monkeypatch):
     assert [shapes.degree(datum, sh, lw) for sh in found] == degs
     assert [shapes.degree_alt(datum, sh, lw) for sh in found] == degs
     assert len(calls) == 2 * n
-    assert shapes.cache_stats()["shapes._ARC_MEMO"] == {
+    assert iquantum.cache_stats()["shapes._ARC_MEMO"] == {
         "hits": 8 * len(found) - 2 * n, "misses": 2 * n, "size": 2 * n,
     }
-    shapes.clear_caches()
-    assert shapes.cache_stats()["shapes._ARC_MEMO"] == {"hits": 0, "misses": 0, "size": 0}
+    iquantum.clear_caches()
+    assert iquantum.cache_stats()["shapes._ARC_MEMO"] == {"hits": 0, "misses": 0, "size": 0}
 
 
 # ------------------------------------------------------------------- pairings
