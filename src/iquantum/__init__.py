@@ -13,9 +13,9 @@ Submodules:
   graded rank series.
 * ``klr``: the quiver Hecke algebra with signed two-variable parameters,
   normal forms, divided-power idempotents and the Serre complex check.
-* ``memo``: the ``Memo`` dict behind every module-level memo table, with
-  the hit/miss counters and scope that ``cache_stats`` and
-  ``clear_caches`` read.
+* ``memo``: the ``Memo`` dict behind every module-level memo table: its
+  one counted lookup (``get_or_make``) and scope rule (``within``), and
+  the registry that ``cache_stats`` and ``clear_caches`` read.
 * ``cli``: configuration parsing and the command line front end
   (``python -m iquantum``).
 
@@ -50,7 +50,7 @@ def cache_stats() -> dict[str, dict[str, int]]:
     ``module.NAME``: ``freealg._WORD_PAIR_CACHE``, ``iuea._B_WORD_MEMO``,
     ``shapes._ARC_MEMO`` and the four ``klr`` caches.  Read on request
     (``selftest --cache-stats`` writes them to stderr)."""
-    return {m.name: {"hits": m.hits, "misses": m.misses, "size": len(m)} for m in _memos()}
+    return {m.name: m.stats() for m in _memos()}
 
 
 def clear_caches() -> None:

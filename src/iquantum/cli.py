@@ -43,7 +43,7 @@ from .satake import (
     validate,
     weight_sweep,
 )
-from .standard import SIGN_CONVENTION, STANDARD
+from .standard import SIGN_CONVENTION, STANDARD, builtin_weights
 
 
 class ConfigError(Exception):
@@ -199,13 +199,11 @@ def parse_config(text: str) -> Config:
 
 
 def _builtin_config(name: str) -> str | None:
-    """The JSON config of a built-in datum, with weights L0 (zero) and L1
-    (1 at each orbit representative, odd parities)."""
+    """The JSON config of a built-in datum, with its ``builtin_weights``."""
     make = STANDARD.get(name)
     if make is None:
         return None
     datum = make()
-    reps, fixed = orbit_reps(datum)
     return json.dumps(
         {
             "nodes": list(datum.nodes),
@@ -215,8 +213,8 @@ def _builtin_config(name: str) -> str | None:
             "varsigma": datum.varsigma,
             "sign_convention": SIGN_CONVENTION[name],
             "weights": {
-                "L0": {"lam": {}, "parity": {i: 0 for i in fixed}},
-                "L1": {"lam": {i: 1 for i in reps}, "parity": {i: 1 for i in fixed}},
+                name: {"lam": lam, "parity": parity}
+                for name, (lam, parity) in builtin_weights(datum).items()
             },
         }
     )

@@ -217,12 +217,12 @@ def _word_pair(datum: SatakeDatum, wx: Word, wy: Word) -> RatQ:
         return RatQ.zero()
     if not wx:
         return RatQ.one()
-    key = (datum.key(), wx, wy)
-    hit = _WORD_PAIR_CACHE.get(key)
-    if hit is not None:
-        _WORD_PAIR_CACHE.hits += 1
-        return hit
-    _WORD_PAIR_CACHE.misses += 1
+    return _WORD_PAIR_CACHE.get_or_make((datum.key(), wx, wy), _peel_pair, datum, wx, wy)
+
+
+def _peel_pair(datum: SatakeDatum, wx: Word, wy: Word) -> RatQ:
+    """``_word_pair``'s maker: peel the first letter of wx against each
+    matching letter of wy."""
     i = wx[0]
     rest = wx[1:]
     d = datum.qi(i)
@@ -235,7 +235,6 @@ def _word_pair(datum: SatakeDatum, wx: Word, wy: Word) -> RatQ:
             if not sub.is_zero():
                 total = total + RatQ.q_power(d * pref) * value * sub
         pref += datum.a[(i, letter)]
-    _WORD_PAIR_CACHE[key] = total
     return total
 
 

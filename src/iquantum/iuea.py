@@ -262,28 +262,30 @@ _B_WORD_MEMO = Memo("iuea._B_WORD_MEMO")
 def b_word(datum: SatakeDatum, word: DPWord, lw: IWeight) -> IElem:
     """Apply the divided powers of a word right to left to 1_lambda.
 
-    b_word(w) = b_divided(w[0], b_word(w[1:])), so the fold starts from the
-    longest suffix already in the memo and stores every new suffix image,
-    the word's own included.  The memo holds one (datum.key(), lw) scope:
-    a call with another datum content or weight empties it.  Elements are
+    b_word(w) = b_divided(w[0], b_word(w[1:])), so a new word is folded
+    from its longest suffix in the memo, and every new suffix image is
+    stored.  The memo holds one (datum.key(), lw) scope: a call with another
+    datum content or weight empties it.  The empty word's 1_lambda, where
+    every fold ends, is put back whenever it is missing.  Elements are
     never mutated in place, so the stored images are shared with callers.
     """
-    scope = (datum.key(), lw)
-    if scope != _B_WORD_MEMO.scope:
-        _B_WORD_MEMO.rescope(scope)
-        _B_WORD_MEMO[()] = unit(lw)
-    k = 0
-    while word[k:] not in _B_WORD_MEMO:
+    memo = _B_WORD_MEMO.within((datum.key(), lw))
+    if () not in memo:
+        memo[()] = unit(lw)
+    return memo.get_or_make(word, _fold_suffixes, memo, datum, word)
+
+
+def _fold_suffixes(memo: dict, datum: SatakeDatum, word: DPWord) -> IElem:
+    """``b_word``'s maker: fold word onto its longest proper suffix in
+    memo, storing each new suffix image."""
+    k = 1
+    while word[k:] not in memo:
         k += 1
-    if k:
-        _B_WORD_MEMO.misses += 1
-    else:
-        _B_WORD_MEMO.hits += 1
-    xi = _B_WORD_MEMO[word[k:]]
+    xi = memo[word[k:]]
     for k in range(k - 1, -1, -1):
         i, n = word[k]
         xi = b_divided(datum, i, n, xi)
-        _B_WORD_MEMO[word[k:]] = xi
+        memo[word[k:]] = xi
     return xi
 
 

@@ -90,7 +90,7 @@ def _lexmin_word(p) -> tuple[int, ...]:
 # coefficient is a map {ex: num}, and a term merges its numerator into the
 # one under the same exponent with no multiplication.  The parts are lifted
 # to their componentwise minimum exponent once per permutation (_lift): at
-# the end of each crossing step of _expand_psi, at the end of _expand_elem,
+# the end of each crossing step of _psi_terms, at the end of _elem_terms,
 # and when the peel in _extract reads the coefficient.  No gcd runs: the
 # peel divides exactly by the forms once per basis diagram.
 
@@ -130,13 +130,7 @@ _FIELDS = Memo("klr._FIELDS")
 
 
 def _forms(l: int) -> _Forms:
-    got = _FIELDS.get(l)
-    if got is None:
-        _FIELDS.misses += 1
-        got = _FIELDS[l] = _Forms(l)
-    else:
-        _FIELDS.hits += 1
-    return got
+    return _FIELDS.get_or_make(l, _Forms, l)
 
 
 def _pmul(a: dict, b: dict) -> dict:
@@ -390,6 +384,20 @@ def geometric_qtable(datum: SatakeDatum, orientation=None, sign_convention: str 
     return QTable(datum, polys, t, sign_convention)
 
 
+def _wiring_degree(datum: SatakeDatum, bottom: Word, perm) -> int:
+    """Degree of the crossings of a wiring: strands s < t cross when
+    perm[s] > perm[t], each crossing of bottom letters a, b costing
+    -d_a a_{a,b}.  Kept apart from ``shapes._crossing_degree``, since
+    ``graded_dim`` is checked against ``shapes.pair_theta``."""
+    deg = 0
+    for s in range(len(bottom)):
+        for t in range(s + 1, len(bottom)):
+            if perm[s] > perm[t]:
+                a, b = bottom[s], bottom[t]
+                deg -= datum.qi(a) * datum.a[(a, b)]
+    return deg
+
+
 @dataclass(frozen=True)
 class KLRBasisElem:
     """A wiring diagram: perm[s] is the top endpoint of bottom strand s,
@@ -402,13 +410,8 @@ class KLRBasisElem:
     dots: tuple[int, ...]
 
     def degree(self, datum: SatakeDatum) -> int:
-        deg = sum(2 * datum.qi(c) * n for c, n in zip(self.bottom, self.dots))
-        for s in range(len(self.bottom)):
-            for t in range(s + 1, len(self.bottom)):
-                if self.perm[s] > self.perm[t]:
-                    a, b = self.bottom[s], self.bottom[t]
-                    deg -= datum.qi(a) * datum.a[(a, b)]
-        return deg
+        dots = sum(2 * datum.qi(c) * n for c, n in zip(self.bottom, self.dots))
+        return dots + _wiring_degree(datum, self.bottom, self.perm)
 
 
 @dataclass
@@ -463,10 +466,14 @@ def zero(top: Word, bottom: Word) -> KLRElem:
     return KLRElem(tuple(top), tuple(bottom), {})
 
 
+def diagram(top: Word, bottom: Word, perm, dots) -> KLRElem:
+    """The single basis diagram (perm, dots) from bottom to top."""
+    top, bottom = tuple(top), tuple(bottom)
+    return KLRElem(top, bottom, {KLRBasisElem(top, bottom, tuple(perm), tuple(dots)): 1})
+
+
 def e(word: Word) -> KLRElem:
-    word = tuple(word)
-    b = KLRBasisElem(word, word, _identity(len(word)), (0,) * len(word))
-    return KLRElem(word, word, {b: 1})
+    return diagram(word, word, _identity(len(word)), (0,) * len(word))
 
 
 def dot(word: Word, t: int) -> KLRElem:
@@ -475,7 +482,7 @@ def dot(word: Word, t: int) -> KLRElem:
     if not 1 <= t <= len(word):
         raise ValueError(f"dot position {t} outside word of length {len(word)}")
     dots = tuple(1 if s == t - 1 else 0 for s in range(len(word)))
-    return KLRElem(word, word, {KLRBasisElem(word, word, _identity(len(word)), dots): 1})
+    return diagram(word, word, _identity(len(word)), dots)
 
 
 def crossing(word: Word, r: int) -> KLRElem:
@@ -485,9 +492,8 @@ def crossing(word: Word, r: int) -> KLRElem:
         raise ValueError(f"crossing position {r} outside word of length {len(word)}")
     top = list(word)
     top[r - 1], top[r] = top[r], top[r - 1]
-    top = tuple(top)
     perm = _swap_values(_identity(len(word)), r - 1)
-    return KLRElem(top, word, {KLRBasisElem(top, word, perm, (0,) * len(word)): 1})
+    return diagram(top, word, perm, (0,) * len(word))
 
 
 def tensor(a: KLRElem, b: KLRElem) -> KLRElem:
@@ -517,18 +523,15 @@ _ELEM_CACHE = Memo("klr._ELEM_CACHE")
 def _pinned_entry(qt: QTable, i: str, j: str, l: int, r: int):
     """The table polynomial at (i, j) as a coefficient on l strands, pinned
     to strands r, r+1 (0-based): sign * (x_r - x_{r+1})^n."""
-    key = (qt.content_id, i, j, l, r)
-    hit = _ENTRY_CACHE.get(key)
-    if hit is None:
-        _ENTRY_CACHE.misses += 1
-        forms = _forms(l)
-        sign, n = qt._factors[(i, j)]
-        k = forms.index[(r, r + 1)]
-        hit = ({(0,) * l: sign}, forms.zero[:k] + (n,) + forms.zero[k + 1 :])
-        _ENTRY_CACHE[key] = hit
-    else:
-        _ENTRY_CACHE.hits += 1
-    return hit
+    return _ENTRY_CACHE.get_or_make((qt.content_id, i, j, l, r), _make_entry, qt, i, j, l, r)
+
+
+def _make_entry(qt: QTable, i: str, j: str, l: int, r: int):
+    """``_pinned_entry``'s maker."""
+    forms = _forms(l)
+    sign, n = qt._factors[(i, j)]
+    k = forms.index[(r, r + 1)]
+    return {(0,) * l: sign}, forms.zero[:k] + (n,) + forms.zero[k + 1 :]
 
 
 def _expand_psi(qt: QTable, bottom: Word, perm) -> tuple[Word, dict]:
@@ -539,12 +542,11 @@ def _expand_psi(qt: QTable, bottom: Word, perm) -> tuple[Word, dict]:
     so the only term of maximal length sits at perm itself; that is the
     triangularity the extraction in mul relies on.
     """
-    key = (qt.content_id, bottom, perm)
-    hit = _PSI_CACHE.get(key)
-    if hit is not None:
-        _PSI_CACHE.hits += 1
-        return hit
-    _PSI_CACHE.misses += 1
+    return _PSI_CACHE.get_or_make((qt.content_id, bottom, perm), _psi_terms, qt, bottom, perm)
+
+
+def _psi_terms(qt: QTable, bottom: Word, perm) -> tuple[Word, dict]:
+    """``_expand_psi``'s maker: one crossing of the reduced word per step."""
     l = len(bottom)
     forms = _forms(l)
     # terms owns its numerators: _cdiv_form hands f's own to _lazy_add
@@ -567,18 +569,17 @@ def _expand_psi(qt: QTable, bottom: Word, perm) -> tuple[Word, dict]:
                 _lazy_add(new, _swap_values(u, r), g if mult is None else _cmul(mult, g))
             cw[r], cw[r + 1] = cw[r + 1], cw[r]
         terms = _lift_all(forms, new)
-    result = (tuple(cw), terms)
-    _PSI_CACHE[key] = result
-    return result
+    return tuple(cw), terms
 
 
 def _expand_elem(qt: QTable, x: KLRElem) -> dict:
     key = (qt.content_id, x.top, x.bottom, frozenset(x.terms.items()))
-    hit = _ELEM_CACHE.get(key)
-    if hit is not None:
-        _ELEM_CACHE.hits += 1
-        return hit
-    _ELEM_CACHE.misses += 1
+    return _ELEM_CACHE.get_or_make(key, _elem_terms, qt, x)
+
+
+def _elem_terms(qt: QTable, x: KLRElem) -> dict:
+    """``_expand_elem``'s maker: each diagram's dots moved through its
+    crossing expansion."""
     forms = _forms(len(x.bottom))
     out: dict = {}
     for bas, c in x.terms.items():
@@ -586,9 +587,7 @@ def _expand_elem(qt: QTable, x: KLRElem) -> dict:
         _, exp = _expand_psi(qt, x.bottom, bas.perm)
         for u, f in exp.items():
             _lazy_add(out, u, _cmul(f, _permute(forms, mono, u)))
-    out = _lift_all(forms, out)
-    _ELEM_CACHE[key] = out
-    return out
+    return _lift_all(forms, out)
 
 
 def _polynomial(forms: _Forms, f):
@@ -652,10 +651,6 @@ def mul(qt: QTable, a: KLRElem, b: KLRElem) -> KLRElem:
         raise ValueError("inner boundary words differ")
     if a.is_zero() or b.is_zero():
         return zero(a.top, b.bottom)
-    if not b.bottom:
-        ca = sum(a.terms.values())
-        cb = sum(b.terms.values())
-        return e(()).scale(ca * cb)
     forms = _forms(len(b.bottom))
     ea = _expand_elem(qt, a)
     eb = _expand_elem(qt, b)
@@ -691,12 +686,7 @@ def graded_dim(datum: SatakeDatum, top: Word, bottom: Word, order: int = 20) -> 
     bottom = tuple(bottom)
     num = LaurentPoly({})
     for w in _matchings(top, bottom):
-        deg = 0
-        for s in range(len(bottom)):
-            for t in range(s + 1, len(bottom)):
-                if w[s] > w[t]:
-                    deg -= datum.qi(bottom[s]) * datum.a[(bottom[s], bottom[t])]
-        num = num + LaurentPoly.q_power(deg)
+        num = num + LaurentPoly.q_power(_wiring_degree(datum, bottom, w))
     den = LaurentPoly.q_power(0)
     for c in bottom:
         den = den * (LaurentPoly.q_power(0) - LaurentPoly.q_power(2 * datum.qi(c)))
@@ -711,10 +701,8 @@ def divided_idempotent(qt: QTable, i: str, n: int) -> KLRElem:
     word = (i,) * n
     if n <= 1:
         return e(word)
-    w0 = tuple(reversed(range(n)))
-    cross = KLRElem(word, word, {KLRBasisElem(word, word, w0, (0,) * n): 1})
-    rho = tuple(n - 1 - s for s in range(n))
-    dots = KLRElem(word, word, {KLRBasisElem(word, word, _identity(n), rho): 1})
+    cross = diagram(word, word, reversed(range(n)), (0,) * n)
+    dots = diagram(word, word, _identity(n), (n - 1 - s for s in range(n)))
     return mul(qt, dots, cross)
 
 
@@ -761,8 +749,7 @@ def serre_complex_check(qt: QTable, i: str, j: str) -> SerreComplexReport:
     def lateral(bottom, top, perm):
         # one strand over a block of parallel strands: the permutation
         # avoids the pattern 321, so every reduced word gives this diagram
-        b = KLRBasisElem(top, bottom, perm, (0,) * len(bottom))
-        return KLRElem(top, bottom, {b: 1})
+        return diagram(top, bottom, perm, (0,) * len(bottom))
 
     d = {}
     for n in range(1, m + 1):

@@ -1,13 +1,13 @@
 """The memo tables behind the package's module-level caches.
 
-A ``Memo`` is a dict whose owner does each lookup and counts it inline in
-``hits`` or ``misses``, so a lookup costs what a plain dict's does.  A
-scoped table holds the entries of one scope, such as one (datum content,
-weight) pair: its owner compares ``scope`` inline and calls ``rescope`` when
-another arrives, so the scope is the table's bound.  Every table registers
-in ``MEMOS`` on creation; ``iquantum.cache_stats`` and
+A ``Memo`` is a dict that does its owner's lookups: ``get_or_make`` returns
+the stored value or makes and stores it, counting a hit or a miss.  A scoped
+table holds the entries of one scope, such as one (datum content, weight)
+pair; its owner passes each call's scope to ``within``, which empties the
+table when another arrives, so the scope is the table's bound.  Every table
+registers in ``MEMOS`` on creation; ``iquantum.cache_stats`` and
 ``iquantum.clear_caches`` read that registry.  A size cap, should one be
-needed, belongs here.
+needed, belongs in ``get_or_make``.
 """
 
 from __future__ import annotations
@@ -28,12 +28,33 @@ class Memo(dict):
         self.scope = None
         MEMOS.append(self)
 
-    def rescope(self, scope) -> None:
-        """Empty the table for the entries of another scope."""
-        self.clear()
-        self.scope = scope
+    def get_or_make(self, key, make, *args):
+        """The value stored under key, or make(*args) stored there on a miss.
+
+        A stored value is tested with ``is None``, so falsy values such as
+        ``{}`` and ``0`` are hits; a maker never returns None.
+        """
+        value = self.get(key)
+        if value is None:
+            self.misses += 1
+            value = self[key] = make(*args)
+        else:
+            self.hits += 1
+        return value
+
+    def within(self, scope) -> Memo:
+        """The table for the entries of scope, emptied first when it holds
+        another scope's."""
+        if scope != self.scope:
+            self.clear()
+            self.scope = scope
+        return self
+
+    def stats(self) -> dict[str, int]:
+        return {"hits": self.hits, "misses": self.misses, "size": len(self)}
 
     def reset(self) -> None:
         """Empty the table, forget its scope and zero its counters."""
-        self.rescope(None)
+        self.clear()
+        self.scope = None
         self.hits = self.misses = 0

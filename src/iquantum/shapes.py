@@ -219,36 +219,6 @@ def _close_arcs(
 _ARC_MEMO = Memo("shapes._ARC_MEMO")
 
 
-def _annihilation_degree(
-    datum: SatakeDatum,
-    word: Word,
-    arcs: tuple[tuple[int, int], ...],
-    lw: IWeight,
-    reflected: bool,
-) -> int:
-    """``_close_arcs`` memoized by (word, arcs, reflected).
-
-    All matchings of one word pair close off the same two words, and only a
-    few dozen distinct cup or cap sets occur among hundreds of matchings, so
-    most calls repeat one.  The memo holds one (datum.key(), lw) scope: a
-    call with another datum content or weight empties it first, so the
-    scope is its only bound.  ``reflected`` is part of the key, so
-    ``degree_alt`` never reads a value that ``degree`` stored and their
-    agreement stays a check of realization independence.
-    """
-    scope = (datum.key(), lw)
-    if scope != _ARC_MEMO.scope:
-        _ARC_MEMO.rescope(scope)
-    key = (word, arcs, reflected)
-    deg = _ARC_MEMO.get(key)
-    if deg is None:
-        _ARC_MEMO.misses += 1
-        deg = _ARC_MEMO[key] = _close_arcs(datum, word, arcs, lw, reflected)
-    else:
-        _ARC_MEMO.hits += 1
-    return deg
-
-
 def _crossing_degree(datum: SatakeDatum, strands: list[tuple[str, int]]) -> int:
     """Crossing degree of (label, target) strands listed by source.
 
@@ -266,12 +236,28 @@ def _crossing_degree(datum: SatakeDatum, strands: list[tuple[str, int]]) -> int:
 
 
 def _degree(datum: SatakeDatum, sh: Shape, lw: IWeight, reflected: bool) -> int:
+    """The caps' and the cups' ``_close_arcs`` read through ``_ARC_MEMO``,
+    plus the crossing degree of the props.
+
+    All matchings of one word pair close off the same two words, and only a
+    few dozen distinct cup or cap sets occur among hundreds of matchings, so
+    most lookups repeat one.  The memo holds one (datum.key(), lw) scope: a
+    call with another datum content or weight empties it first, so the
+    scope is its only bound.  ``reflected`` is part of the key, so
+    ``degree_alt`` never reads a value that ``degree`` stored and their
+    agreement stays a check of realization independence.
+    """
+    arcs = _ARC_MEMO.within((datum.key(), lw))
     # props are sorted by bottom index, so they list the strands by source
     strands = [(sh.bottom[b], t) for b, t in sh.props]
     return (
-        _annihilation_degree(datum, sh.bottom, sh.caps, lw, reflected)
+        arcs.get_or_make(
+            (sh.bottom, sh.caps, reflected), _close_arcs, datum, sh.bottom, sh.caps, lw, reflected
+        )
         + _crossing_degree(datum, strands)
-        + _annihilation_degree(datum, sh.top, sh.cups, lw, reflected)
+        + arcs.get_or_make(
+            (sh.top, sh.cups, reflected), _close_arcs, datum, sh.top, sh.cups, lw, reflected
+        )
     )
 
 

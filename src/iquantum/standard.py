@@ -12,7 +12,7 @@ Five small data cover the behaviors that matter at desk scale:
 
 from __future__ import annotations
 
-from .satake import SatakeDatum, make_datum
+from .satake import SatakeDatum, make_datum, orbit_reps
 
 
 def split_a1() -> SatakeDatum:
@@ -54,6 +54,17 @@ STANDARD = {
     "qs_a3": qs_a3,
     "split_a2": split_a2,
 }
+
+
+def builtin_weights(datum: SatakeDatum) -> dict[str, tuple[dict[str, int], dict[str, int]]]:
+    """The (lam, parity) of the built-in weights by name: L0 is zero, L1 is
+    1 at each orbit representative with odd parities."""
+    reps, fixed = orbit_reps(datum)
+    return {
+        "L0": ({}, {i: 0 for i in fixed}),
+        "L1": ({i: 1 for i in reps}, {i: 1 for i in fixed}),
+    }
+
 
 # The sign convention each datum's geometric Q-table is built with (see
 # klr.geometric_qtable).  "body" negates the rows of tau-fixed nodes, which

@@ -1,7 +1,10 @@
 """Tests for the module-element layer: generator action, divided powers,
 pairings, straightening coefficients and the degree-(1-a) relation."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -273,6 +276,39 @@ def test_clear_caches_forgets_the_scopes():
     iuea.b_word(datum, word, lw)
     assert iquantum.cache_stats()["iuea._B_WORD_MEMO"] == {"hits": 0, "misses": 1, "size": 3}
     assert () in iuea._B_WORD_MEMO
+
+
+_BARE_CLEAR = """
+from iquantum import iuea, satake
+from iquantum.standard import qs_a2
+
+datum = qs_a2()
+lw = satake.make_iweight(datum, {"1": 1}, None)
+word = satake.to_dpword(("1", "2"))
+iuea.b_word(datum, word, lw)
+iuea._B_WORD_MEMO.clear()
+xi = iuea.b_word(datum, word, lw)
+print(xi.jt)
+print(xi.j)
+"""
+
+
+def test_b_word_survives_a_bare_clear_of_its_memo():
+    # the dict's own clear() keeps the scope but drops every entry; a hang
+    # here must fail the test, not stall the suite, so a child runs it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(iquantum.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _BARE_CLEAR],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    datum = make("qs_a2")
+    want = _b_word_reference(datum, satake.to_dpword(("1", "2")), weight(datum, {"1": 1}))
+    assert proc.stdout.splitlines() == [str(want.jt), str(want.j)]
 
 
 def test_divided_power_basics():

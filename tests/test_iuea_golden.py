@@ -16,8 +16,8 @@ import sys
 from pathlib import Path
 
 from iquantum import iuea
-from iquantum.satake import format_dpword, make_iweight, orbit_reps, weight_sweep
-from iquantum.standard import STANDARD
+from iquantum.satake import format_dpword, make_iweight, weight_sweep
+from iquantum.standard import STANDARD, builtin_weights
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "b_word_images.json"
 
@@ -43,11 +43,9 @@ def _words(rng, datum, letters):
 
 
 def _weights(rng, datum):
-    reps, fixed = orbit_reps(datum)
     sweep = weight_sweep(datum)
     return {
-        "L0": make_iweight(datum, {}, {i: 0 for i in fixed}),
-        "L1": make_iweight(datum, {i: 1 for i in reps}, {i: 1 for i in fixed}),
+        **{name: make_iweight(datum, *lp) for name, lp in builtin_weights(datum).items()},
         "sweep a": rng.choice(sweep),
         "sweep b": rng.choice(sweep),
     }

@@ -13,6 +13,7 @@ from iquantum.klr import (
     KLRElem,
     QTable,
     crossing,
+    diagram,
     divided_idempotent,
     dot,
     e,
@@ -25,7 +26,6 @@ from iquantum.klr import (
 )
 from iquantum.qring import ASC_Q, expand
 from iquantum.satake import make_datum
-from iquantum.selftest import _basis as basis
 from iquantum.selftest import _random_elem as random_elem
 from iquantum.selftest import _shuffled as shuffled
 from iquantum.selftest import _tables
@@ -132,11 +132,11 @@ def test_quadratic():
     qt = geometric_qtable(qs_a2())
     w = ("1", "2")
     sq = mul(qt, crossing(("2", "1"), 1), crossing(w, 1))
-    assert sq == basis(w, w, (0, 1), (1, 0)) - basis(w, w, (0, 1), (0, 1))
+    assert sq == diagram(w, w, (0, 1), (1, 0)) - diagram(w, w, (0, 1), (0, 1))
 
     qt = geometric_qtable(split_a2())
     sq = mul(qt, crossing(("2", "1"), 1), crossing(w, 1))
-    assert sq == basis(w, w, (0, 1), (0, 1)) - basis(w, w, (0, 1), (1, 0))
+    assert sq == diagram(w, w, (0, 1), (0, 1)) - diagram(w, w, (0, 1), (1, 0))
 
     qt = geometric_qtable(diag_a1a1())
     sq = mul(qt, crossing(("2", "1"), 1), crossing(w, 1))
@@ -256,7 +256,7 @@ def test_divided_idempotent_normal_form():
     qt = geometric_qtable(split_a1())
     w = ("1", "1")
     got = divided_idempotent(qt, "1", 2)
-    assert got == e(w) + basis(w, w, (1, 0), (0, 1))
+    assert got == e(w) + diagram(w, w, (1, 0), (0, 1))
     assert got.degrees(qt.datum) == {0}
 
 
@@ -269,6 +269,12 @@ def test_divided_idempotent_is_idempotent():
     for n in range(4):
         d = divided_idempotent(qt, "1", n)
         assert mul(qt, d, d) == d
+
+
+def test_empty_word_products_scale_the_identity():
+    qt = geometric_qtable(split_a1())
+    got = mul(qt, e(()).scale(3), e(()).scale(-2))
+    assert got == e(()).scale(-6) and str(got) == "(-6)*[e]"
 
 
 def test_divided_idempotent_kills_lower_crossings():
@@ -436,7 +442,7 @@ def test_cache_stats_count_hits_misses_and_sizes():
         assert set(every[name]) == {"hits", "misses", "size"}
     iquantum.clear_caches()
     assert iquantum.cache_stats() == stats
-    assert mul(qt, x, y) == basis(w, w, (0, 1), (1, 0)) - basis(w, w, (0, 1), (0, 1))
+    assert mul(qt, x, y) == diagram(w, w, (0, 1), (1, 0)) - diagram(w, w, (0, 1), (0, 1))
 
 
 _PRODUCT_CACHES = ("klr._PSI_CACHE", "klr._ENTRY_CACHE", "klr._ELEM_CACHE")

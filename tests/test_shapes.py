@@ -14,7 +14,7 @@ from iquantum import freealg, iuea, satake, shapes
 from iquantum.freealg import FElem, inv_one_minus_qinv2
 from iquantum.qring import ASC_Q, LaurentPoly, PowerSeriesTrunc, RatQ, expand
 from iquantum.satake import make_datum, to_dpword, word_weight
-from iquantum.standard import STANDARD
+from iquantum.standard import STANDARD, builtin_weights
 
 
 def make(name):
@@ -56,11 +56,9 @@ def strand_pair(rng, datum, strands):
 
 def oracle_weights(rng, datum):
     """L0, L1 and two seeded weights of the sweep."""
-    reps, fixed = satake.orbit_reps(datum)
     sweep = satake.weight_sweep(datum)
     return [
-        weight(datum, {}, {i: 0 for i in fixed}),
-        weight(datum, {i: 1 for i in reps}, {i: 1 for i in fixed}),
+        *(weight(datum, *lp) for lp in builtin_weights(datum).values()),
         rng.choice(sweep),
         rng.choice(sweep),
     ]
