@@ -50,11 +50,11 @@ def cache_stats() -> dict[str, dict[str, int]]:
     ``module.NAME``: ``freealg._WORD_PAIR_CACHE``, ``iuea._B_WORD_MEMO``,
     ``shapes._ARC_MEMO`` and the four ``klr`` caches.  Read on request
     (``selftest --cache-stats`` writes them to stderr)."""
-    return {m.name: m.stats() for m in _memos()}
+    return {m.name: m.stats() for m in _memos().values()}
 
 
 def clear_caches() -> None:
     """Empty every module-level memo table, forget its scope and zero its
     counters."""
-    for m in _memos():
+    for m in _memos().values():
         m.reset()

@@ -79,15 +79,12 @@ def _image(nums: Numerators, den: LaurentPoly) -> FElem:
 class IElem:
     """A module element: base weight plus the two images over ``den``.
 
-    ``num_jt`` and ``num_j`` map words to nonzero Laurent numerators;
-    ``num_j`` is None while the j-image is not materialized (``delta``).
+    ``num_jt`` and ``num_j`` map words to nonzero Laurent numerators.
     """
 
     __slots__ = ("base", "den", "num_jt", "num_j")
 
-    def __init__(
-        self, base: IWeight, den: LaurentPoly, num_jt: Numerators, num_j: Numerators | None
-    ):
+    def __init__(self, base: IWeight, den: LaurentPoly, num_jt: Numerators, num_j: Numerators):
         self.base = base
         self.den = den
         self.num_jt = num_jt
@@ -98,8 +95,8 @@ class IElem:
         return _image(self.num_jt, self.den)
 
     @property
-    def j(self) -> FElem | None:
-        return None if self.num_j is None else _image(self.num_j, self.den)
+    def j(self) -> FElem:
+        return _image(self.num_j, self.den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IElem):
@@ -114,8 +111,6 @@ class IElem:
     def __add__(self, other: "IElem") -> "IElem":
         if self.base != other.base:
             raise ValueError("cannot add elements over different base weights")
-        if self.num_j is None or other.num_j is None:
-            raise ValueError("cannot add elements without materialized j-images")
         if not self.num_jt and not self.num_j:
             return other
         if not other.num_jt and not other.num_j:
@@ -142,7 +137,7 @@ class IElem:
             self.base,
             self.den * den,
             _times(self.num_jt, num),
-            None if self.num_j is None else _times(self.num_j, num),
+            _times(self.num_j, num),
         )
 
     def scale(self, c: RatQ) -> "IElem":
@@ -176,8 +171,6 @@ def act_b(datum: SatakeDatum, i: str, xi: IElem) -> IElem:
     1/f is 1 and iR's value -q^{2d}/f is a shift and a sign, so each
     numerator is twisted first and each image takes one derivation scan.
     """
-    if xi.num_j is None:
-        raise ValueError("cannot act on an element without a materialized j-image")
     ti = datum.tau[i]
     di = datum.qi(i)
     d = datum.qi(ti)
@@ -289,19 +282,6 @@ def _fold_suffixes(memo: dict, datum: SatakeDatum, word: DPWord) -> IElem:
     return xi
 
 
-def delta(datum: SatakeDatum, word: DPWord, lw: IWeight) -> IElem:
-    """Spanning vector with jt-image exactly the divided theta word.
-
-    The j-image is deliberately left unmaterialized: recovering it would
-    mean inverting the recursion, and every pairing this package needs
-    consumes these vectors through ``pair_nabla`` instead.
-    """
-    den = LaurentPoly.one()
-    for i, n in word:
-        den = den * qfact(n, datum.qi(i))
-    return IElem(lw, den, {to_word(word): LaurentPoly.one()}, None)
-
-
 def ipair(datum: SatakeDatum, xi: IElem, eta: IElem) -> RatQ:
     """Sesquilinear pairing: bar the left jt-image against the right j-image.
 
@@ -311,8 +291,6 @@ def ipair(datum: SatakeDatum, xi: IElem, eta: IElem) -> RatQ:
     so the right words are bucketed by sorted content once, and a left word
     meets only its own bucket.
     """
-    if eta.num_j is None:
-        raise ValueError("right argument has no materialized j-image; use pair_nabla")
     if xi.base != eta.base:
         return RatQ.zero()
     buckets: dict[Word, list[tuple[Word, LaurentPoly]]] = {}

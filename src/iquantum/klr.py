@@ -13,26 +13,25 @@ crossing acts as the difference-quotient operator on equal colors and as a
 twisted group algebra over rational functions, from which the basis
 coefficients are recovered by peeling longest permutations; the transition
 is triangular, so the peeling terminates and the recovered coefficients are
-the unique integral normal form.  Every table entry is +-(x - y)^n, so each
-rational function that arises is an integer polynomial times signed powers
-of the linear forms x_s - x_t; it is held in exactly that shape, sums need
-no gcd, and each peel divides exactly by the forms.  sympy is used only to
-build and validate the tables.
+the unique integral normal form.  Every table entry is +-(x - y)^n and is
+held as its integer factor (sign, n), so each rational function that arises
+is an integer polynomial times signed powers of the linear forms x_s - x_t;
+it is held in exactly that shape, sums need no gcd, and each peel divides
+exactly by the forms.  Nothing here computes symbolically.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-import sympy
+# Unused: loaded only because perfbench's tracer installs on sympy.polys.fields.
+import sympy  # noqa: F401
 
 from .memo import Memo
 from .qring import ASC_Q, LaurentPoly, RatQ, expand
 from .satake import SatakeDatum, Word
 from .shapes import RankSeries
 
-_X, _Y = sympy.symbols("qt_x qt_y")
 # One small id per distinct table content, (datum.key(), sorted (sign, n)
 # factors); the product caches are keyed by it, so equal tables share
 # entries.  It holds one entry per distinct table and is never cleared, so
@@ -284,37 +283,33 @@ def _lift_all(forms: _Forms, d: dict) -> dict:
 
 
 class QTable:
-    """Crossing polynomials Q_{i,j}(x,y) for ordered node pairs, with the
-    involution sign already applied, plus their leading coefficients."""
+    """Crossing polynomials Q_{i,j}(x, y) = sign * (x - y)^n for ordered
+    pairs of distinct nodes, held as factors[(i, j)] = (sign, n) with the
+    involution sign already applied; t[(i, j)] is the leading coefficient,
+    the sign.
 
-    def __init__(self, datum: SatakeDatum, polys, t, sign_convention: str):
-        self.datum = datum
-        self.polys = polys
-        self.t = t
-        self.sign_convention = sign_convention
-        # (sign, n) with Q_{i,j}(x, y) = sign * (x - y)^n, for i != j
-        self._factors: dict[tuple[str, str], tuple[int, int]] = {}
-        for (i, j), p in polys.items():
-            if i == j:
-                continue
-            terms = {}
-            if p != 0:
-                for (dx, dy), c in sympy.Poly(p, _X, _Y).terms():
-                    if not c.is_Integer:
-                        raise ValueError("table coefficients must be integers")
-                    terms[(int(dx), int(dy))] = int(c)
-            n = max((dx + dy for dx, dy in terms), default=0)
-            sign = terms.get((n, 0))
-            if sign not in (1, -1) or terms != {
-                (k, n - k): sign * math.comb(n, k) * (-1) ** (n - k) for k in range(n + 1)
-            }:
+    Every table is validated here: each entry must be +-(x - y)^n, and the
+    symmetry Q_{i,j}(x, y) = Q_{j,i}(y, x), that is sign_ij = sign_ji *
+    (-1)^n, is what makes the polynomial action associative, so a violation
+    is an error naming the offending pair.
+    """
+
+    def __init__(self, datum: SatakeDatum, factors, sign_convention: str):
+        for (i, j), (sign, n) in factors.items():
+            if sign not in (1, -1) or n < 0:
                 raise ValueError(f"table entry ({i}, {j}) is not +-(x - y)^n")
-            self._factors[(i, j)] = (sign, n)
-        content = (datum.key(), tuple(sorted(self._factors.items())))
+        for (i, j), (sign, n) in factors.items():
+            if factors.get((j, i)) != (sign * (-1) ** n, n):
+                raise ValueError(
+                    f"signed table is not symmetric on ({i}, {j}); "
+                    f"convention {sign_convention!r} is unusable for this datum"
+                )
+        self.datum = datum
+        self.factors: dict[tuple[str, str], tuple[int, int]] = dict(factors)
+        self.t = {ij: sign for ij, (sign, _) in self.factors.items()}
+        self.sign_convention = sign_convention
+        content = (datum.key(), tuple(sorted(self.factors.items())))
         self.content_id = _TABLE_IDS.setdefault(content, len(_TABLE_IDS))
-
-    def poly(self, i: str, j: str):
-        return self.polys[(i, j)]
 
     def order(self, i: str) -> int:
         return self.datum.nodes.index(i)
@@ -322,13 +317,11 @@ class QTable:
 
 def geometric_qtable(datum: SatakeDatum, orientation=None, sign_convention: str = "body") -> QTable:
     """Build the quiver choice (x-y)^{#(i->j)} (y-x)^{#(j->i)} and apply the
-    involution sign.
+    involution sign: the factor is (sign * (-1)^{#(j->i)}, #(i->j) + #(j->i)).
 
     sign_convention "body" multiplies row i by -1 when i is tau-fixed;
-    "intro" multiplies entry (i,j) by -1 when i = tau(j).  The symmetry
-    Q_{i,j}(x,y) = Q_{j,i}(y,x) of the signed table is what makes the
-    polynomial action associative, so it is validated here and a violation
-    is an error naming the offending pair.
+    "intro" multiplies entry (i,j) by -1 when i = tau(j).  ``QTable``
+    rejects a convention that breaks the table's symmetry on this datum.
     """
     if sign_convention not in ("body", "intro"):
         raise ValueError(f"unknown sign convention {sign_convention!r}")
@@ -348,11 +341,10 @@ def geometric_qtable(datum: SatakeDatum, orientation=None, sign_convention: str 
             if n < 0:
                 raise ValueError(f"negative edge count for ({i}, {j})")
             counts[(i, j)] = int(n)
-    polys = {}
+    factors = {}
     for i in datum.nodes:
         for j in datum.nodes:
             if i == j:
-                polys[(i, j)] = sympy.Integer(0)
                 continue
             nij = counts.get((i, j), 0)
             nji = counts.get((j, i), 0)
@@ -360,28 +352,12 @@ def geometric_qtable(datum: SatakeDatum, orientation=None, sign_convention: str 
                 raise ValueError(
                     f"orientation of ({i}, {j}) has {nij}+{nji} edges, expected {-datum.a[(i, j)]}"
                 )
-            base = (_X - _Y) ** nij * (_Y - _X) ** nji
             if sign_convention == "body":
                 sign = -1 if datum.tau[i] == i else 1
             else:
                 sign = -1 if datum.tau[j] == i else 1
-            polys[(i, j)] = sympy.expand(sign * base)
-    for i in datum.nodes:
-        for j in datum.nodes:
-            if i != j:
-                flipped = polys[(j, i)].subs({_X: _Y, _Y: _X}, simultaneous=True)
-                if sympy.expand(polys[(i, j)] - flipped) != 0:
-                    raise ValueError(
-                        f"signed table is not symmetric on ({i}, {j}); "
-                        f"convention {sign_convention!r} is unusable for this datum"
-                    )
-    t = {}
-    for (i, j), p in polys.items():
-        if i == j:
-            continue
-        lead = p.coeff(_Y, 0).coeff(_X, -datum.a[(i, j)])
-        t[(i, j)] = int(lead)
-    return QTable(datum, polys, t, sign_convention)
+            factors[(i, j)] = (sign * (-1) ** nji, nij + nji)
+    return QTable(datum, factors, sign_convention)
 
 
 def _wiring_degree(datum: SatakeDatum, bottom: Word, perm) -> int:
@@ -529,7 +505,7 @@ def _pinned_entry(qt: QTable, i: str, j: str, l: int, r: int):
 def _make_entry(qt: QTable, i: str, j: str, l: int, r: int):
     """``_pinned_entry``'s maker."""
     forms = _forms(l)
-    sign, n = qt._factors[(i, j)]
+    sign, n = qt.factors[(i, j)]
     k = forms.index[(r, r + 1)]
     return {(0,) * l: sign}, forms.zero[:k] + (n,) + forms.zero[k + 1 :]
 
@@ -738,8 +714,6 @@ def serre_complex_check(qt: QTable, i: str, j: str) -> SerreComplexReport:
     if m > 3:
         raise ValueError(f"complex length {m} out of the supported range")
     t = qt.t[(i, j)]
-    if t * t != 1:
-        raise ValueError("leading coefficient must be a sign")
     words = [(i,) * n + (j,) + (i,) * (m - n) for n in range(m + 1)]
     idem = [
         tensor(tensor(divided_idempotent(qt, i, n), e((j,))), divided_idempotent(qt, i, m - n))

@@ -5,14 +5,15 @@ the stored value or makes and stores it, counting a hit or a miss.  A scoped
 table holds the entries of one scope, such as one (datum content, weight)
 pair; its owner passes each call's scope to ``within``, which empties the
 table when another arrives, so the scope is the table's bound.  Every table
-registers in ``MEMOS`` on creation; ``iquantum.cache_stats`` and
-``iquantum.clear_caches`` read that registry.  A size cap, should one be
+registers in ``MEMOS`` under its name on creation, replacing a table made
+earlier under that name (as a module reload does); ``iquantum.cache_stats``
+and ``iquantum.clear_caches`` read that registry.  A size cap, should one be
 needed, belongs in ``get_or_make``.
 """
 
 from __future__ import annotations
 
-MEMOS: list[Memo] = []
+MEMOS: dict[str, Memo] = {}
 
 
 class Memo(dict):
@@ -26,7 +27,7 @@ class Memo(dict):
         self.name = name
         self.hits = self.misses = 0
         self.scope = None
-        MEMOS.append(self)
+        MEMOS[name] = self
 
     def get_or_make(self, key, make, *args):
         """The value stored under key, or make(*args) stored there on a miss.

@@ -523,18 +523,6 @@ def test_triangularity_of_nabla_pairing():
                 )
 
 
-def test_delta_is_lazy():
-    datum = make("qs_a2")
-    lw = weight(datum, {"1": 1})
-    dv = iuea.delta(datum, (("1", 2),), lw)
-    assert dv.jt == freealg.theta_word(datum, (("1", 2),))
-    assert dv.j is None
-    with pytest.raises(ValueError):
-        iuea.ipair(datum, iuea.unit(lw), dv)
-    with pytest.raises(ValueError):
-        iuea.act_b(datum, "1", dv)
-
-
 def _ipair_reference(datum, xi, eta):
     """bar(n_x / den_x) (n_y / den_y) (w_x, w_y) summed over every word pair."""
     total = RatQ.zero()

@@ -30,7 +30,7 @@ from iquantum.selftest import _random_elem as random_elem
 from iquantum.selftest import _shuffled as shuffled
 from iquantum.selftest import _tables
 from iquantum.shapes import pair_theta
-from iquantum.standard import SIGN_CONVENTION, diag_a1a1, qs_a2, qs_a3, split_a1, split_a2
+from iquantum.standard import SIGN_CONVENTION, STANDARD, diag_a1a1, qs_a2, qs_a3, split_a1, split_a2
 
 
 def aux_a1a1():
@@ -49,36 +49,48 @@ def qs_a3_table():
     return geometric_qtable(qs_a3(), sign_convention=SIGN_CONVENTION["qs_a3"])
 
 
+_QX, _QY = sympy.symbols("qt_x qt_y")
+
+
+def poly(qt, i, j):
+    """The table entry Q_{i,j}(qt_x, qt_y) as a sympy expression: 0 on the
+    diagonal, sign * (qt_x - qt_y)**n off it."""
+    if i == j:
+        return sympy.Integer(0)
+    sign, n = qt.factors[(i, j)]
+    return sympy.expand(sign * (_QX - _QY) ** n)
+
+
 def test_geometric_qtable_split_a2():
     qt = geometric_qtable(split_a2())
-    x, y = sorted(qt.poly("1", "2").free_symbols, key=str)
-    assert qt.poly("1", "2") == y - x
-    assert qt.poly("2", "1") == x - y
-    assert qt.poly("1", "1") == 0
+    x, y = sorted(poly(qt, "1", "2").free_symbols, key=str)
+    assert poly(qt, "1", "2") == y - x
+    assert poly(qt, "2", "1") == x - y
+    assert poly(qt, "1", "1") == 0
     assert qt.t == {("1", "2"): -1, ("2", "1"): 1}
 
 
 def test_geometric_qtable_no_edge():
     qt = geometric_qtable(diag_a1a1())
-    assert qt.poly("1", "2") == 1
+    assert poly(qt, "1", "2") == 1
     assert qt.t == {("1", "2"): 1, ("2", "1"): 1}
     # the swapped-pair sign flips the constant
     qt = geometric_qtable(diag_a1a1(), sign_convention="intro")
-    assert qt.poly("1", "2") == -1
+    assert poly(qt, "1", "2") == -1
 
 
 def test_geometric_qtable_sign_conventions_on_a3():
     with pytest.raises(ValueError, match=r"\(1, 2\)|\(2, 1\)"):
         geometric_qtable(qs_a3(), sign_convention="body")
     qt = qs_a3_table()
-    assert qt.poly("1", "3") == -1
-    assert qt.poly("3", "1") == -1
+    assert poly(qt, "1", "3") == -1
+    assert poly(qt, "3", "1") == -1
 
 
 def test_geometric_qtable_orientation():
     qt = geometric_qtable(split_a2(), orientation={("2", "1"): 1})
-    x, y = sorted(qt.poly("1", "2").free_symbols, key=str)
-    assert qt.poly("1", "2") == x - y
+    x, y = sorted(poly(qt, "1", "2").free_symbols, key=str)
+    assert poly(qt, "1", "2") == x - y
     with pytest.raises(ValueError):
         geometric_qtable(split_a2(), orientation={("1", "2"): 2})
     with pytest.raises(ValueError):
@@ -334,6 +346,22 @@ def test_serre_complex_rejects():
         serre_complex_check(geometric_qtable(triple), "1", "2")
 
 
+class _NoSympy:
+    def __getattr__(self, name):
+        raise AssertionError(f"klr computed with sympy.{name}")
+
+
+def test_klr_computes_without_sympy(monkeypatch):
+    monkeypatch.setattr(klr, "sympy", _NoSympy())
+    iquantum.clear_caches()
+    tables = _tables()
+    oriented = geometric_qtable(split_a2(), orientation={("2", "1"): 1})
+    qt = tables["split_a1"]
+    d3 = divided_idempotent(qt, "1", 3)
+    assert mul(qt, d3, d3) == d3
+    assert serre_complex_check(oriented, "1", "2").ok
+
+
 def test_zero_and_scale():
     w = ("1", "2")
     z = zero(w, w)
@@ -344,17 +372,118 @@ def test_zero_and_scale():
 
 
 @pytest.mark.parametrize(
-    "entry",
-    [lambda x, y: 2 * (x - y), lambda x, y: x**2 - y**2, lambda x, y: x - 2 * y, lambda x, y: 0],
-    ids=["content", "two-forms", "other-form", "zero"],
+    "pair, factor, message",
+    [
+        (("1", "2"), (2, 1), r"table entry \(1, 2\) is not"),
+        (("1", "2"), (0, 1), r"table entry \(1, 2\) is not"),
+        (("1", "2"), (-1, -1), r"table entry \(1, 2\) is not"),
+        (("2", "1"), (-1, 1), r"signed table is not symmetric on \(1, 2\)"),
+    ],
+    ids=["content", "zero", "negative-power", "flipped-sign"],
 )
-def test_qtable_entry_must_be_a_signed_power_of_x_minus_y(entry):
-    x, y = sympy.symbols("qt_x qt_y")
+def test_qtable_entry_must_be_a_signed_power_of_x_minus_y(pair, factor, message):
     good = geometric_qtable(split_a2())
-    polys = dict(good.polys)
-    polys[("1", "2")] = sympy.expand(entry(x, y))
-    with pytest.raises(ValueError, match=r"table entry \(1, 2\) is not"):
-        QTable(good.datum, polys, good.t, good.sign_convention)
+    factors = dict(good.factors)
+    factors[pair] = factor
+    with pytest.raises(ValueError, match=message):
+        QTable(good.datum, factors, good.sign_convention)
+
+
+def _sympy_qtable(datum, orientation=None, sign_convention="body"):
+    """The symbolic construction of the geometric table, kept as a
+    reference: (polys, t) with every entry expanded by sympy, the symmetry
+    checked by substitution and t read off the x^n coefficient."""
+    x, y = _QX, _QY
+    if sign_convention not in ("body", "intro"):
+        raise ValueError(f"unknown sign convention {sign_convention!r}")
+    for i in datum.nodes:
+        if datum.qi(i) != 1:
+            raise ValueError(f"geometric parameters need d_i = 1, got d_{i} = {datum.qi(i)}")
+    counts = {}
+    if orientation is None:
+        for i in datum.nodes:
+            for j in datum.nodes:
+                if datum.nodes.index(i) < datum.nodes.index(j):
+                    counts[(i, j)] = -datum.a[(i, j)]
+    else:
+        for (i, j), n in orientation.items():
+            if i not in datum.nodes or j not in datum.nodes:
+                raise ValueError(f"orientation names unknown pair ({i}, {j})")
+            if n < 0:
+                raise ValueError(f"negative edge count for ({i}, {j})")
+            counts[(i, j)] = int(n)
+    polys = {}
+    for i in datum.nodes:
+        for j in datum.nodes:
+            if i == j:
+                polys[(i, j)] = sympy.Integer(0)
+                continue
+            nij = counts.get((i, j), 0)
+            nji = counts.get((j, i), 0)
+            if nij + nji != -datum.a[(i, j)]:
+                raise ValueError(
+                    f"orientation of ({i}, {j}) has {nij}+{nji} edges, expected {-datum.a[(i, j)]}"
+                )
+            base = (x - y) ** nij * (y - x) ** nji
+            if sign_convention == "body":
+                sign = -1 if datum.tau[i] == i else 1
+            else:
+                sign = -1 if datum.tau[j] == i else 1
+            polys[(i, j)] = sympy.expand(sign * base)
+    for i in datum.nodes:
+        for j in datum.nodes:
+            if i != j:
+                flipped = polys[(j, i)].subs({x: y, y: x}, simultaneous=True)
+                if sympy.expand(polys[(i, j)] - flipped) != 0:
+                    raise ValueError(
+                        f"signed table is not symmetric on ({i}, {j}); "
+                        f"convention {sign_convention!r} is unusable for this datum"
+                    )
+    t = {}
+    for (i, j), p in polys.items():
+        if i != j:
+            t[(i, j)] = int(p.coeff(y, 0).coeff(x, -datum.a[(i, j)]))
+    return polys, t
+
+
+def _grid():
+    """(datum, convention, orientation) over eight data, two conventions and
+    an unknown one, and ten orientations of the pair of nodes 1 and 2."""
+    data = [make() for make in STANDARD.values()] + [
+        aux_a1a1(),
+        aux_double_edge(),
+        make_datum(["1", "2"], [[2, -1], [-1, 2]], [2, 2], {"1": "1", "2": "2"}, {"1": -1, "2": -1}),
+    ]
+    orientations = [None]
+    for pair in (("1", "2"), ("2", "1")):
+        orientations += [{pair: n} for n in range(3)]
+    orientations += [{("1", "2"): 1, ("2", "1"): 1}, {("1", "2"): -1}, {("1", "9"): 1}]
+    for datum in data:
+        for convention in ("body", "intro", "nope"):
+            for orientation in orientations:
+                yield datum, convention, orientation
+
+
+def test_geometric_qtable_matches_the_symbolic_construction():
+    valid = errors = 0
+    for datum, convention, orientation in _grid():
+        try:
+            want = _sympy_qtable(datum, orientation, convention)
+        except ValueError as exc:
+            with pytest.raises(Exception) as got:
+                geometric_qtable(datum, orientation, convention)
+            assert type(got.value) is type(exc), (datum.nodes, convention, orientation)
+            assert str(got.value) == str(exc), (datum.nodes, convention, orientation)
+            errors += 1
+            continue
+        polys, t = want
+        qt = geometric_qtable(datum, orientation, convention)
+        for i in datum.nodes:
+            for j in datum.nodes:
+                assert poly(qt, i, j) == polys[(i, j)], (datum.nodes, convention, orientation)
+        assert qt.t == t
+        valid += 1
+    assert (valid, errors) == (35, 205)
 
 
 # -- an independent oracle: the polynomial action, no twisted group algebra --
@@ -366,7 +495,7 @@ def _act(qt, elem, g, xs):
     (g - s_r g)/(x_r - x_{r+1}), a mixed crossing swaps x_r and x_{r+1}, and
     when the lower strand comes later in the node order it also multiplies
     by the table entry Q(x_r, x_{r+1})."""
-    x, y = sympy.symbols("qt_x qt_y")
+    x, y = _QX, _QY
     out = sympy.Poly(0, *xs)
     for b, c in elem.terms.items():
         h = g * sympy.Poly.from_dict({b.dots: 1}, *xs)
@@ -381,7 +510,7 @@ def _act(qt, elem, g, xs):
             else:
                 h = swapped
                 if qt.order(lo) > qt.order(hi):
-                    weight = qt.poly(hi, lo).subs({x: xs[r], y: xs[r + 1]}, simultaneous=True)
+                    weight = poly(qt, hi, lo).subs({x: xs[r], y: xs[r + 1]}, simultaneous=True)
                     h = h * sympy.Poly(weight, *xs)
                 cw[r], cw[r + 1] = hi, lo
         out = out + c * h

@@ -2,6 +2,7 @@
 
 import pytest
 
+import iquantum
 from iquantum.memo import MEMOS, Memo
 
 
@@ -9,12 +10,11 @@ from iquantum.memo import MEMOS, Memo
 def memo():
     m = Memo("test.MEMO")
     yield m
-    # by identity: an empty Memo compares equal to every other empty one
-    MEMOS[:] = [x for x in MEMOS if x is not m]
+    MEMOS.pop(m.name)
 
 
 def test_get_or_make_counts_one_miss_then_hits_and_keeps_falsy_values(memo):
-    assert any(x is memo for x in MEMOS)
+    assert MEMOS[memo.name] is memo
     made = []
 
     def make(value):
@@ -53,3 +53,13 @@ def test_reset_forgets_the_scope_and_zeroes_the_counters(memo):
     memo.within("a").get_or_make("k", str, 2)
     assert memo == {"k": "2"} and memo.scope == "a"
     assert memo.stats() == {"hits": 0, "misses": 1, "size": 1}
+
+
+def test_a_name_registered_again_replaces_its_table(memo):
+    memo.get_or_make("k", str, 1)
+    again = Memo(memo.name)
+    assert MEMOS[memo.name] is again
+    again.get_or_make("k", str, 2)
+    assert iquantum.cache_stats()[memo.name] == again.stats()
+    iquantum.clear_caches()
+    assert again == {} and memo == {"k": "1"}
