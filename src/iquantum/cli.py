@@ -90,6 +90,16 @@ def _node_map(obj, nodes, path, kind):
 
 MAX_ORDER = 1000
 
+# Cold-call timings on a 2-core machine (CHANGES.md): iserre --all on a
+# two-node datum takes 0.7 s at a_12 = a_21 = -4, 1.4 s at -6 and 5 s at -8,
+# since the relation has degree 1 - a_ij; |a_ij| <= 4 holds for every finite
+# and affine Cartan matrix.
+MAX_CARTAN = 4
+# RatQ reads numerators densely from their lowest exponent, so the cost is
+# linear in |lam|: bkl takes 0.7 s at 10^3 and 7 s at 10^6, and the heaviest
+# 8-letter pair 1.4 s at 10^3 and 2.3 s at 10^4.
+MAX_LAM = 1000
+
 
 def _check_order(order, path: str) -> int:
     """The truncation order rule, for the config's N and the --N flag alike."""
@@ -132,6 +142,11 @@ def parse_config(text: str) -> Config:
         for c, v in enumerate(row):
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ConfigError(f"cartan[{r}][{c}]", "expected int")
+            if r != c and abs(v) > MAX_CARTAN:
+                raise ConfigError(
+                    f"cartan[{r}][{c}]",
+                    f"off-diagonal |a| = {abs(v)}; at most {MAX_CARTAN} is supported",
+                )
 
     d = _need(raw, "d", list, "")
     if len(d) != len(nodes) or any(not isinstance(v, int) or isinstance(v, bool) for v in d):
@@ -182,6 +197,11 @@ def parse_config(text: str) -> Config:
         if not isinstance(entry, dict) or set(entry) - {"lam", "parity"}:
             raise ConfigError(path, 'expected an object with keys "lam" and "parity"')
         lam = _node_map(entry.get("lam", {}), nodes, f"{path}.lam", int)
+        for i, v in lam.items():
+            if abs(v) > MAX_LAM:
+                raise ConfigError(
+                    f"{path}.lam.{i}", f"|lam| = {abs(v)}; at most {MAX_LAM} is supported"
+                )
         par = _node_map(entry.get("parity", {}), nodes, f"{path}.parity", int)
         try:
             weights[name] = make_iweight(datum, lam, par)
@@ -351,12 +371,17 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _sweep(datum: SatakeDatum, lo: int, hi: int) -> list[IWeight]:
     """weight_sweep over [lo, hi], refused before it is built when it would
-    hold more than MAX_SWEEP weights."""
+    hold more than MAX_SWEEP weights or a lam beyond MAX_LAM."""
     reps, fixed = orbit_reps(datum)
     size = (hi - lo + 1) ** len(reps) * 2 ** len(fixed)
     if size > MAX_SWEEP:
         raise ConfigError(
             "", f"--lambda-range {lo}..{hi} gives {size} weights; at most {MAX_SWEEP} are supported"
+        )
+    reach = max(abs(lo), abs(hi))
+    if reps and reach > MAX_LAM:
+        raise ConfigError(
+            "", f"--lambda-range {lo}..{hi} gives |lam| = {reach}; at most {MAX_LAM} is supported"
         )
     return weight_sweep(datum, lo, hi)
 

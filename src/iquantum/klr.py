@@ -288,13 +288,22 @@ class QTable:
     involution sign already applied; t[(i, j)] is the leading coefficient,
     the sign.
 
-    Every table is validated here: each entry must be +-(x - y)^n, and the
-    symmetry Q_{i,j}(x, y) = Q_{j,i}(y, x), that is sign_ij = sign_ji *
-    (-1)^n, is what makes the polynomial action associative, so a violation
-    is an error naming the offending pair.
+    Every table is validated here: it must hold exactly the ordered pairs of
+    distinct datum nodes, each entry must be +-(x - y)^n, and the symmetry
+    Q_{i,j}(x, y) = Q_{j,i}(y, x), that is sign_ij = sign_ji * (-1)^n, is
+    what makes the polynomial action associative, so a violation is an error
+    naming the offending pair.
     """
 
     def __init__(self, datum: SatakeDatum, factors, sign_convention: str):
+        nodes = datum.nodes
+        for i, j in factors:
+            if i == j or i not in nodes or j not in nodes:
+                raise ValueError(f"table entry ({i}, {j}) is not a pair of distinct datum nodes")
+        for i in nodes:
+            for j in nodes:
+                if i != j and (i, j) not in factors:
+                    raise ValueError(f"table has no entry for ({i}, {j})")
         for (i, j), (sign, n) in factors.items():
             if sign not in (1, -1) or n < 0:
                 raise ValueError(f"table entry ({i}, {j}) is not +-(x - y)^n")

@@ -26,13 +26,19 @@ The shape sums (``pair_b`` and its restricted modes, ``pair_theta`` and
 ``hom_rank``) need only a histogram of the degrees.  Every strand joins two
 points of one tau-orbit and tau-partners share d, so all matchings of one
 word pair carry the same strands, counted once from the letters; the sum is
-the histogram over one product of strand factors 1 - q^(2d).
+the histogram over one product of strand factors 1 - q^(2d).  The histogram
+of ``degree`` over the matchings of one mode is kept in ``_HIST_MEMO``,
+keyed by (top, bottom, mode) at the same (datum.key(), weight) scope as
+``_ARC_MEMO``, so ``hom_rank`` and ``pair_b`` on one word pair enumerate
+and take degrees once; each still assembles its own signed sum, and their
+agreement (``hom_rank`` against the bar of ``pair_b``) stays a check of
+``_assemble``, ``bar`` and ``expand``.  ``pair_theta`` sums the
+weight-free crossing degree and keeps its own enumeration.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable
 from dataclasses import dataclass
 from math import comb, factorial, perm, prod
 
@@ -306,38 +312,59 @@ def _assemble(degs: Counter, strands: dict[int, int], sign: int) -> RatQ:
     return RatQ(LaurentPoly({sign * deg: n for deg, n in degs.items()}), den)
 
 
-def _shape_sum(
-    datum: SatakeDatum, top: Word, bottom: Word, mode: str, sign: int, deg_of: Callable[[Shape], int]
-) -> RatQ:
-    """``_assemble`` over the histogram of ``deg_of`` on the matchings of
-    one mode; zero, with no strand count, when there are none."""
+# degree histograms keyed (top, bottom, mode), scoped to the
+# (datum.key(), lw) of the last call
+_HIST_MEMO = Memo("shapes._HIST_MEMO")
+
+
+def _degree_histogram(datum: SatakeDatum, top: Word, bottom: Word, mode: str, lw: IWeight):
+    """Counter of ``degree`` over the matchings of one mode, or () when there
+    is none (a falsy value that ``Memo.get_or_make`` still counts a hit)."""
     found = enumerate_shapes(datum, top, bottom, mode)
-    if not found:
+    return Counter([degree(datum, sh, lw) for sh in found]) if found else ()
+
+
+def _shape_sum(
+    datum: SatakeDatum, top: Word, bottom: Word, mode: str, lw: IWeight, sign: int
+) -> RatQ:
+    """``_assemble`` over the ``_HIST_MEMO`` histogram of one mode; zero when
+    there is no matching, found before any lookup when the total length is
+    odd."""
+    top, bottom = tuple(top), tuple(bottom)
+    if (len(top) + len(bottom)) % 2:
         return RatQ.zero()
-    return _assemble(Counter(map(deg_of, found)), _strand_counts(datum, top, bottom), sign)
+    hist = _HIST_MEMO.within((datum.key(), lw)).get_or_make(
+        (top, bottom, mode), _degree_histogram, datum, top, bottom, mode, lw
+    )
+    if not hist:
+        return RatQ.zero()
+    return _assemble(hist, _strand_counts(datum, top, bottom), sign)
 
 
 def pair_b(datum: SatakeDatum, top: Word, bottom: Word, lw: IWeight) -> RatQ:
     """Shape sum over all matchings; the combinatorial route to ipair."""
-    return _shape_sum(datum, top, bottom, "all", -1, lambda sh: degree(datum, sh, lw))
+    return _shape_sum(datum, top, bottom, "all", lw, -1)
 
 
 def pair_b_nabla(datum: SatakeDatum, top: Word, bottom: Word, lw: IWeight) -> RatQ:
     """Shape sum over cap-free matchings; nonzero forces |bottom| <= |top|."""
-    return _shape_sum(datum, top, bottom, "cap_free", -1, lambda sh: degree(datum, sh, lw))
+    return _shape_sum(datum, top, bottom, "cap_free", lw, -1)
 
 
 def pair_delta_nabla(datum: SatakeDatum, top: Word, bottom: Word, lw: IWeight) -> RatQ:
     """Shape sum over permutation matchings (no cups, no caps)."""
-    return _shape_sum(datum, top, bottom, "cup_cap_free", -1, lambda sh: degree(datum, sh, lw))
+    return _shape_sum(datum, top, bottom, "cup_cap_free", lw, -1)
 
 
 def pair_theta(datum: SatakeDatum, top: Word, bottom: Word) -> RatQ:
     """Permutation matchings with the weight-independent crossing degree."""
-    return _shape_sum(
-        datum, top, bottom, "cup_cap_free", -1,
-        lambda sh: _crossing_degree(datum, [(sh.bottom[b], t) for b, t in sh.props]),
+    found = enumerate_shapes(datum, top, bottom, "cup_cap_free")
+    if not found:
+        return RatQ.zero()
+    degs = Counter(
+        _crossing_degree(datum, [(sh.bottom[b], t) for b, t in sh.props]) for sh in found
     )
+    return _assemble(degs, _strand_counts(datum, top, bottom), -1)
 
 
 @dataclass(frozen=True)
@@ -366,8 +393,7 @@ def hom_rank(datum: SatakeDatum, top: Word, bottom: Word, lw: IWeight, order: in
     the bar of pair_b.  Freeness (hence coefficient nonnegativity) holds
     under the nondegeneracy the construction assumes throughout.
     """
-    rank = _shape_sum(datum, top, bottom, "all", 1, lambda sh: degree(datum, sh, lw))
-    return RankSeries(expand(rank, ASC_Q, order))
+    return RankSeries(expand(_shape_sum(datum, top, bottom, "all", lw, 1), ASC_Q, order))
 
 
 def end_grdim(datum: SatakeDatum, order: int = 20) -> RankSeries:

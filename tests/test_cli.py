@@ -227,6 +227,7 @@ CACHE_NAMES = {
     "freealg._WORD_PAIR_CACHE",
     "iuea._B_WORD_MEMO",
     "shapes._ARC_MEMO",
+    "shapes._HIST_MEMO",
     "klr._PSI_CACHE",
     "klr._ENTRY_CACHE",
     "klr._ELEM_CACHE",
@@ -371,6 +372,84 @@ def test_lambda_range_sweep_is_bounded(capsys):
     assert len(cli._sweep(STANDARD["qs_a3"](), -250, 249)) == 1000
     # no tau-orbit of two nodes: the range does not enter the count
     assert len(cli._sweep(STANDARD["split_a2"](), -4000, 4000)) == 4
+
+
+def _cold_cli(*argv):
+    """python -m iquantum argv in a child with a 30 s timeout and a 2 GB
+    address-space limit, so an unbounded input fails the test instead of
+    stalling the suite or exhausting memory."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(iquantum.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "iquantum", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=30,
+        preexec_fn=limit,
+    )
+
+
+def test_weight_size_is_bounded(tmp_path, capsys):
+    # unbounded, |lam| = 10^8 ends in a MemoryError after about 15 s
+    assert cli.MAX_LAM == 1000
+    doc = base_config()
+    doc["weights"] = {"W": {"lam": {"1": -(10**8)}, "parity": {}}}
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps(doc))
+    proc = _cold_cli("bkl", "--config", str(path), "--i", "1", "--lambda", "W")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.strip() == (
+        "config error at weights.W.lam.1: |lam| = 100000000; at most 1000 is supported"
+    )
+    proc = _cold_cli("iserre", "--config", "qs_a2", "--all", "--lambda-range", "99999999..99999999")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.strip() == (
+        "config error: --lambda-range 99999999..99999999 gives |lam| = 99999999; "
+        "at most 1000 is supported"
+    )
+    # at the bound
+    doc["weights"] = {"W": {"lam": {"1": -1000}, "parity": {}}}
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "bkl", "--config", str(path), "--i", "1", "--lambda", "W")
+    assert code == 0 and out
+    code, out, _ = run_cli(
+        capsys,
+        "iserre", "--config", "qs_a2", "--i", "1", "--j", "2", "--lambda-range", "1000..1000",
+    )
+    assert code == 0 and out
+
+
+def test_cartan_entries_are_bounded(tmp_path, capsys):
+    # unbounded, a_12 = a_21 = -120 runs for minutes
+    assert cli.MAX_CARTAN == 4
+    doc = base_config()
+    path = tmp_path / "edge.json"
+    doc.update(cartan=[[2, -120], [-120, 2]], varsigma={"1": 120, "2": 0})
+    path.write_text(json.dumps(doc))
+    proc = _cold_cli("bkl", "--config", str(path), "--i", "1", "--lambda", "L1")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.strip() == (
+        "config error at cartan[0][1]: off-diagonal |a| = 120; at most 4 is supported"
+    )
+    # one past the bound, which alone would still answer in about a second
+    doc.update(cartan=[[2, -5], [-5, 2]], varsigma={"1": 5, "2": 0})
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "bkl", "--config", str(path), "--i", "1", "--lambda", "L1")
+    assert code == 2 and out == ""
+    assert err.strip() == (
+        "config error at cartan[0][1]: off-diagonal |a| = 5; at most 4 is supported"
+    )
+    # at the bound: the relation of degree 5 on both ordered pairs
+    doc.update(cartan=[[2, -4], [-4, 2]], varsigma={"1": 4, "2": 0})
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "iserre", "--config", str(path), "--all", "--lambda", "L1")
+    assert code == 0 and out.count("equal=true") == 2 and "all equal = true" in out
 
 
 def test_usage_and_config_errors(capsys):

@@ -389,6 +389,32 @@ def test_qtable_entry_must_be_a_signed_power_of_x_minus_y(pair, factor, message)
         QTable(good.datum, factors, good.sign_convention)
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ("empty", r"table has no entry for \(1, 2\)"),
+        ("drop-pair", r"table has no entry for \(2, 1\)"),
+        ("foreign-node", r"table entry \(1, 9\) is not a pair of distinct datum nodes"),
+        ("diagonal", r"table entry \(2, 2\) is not a pair of distinct datum nodes"),
+    ],
+)
+def test_qtable_holds_exactly_the_pairs_of_distinct_nodes(change, message):
+    # unchecked, each table builds and a missing pair surfaces as a KeyError
+    # at the first mixed crossing in mul
+    good = geometric_qtable(split_a2())
+    factors = dict(good.factors)
+    if change == "empty":
+        factors = {}
+    elif change == "drop-pair":
+        del factors[("2", "1")]
+    elif change == "foreign-node":
+        factors[("1", "9")] = factors[("9", "1")] = (1, 0)
+    else:
+        factors[("2", "2")] = (1, 0)
+    with pytest.raises(ValueError, match=message):
+        QTable(good.datum, factors, good.sign_convention)
+
+
 def _sympy_qtable(datum, orientation=None, sign_convention="body"):
     """The symbolic construction of the geometric table, kept as a
     reference: (polys, t) with every entry expanded by sympy, the symmetry
@@ -542,7 +568,9 @@ def test_mul_agrees_with_the_polynomial_action():
 def test_cache_stats_count_hits_misses_and_sizes():
     iquantum.clear_caches()
     stats = iquantum.cache_stats()
-    others = {"freealg._WORD_PAIR_CACHE", "iuea._B_WORD_MEMO", "shapes._ARC_MEMO"}
+    others = {
+        "freealg._WORD_PAIR_CACHE", "iuea._B_WORD_MEMO", "shapes._ARC_MEMO", "shapes._HIST_MEMO",
+    }
     mine = {"klr._PSI_CACHE", "klr._ENTRY_CACHE", "klr._ELEM_CACHE", "klr._FIELDS"}
     assert set(stats) == mine | others
     assert all(v == {"hits": 0, "misses": 0, "size": 0} for v in stats.values())

@@ -454,6 +454,129 @@ def test_arc_memo_closes_each_arc_set_once_per_realization(monkeypatch):
     assert iquantum.cache_stats()["shapes._ARC_MEMO"] == {"hits": 0, "misses": 0, "size": 0}
 
 
+# -------------------------------------------------------------- histogram memo
+#
+# pair_b, its restricted modes and hom_rank read one degree histogram per
+# (top, bottom, mode) through shapes._HIST_MEMO, at the (datum, weight) scope
+# of _ARC_MEMO.
+
+SUMS = {
+    "all": shapes.pair_b,
+    "cap_free": shapes.pair_b_nabla,
+    "cup_cap_free": shapes.pair_delta_nabla,
+}
+
+
+def _hist_stats():
+    return iquantum.cache_stats()["shapes._HIST_MEMO"]
+
+
+def test_memoized_histogram_is_the_counter_of_degrees():
+    iquantum.clear_caches()
+    rng = random.Random(1616)
+    golden = _golden_pairs()
+    empty = 0
+    for name in STANDARD:
+        datum = make(name)
+        pairs = golden[name] + [_series_pair(rng, name) for _ in range(2)]
+        pairs += [strand_pair(rng, datum, rng.randint(1, 3)) for _ in range(4)]
+        # even length with mismatched letters: no matching in any mode
+        pairs.append(((datum.nodes[0],) * 2, (datum.nodes[-1],) * 2))
+        for lw in oracle_weights(rng, datum)[1:3]:
+            for top, bottom in pairs:
+                for mode, route in SUMS.items():
+                    want = Counter(
+                        shapes.degree(datum, sh, lw)
+                        for sh in shapes.enumerate_shapes(datum, top, bottom, mode)
+                    )
+                    route(datum, top, bottom, lw)
+                    hist = shapes._HIST_MEMO[(top, bottom, mode)]
+                    assert shapes._HIST_MEMO.scope == (datum.key(), lw)
+                    if want:
+                        assert hist == want, (name, top, bottom, mode, lw)
+                    else:
+                        # a falsy value that get_or_make still counts a hit
+                        assert hist == () and route(datum, top, bottom, lw).is_zero()
+                        empty += 1
+    assert empty >= 20
+    # odd total length is zero before any lookup
+    before = _hist_stats()
+    datum = make("qs_a2")
+    lw = weight(datum, {"1": 1})
+    for route in SUMS.values():
+        assert route(datum, ("1", "2", "1"), ("2", "1"), lw).is_zero()
+    assert shapes.hom_rank(datum, ("1",), (), lw).series.coeffs == {}
+    assert _hist_stats() == before
+
+
+def test_hom_rank_after_pair_b_is_one_miss_then_one_hit(monkeypatch):
+    iquantum.clear_caches()
+    datum = make("qs_a3")
+    top, bottom = _series_pair(random.Random(16), "qs_a3")
+    lw = weight(datum, {"1": 1}, {"2": 1})
+    calls = []
+    enumerate_shapes = shapes.enumerate_shapes
+
+    def recorded(*args):
+        calls.append(args)
+        return enumerate_shapes(*args)
+
+    monkeypatch.setattr(shapes, "enumerate_shapes", recorded)
+    pb = shapes.pair_b(datum, top, bottom, lw)
+    assert _hist_stats() == {"hits": 0, "misses": 1, "size": 1}
+    rank = shapes.hom_rank(datum, top, bottom, lw, order=12)
+    assert _hist_stats() == {"hits": 1, "misses": 1, "size": 1}
+    assert len(calls) == 1
+    # each side still assembles its own sum: the check compares two signs
+    assert rank.series == expand(pb.bar(), ASC_Q, 12)
+    # a pair with no matching is stored too, and read back as a hit
+    none = (("1", "1"), ("2", "2"))
+    assert shapes.pair_b(datum, *none, lw).is_zero()
+    assert shapes.hom_rank(datum, *none, lw).series.coeffs == {}
+    assert _hist_stats() == {"hits": 2, "misses": 2, "size": 2}
+    assert len(calls) == 2
+
+
+def test_hist_memo_is_emptied_by_another_weight():
+    iquantum.clear_caches()
+    datum = make("qs_a2")
+    rng = random.Random(1661)
+    pairs = [_series_pair(rng, "qs_a2") for _ in range(2)]
+    lw_a, lw_b = weight(datum, {"1": 1}), weight(datum, {"1": -2})
+    sums = {}
+    for lw in (lw_a, lw_b):
+        iquantum.clear_caches()
+        sums[lw] = [shapes.pair_b(datum, t, b, lw) for t, b in pairs]
+    assert sums[lw_a] != sums[lw_b]
+    iquantum.clear_caches()
+    assert [shapes.pair_b(datum, t, b, lw_a) for t, b in pairs] == sums[lw_a]
+    assert _hist_stats()["size"] == 2
+    # another weight is another scope: the table holds only its entry
+    assert shapes.pair_b(datum, *pairs[0], lw_b) == sums[lw_b][0]
+    assert _hist_stats() == {"hits": 0, "misses": 3, "size": 1}
+    assert shapes._HIST_MEMO.scope == (datum.key(), lw_b)
+    assert shapes.pair_b(datum, *pairs[0], lw_a) == sums[lw_a][0]
+    assert _hist_stats() == {"hits": 0, "misses": 4, "size": 1}
+
+
+def test_each_mode_reads_its_own_histogram():
+    datum = make("split_a2")
+    rng = random.Random(1771)
+    top, bottom = _series_pair(rng, "split_a2")
+    # a shorter bottom word: all matchings, cup-only ones and none at all
+    bottom = bottom[:4]
+    lw = oracle_weights(rng, datum)[2]
+    fresh = {}
+    for mode, route in SUMS.items():
+        iquantum.clear_caches()
+        fresh[mode] = route(datum, top, bottom, lw)
+    assert len(set(map(str, fresh.values()))) == 3
+    iquantum.clear_caches()
+    for mode, route in SUMS.items():
+        assert route(datum, top, bottom, lw) == fresh[mode], mode
+    assert _hist_stats() == {"hits": 0, "misses": 3, "size": 3}
+
+
 # ------------------------------------------------------------------- pairings
 
 
