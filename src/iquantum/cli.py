@@ -540,13 +540,23 @@ def _cmd_shapes(cfg: Config, args) -> int:
 # Products on seven strands run for minutes (the longest permutation alone
 # has 5040 terms in the twisted group algebra); six take seconds.
 MAX_STRANDS = 6
+# A product's terms can grow with every factor (the square of a crossing of
+# two colors is a polynomial in the dots): 150 factors of "s1 ; s3 ; s5" on
+# e(1 2 1 2 1 2) give 17576 terms and take about 21 s cold on a 2-vCPU
+# machine, where a mul costs about 15-30 us per term.  So the factors after
+# e(word) and the terms after each product are both bounded; inside both,
+# the products timed there took at most 1.4 s cold.
+MAX_FACTORS = 64
+MAX_TERMS = 1000
 
 
 def _parse_klr_expr(text: str, qt) -> klr.KLRElem:
     """Parse 'e(1 2) ; x1 ; s1' style products, multiplying downward.
 
     Every factor keeps the strand count of the head e(word), since each
-    product needs matching boundary words, so the one bound is checked there.
+    product needs matching boundary words, so the strand bound is checked
+    there; the factor count is checked before any product and the term count
+    after each.
     """
     factors = [f.strip() for f in text.split(";")]
     head = re.fullmatch(r"e\(([^)]*)\)", factors[0]) if factors else None
@@ -555,11 +565,16 @@ def _parse_klr_expr(text: str, qt) -> klr.KLRElem:
     word = tuple(head.group(1).split())
     if len(word) > MAX_STRANDS:
         raise ValueError(f"e(...) has {len(word)} strands; at most {MAX_STRANDS} are supported")
+    if len(factors) - 1 > MAX_FACTORS:
+        raise ValueError(
+            f"expression has {len(factors) - 1} factors after e(...); "
+            f"at most {MAX_FACTORS} are supported"
+        )
     for tok in word:
         if tok not in qt.datum.nodes:
             raise ValueError(f"unknown node {tok!r} in e(...)")
     cur = klr.e(word)
-    for tok in factors[1:]:
+    for k, tok in enumerate(factors[1:], 1):
         m = re.fullmatch(r"e\(([^)]*)\)", tok)
         if m:
             nxt = klr.e(tuple(m.group(1).split()))
@@ -576,6 +591,11 @@ def _parse_klr_expr(text: str, qt) -> klr.KLRElem:
         else:
             raise ValueError(f"unrecognized factor {tok!r}; use e(word), xK, or sK")
         cur = klr.mul(qt, cur, nxt)
+        if len(cur.terms) > MAX_TERMS:
+            raise ValueError(
+                f"the product of e(...) and {k} factors has {len(cur.terms)} terms; "
+                f"at most {MAX_TERMS} are supported"
+            )
     return cur
 
 

@@ -400,8 +400,21 @@ class RatQ:
         return r
 
     def bar(self) -> "RatQ":
-        """The involution q -> q^-1."""
-        return RatQ(self.num.bar(), self.den.bar())
+        """The involution q -> q^-1.
+
+        q -> q^-1 maps coprime sides to coprime sides and keeps their joint
+        content, so the normal form needs no gcd: mirror both sides, shift
+        them by den's top exponent h so that den's lowest is 0 again, and
+        negate both if den's new top coefficient, its old constant term, is
+        negative.
+        """
+        h = max(self.den.c)
+        s = -1 if self.den.c[0] < 0 else 1
+        num = LaurentPoly()
+        num.c = {h - e: s * v for e, v in self.num.c.items()}
+        den = LaurentPoly()
+        den.c = {h - e: s * v for e, v in self.den.c.items()}
+        return RatQ._trusted(num, den)
 
     def __str__(self) -> str:
         if self.den == LaurentPoly.one():

@@ -34,6 +34,15 @@ and take degrees once; each still assembles its own signed sum, and their
 agreement (``hom_rank`` against the bar of ``pair_b``) stays a check of
 ``_assemble``, ``bar`` and ``expand``.  ``pair_theta`` sums the
 weight-free crossing degree and keeps its own enumeration.
+
+``enumerate_shapes`` reads the matchings through ``_SHAPE_MEMO``, keyed by
+mode and scoped to the (datum.key(), top, bottom) of its last call, so the
+memo holds one word pair's matchings in at most three modes and that scope
+is its bound.  A caller that walks the matchings after a shape sum on the
+same pair (``degree`` against ``degree_alt`` after ``hom_rank``) reads them
+instead of enumerating again.  Each call returns a new list over the stored
+tuple; the mode check and the empty list of an odd total length come before
+any lookup.
 """
 
 from __future__ import annotations
@@ -67,26 +76,44 @@ class Shape:
     props: tuple[tuple[int, int], ...]
 
 
+# the matchings of one word pair keyed by mode, scoped to the
+# (datum.key(), top, bottom) of the last call
+_SHAPE_MEMO = Memo("shapes._SHAPE_MEMO")
+
+
 def enumerate_shapes(
     datum: SatakeDatum, top: Word, bottom: Word, mode: str = "all"
 ) -> list[Shape]:
-    """All label-compatible matchings between the two words.
+    """All label-compatible matchings between the two words, as a new list.
 
     Cups need the later top label to be the involution partner of the
-    earlier one, caps likewise on the bottom, props need equal labels.  The
-    recursion always matches the first open point, so each matching is
-    produced exactly once, and cups and caps come out sorted by their first
-    foot; modes drop caps, or both cups and caps.
+    earlier one, caps likewise on the bottom, props need equal labels; modes
+    drop caps, or both cups and caps (``_enumerate``).  The matchings are
+    read through ``_SHAPE_MEMO``, which holds those of the last word pair.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    allow_cups = mode in ("all", "cap_free")
-    allow_caps = mode == "all"
     top = tuple(top)
     bottom = tuple(bottom)
-    out: list[Shape] = []
     if (len(top) + len(bottom)) % 2:
-        return out
+        return []
+    return list(
+        _SHAPE_MEMO.within((datum.key(), top, bottom)).get_or_make(
+            mode, _enumerate, datum, top, bottom, mode
+        )
+    )
+
+
+def _enumerate(datum: SatakeDatum, top: Word, bottom: Word, mode: str) -> tuple[Shape, ...]:
+    """The matchings of one mode, on tuples of even total length.
+
+    The recursion always matches the first open point, so each matching is
+    produced exactly once, and cups and caps come out sorted by their first
+    foot.
+    """
+    allow_cups = mode in ("all", "cap_free")
+    allow_caps = mode == "all"
+    out: list[Shape] = []
 
     def rec(ut, ub, cups, caps, props):
         if not ut and not ub:
@@ -112,7 +139,7 @@ def enumerate_shapes(
                     rec(ut, rest[:k] + rest[k + 1 :], cups, caps + ((p, q),), props)
 
     rec(tuple(range(len(top))), tuple(range(len(bottom))), (), (), ())
-    return out
+    return tuple(out)
 
 
 def _matchings(n: int, allowed: bool) -> int:

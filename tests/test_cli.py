@@ -228,6 +228,7 @@ CACHE_NAMES = {
     "iuea._B_WORD_MEMO",
     "shapes._ARC_MEMO",
     "shapes._HIST_MEMO",
+    "shapes._SHAPE_MEMO",
     "klr._PSI_CACHE",
     "klr._ENTRY_CACHE",
     "klr._ELEM_CACHE",
@@ -450,6 +451,32 @@ def test_cartan_entries_are_bounded(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, out, _ = run_cli(capsys, "iserre", "--config", str(path), "--all", "--lambda", "L1")
     assert code == 0 and out.count("equal=true") == 2 and "all equal = true" in out
+
+
+def test_klr_factors_and_terms_are_bounded(capsys):
+    # unbounded, these 150 factors take about 21 s and 240 run past 120 s
+    assert cli.MAX_FACTORS == 64 and cli.MAX_TERMS == 1000
+    head = "e(1 2 1 2 1 2)"
+    proc = _cold_cli("klr", "--config", "qs_a2", "--expr", head + " ; s1 ; s3 ; s5" * 50)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.strip() == (
+        "error: expression has 150 factors after e(...); at most 64 are supported"
+    )
+    code, out, err = run_cli(capsys, "klr", "--config", "qs_a2", "--expr", head + " ; x1" * 65)
+    assert code == 2 and out == "" and "65 factors" in err
+    code, out, _ = run_cli(capsys, "klr", "--config", "qs_a2", "--expr", head + " ; x1" * 64)
+    assert code == 0 and "x1^64" in out
+    # within the factor bound, the terms pass the bound at the 58th factor
+    expr = head + " ; s1 ; s3 ; s5" * 21 + " ; s1"
+    code, out, err = run_cli(capsys, "klr", "--config", "qs_a2", "--expr", expr)
+    assert code == 2 and out == ""
+    assert err.strip() == (
+        "error: the product of e(...) and 58 factors has 1100 terms; at most 1000 are supported"
+    )
+    # at both bounds: 1000 terms from the 54th factor on, 64 factors
+    expr = head + " ; s1 ; s3 ; s5" * 18 + " ; x1" * 10
+    code, out, _ = run_cli(capsys, "klr", "--config", "qs_a2", "--expr", expr)
+    assert code == 0 and out.count("*[") == 1000
 
 
 def test_usage_and_config_errors(capsys):

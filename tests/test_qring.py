@@ -420,6 +420,17 @@ def test_ratq_shifted_is_a_q_power_multiple_in_normal_form(x, k):
     assert z == x * RatQ.q_power(k)
 
 
+@_PROPERTY
+@given(_laurent, _nonzero, _cofactor)
+def test_ratq_bar_is_the_normalized_mirror(a, b, c):
+    """bar skips the gcd; it must equal normalizing the mirrored sides."""
+    for x in (RatQ(a, b), RatQ(a * c, b), RatQ(a, b * c)):
+        z = x.bar()
+        want = RatQ(x.num.bar(), x.den.bar())
+        assert z.num.c == want.num.c and z.den.c == want.den.c
+        assert z.bar().num.c == x.num.c and z.bar().den.c == x.den.c
+
+
 def _unit_ended(p: LaurentPoly, top: int, low: int) -> LaurentPoly:
     """p with its lowest and highest coefficients set to the units low, top."""
     c = dict(p.c) or {0: 1}

@@ -577,6 +577,118 @@ def test_each_mode_reads_its_own_histogram():
     assert _hist_stats() == {"hits": 0, "misses": 3, "size": 3}
 
 
+# ------------------------------------------------------------------ shape memo
+#
+# enumerate_shapes reads the matchings of one word pair through
+# shapes._SHAPE_MEMO, keyed by mode at the (datum, top, bottom) scope; the
+# memo-free route calls the miss path, shapes._enumerate, every time.
+
+
+def _shape_stats():
+    return iquantum.cache_stats()["shapes._SHAPE_MEMO"]
+
+
+def test_enumerate_shapes_matches_the_memo_free_recursion():
+    iquantum.clear_caches()
+    rng = random.Random(1717)
+    golden = _golden_pairs()
+    npairs = scopes = 0
+    last = None
+    for name in STANDARD:
+        datum = make(name)
+        pairs = golden[name] + [_series_pair(rng, name) for _ in range(2)]
+        pairs += [strand_pair(rng, datum, rng.randint(1, 3)) for _ in range(4)]
+        for top, bottom in pairs:
+            # a pair equal to the one before keeps its scope and only hits
+            scopes += (name, top, bottom) != last
+            last = (name, top, bottom)
+            want = {m: list(shapes._enumerate(datum, top, bottom, m)) for m in shapes.MODES}
+            assert len(want["all"]) == shapes.shape_count(datum, top, bottom)
+            # every mode cold, then again in reverse order from the memo
+            for mode in (*shapes.MODES, *reversed(shapes.MODES)):
+                assert shapes.enumerate_shapes(datum, top, bottom, mode) == want[mode], (
+                    name, top, bottom, mode,
+                )
+            # lists name the same pair as tuples
+            assert shapes.enumerate_shapes(datum, list(top), list(bottom)) == want["all"]
+            npairs += 1
+    assert npairs == 40 + 5 * 6
+    assert _shape_stats() == {
+        "hits": 7 * npairs - 3 * scopes, "misses": 3 * scopes, "size": 3,
+    }
+
+
+def test_returned_lists_are_copies():
+    iquantum.clear_caches()
+    datum = make("qs_a2")
+    top, bottom = _series_pair(random.Random(1718), "qs_a2")
+    first = shapes.enumerate_shapes(datum, top, bottom)
+    want = list(first)
+    assert len(want) == 720
+    first.reverse()
+    first.append(first[0])
+    second = shapes.enumerate_shapes(datum, top, bottom)
+    assert second == want and second is not first
+    second.clear()
+    assert shapes.enumerate_shapes(datum, top, bottom) == want
+    assert _shape_stats() == {"hits": 2, "misses": 1, "size": 1}
+
+
+def test_another_pair_or_datum_empties_the_shape_memo():
+    iquantum.clear_caches()
+    qs, split = make("qs_a2"), make("split_a2")
+    assert qs.nodes == split.nodes and qs.key() != split.key()
+    pair_a, pair_b = _series_pair(random.Random(1719), "qs_a2"), (("1", "2"), ())
+    for mode in shapes.MODES:
+        shapes.enumerate_shapes(qs, *pair_a, mode)
+    assert _shape_stats() == {"hits": 0, "misses": 3, "size": 3}
+    assert shapes._SHAPE_MEMO.scope == (qs.key(), *pair_a)
+    # another pair: the table holds only its entry
+    assert len(shapes.enumerate_shapes(qs, *pair_b)) == 1
+    assert _shape_stats() == {"hits": 0, "misses": 4, "size": 1}
+    assert shapes._SHAPE_MEMO.scope == (qs.key(), *pair_b)
+    # the same words on another datum: 1 and 2 are not partners there
+    assert shapes.enumerate_shapes(split, *pair_b) == []
+    assert _shape_stats() == {"hits": 0, "misses": 5, "size": 1}
+    assert shapes._SHAPE_MEMO.scope == (split.key(), *pair_b)
+    assert len(shapes.enumerate_shapes(qs, *pair_b)) == 1
+    assert _shape_stats() == {"hits": 0, "misses": 6, "size": 1}
+
+
+def test_hom_rank_then_enumerate_shapes_is_one_miss_then_one_hit(monkeypatch):
+    iquantum.clear_caches()
+    datum = make("qs_a3")
+    top, bottom = _series_pair(random.Random(1720), "qs_a3")
+    lw = weight(datum, {"1": 1}, {"2": 1})
+    calls = []
+    recursion = shapes._enumerate
+
+    def recorded(*args):
+        calls.append(args)
+        return recursion(*args)
+
+    monkeypatch.setattr(shapes, "_enumerate", recorded)
+    shapes.hom_rank(datum, top, bottom, lw, order=12)
+    assert _shape_stats() == {"hits": 0, "misses": 1, "size": 1}
+    found = shapes.enumerate_shapes(datum, top, bottom, "all")
+    assert _shape_stats() == {"hits": 1, "misses": 1, "size": 1}
+    assert len(calls) == 1 and len(found) == shapes.shape_count(datum, top, bottom)
+    assert all(shapes.degree(datum, sh, lw) == shapes.degree_alt(datum, sh, lw) for sh in found)
+
+
+def test_odd_lengths_never_touch_the_shape_memo():
+    iquantum.clear_caches()
+    datum = make("qs_a2")
+    assert len(shapes.enumerate_shapes(datum, ("1", "2"), ("2", "1"))) == 2
+    before, scope = _shape_stats(), shapes._SHAPE_MEMO.scope
+    for mode in shapes.MODES:
+        assert shapes.enumerate_shapes(datum, ("1", "2", "1"), ("2", "1"), mode) == []
+        assert shapes.enumerate_shapes(datum, ("1",), (), mode) == []
+    with pytest.raises(ValueError, match="unknown mode"):
+        shapes.enumerate_shapes(datum, ("1", "2"), ("2", "1"), "no_props")
+    assert _shape_stats() == before and shapes._SHAPE_MEMO.scope == scope
+
+
 # ------------------------------------------------------------------- pairings
 
 
