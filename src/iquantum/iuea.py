@@ -1,19 +1,19 @@
 """Module elements over an iweight, driven by the b-generator recursion.
 
-An ``IElem`` is a base iweight together with two free-algebra images that
-evolve in parallel under ``act_b``: ``jt`` feeds the left slot of the
-sesquilinear pairing and ``j`` the right slot.  Both are kept because only
-bar-symmetric elements allow recovering one image from the other.
+An ``IElem`` is a base iweight together with one free-algebra image ``jt``,
+built under ``act_b`` with the iRtilde twist; it feeds the left slot of the
+sesquilinear pairing.  The right slot wants the image built with the iR
+twist, which is psi(jt) on every element the pairing meets: those are
+``b_word`` images, and the generators b_i are psi-invariant.  So ``ipair``
+reads its right slot as psi(jt) and no second image is kept.
 
-Both images are stored as integer Laurent numerators, one per word, over one
-denominator ``den`` that they share.  The recursion knows every denominator
-in advance: each action of b_i multiplies ``den`` by f = 1 - q^{2 d_i},
-which absorbs the twisted derivations' values 1/f and
-1/(1 - q^{-2 d_i}) = -q^{2 d_i}/f, and each divided power multiplies it by
+The image is stored as integer Laurent numerators, one per word, over one
+denominator ``den``.  The recursion knows every denominator in advance: each
+action of b_i multiplies ``den`` by f = 1 - q^{2 d_i}, which absorbs the
+twisted derivation's value 1/f, and each divided power multiplies it by
 [n]_i!.  So ``act_b`` and ``b_divided`` run on Laurent polynomials and never
 take a gcd.  ``ipair`` builds one normalized RatQ per pairing, and reading
-``.jt`` or ``.j`` builds the free-algebra image with one normalized RatQ per
-word.
+``.jt`` builds the free-algebra image with one normalized RatQ per word.
 
 ``b_word`` memoizes the images of word suffixes, since b_word(w) is one
 ``b_divided`` on b_word(w[1:]).  The memo's scope is its bound: it holds the
@@ -72,142 +72,101 @@ def _add(a: Numerators, b: Numerators) -> Numerators:
     return out
 
 
-def _image(nums: Numerators, den: LaurentPoly) -> FElem:
-    return FElem({w: RatQ(n, den) for w, n in nums.items()})
-
-
 class IElem:
-    """A module element: base weight plus the two images over ``den``.
+    """A module element: base weight plus the jt-image over ``den``.
 
-    ``num_jt`` and ``num_j`` map words to nonzero Laurent numerators.
+    ``num_jt`` maps words to nonzero Laurent numerators.  The image the
+    right slot of ``ipair`` wants is psi(jt), since the elements the
+    pairing meets are ``b_word`` images and so psi-invariant.
     """
 
-    __slots__ = ("base", "den", "num_jt", "num_j")
+    __slots__ = ("base", "den", "num_jt")
 
-    def __init__(self, base: IWeight, den: LaurentPoly, num_jt: Numerators, num_j: Numerators):
+    def __init__(self, base: IWeight, den: LaurentPoly, num_jt: Numerators):
         self.base = base
         self.den = den
         self.num_jt = num_jt
-        self.num_j = num_j
 
     @property
     def jt(self) -> FElem:
-        return _image(self.num_jt, self.den)
-
-    @property
-    def j(self) -> FElem:
-        return _image(self.num_j, self.den)
+        return FElem({w: RatQ(n, self.den) for w, n in self.num_jt.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IElem):
             return NotImplemented
-        return self.base == other.base and self.jt == other.jt and self.j == other.j
+        return self.base == other.base and self.jt == other.jt
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        return f"IElem({self.base}, jt={self.jt}, j={self.j})"
+        return f"IElem({self.base}, jt={self.jt})"
 
     def __add__(self, other: "IElem") -> "IElem":
         if self.base != other.base:
             raise ValueError("cannot add elements over different base weights")
-        if not self.num_jt and not self.num_j:
+        if not self.num_jt:
             return other
-        if not other.num_jt and not other.num_j:
+        if not other.num_jt:
             return self
         if self.den == other.den:
-            return IElem(
-                self.base, self.den, _add(self.num_jt, other.num_jt), _add(self.num_j, other.num_j)
-            )
-        # cross-multiplied; the sum is normalized only when an image is read
+            return IElem(self.base, self.den, _add(self.num_jt, other.num_jt))
+        # cross-multiplied; the sum is normalized only when the image is read
         a, b = self.den, other.den
-        return IElem(
-            self.base,
-            a * b,
-            _add(_times(self.num_jt, b), _times(other.num_jt, a)),
-            _add(_times(self.num_j, b), _times(other.num_j, a)),
-        )
+        return IElem(self.base, a * b, _add(_times(self.num_jt, b), _times(other.num_jt, a)))
 
     def __sub__(self, other: "IElem") -> "IElem":
         return self + other.scale(RatQ.from_int(-1))
 
     def over(self, num: LaurentPoly, den: LaurentPoly) -> "IElem":
         """self times num/den, multiplied out without normalizing."""
-        return IElem(
-            self.base,
-            self.den * den,
-            _times(self.num_jt, num),
-            _times(self.num_j, num),
-        )
+        return IElem(self.base, self.den * den, _times(self.num_jt, num))
 
     def scale(self, c: RatQ) -> "IElem":
         return self.over(c.num, c.den)
 
 
 def unit(lw: IWeight) -> IElem:
-    """The generator 1_lambda: both images are the empty word."""
-    return IElem(lw, LaurentPoly.one(), {(): LaurentPoly.one()}, {(): LaurentPoly.one()})
+    """The generator 1_lambda: its image is the empty word."""
+    return IElem(lw, LaurentPoly.one(), {(): LaurentPoly.one()})
 
 
 def zero(lw: IWeight) -> IElem:
-    return IElem(lw, LaurentPoly.one(), {}, {})
+    return IElem(lw, LaurentPoly.one(), {})
 
 
 def _component_weight(datum: SatakeDatum, base: IWeight, w: Word) -> IWeight:
     return apply_word(datum, base, to_dpword(w))
 
 
-def _support(xi: IElem) -> set[Word]:
-    return xi.num_jt.keys() | xi.num_j.keys()
-
-
 def act_b(datum: SatakeDatum, i: str, xi: IElem) -> IElem:
     """Act by the generator b_i.
 
-    Each image gains a concatenated letter plus a twisted-derivation
-    correction whose q-power reads off the weight of the component the
-    correction came from.  Over the new denominator den * f, with
-    f = 1 - q^{2 d}, the concatenated words carry n * f, iRtilde's value
-    1/f is 1 and iR's value -q^{2d}/f is a shift and a sign, so each
-    numerator is twisted first and each image takes one derivation scan.
+    The jt-image gains a concatenated letter plus an iRtilde correction
+    whose q-power reads off the weight of the component the correction came
+    from.  Over the new denominator den * f, with f = 1 - q^{2 d}, the
+    concatenated words carry n * f and iRtilde's value 1/f is 1, so the
+    numerators are twisted first and take one derivation scan.
     """
     ti = datum.tau[i]
     di = datum.qi(i)
     d = datum.qi(ti)
     vs = datum.varsigma[i]
     f = LaurentPoly({0: 1, 2 * d: -1})
-    lam = {w: _component_weight(datum, xi.base, w).lam_of(i) for w in _support(xi)}
-    jt = freealg._derivation(
-        datum,
-        ti,
-        {w: n.shifted(di * (lam[w] - vs - 1)) for w, n in xi.num_jt.items()},
-        "left",
-        -1,
-    )
-    j = freealg._derivation(
-        datum,
-        ti,
-        {w: -n.shifted(di * (1 + vs - lam[w]) + 2 * d) for w, n in xi.num_j.items()},
-        "left",
-        1,
-    )
-    return IElem(
-        xi.base,
-        xi.den * f,
-        _add({(i,) + w: n * f for w, n in xi.num_jt.items()}, jt),
-        _add({(i,) + w: n * f for w, n in xi.num_j.items()}, j),
-    )
+    twisted = {
+        w: n.shifted(di * (_component_weight(datum, xi.base, w).lam_of(i) - vs - 1))
+        for w, n in xi.num_jt.items()
+    }
+    jt = freealg._derivation(datum, ti, twisted, "left", -1)
+    return IElem(xi.base, xi.den * f, _add({(i,) + w: n * f for w, n in xi.num_jt.items()}, jt))
 
 
 def _split_by_parity(datum: SatakeDatum, i: str, xi: IElem) -> dict[int, IElem]:
     """Partition an element by the parity of its component weights at i;
     every part keeps the element's denominator."""
-    par = {w: _component_weight(datum, xi.base, w).par_of(i) for w in _support(xi)}
-    parts: dict[int, tuple[Numerators, Numerators]] = {}
-    for k, nums in enumerate((xi.num_jt, xi.num_j)):
-        for w, n in nums.items():
-            parts.setdefault(par[w], ({}, {}))[k][w] = n
-    return {p: IElem(xi.base, xi.den, a, b) for p, (a, b) in parts.items()}
+    parts: dict[int, Numerators] = {}
+    for w, n in xi.num_jt.items():
+        parts.setdefault(_component_weight(datum, xi.base, w).par_of(i), {})[w] = n
+    return {p: IElem(xi.base, xi.den, nums) for p, nums in parts.items()}
 
 
 def b_divided(datum: SatakeDatum, i: str, n: int, xi: IElem) -> IElem:
@@ -283,19 +242,21 @@ def _fold_suffixes(memo: dict, datum: SatakeDatum, word: DPWord) -> IElem:
 
 
 def ipair(datum: SatakeDatum, xi: IElem, eta: IElem) -> RatQ:
-    """Sesquilinear pairing: bar the left jt-image against the right j-image.
+    """Sesquilinear pairing: bar the left jt-image against psi(jt) of the right.
 
-    Sums bar(n_x) n_y (w_x, w_y) over the memoized word pairings, grouped by
-    the denominator of the word pairing, then divides by bar(den_x) den_y
-    and normalizes once.  Words of different letter content pair to zero,
-    so the right words are bucketed by sorted content once, and a left word
-    meets only its own bucket.
+    Precondition: eta is psi-invariant, as every ``b_word`` image is, so
+    its iR-image is psi(jt), with coefficients bar(n_y) / bar(den_y).
+    Sums bar(n_x) bar(n_y) (w_x, w_y) over the memoized word pairings,
+    grouped by the denominator of the word pairing, then divides by
+    bar(den_x) bar(den_y) and normalizes once.  Words of different letter
+    content pair to zero, so the right words are bucketed by sorted content
+    once, and a left word meets only its own bucket.
     """
     if xi.base != eta.base:
         return RatQ.zero()
     buckets: dict[Word, list[tuple[Word, LaurentPoly]]] = {}
-    for wy, ny in eta.num_j.items():
-        buckets.setdefault(tuple(sorted(wy)), []).append((wy, ny))
+    for wy, ny in eta.num_jt.items():
+        buckets.setdefault(tuple(sorted(wy)), []).append((wy, ny.bar()))
     groups: dict[LaurentPoly, LaurentPoly] = {}
     for wx, nx in xi.num_jt.items():
         bucket = buckets.get(tuple(sorted(wx)))
@@ -313,7 +274,7 @@ def ipair(datum: SatakeDatum, xi: IElem, eta: IElem) -> RatQ:
     num, den = LaurentPoly.zero(), LaurentPoly.one()
     for g, t in groups.items():
         num, den = num * g + t * den, den * g
-    return RatQ(num, den * xi.den.bar() * eta.den)
+    return RatQ(num, den * xi.den.bar() * eta.den.bar())
 
 
 def pair_nabla(datum: SatakeDatum, xi: IElem, word: DPWord) -> RatQ:

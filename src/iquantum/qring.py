@@ -370,9 +370,6 @@ class RatQ:
         normal form and is not normalized again."""
         return RatQ._trusted(self.num.shifted(k), self.den)
 
-    def __rsub__(self, other) -> "RatQ":
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, int):
             other = RatQ.from_int(other)
@@ -390,14 +387,6 @@ class RatQ:
         if other.is_zero():
             raise ZeroDivisionError("RatQ division by zero")
         return RatQ(self.num * other.den, self.den * other.num)
-
-    def __pow__(self, n: int) -> "RatQ":
-        if n < 0:
-            return RatQ.one() / (self ** (-n))
-        r = RatQ.one()
-        for _ in range(n):
-            r = r * self
-        return r
 
     def bar(self) -> "RatQ":
         """The involution q -> q^-1.

@@ -238,9 +238,6 @@ class LamVec:
                 return v
         return 0
 
-    def total(self) -> int:
-        return sum(v for _, v in self.mult)
-
 
 def leq_lambda(datum: SatakeDatum, alpha: LamVec, beta: LamVec) -> bool:
     """Order test: beta - alpha must lie in the cone spanned by alpha_i + alpha_{tau i}.

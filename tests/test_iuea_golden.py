@@ -61,7 +61,7 @@ def _capture():
             xs = {w: iuea.b_word(datum, w, lw) for w in words}
             for w, xi in xs.items():
                 key = f"{name} {label} {lw} [{format_dpword(w)}]"
-                images[key] = {"jt": str(xi.jt), "j": str(xi.j)}
+                images[key] = {"jt": str(xi.jt), "j": str(xi.jt.psi())}
             for wx in words:
                 for wy in words:
                     key = f"{name} {label} [{format_dpword(wx)}] | [{format_dpword(wy)}]"
