@@ -6,9 +6,10 @@ Submodules:
   truncated series and quantum binomials.
 * ``satake``: Cartan data with involution, iweights and word bookkeeping.
 * ``freealg``: the free-type algebra on theta generators with twisted
-  derivations and its bilinear forms.
+  derivations and its bilinear form.
 * ``iuea``: b-monomials and (i)divided powers through the recursive
-  isometries, the sesquilinear pairing, iSerre and expansion checks.
+  isometries, the sesquilinear pairing, the iSerre check and the
+  straightening coefficients.
 * ``shapes``: cup/cap/propagating diagram enumeration, degrees, pairing and
   graded rank series.
 * ``klr``: the quiver Hecke algebra with signed two-variable parameters,

@@ -13,7 +13,7 @@ Encodings:
   (``_derivation``) only shifts and adds, so ``iuea`` runs the same scan on
   its Laurent numerators.
 * ``pair`` is the bilinear form with (1,1) = 1 and adjunction peeling the
-  left argument's leading letter through iR; ``sesq(x,y) = pair(psi(x), y)``.
+  left argument's leading letter through iR.
   Symmetry of ``pair`` is a tested property, not an assumption.
 """
 
@@ -237,7 +237,3 @@ def _peel_pair(datum: SatakeDatum, wx: Word, wy: Word) -> RatQ:
         pref += datum.a[(i, letter)]
     return total
 
-
-def sesq(datum: SatakeDatum, x: FElem, y: FElem) -> RatQ:
-    """Sesquilinear form: bar-twist the left argument, then pair."""
-    return pair(datum, x.psi(), y)

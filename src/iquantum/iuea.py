@@ -118,10 +118,17 @@ class IElem:
         return self + other.scale(RatQ.from_int(-1))
 
     def over(self, num: LaurentPoly, den: LaurentPoly) -> "IElem":
-        """self times num/den, multiplied out without normalizing."""
+        """self times num/den, multiplied out without normalizing.
+
+        The result is a valid right argument of ``ipair`` only when num/den
+        is bar-invariant: ``ipair`` reads its right slot as psi(jt), which
+        bars the scalar too, so any other scalar comes out barred.
+        """
         return IElem(self.base, self.den * den, _times(self.num_jt, num))
 
     def scale(self, c: RatQ) -> "IElem":
+        """self times c; as with ``over``, the result is a valid right
+        argument of ``ipair`` only when c is bar-invariant."""
         return self.over(c.num, c.den)
 
 
@@ -277,15 +284,6 @@ def ipair(datum: SatakeDatum, xi: IElem, eta: IElem) -> RatQ:
     return RatQ(num, den * xi.den.bar() * eta.den.bar())
 
 
-def pair_nabla(datum: SatakeDatum, xi: IElem, word: DPWord) -> RatQ:
-    """Pair an element against the dual spanning vector indexed by word.
-
-    The dual vector's j-image is the divided theta word, and the two bar
-    twists cancel, leaving a plain bilinear pairing of the jt-image.
-    """
-    return freealg.pair(datum, xi.jt, freealg.theta_word(datum, word))
-
-
 def jt_delta_coeff(datum: SatakeDatum, xi: IElem, word: DPWord) -> RatQ:
     """Coefficient of the delta vector of word in xi, read off the jt-image."""
     num = xi.num_jt.get(to_word(word), LaurentPoly.zero())
@@ -420,22 +418,3 @@ def bkl_product_form(datum: SatakeDatum, i: str, lw: IWeight) -> RatQ:
     s = s - RatQ.q_power(d * (c2 + vs - li))
     return prod * s / RatQ.from_laurent(LaurentPoly({d: 1, -d: -1}))
 
-
-def nahacurry_expand(
-    datum: SatakeDatum, i: str, j: str, n: int, m: int, lw: IWeight
-) -> dict[DPWord, RatQ]:
-    """Expansion of b over the word i^(n) j i^(m-n) in the delta spanning set.
-
-    Returns the word itself with coefficient one, plus an i^(m-1) correction
-    exactly when j is the involution partner of i.
-    """
-    if i == j:
-        raise ValueError("nahacurry_expand needs two distinct nodes")
-    _check_fc_args(datum, n, m, i)
-    head: DPWord = ((i, n),) if n else ()
-    tail: DPWord = ((i, m - n),) if m - n else ()
-    out: dict[DPWord, RatQ] = {head + ((j, 1),) + tail: RatQ.one()}
-    if datum.tau[j] == i:
-        key: DPWord = ((i, m - 1),) if m > 1 else ()
-        out[key] = f_coeff(datum, n, m, i, lw)
-    return out

@@ -13,8 +13,7 @@ Encodings:
   package: there is none.  Normalizing uses integers only: the common factor
   is the primitive gcd over Z[q], which by Gauss's lemma is the gcd over
   Q[q] up to a unit, and it is skipped when either side has one term.
-* ``PowerSeriesTrunc`` is a truncated expansion in either direction,
-  ascending in q (dir ``"q"``) or ascending in q^-1 (dir ``"q^-1"``), with
+* ``PowerSeriesTrunc`` is a truncated expansion ascending in q, with
   integer coefficients and all stored exponents of magnitude <= order.
 
 Quantum combinatorics (balanced quantum integers, factorials and binomials
@@ -27,7 +26,6 @@ from fractions import Fraction
 from math import gcd
 
 ASC_Q = "q"
-ASC_QINV = "q^-1"
 
 
 class LaurentPoly:
@@ -49,10 +47,6 @@ class LaurentPoly:
     @staticmethod
     def one() -> "LaurentPoly":
         return LaurentPoly({0: 1})
-
-    @staticmethod
-    def from_int(n: int) -> "LaurentPoly":
-        return LaurentPoly({0: n})
 
     @staticmethod
     def q_power(e: int, coeff: int = 1) -> "LaurentPoly":
@@ -138,22 +132,6 @@ class LaurentPoly:
         r = LaurentPoly()
         r.c = {e + k: v for e, v in self.c.items()}
         return r
-
-    def lowest_exp(self) -> int:
-        if not self.c:
-            raise ValueError("zero polynomial has no lowest exponent")
-        return min(self.c)
-
-    def highest_exp(self) -> int:
-        if not self.c:
-            raise ValueError("zero polynomial has no highest exponent")
-        return max(self.c)
-
-    def content(self) -> int:
-        g = 0
-        for v in self.c.values():
-            g = gcd(g, v)
-        return g
 
     def __str__(self) -> str:
         if not self.c:
@@ -452,14 +430,11 @@ def qbinom(m: int, n: int, d: int = 1) -> LaurentPoly:
 
 
 class PowerSeriesTrunc:
-    """Truncated integer series, ascending in q or in q^-1."""
+    """Truncated integer series ascending in q."""
 
-    __slots__ = ("dir", "order", "coeffs")
+    __slots__ = ("order", "coeffs")
 
-    def __init__(self, dir: str, order: int, coeffs: dict[int, int] | None = None):
-        if dir not in (ASC_Q, ASC_QINV):
-            raise ValueError(f"unknown direction {dir!r}")
-        self.dir = dir
+    def __init__(self, order: int, coeffs: dict[int, int] | None = None):
         self.order = order
         self.coeffs: dict[int, int] = {}
         if coeffs:
@@ -468,38 +443,17 @@ class PowerSeriesTrunc:
                     self.coeffs[int(e)] = int(v)
 
     @staticmethod
-    def one(dir: str, order: int) -> "PowerSeriesTrunc":
-        return PowerSeriesTrunc(dir, order, {0: 1})
+    def one(order: int) -> "PowerSeriesTrunc":
+        return PowerSeriesTrunc(order, {0: 1})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PowerSeriesTrunc):
             return NotImplemented
-        return (
-            self.dir == other.dir
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.dir, self.order, frozenset(self.coeffs.items())))
-
-    def _check(self, other: "PowerSeriesTrunc"):
-        if self.dir != other.dir or self.order != other.order:
-            raise ValueError("mismatched series direction or order")
-
-    def __add__(self, other: "PowerSeriesTrunc") -> "PowerSeriesTrunc":
-        self._check(other)
-        out = dict(self.coeffs)
-        for e, v in other.coeffs.items():
-            w = out.get(e, 0) + v
-            if w:
-                out[e] = w
-            else:
-                out.pop(e, None)
-        return PowerSeriesTrunc(self.dir, self.order, out)
+        return self.order == other.order and self.coeffs == other.coeffs
 
     def __mul__(self, other: "PowerSeriesTrunc") -> "PowerSeriesTrunc":
-        self._check(other)
+        if self.order != other.order:
+            raise ValueError("mismatched series order")
         out: dict[int, int] = {}
         for e1, v1 in self.coeffs.items():
             for e2, v2 in other.coeffs.items():
@@ -511,7 +465,7 @@ class PowerSeriesTrunc:
                     out[e] = w
                 else:
                     out.pop(e, None)
-        return PowerSeriesTrunc(self.dir, self.order, out)
+        return PowerSeriesTrunc(self.order, out)
 
     def coeff(self, e: int) -> int:
         return self.coeffs.get(e, 0)
@@ -519,35 +473,29 @@ class PowerSeriesTrunc:
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
-        exps = sorted(self.coeffs, reverse=(self.dir == ASC_QINV))
         parts = []
-        for e in exps:
+        for e in sorted(self.coeffs):
             v = self.coeffs[e]
             sign = "+" if v > 0 else "-"
             parts.append(f"{sign}{abs(v)}*q^{e}")
         return " ".join(parts)
 
     def __repr__(self) -> str:
-        return f"PowerSeriesTrunc({self.dir!r}, {self.order}, {self.coeffs!r})"
+        return f"PowerSeriesTrunc({self.order}, {self.coeffs!r})"
 
 
 def expand(a: RatQ, dir: str, order: int) -> PowerSeriesTrunc:
-    """Expand a rational function as a truncated integer series.
+    """Expand a rational function as a truncated integer series in q.
 
-    Long division oriented by ``dir``, in integers: each coefficient is
-    divided exactly by the denominator's lowest term.  A non-integer
+    ``dir`` must be ``ASC_Q``.  Long division in integers: each coefficient
+    is divided exactly by the denominator's lowest term.  A non-integer
     coefficient in the result means some upstream quantity was not the
     integer series it claims to be, so it raises rather than rounding.
     """
-    if dir == ASC_QINV:
-        mirrored = expand(a.bar(), ASC_Q, order)
-        return PowerSeriesTrunc(
-            ASC_QINV, order, {-e: v for e, v in mirrored.coeffs.items()}
-        )
     if dir != ASC_Q:
         raise ValueError(f"unknown direction {dir!r}")
     if a.is_zero():
-        return PowerSeriesTrunc(ASC_Q, order, {})
+        return PowerSeriesTrunc(order, {})
     ln, nd = _int_dense(a.num)
     ld, dd = _int_dense(a.den)
     val = ln - ld  # valuation of the expansion
@@ -564,7 +512,7 @@ def expand(a: RatQ, dir: str, order: int) -> PowerSeriesTrunc:
         e = val + k
         if c and abs(e) <= order:
             out[e] = c
-    return PowerSeriesTrunc(ASC_Q, order, out)
+    return PowerSeriesTrunc(order, out)
 
 
 def _expand_error(nd: list[int], dd: list[int], coeffs: list[int], val: int, order: int) -> ValueError:

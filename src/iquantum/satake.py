@@ -229,9 +229,6 @@ class LamVec:
                 raise ValueError("negative multiplicity in LamVec")
         return LamVec(items)
 
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.mult)
-
     def of(self, i: str) -> int:
         for k, v in self.mult:
             if k == i:

@@ -411,12 +411,12 @@ def checks(timing=None):
         yield title, ok, detail
 
 
-def run_all(write=print, timing=None) -> bool:
+def run_all(timing=None) -> bool:
     """Run every check, print one line per check, return overall success."""
     ok_all = True
     for k, (title, ok, detail) in enumerate(checks(timing), start=1):
         ok_all = ok_all and ok
         status = "pass" if ok else "FAIL"
-        write(f"[{k:2d}/10] {status}  {title}: {detail}")
-    write("selftest: all checks passed" if ok_all else "selftest: FAILED")
+        print(f"[{k:2d}/10] {status}  {title}: {detail}")
+    print("selftest: all checks passed" if ok_all else "selftest: FAILED")
     return ok_all

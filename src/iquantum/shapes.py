@@ -378,11 +378,6 @@ def pair_b_nabla(datum: SatakeDatum, top: Word, bottom: Word, lw: IWeight) -> Ra
     return _shape_sum(datum, top, bottom, "cap_free", lw, -1)
 
 
-def pair_delta_nabla(datum: SatakeDatum, top: Word, bottom: Word, lw: IWeight) -> RatQ:
-    """Shape sum over permutation matchings (no cups, no caps)."""
-    return _shape_sum(datum, top, bottom, "cup_cap_free", lw, -1)
-
-
 def pair_theta(datum: SatakeDatum, top: Word, bottom: Word) -> RatQ:
     """Permutation matchings with the weight-independent crossing degree."""
     found = enumerate_shapes(datum, top, bottom, "cup_cap_free")
@@ -430,7 +425,7 @@ def end_grdim(datum: SatakeDatum, order: int = 20) -> RankSeries:
     representative i and n >= 1, and one per fixed node i and odd n >= 1.
     """
     two, fixed = orbit_reps(datum)
-    series = PowerSeriesTrunc.one(ASC_Q, order)
+    series = PowerSeriesTrunc.one(order)
     for i in two:
         d = datum.qi(i)
         n = 1
@@ -449,4 +444,4 @@ def end_grdim(datum: SatakeDatum, order: int = 20) -> RankSeries:
 
 def _geometric(step: int, order: int) -> PowerSeriesTrunc:
     """1/(1 - q^step) truncated."""
-    return PowerSeriesTrunc(ASC_Q, order, {e: 1 for e in range(0, order + 1, step)})
+    return PowerSeriesTrunc(order, {e: 1 for e in range(0, order + 1, step)})

@@ -9,7 +9,6 @@ from iquantum.freealg import (
     iRtilde,
     inv_one_minus_qinv2,
     pair,
-    sesq,
     theta_word,
 )
 from iquantum.qring import LaurentPoly, RatQ, qfact
@@ -138,8 +137,9 @@ def test_pair_adjunctions_random():
                 ti = FElem.theta(i)
                 assert pair(datum, x * ti, y) == pair(datum, x, Ri(datum, i, y))
                 assert pair(datum, ti * x, y) == pair(datum, x, iR(datum, i, y))
-                assert sesq(datum, ti * x, y) == sesq(datum, x, iR(datum, i, y))
-                assert sesq(datum, x, ti * y) == sesq(datum, iRtilde(datum, i, x), y)
+                # the sesquilinear adjunctions: pair(psi(x), y)
+                assert pair(datum, (ti * x).psi(), y) == pair(datum, x.psi(), iR(datum, i, y))
+                assert pair(datum, x.psi(), ti * y) == pair(datum, iRtilde(datum, i, x).psi(), y)
 
 
 def test_canonical_text():

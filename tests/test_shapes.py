@@ -460,10 +460,16 @@ def test_arc_memo_closes_each_arc_set_once_per_realization(monkeypatch):
 # (top, bottom, mode) through shapes._HIST_MEMO, at the (datum, weight) scope
 # of _ARC_MEMO.
 
+
+def _cup_cap_free_sum(datum, top, bottom, lw):
+    """The shape sum over permutation matchings (no cups, no caps)."""
+    return shapes._shape_sum(datum, top, bottom, "cup_cap_free", lw, -1)
+
+
 SUMS = {
     "all": shapes.pair_b,
     "cap_free": shapes.pair_b_nabla,
-    "cup_cap_free": shapes.pair_delta_nabla,
+    "cup_cap_free": _cup_cap_free_sum,
 }
 
 
@@ -774,7 +780,7 @@ def test_pair_delta_nabla_weight_free():
     for lw in satake.weight_sweep(datum, -1, 1)[:4]:
         for wi in words:
             for wj in words:
-                assert shapes.pair_delta_nabla(datum, wi, wj, lw) == shapes.pair_theta(
+                assert _cup_cap_free_sum(datum, wi, wj, lw) == shapes.pair_theta(
                     datum, wi, wj
                 )
 
@@ -804,7 +810,7 @@ def test_shape_sums_match_the_per_shape_assembly():
     routes = (
         ("all", shapes.pair_b),
         ("cap_free", shapes.pair_b_nabla),
-        ("cup_cap_free", shapes.pair_delta_nabla),
+        ("cup_cap_free", _cup_cap_free_sum),
     )
     mixed = 0
     for name, datum in data:
@@ -904,7 +910,7 @@ def test_hom_rank_equals_bar_pair_b():
 
 def test_rank_series_rejects_negative():
     with pytest.raises(ValueError):
-        shapes.RankSeries(PowerSeriesTrunc(ASC_Q, 4, {2: -1}))
+        shapes.RankSeries(PowerSeriesTrunc(4, {2: -1}))
 
 
 def test_end_grdim_split_a1():

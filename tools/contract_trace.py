@@ -1,0 +1,111 @@
+"""List the iquantum functions that the behaviour contract never enters.
+
+    python3 tools/contract_trace.py
+
+The contract is ``selftest`` and every other ``python3 -m iquantum`` line of
+the README, each run once as written and once with ``--json``.  Each runs
+in this process through ``cli.run`` under ``sys.settrace``, with its stdout
+and stderr discarded and every memo table emptied first, so each run is as
+cold as a fresh process.  The package is imported under the trace too, so
+code run at import counts as entered.
+
+Every ``def`` in the package source (methods, properties and nested
+functions included) that no run entered is printed as
+``module.qualname  N lines``, with N counted from its first decorator to
+its last line.  Dataclass-generated methods have no source, so they are
+never listed; nor are lambdas and comprehensions.  ``cli.main`` is always
+listed: ``python -m iquantum`` reaches ``cli.run`` through it, and this
+script calls ``cli.run`` directly.
+
+Standard library only; it starts no process.  It reads the package and
+README of the checkout it sits in.
+"""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import io
+import shlex
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PKG = ROOT / "src" / "iquantum"
+PREFIX = "python3 -m iquantum "
+
+
+def readme_examples() -> list[list[str]]:
+    """The argv of every README example, then each again with --json."""
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    argvs = [shlex.split(line[len(PREFIX):]) for line in lines if line.startswith(PREFIX)]
+    return argvs + [argv + ["--json"] for argv in argvs]
+
+
+def _defs(node: ast.AST, prefix: str):
+    """(first line, qualname, line count) of every def below node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+            name = f"{prefix}{child.name}"
+            yield first, name, child.end_lineno - first + 1
+            yield from _defs(child, f"{name}.<locals>.")
+        elif isinstance(child, ast.ClassDef):
+            yield from _defs(child, f"{prefix}{child.name}.")
+        else:
+            yield from _defs(child, prefix)
+
+
+def package_functions() -> dict[tuple[str, int], tuple[str, int]]:
+    """(file, first line) -> (module.qualname, line count) of every def.
+
+    The first line is the first decorator's, as in the code object's
+    ``co_firstlineno``, so the keys match what the trace records."""
+    out = {}
+    for path in sorted(PKG.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for first, name, lines in _defs(tree, ""):
+            out[(str(path), first)] = (f"{path.stem}.{name}", lines)
+    return out
+
+
+def entered_under_contract(argvs: list[list[str]]) -> tuple[set[tuple[str, int]], list[int]]:
+    """(file, first line) of every code object entered, and the exit codes."""
+    entered: set[tuple[str, int]] = set()
+
+    def trace(frame, event, arg):
+        code = frame.f_code
+        entered.add((code.co_filename, code.co_firstlineno))
+
+    sys.path.insert(0, str(ROOT / "src"))
+    codes = []
+    sys.settrace(trace)
+    try:
+        import iquantum
+        from iquantum import cli
+
+        for argv in argvs:
+            iquantum.clear_caches()
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                codes.append(cli.run(argv))
+    finally:
+        sys.settrace(None)
+    return entered, codes
+
+
+def main() -> int:
+    argvs = readme_examples()
+    entered, codes = entered_under_contract(argvs)
+    functions = package_functions()
+    missed = [functions[key] for key in sorted(functions) if key not in entered]
+    print(f"{len(argvs)} runs, exit codes {' '.join(str(c) for c in codes)}")
+    for name, lines in missed:
+        print(f"{name}  {lines} lines")
+    print(f"{len(missed)} of {len(functions)} functions never entered, "
+          f"{sum(lines for _, lines in missed)} lines")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
