@@ -17,10 +17,13 @@ A degree is two annihilation terms, closing off the caps on the bottom word
 and the cups on the top word, plus the crossing degree of the props.  The
 annihilation terms depend only on (datum, word, arcs, weight, realization),
 and the matchings of one word pair share a few dozen arc sets, so they are
-memoized in ``_ARC_MEMO`` keyed by (word, arcs, reflected).  The memo holds
-the (datum.key(), weight) scope of its last call and is emptied whenever
-another datum content or weight arrives (``iquantum.cache_stats``,
-``iquantum.clear_caches``).
+memoized in ``_ARC_MEMO`` keyed by (word, arcs, reflected).  The crossing
+term depends only on (datum, bottom word, props) and no realization orders
+it, so the same memo holds it keyed by (bottom, props), and ``degree`` and
+``degree_alt`` share it: the two realizations differ only in the
+annihilation terms.  The memo holds the (datum.key(), weight) scope of its
+last call and is emptied whenever another datum content or weight arrives
+(``iquantum.cache_stats``, ``iquantum.clear_caches``).
 
 The shape sums (``pair_b`` and its restricted modes, ``pair_theta`` and
 ``hom_rank``) need only a histogram of the degrees.  Every strand joins two
@@ -33,7 +36,8 @@ keyed by (top, bottom, mode) at the same (datum.key(), weight) scope as
 and take degrees once; each still assembles its own signed sum, and their
 agreement (``hom_rank`` against the bar of ``pair_b``) stays a check of
 ``_assemble``, ``bar`` and ``expand``.  ``pair_theta`` sums the
-weight-free crossing degree and keeps its own enumeration.
+weight-free crossing degree outside ``_ARC_MEMO`` and keeps its own
+enumeration.
 
 ``enumerate_shapes`` reads the matchings through ``_SHAPE_MEMO``, keyed by
 mode and scoped to the (datum.key(), top, bottom) of its last call, so the
@@ -247,8 +251,8 @@ def _close_arcs(
     return deg
 
 
-# annihilation degrees keyed (word, arcs, reflected), scoped to the
-# (datum.key(), lw) of the last call
+# annihilation degrees keyed (word, arcs, reflected) and prop crossing degrees
+# keyed (bottom, props), scoped to the (datum.key(), lw) of the last call
 _ARC_MEMO = Memo("shapes._ARC_MEMO")
 
 
@@ -268,26 +272,30 @@ def _crossing_degree(datum: SatakeDatum, strands: list[tuple[str, int]]) -> int:
     return deg
 
 
+def _prop_crossing(datum: SatakeDatum, sh: Shape) -> int:
+    """``_crossing_degree`` of the shape's props; they are sorted by bottom
+    index, so they list the strands by source."""
+    return _crossing_degree(datum, [(sh.bottom[b], t) for b, t in sh.props])
+
+
 def _degree(datum: SatakeDatum, sh: Shape, lw: IWeight, reflected: bool) -> int:
-    """The caps' and the cups' ``_close_arcs`` read through ``_ARC_MEMO``,
-    plus the crossing degree of the props.
+    """The caps' and the cups' ``_close_arcs`` plus the props'
+    ``_prop_crossing``, each read through ``_ARC_MEMO``.
 
     All matchings of one word pair close off the same two words, and only a
     few dozen distinct cup or cap sets occur among hundreds of matchings, so
     most lookups repeat one.  The memo holds one (datum.key(), lw) scope: a
     call with another datum content or weight empties it first, so the
-    scope is its only bound.  ``reflected`` is part of the key, so
-    ``degree_alt`` never reads a value that ``degree`` stored and their
-    agreement stays a check of realization independence.
+    scope is its only bound.  ``reflected`` is part of the annihilation
+    keys: the two realizations differ only in the annihilation terms, and
+    they share the realization-free crossing term, keyed (bottom, props).
     """
     arcs = _ARC_MEMO.within((datum.key(), lw))
-    # props are sorted by bottom index, so they list the strands by source
-    strands = [(sh.bottom[b], t) for b, t in sh.props]
     return (
         arcs.get_or_make(
             (sh.bottom, sh.caps, reflected), _close_arcs, datum, sh.bottom, sh.caps, lw, reflected
         )
-        + _crossing_degree(datum, strands)
+        + arcs.get_or_make((sh.bottom, sh.props), _prop_crossing, datum, sh)
         + arcs.get_or_make(
             (sh.top, sh.cups, reflected), _close_arcs, datum, sh.top, sh.cups, lw, reflected
         )
@@ -383,9 +391,7 @@ def pair_theta(datum: SatakeDatum, top: Word, bottom: Word) -> RatQ:
     found = enumerate_shapes(datum, top, bottom, "cup_cap_free")
     if not found:
         return RatQ.zero()
-    degs = Counter(
-        _crossing_degree(datum, [(sh.bottom[b], t) for b, t in sh.props]) for sh in found
-    )
+    degs = Counter(_prop_crossing(datum, sh) for sh in found)
     return _assemble(degs, _strand_counts(datum, top, bottom), -1)
 
 

@@ -175,6 +175,13 @@ def mixed_d_datum():
     )
 
 
+def _a1a1():
+    """Two fixed nodes named like split_a2's, with a_12 = a_21 = 0."""
+    return make_datum(
+        ["1", "2"], [[2, 0], [0, 2]], [1, 1], {"1": "1", "2": "2"}, {"1": -1, "2": -1}
+    )
+
+
 # ---------------------------------------------------------------- enumeration
 
 
@@ -306,10 +313,11 @@ def test_degrees_match_the_letter_by_letter_reference():
     assert checked >= 1500
 
 
-# ------------------------------------------------------- annihilation memo
+# ------------------------------------------------------------------- arc memo
 #
-# degree and degree_alt read each annihilation term through shapes._ARC_MEMO;
-# the memo-free route calls the miss path, shapes._close_arcs, every time.
+# degree and degree_alt read each annihilation term and the crossing term
+# through shapes._ARC_MEMO; the memo-free route calls the miss paths,
+# shapes._close_arcs and shapes._prop_crossing, every time.
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "shape_degrees.json"
 
@@ -325,10 +333,9 @@ SERIES_CONTENT = {
 
 
 def _degree_memo_free(datum, sh, lw, reflected):
-    strands = [(sh.bottom[b], t) for b, t in sh.props]
     return (
         shapes._close_arcs(datum, sh.bottom, sh.caps, lw, reflected)
-        + shapes._crossing_degree(datum, strands)
+        + shapes._prop_crossing(datum, sh)
         + shapes._close_arcs(datum, sh.top, sh.cups, lw, reflected)
     )
 
@@ -388,9 +395,7 @@ def test_memoized_degrees_match_the_memo_free_route():
             assert _memo_table(datum, found, lw) == want[lw], (name, lw)
     assert weights_differ >= 3
     # two data over the same nodes with different content, at one IWeight value
-    a1a1 = make_datum(
-        ["1", "2"], [[2, 0], [0, 2]], [1, 1], {"1": "1", "2": "2"}, {"1": -1, "2": -1}
-    )
+    a1a1 = _a1a1()
     split = make("split_a2")
     assert split.nodes == a1a1.nodes and split.key() != a1a1.key()
     par = {"1": 0, "2": 1}
@@ -410,12 +415,17 @@ def test_memoized_degrees_match_the_memo_free_route():
     lw, twin = weight(datum, lam, par), weight(datum, lam, par)
     assert lw == twin and lw is not twin
     want = _memo_free_table(datum, found, lw)
+    iquantum.clear_caches()
     assert _memo_table(datum, found, lw) == want
+    # each realization closes each arc set once, and the two share each
+    # (bottom, props) crossing term; every other lookup is a hit
+    arc_sets = {(sh.top, sh.cups) for sh in found} | {(sh.bottom, sh.caps) for sh in found}
+    stored = 2 * len(arc_sets) + len({(sh.bottom, sh.props) for sh in found})
     before = iquantum.cache_stats()["shapes._ARC_MEMO"]
+    assert before == {"hits": 6 * len(found) - stored, "misses": stored, "size": stored}
     assert _memo_table(datum, found, twin) == want
     after = iquantum.cache_stats()["shapes._ARC_MEMO"]
-    assert after["misses"] == before["misses"] and after["size"] == before["size"]
-    assert after["hits"] == before["hits"] + 4 * len(found)
+    assert after == {"hits": 12 * len(found) - stored, "misses": stored, "size": stored}
 
 
 def test_arc_memo_closes_each_arc_set_once_per_realization(monkeypatch):
@@ -435,23 +445,82 @@ def test_arc_memo_closes_each_arc_set_once_per_realization(monkeypatch):
 
     monkeypatch.setattr(shapes, "_close_arcs", recorded)
     arc_sets = {(sh.top, sh.cups) for sh in found} | {(sh.bottom, sh.caps) for sh in found}
+    props = {(sh.bottom, sh.props) for sh in found}
     degs = [shapes.degree(datum, sh, lw) for sh in found]
-    n = len(arc_sets)
+    n, k = len(arc_sets), len(props)
+    assert 1 < k < len(found)
     assert len(calls) == n and {c[:2] for c in calls} == arc_sets
     assert not any(reflected for *_, reflected in calls)
-    # the reflected realization reads nothing that degree stored
+    # the reflected realization closes every arc set again and reads the
+    # crossing terms that degree stored
     assert [shapes.degree_alt(datum, sh, lw) for sh in found] == degs
     assert len(calls) == 2 * n and {c[:2] for c in calls[n:]} == arc_sets
     assert all(reflected for *_, reflected in calls[n:])
+    assert iquantum.cache_stats()["shapes._ARC_MEMO"] == {
+        "hits": 6 * len(found) - 2 * n - k, "misses": 2 * n + k, "size": 2 * n + k,
+    }
     # a repeat of either is served from the memo
     assert [shapes.degree(datum, sh, lw) for sh in found] == degs
     assert [shapes.degree_alt(datum, sh, lw) for sh in found] == degs
     assert len(calls) == 2 * n
     assert iquantum.cache_stats()["shapes._ARC_MEMO"] == {
-        "hits": 8 * len(found) - 2 * n, "misses": 2 * n, "size": 2 * n,
+        "hits": 12 * len(found) - 2 * n - k, "misses": 2 * n + k, "size": 2 * n + k,
     }
     iquantum.clear_caches()
     assert iquantum.cache_stats()["shapes._ARC_MEMO"] == {"hits": 0, "misses": 0, "size": 0}
+
+
+def test_crossing_degree_runs_once_per_prop_set_per_scope(monkeypatch):
+    iquantum.clear_caches()
+    split, a1a1 = make("split_a2"), _a1a1()
+    lw_a, lw_b = weight(split, {}, {"1": 0, "2": 1}), weight(split, {}, {"1": 1, "2": 0})
+    assert weight(a1a1, {}, {"1": 0, "2": 1}) == lw_a
+    pairs = [(("1", "2", "1", "2"), ("2", "1")), _series_pair(random.Random(2020), "split_a2")]
+    found = _all_shapes(split, pairs)
+    props = {(sh.bottom, sh.props) for sh in found}
+    strands = sorted([(bottom[b], t) for b, t in ps] for bottom, ps in props)
+    assert 1 < len(props) < len(found)
+    # the first scope, another weight, another datum content, the first again
+    scopes = [(split, lw_a), (split, lw_b), (a1a1, lw_a), (split, lw_a)]
+    want = [_memo_free_table(datum, found, lw) for datum, lw in scopes]
+    assert want[2] != want[0]
+    calls = []
+    crossing = shapes._crossing_degree
+
+    def recorded(datum, strands):
+        calls.append(strands)
+        return crossing(datum, strands)
+
+    monkeypatch.setattr(shapes, "_crossing_degree", recorded)
+    for run, ((datum, lw), table) in enumerate(zip(scopes, want)):
+        # one run per distinct (bottom, props) in each scope, whatever reads
+        # it: degree, degree_alt, a repeat of both, the histograms of the sums
+        assert _memo_table(datum, found, lw) == table
+        assert sorted(calls[run * len(props) :]) == strands
+        assert _memo_table(datum, found, lw) == table
+        for top, bottom in pairs:
+            for route in SUMS.values():
+                route(datum, top, bottom, lw)
+        assert len(calls) == (run + 1) * len(props)
+
+
+def test_one_prop_set_on_two_bottom_words_keeps_two_crossing_terms():
+    datum = make("split_a2")
+    lw = oracle_weights(random.Random(2021), datum)[0]
+    crossed = ((0, 1), (1, 0))
+    (mixed,) = shapes.enumerate_shapes(datum, ("1", "2"), ("2", "1"))
+    (equal,) = [
+        sh for sh in shapes.enumerate_shapes(datum, ("1", "1"), ("1", "1")) if sh.props == crossed
+    ]
+    assert mixed.props == crossed and not mixed.caps and not equal.caps
+    want = {sh: _degree_reference(datum, sh, lw, False) for sh in (mixed, equal)}
+    assert want == {mixed: 1, equal: -2}
+    for order in ((mixed, equal), (equal, mixed)):
+        iquantum.clear_caches()
+        for sh in order:
+            assert shapes.degree(datum, sh, lw) == want[sh]
+            assert shapes.degree_alt(datum, sh, lw) == want[sh]
+        assert shapes._ARC_MEMO.scope == (datum.key(), lw)
 
 
 # -------------------------------------------------------------- histogram memo
