@@ -49,8 +49,8 @@ def _memos():
 def cache_stats() -> dict[str, dict[str, int]]:
     """Hits, misses and size of every module-level memo table, keyed
     ``module.NAME``: ``freealg._WORD_PAIR_CACHE``, ``iuea._B_WORD_MEMO``,
-    ``shapes._ARC_MEMO``, ``shapes._HIST_MEMO``, ``shapes._SHAPE_MEMO`` and
-    the four ``klr`` caches.  Read on request
+    ``shapes._ARC_MEMO``, ``shapes._SHAPE_MEMO`` (a word pair's matchings
+    and degree histograms) and the four ``klr`` caches.  Read on request
     (``selftest --cache-stats`` writes them to stderr)."""
     return {m.name: m.stats() for m in _memos().values()}
 

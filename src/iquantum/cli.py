@@ -287,7 +287,7 @@ def _pair_normalizer(datum: SatakeDatum, dp) -> RatQ:
                     f"the shape route needs plain letters at the involution-fixed "
                     f"node {i!r}; rewrite {i}^({n}) without a suffix"
                 )
-            c = c * RatQ.from_laurent(qfact(n, datum.qi(i)))
+            c = c * RatQ(qfact(n, datum.qi(i)))
     return c
 
 
@@ -628,15 +628,17 @@ def _cmd_klr(cfg: Config, args) -> int:
 
 def _cmd_selftest(cfg, args) -> int:
     timing = (lambda line: print(line, file=sys.stderr)) if args.timings else None
+    results = []
+    for k, (title, ok, detail) in enumerate(selftest.checks(timing), start=1):
+        results.append({"title": title, "ok": ok, "detail": detail})
+        if not args.json:
+            status = "pass" if ok else "FAIL"
+            print(f"[{k:2d}/{len(selftest.CRITERIA)}] {status}  {title}: {detail}")
+    ok_all = all(r["ok"] for r in results)
     if args.json:
-        results = []
-        ok_all = True
-        for title, ok, detail in selftest.checks(timing):
-            ok_all = ok_all and ok
-            results.append({"title": title, "ok": ok, "detail": detail})
         _emit({"checks": results, "ok": ok_all})
     else:
-        ok_all = selftest.run_all(timing=timing)
+        print("selftest: all checks passed" if ok_all else "selftest: FAILED")
     if args.cache_stats:
         print(json.dumps(cache_stats(), sort_keys=True), file=sys.stderr)
     return 0 if ok_all else 1

@@ -189,7 +189,7 @@ def theta_word(datum: SatakeDatum, word: DPWord) -> FElem:
     """Product of divided powers theta_i^(n) = theta_i^n/[n]!."""
     coeff = RatQ.one()
     for i, n in word:
-        coeff = coeff / RatQ.from_laurent(qfact(n, datum.qi(i)))
+        coeff = coeff / RatQ(qfact(n, datum.qi(i)))
     return FElem({to_word(word): coeff})
 
 

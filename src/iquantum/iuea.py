@@ -16,9 +16,10 @@ take a gcd.  ``ipair`` builds one normalized RatQ per pairing, and reading
 ``.jt`` builds the free-algebra image with one normalized RatQ per word.
 
 ``b_word`` memoizes the images of word suffixes, since b_word(w) is one
-``b_divided`` on b_word(w[1:]).  The memo's scope is its bound: it holds the
-suffixes computed at the (datum content, weight) of the last call, and a
-call at another datum content or weight empties it.
+``b_divided`` on b_word(w[1:]); its maker recurses through ``b_word``, so
+every read and write goes through ``Memo.get_or_make``.  The memo's scope is
+its bound: it holds the suffixes computed at the (datum content, weight) of
+the last call, and a call at another datum content or weight empties it.
 ``iquantum.cache_stats`` reports its hits, misses and size.
 
 Equality of module elements (``iserre_check``) is tested through the
@@ -221,31 +222,25 @@ _B_WORD_MEMO = Memo("iuea._B_WORD_MEMO")
 def b_word(datum: SatakeDatum, word: DPWord, lw: IWeight) -> IElem:
     """Apply the divided powers of a word right to left to 1_lambda.
 
-    b_word(w) = b_divided(w[0], b_word(w[1:])), so a new word is folded
-    from its longest suffix in the memo, and every new suffix image is
-    stored.  The memo holds one (datum.key(), lw) scope: a call with another
-    datum content or weight empties it.  The empty word's 1_lambda, where
-    every fold ends, is put back whenever it is missing.  Elements are
-    never mutated in place, so the stored images are shared with callers.
+    b_word(w) = b_divided(w[0], b_word(w[1:])), and ``_b_word`` recurses
+    through this function, so the memo stores the image of every suffix of
+    a new word, the empty word's 1_lambda included, and a word reads its
+    suffix as a hit.  The memo holds one (datum.key(), lw) scope: a call
+    with another datum content or weight empties it.  Elements are never
+    mutated in place, so the stored images are shared with callers.
     """
-    memo = _B_WORD_MEMO.within((datum.key(), lw))
-    if () not in memo:
-        memo[()] = unit(lw)
-    return memo.get_or_make(word, _fold_suffixes, memo, datum, word)
+    return _B_WORD_MEMO.within((datum.key(), lw)).get_or_make(
+        word, _b_word, datum, word, lw
+    )
 
 
-def _fold_suffixes(memo: dict, datum: SatakeDatum, word: DPWord) -> IElem:
-    """``b_word``'s maker: fold word onto its longest proper suffix in
-    memo, storing each new suffix image."""
-    k = 1
-    while word[k:] not in memo:
-        k += 1
-    xi = memo[word[k:]]
-    for k in range(k - 1, -1, -1):
-        i, n = word[k]
-        xi = b_divided(datum, i, n, xi)
-        memo[word[k:]] = xi
-    return xi
+def _b_word(datum: SatakeDatum, word: DPWord, lw: IWeight) -> IElem:
+    """``b_word``'s maker: 1_lambda for the empty word, else the first
+    divided power on the suffix's image."""
+    if not word:
+        return unit(lw)
+    i, n = word[0]
+    return b_divided(datum, i, n, b_word(datum, word[1:], lw))
 
 
 def ipair(datum: SatakeDatum, xi: IElem, eta: IElem) -> RatQ:
@@ -355,8 +350,8 @@ def f_coeff(datum: SatakeDatum, n: int, m: int, i: str, lw: IWeight) -> RatQ:
     inv = inv_one_minus_q2(di)
     e1 = 1 + li - vs - (m - n - 1) * (1 - a) - m
     e2 = 1 + (m - n - 1) * (1 - a) + vs - li
-    t1 = RatQ.q_power(di * e1) * RatQ.from_laurent(qbinom(m - 1, n - 1, di)) * inv
-    t2 = RatQ.q_power(di * e2) * RatQ.from_laurent(qbinom(m - 1, n, di)) * inv
+    t1 = RatQ.q_power(di * e1) * RatQ(qbinom(m - 1, n - 1, di)) * inv
+    t2 = RatQ.q_power(di * e2) * RatQ(qbinom(m - 1, n, di)) * inv
     return t1 + t2
 
 
@@ -379,9 +374,7 @@ def f_coeff_oracle(datum: SatakeDatum, n: int, m: int, i: str, lw: IWeight) -> R
         s = s + RatQ.q_power(di * (1 + vs_i - mu1.lam_of(i) - 2 * k)) * inv
     for l in range(n):
         s = s + RatQ.q_power(di * (1 + vs_j - mu2.lam_of(ti) - 2 * l)) * inv
-    c = RatQ.from_laurent(qfact(m - 1, di)) / (
-        RatQ.from_laurent(qfact(n, di)) * RatQ.from_laurent(qfact(m - n, di))
-    )
+    c = RatQ(qfact(m - 1, di)) / (RatQ(qfact(n, di)) * RatQ(qfact(m - n, di)))
     return c * s
 
 
@@ -411,10 +404,10 @@ def bkl_product_form(datum: SatakeDatum, i: str, lw: IWeight) -> RatQ:
     c2 = m * (m - 1) // 2
     prod = RatQ.one()
     for r in range(1, m):
-        prod = prod * RatQ.from_laurent(LaurentPoly({d * r: 1, -d * r: -1}))
+        prod = prod * RatQ(LaurentPoly({d * r: 1, -d * r: -1}))
     s = RatQ.q_power(d * (li - vs - c2))
     if (m - 1) % 2:
         s = -s
     s = s - RatQ.q_power(d * (c2 + vs - li))
-    return prod * s / RatQ.from_laurent(LaurentPoly({d: 1, -d: -1}))
+    return prod * s / RatQ(LaurentPoly({d: 1, -d: -1}))
 

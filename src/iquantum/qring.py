@@ -304,10 +304,6 @@ class RatQ:
         """coeff * q^e; over the denominator 1 a single term is normal."""
         return RatQ._trusted(LaurentPoly.q_power(e, coeff), LaurentPoly.one())
 
-    @staticmethod
-    def from_laurent(p: LaurentPoly) -> "RatQ":
-        return RatQ(p)
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 

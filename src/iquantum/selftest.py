@@ -2,8 +2,9 @@
 
 Every check the package promises is implemented here as a function returning
 (ok, detail).  The detail strings carry deterministic counts, never timings,
-so a passing report is byte-identical across runs.  run_all prints one line
-per check; tests/test_acceptance.py calls the same functions one at a time.
+so a passing report is byte-identical across runs.  ``checks`` runs them in
+order for the ``selftest`` subcommand, which prints one line per check;
+tests/test_acceptance.py calls the same functions one at a time.
 Wall seconds per check are available on request, on a separate channel
 (``checks(timing)``, ``selftest --timings``).
 
@@ -106,7 +107,7 @@ def iserre_sweep():
     for lw in weight_sweep(datum):
         lam = lw.lam_of("1")
         res = iuea.iserre_check(datum, "1", "2", lw)
-        want = FElem.one().scale(RatQ.from_laurent(qint(lam, datum.qi("1"))))
+        want = FElem.one().scale(RatQ(qint(lam, datum.qi("1"))))
         if res.rhs.jt != want:
             return False, f"commutator scalar differs at lam={lam}"
         checks += 1
@@ -407,16 +408,5 @@ def checks(timing=None):
         t0 = time.perf_counter()
         ok, detail = fn()
         if timing is not None:
-            timing(f"[{k:2d}/10] {time.perf_counter() - t0:.2f} s  {title}")
+            timing(f"[{k:2d}/{len(CRITERIA)}] {time.perf_counter() - t0:.2f} s  {title}")
         yield title, ok, detail
-
-
-def run_all(timing=None) -> bool:
-    """Run every check, print one line per check, return overall success."""
-    ok_all = True
-    for k, (title, ok, detail) in enumerate(checks(timing), start=1):
-        ok_all = ok_all and ok
-        status = "pass" if ok else "FAIL"
-        print(f"[{k:2d}/10] {status}  {title}: {detail}")
-    print("selftest: all checks passed" if ok_all else "selftest: FAILED")
-    return ok_all

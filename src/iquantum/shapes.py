@@ -29,24 +29,20 @@ The shape sums (``pair_b`` and its restricted modes, ``pair_theta`` and
 ``hom_rank``) need only a histogram of the degrees.  Every strand joins two
 points of one tau-orbit and tau-partners share d, so all matchings of one
 word pair carry the same strands, counted once from the letters; the sum is
-the histogram over one product of strand factors 1 - q^(2d).  The histogram
-of ``degree`` over the matchings of one mode is kept in ``_HIST_MEMO``,
-keyed by (top, bottom, mode) at the same (datum.key(), weight) scope as
-``_ARC_MEMO``, so ``hom_rank`` and ``pair_b`` on one word pair enumerate
-and take degrees once; each still assembles its own signed sum, and their
-agreement (``hom_rank`` against the bar of ``pair_b``) stays a check of
-``_assemble``, ``bar`` and ``expand``.  ``pair_theta`` sums the
-weight-free crossing degree outside ``_ARC_MEMO`` and keeps its own
-enumeration.
-
-``enumerate_shapes`` reads the matchings through ``_SHAPE_MEMO``, keyed by
-mode and scoped to the (datum.key(), top, bottom) of its last call, so the
-memo holds one word pair's matchings in at most three modes and that scope
-is its bound.  A caller that walks the matchings after a shape sum on the
-same pair (``degree`` against ``degree_alt`` after ``hom_rank``) reads them
-instead of enumerating again.  Each call returns a new list over the stored
-tuple; the mode check and the empty list of an odd total length come before
-any lookup.
+the histogram over one product of strand factors 1 - q^(2d).  One word pair
+has one table, ``_SHAPE_MEMO``, scoped to the (datum.key(), top, bottom) of
+its last call, so that scope is its bound: it holds the pair's matchings
+keyed by mode (``enumerate_shapes``) and the histograms of ``degree`` over
+them keyed by (mode, weight).  ``hom_rank`` and ``pair_b`` on one pair at
+one weight enumerate and take degrees once; each still assembles its own
+signed sum, and their agreement (``hom_rank`` against the bar of
+``pair_b``) stays a check of ``_assemble``, ``bar`` and ``expand``.  A
+caller that walks the matchings after a shape sum on the same pair
+(``degree`` against ``degree_alt`` after ``hom_rank``) reads them instead
+of enumerating again.  ``enumerate_shapes`` returns a new list over the
+stored tuple; the mode check and the empty list of an odd total length come
+before any lookup.  ``pair_theta`` sums the weight-free crossing degree
+outside ``_ARC_MEMO`` and keeps no histogram.
 """
 
 from __future__ import annotations
@@ -80,8 +76,8 @@ class Shape:
     props: tuple[tuple[int, int], ...]
 
 
-# the matchings of one word pair keyed by mode, scoped to the
-# (datum.key(), top, bottom) of the last call
+# the matchings of one word pair keyed by mode and their degree histograms
+# keyed (mode, lw), scoped to the (datum.key(), top, bottom) of the last call
 _SHAPE_MEMO = Memo("shapes._SHAPE_MEMO")
 
 
@@ -347,11 +343,6 @@ def _assemble(degs: Counter, strands: dict[int, int], sign: int) -> RatQ:
     return RatQ(LaurentPoly({sign * deg: n for deg, n in degs.items()}), den)
 
 
-# degree histograms keyed (top, bottom, mode), scoped to the
-# (datum.key(), lw) of the last call
-_HIST_MEMO = Memo("shapes._HIST_MEMO")
-
-
 def _degree_histogram(datum: SatakeDatum, top: Word, bottom: Word, mode: str, lw: IWeight):
     """Counter of ``degree`` over the matchings of one mode, or () when there
     is none (a falsy value that ``Memo.get_or_make`` still counts a hit)."""
@@ -362,14 +353,14 @@ def _degree_histogram(datum: SatakeDatum, top: Word, bottom: Word, mode: str, lw
 def _shape_sum(
     datum: SatakeDatum, top: Word, bottom: Word, mode: str, lw: IWeight, sign: int
 ) -> RatQ:
-    """``_assemble`` over the ``_HIST_MEMO`` histogram of one mode; zero when
-    there is no matching, found before any lookup when the total length is
-    odd."""
+    """``_assemble`` over the histogram of one mode at lw, read through
+    ``_SHAPE_MEMO``; zero when there is no matching, found before any
+    lookup when the total length is odd."""
     top, bottom = tuple(top), tuple(bottom)
     if (len(top) + len(bottom)) % 2:
         return RatQ.zero()
-    hist = _HIST_MEMO.within((datum.key(), lw)).get_or_make(
-        (top, bottom, mode), _degree_histogram, datum, top, bottom, mode, lw
+    hist = _SHAPE_MEMO.within((datum.key(), top, bottom)).get_or_make(
+        (mode, lw), _degree_histogram, datum, top, bottom, mode, lw
     )
     if not hist:
         return RatQ.zero()

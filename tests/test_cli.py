@@ -218,16 +218,22 @@ def test_selftest_timings_go_to_stderr_only(capsys, monkeypatch):
         assert code == 0
         assert timed_out == plain_out
         assert re.sub(r"\d+\.\d\d s", "T s", timed_err).splitlines() == [
-            "[ 1/10] T s  first check",
-            "[ 2/10] T s  second check",
+            "[ 1/2] T s  first check",
+            "[ 2/2] T s  second check",
         ]
+        if not extra:
+            # both streams count the criteria that run
+            assert plain_out.splitlines() == [
+                "[ 1/2] pass  first check: 3 agree",
+                "[ 2/2] pass  second check: 0 fail",
+                "selftest: all checks passed",
+            ]
 
 
 CACHE_NAMES = {
     "freealg._WORD_PAIR_CACHE",
     "iuea._B_WORD_MEMO",
     "shapes._ARC_MEMO",
-    "shapes._HIST_MEMO",
     "shapes._SHAPE_MEMO",
     "klr._PSI_CACHE",
     "klr._ENTRY_CACHE",

@@ -69,7 +69,7 @@ def test_theta_word():
     datum = split_a1()
     x = theta_word(datum, (("1", 2),))
     assert x.terms == {
-        ("1", "1"): RatQ.one() / RatQ.from_laurent(qfact(2, 1))
+        ("1", "1"): RatQ.one() / RatQ(qfact(2, 1))
     }
     assert theta_word(datum, ()) == FElem.one()
     a2 = qs_a2()

@@ -2,11 +2,13 @@
 
 ``tests/golden/b_word_images.json`` holds, for seeded divided-power words on
 the five built-in data at the weights L0, L1 and two seeded sweep weights,
-the ``str()`` of both images of ``b_word`` (``jt`` and ``j``) and the
+the ``str()`` of the ``jt`` image of ``b_word`` and of its psi (stored under
+``j``, the iR image that psi(jt) equals on these elements) and the
 ``ipair`` value of every ordered pair of those words.  The words include
-divided powers, at nodes the involution moves and at nodes it fixes.  The values were captured from
-the recursion route that normalized every coefficient after every action, so
-they pin the images across rewrites of ``iuea``.  Regenerate them
+divided powers, at nodes the involution moves and at nodes it fixes.  The
+values were captured from the recursion route that normalized every
+coefficient after every action, so they pin the images across rewrites of
+``iuea``.  Regenerate them
 (``python tests/test_iuea_golden.py --write``) only for an intended change.
 """
 

@@ -569,8 +569,7 @@ def test_cache_stats_count_hits_misses_and_sizes():
     iquantum.clear_caches()
     stats = iquantum.cache_stats()
     others = {
-        "freealg._WORD_PAIR_CACHE", "iuea._B_WORD_MEMO", "shapes._ARC_MEMO", "shapes._HIST_MEMO",
-        "shapes._SHAPE_MEMO",
+        "freealg._WORD_PAIR_CACHE", "iuea._B_WORD_MEMO", "shapes._ARC_MEMO", "shapes._SHAPE_MEMO",
     }
     mine = {"klr._PSI_CACHE", "klr._ENTRY_CACHE", "klr._ELEM_CACHE", "klr._FIELDS"}
     assert set(stats) == mine | others

@@ -526,8 +526,8 @@ def test_one_prop_set_on_two_bottom_words_keeps_two_crossing_terms():
 # -------------------------------------------------------------- histogram memo
 #
 # pair_b, its restricted modes and hom_rank read one degree histogram per
-# (top, bottom, mode) through shapes._HIST_MEMO, at the (datum, weight) scope
-# of _ARC_MEMO.
+# (mode, weight) through shapes._SHAPE_MEMO, in the (datum, top, bottom) scope
+# that also holds the pair's matchings per mode.
 
 
 def _cup_cap_free_sum(datum, top, bottom, lw):
@@ -542,8 +542,8 @@ SUMS = {
 }
 
 
-def _hist_stats():
-    return iquantum.cache_stats()["shapes._HIST_MEMO"]
+def _shape_stats():
+    return iquantum.cache_stats()["shapes._SHAPE_MEMO"]
 
 
 def test_memoized_histogram_is_the_counter_of_degrees():
@@ -565,8 +565,8 @@ def test_memoized_histogram_is_the_counter_of_degrees():
                         for sh in shapes.enumerate_shapes(datum, top, bottom, mode)
                     )
                     route(datum, top, bottom, lw)
-                    hist = shapes._HIST_MEMO[(top, bottom, mode)]
-                    assert shapes._HIST_MEMO.scope == (datum.key(), lw)
+                    hist = shapes._SHAPE_MEMO[(mode, lw)]
+                    assert shapes._SHAPE_MEMO.scope == (datum.key(), top, bottom)
                     if want:
                         assert hist == want, (name, top, bottom, mode, lw)
                     else:
@@ -575,13 +575,13 @@ def test_memoized_histogram_is_the_counter_of_degrees():
                         empty += 1
     assert empty >= 20
     # odd total length is zero before any lookup
-    before = _hist_stats()
+    before, scope = _shape_stats(), shapes._SHAPE_MEMO.scope
     datum = make("qs_a2")
     lw = weight(datum, {"1": 1})
     for route in SUMS.values():
         assert route(datum, ("1", "2", "1"), ("2", "1"), lw).is_zero()
     assert shapes.hom_rank(datum, ("1",), (), lw).series.coeffs == {}
-    assert _hist_stats() == before
+    assert _shape_stats() == before and shapes._SHAPE_MEMO.scope == scope
 
 
 def test_hom_rank_after_pair_b_is_one_miss_then_one_hit(monkeypatch):
@@ -598,25 +598,30 @@ def test_hom_rank_after_pair_b_is_one_miss_then_one_hit(monkeypatch):
 
     monkeypatch.setattr(shapes, "enumerate_shapes", recorded)
     pb = shapes.pair_b(datum, top, bottom, lw)
-    assert _hist_stats() == {"hits": 0, "misses": 1, "size": 1}
+    # the histogram's miss enumerates the matchings: a second miss, in the
+    # same table
+    assert _shape_stats() == {"hits": 0, "misses": 2, "size": 2}
     rank = shapes.hom_rank(datum, top, bottom, lw, order=12)
-    assert _hist_stats() == {"hits": 1, "misses": 1, "size": 1}
+    assert _shape_stats() == {"hits": 1, "misses": 2, "size": 2}
     assert len(calls) == 1
     # each side still assembles its own sum: the check compares two signs
     assert rank.series == expand(pb.bar(), ASC_Q, 12)
-    # a pair with no matching is stored too, and read back as a hit
+    # a pair with no matching is stored too, and read back as a hit; it is
+    # another scope, so the table holds only its two entries
     none = (("1", "1"), ("2", "2"))
     assert shapes.pair_b(datum, *none, lw).is_zero()
     assert shapes.hom_rank(datum, *none, lw).series.coeffs == {}
-    assert _hist_stats() == {"hits": 2, "misses": 2, "size": 2}
+    assert _shape_stats() == {"hits": 2, "misses": 4, "size": 2}
+    assert shapes._SHAPE_MEMO[("all", lw)] == () and shapes._SHAPE_MEMO["all"] == ()
     assert len(calls) == 2
 
 
-def test_hist_memo_is_emptied_by_another_weight():
+def test_another_pair_empties_the_histograms():
     iquantum.clear_caches()
     datum = make("qs_a2")
     rng = random.Random(1661)
     pairs = [_series_pair(rng, "qs_a2") for _ in range(2)]
+    assert pairs[0] != pairs[1]
     lw_a, lw_b = weight(datum, {"1": 1}), weight(datum, {"1": -2})
     sums = {}
     for lw in (lw_a, lw_b):
@@ -625,13 +630,50 @@ def test_hist_memo_is_emptied_by_another_weight():
     assert sums[lw_a] != sums[lw_b]
     iquantum.clear_caches()
     assert [shapes.pair_b(datum, t, b, lw_a) for t, b in pairs] == sums[lw_a]
-    assert _hist_stats()["size"] == 2
-    # another weight is another scope: the table holds only its entry
+    # one histogram and one enumeration per pair; the table holds the last
+    # pair's two entries
+    assert _shape_stats() == {"hits": 0, "misses": 4, "size": 2}
+    assert shapes._SHAPE_MEMO.scope == (datum.key(), *pairs[1])
+    # another pair is another scope, whatever the weight
     assert shapes.pair_b(datum, *pairs[0], lw_b) == sums[lw_b][0]
-    assert _hist_stats() == {"hits": 0, "misses": 3, "size": 1}
-    assert shapes._HIST_MEMO.scope == (datum.key(), lw_b)
+    assert _shape_stats() == {"hits": 0, "misses": 6, "size": 2}
+    assert shapes._SHAPE_MEMO.scope == (datum.key(), *pairs[0])
+    # another weight on that pair adds its histogram over the stored matchings
     assert shapes.pair_b(datum, *pairs[0], lw_a) == sums[lw_a][0]
-    assert _hist_stats() == {"hits": 0, "misses": 4, "size": 1}
+    assert _shape_stats() == {"hits": 1, "misses": 7, "size": 3}
+
+
+def test_one_pair_at_two_weights_keeps_two_histograms(monkeypatch):
+    datum = make("qs_a2")
+    top, bottom = _series_pair(random.Random(1662), "qs_a2")
+    lw_a, lw_b = weight(datum, {"1": 1}), weight(datum, {"1": -2})
+    fresh = {}
+    for lw in (lw_a, lw_b):
+        iquantum.clear_caches()
+        fresh[lw] = shapes.pair_b(datum, top, bottom, lw)
+    assert fresh[lw_a] != fresh[lw_b]
+    iquantum.clear_caches()
+    want_rank = expand(fresh[lw_a].bar(), ASC_Q, 12)
+    calls = []
+    recursion = shapes._enumerate
+
+    def recorded(*args):
+        calls.append(args)
+        return recursion(*args)
+
+    monkeypatch.setattr(shapes, "_enumerate", recorded)
+    assert shapes.hom_rank(datum, top, bottom, lw_a, order=12).series == want_rank
+    assert shapes.pair_b(datum, top, bottom, lw_b) == fresh[lw_b]
+    # one enumeration serves both weights; each weight keeps its histogram
+    assert len(calls) == 1
+    assert _shape_stats() == {"hits": 1, "misses": 3, "size": 3}
+    found = shapes.enumerate_shapes(datum, top, bottom)
+    for lw in (lw_a, lw_b):
+        assert shapes._SHAPE_MEMO[("all", lw)] == Counter(
+            shapes.degree(datum, sh, lw) for sh in found
+        )
+    assert shapes.pair_b(datum, top, bottom, lw_a) == fresh[lw_a]
+    assert _shape_stats() == {"hits": 3, "misses": 3, "size": 3}
 
 
 def test_each_mode_reads_its_own_histogram():
@@ -649,7 +691,9 @@ def test_each_mode_reads_its_own_histogram():
     iquantum.clear_caches()
     for mode, route in SUMS.items():
         assert route(datum, top, bottom, lw) == fresh[mode], mode
-    assert _hist_stats() == {"hits": 0, "misses": 3, "size": 3}
+    # each mode is one histogram and one enumeration
+    assert _shape_stats() == {"hits": 0, "misses": 6, "size": 6}
+    assert shapes._SHAPE_MEMO[("cup_cap_free", lw)] == ()
 
 
 # ------------------------------------------------------------------ shape memo
@@ -657,10 +701,6 @@ def test_each_mode_reads_its_own_histogram():
 # enumerate_shapes reads the matchings of one word pair through
 # shapes._SHAPE_MEMO, keyed by mode at the (datum, top, bottom) scope; the
 # memo-free route calls the miss path, shapes._enumerate, every time.
-
-
-def _shape_stats():
-    return iquantum.cache_stats()["shapes._SHAPE_MEMO"]
 
 
 def test_enumerate_shapes_matches_the_memo_free_recursion():
@@ -744,9 +784,10 @@ def test_hom_rank_then_enumerate_shapes_is_one_miss_then_one_hit(monkeypatch):
 
     monkeypatch.setattr(shapes, "_enumerate", recorded)
     shapes.hom_rank(datum, top, bottom, lw, order=12)
-    assert _shape_stats() == {"hits": 0, "misses": 1, "size": 1}
+    # the histogram and the matchings it enumerated
+    assert _shape_stats() == {"hits": 0, "misses": 2, "size": 2}
     found = shapes.enumerate_shapes(datum, top, bottom, "all")
-    assert _shape_stats() == {"hits": 1, "misses": 1, "size": 1}
+    assert _shape_stats() == {"hits": 1, "misses": 2, "size": 2}
     assert len(calls) == 1 and len(found) == shapes.shape_count(datum, top, bottom)
     assert all(shapes.degree(datum, sh, lw) == shapes.degree_alt(datum, sh, lw) for sh in found)
 

@@ -1,0 +1,207 @@
+"""Compare the behaviour contract of two checkouts, call by call.
+
+    python3 tools/contract_diff.py PARENT_DIR [--change DIR]
+
+The contract is the ``selftest`` report, CLI stdout, ``--json`` output and
+the exit codes.  One fixed call list is run on each tree: ``selftest``
+plain and with ``--json``; every ``python3 -m iquantum`` line of the
+README (read from the change's checkout), as written and with ``--json``;
+seeded calls of every subcommand on the five built-in data; and one input
+over each ``cli.MAX_*`` bound, so that the exit-2 messages are compared too.
+
+Each tree runs the whole list in one child interpreter, with the tree's
+``src`` alone on its path.  Every call goes through ``cli.run`` with every
+memo emptied first, as in a fresh process, and the child reports the
+sha256 of its stdout, of its stderr, and its exit code.  The script prints
+the first call that differs and which of the three differ, or that none
+does; it exits 0 when every call agrees and 1 otherwise.
+
+DIR defaults to the checkout this script sits in.  The two children run at
+the same time.  Standard library only; the children import each tree's
+package.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import random
+import shlex
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PREFIX = "python3 -m iquantum "
+SEED = 2101
+
+# The built-in data by name, with their nodes and the nodes tau fixes.
+BUILTINS = {
+    "split_a1": (("1",), ("1",)),
+    "diag_a1a1": (("1", "2"), ()),
+    "qs_a2": (("1", "2"), ()),
+    "qs_a3": (("1", "2", "3"), ("2",)),
+    "split_a2": (("1", "2"), ("1", "2")),
+}
+
+# Runs in the child: reads the call list on stdin, writes one result per call.
+CHILD = """
+import contextlib, hashlib, io, json, sys
+import iquantum
+from iquantum import cli
+
+def sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+results = []
+for argv in json.load(sys.stdin):
+    iquantum.clear_caches()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    results.append({"stdout": sha(out.getvalue()), "stderr": sha(err.getvalue()), "exit": code})
+sys.__stdout__.write(json.dumps(results))
+"""
+
+
+def readme_examples(root: Path) -> list[list[str]]:
+    """The argv of every README example, then each again with --json."""
+    lines = (root / "README.md").read_text(encoding="utf-8").splitlines()
+    argvs = [shlex.split(line[len(PREFIX):]) for line in lines if line.startswith(PREFIX)]
+    return argvs + [argv + ["--json"] for argv in argvs]
+
+
+def _word(rng: random.Random, nodes, powers, letters: int) -> str:
+    """A word of up to ``letters`` letters; one letter in four at a node of
+    ``powers`` is a divided power 2."""
+    out = []
+    for _ in range(rng.randint(0, letters)):
+        i = rng.choice(nodes)
+        out.append(f"{i}^(2)" if i in powers and rng.random() < 0.25 else i)
+    return " ".join(out)
+
+
+def seeded_calls(seed: int) -> list[list[str]]:
+    """Every subcommand on each built-in, with seeded words and weights."""
+    rng = random.Random(seed)
+    calls = []
+    for name, (nodes, fixed) in BUILTINS.items():
+        cfg = ["--config", name]
+        moved = [i for i in nodes if i not in fixed]
+        for _ in range(3):
+            lam = rng.choice(("L0", "L1"))
+            calls.append(["pair", *cfg, "--i", _word(rng, nodes, moved, 3),
+                          "--j", _word(rng, nodes, moved, 3), "--lambda", lam])
+        top, bottom = _word(rng, nodes, (), 3), _word(rng, nodes, (), 3)
+        calls.append(["shapes", *cfg, "--i", top, "--j", bottom, "--lambda", "L1",
+                      "--mode", rng.choice(("all", "cap_free", "cup_cap_free"))])
+        calls.append(["grdim", *cfg, "--i", top, "--j", bottom, "--lambda", "L0", "--N", "8"])
+        calls.append(["grdim", *cfg, "--end", "--N", str(rng.randint(4, 12))])
+        calls.append(["iserre", *cfg, "--all", "--lambda-range", "-1..1"])
+        calls.append(["bkl", *cfg, "--i", rng.choice(moved or nodes), "--lambda", "L1"])
+        strands = " ".join(rng.choice(nodes) for _ in range(3))
+        calls.append(["klr", *cfg, "--expr", f"e({strands}) ; s1 ; x2 ; s2"])
+    return calls + [argv + ["--json"] for argv in calls]
+
+
+def _config(cartan: int, lam: int) -> str:
+    """A two-node config with off-diagonal Cartan entries -cartan and one
+    weight of lam at node 1."""
+    return json.dumps({
+        "nodes": ["1", "2"],
+        "cartan": [[2, -cartan], [-cartan, 2]],
+        "d": [1, 1],
+        "tau": {"1": "2", "2": "1"},
+        "varsigma": {"1": 1, "2": 0},
+        "weights": {"L0": {"lam": {}}, "L": {"lam": {"1": lam}}},
+    })
+
+
+def bound_calls(configs: Path) -> list[list[str]]:
+    """One input over each cli.MAX_* bound (each an exit-2 message)."""
+    over_cartan = configs / "cartan5.json"
+    over_cartan.write_text(_config(5, 0), encoding="utf-8")
+    over_lam = configs / "lam1001.json"
+    over_lam.write_text(_config(1, 1001), encoding="utf-8")
+    crossings = " ; ".join(["s1 ; s3 ; s5"] * 21)
+    return [
+        # MAX_ORDER
+        ["grdim", "--config", "qs_a2", "--end", "--N", "1001"],
+        # MAX_CARTAN
+        ["pair", "--config", str(over_cartan), "--i", "1", "--j", "1", "--lambda", "L0"],
+        # MAX_LAM, in a config and in a sweep
+        ["bkl", "--config", str(over_lam), "--i", "1", "--lambda", "L"],
+        ["iserre", "--config", "qs_a2", "--all", "--lambda-range", "1001..1001"],
+        # MAX_WORD
+        ["pair", "--config", "qs_a2", "--i", "1 2 1 2 1 2 1 2 1", "--j", "1", "--lambda", "L0"],
+        # MAX_SHAPES: two 8-letter words of one fixed-node letter have 15!! shapes
+        ["pair", "--config", "split_a1", "--i", " ".join("1" * 8), "--j", " ".join("1" * 8),
+         "--lambda", "L0"],
+        # MAX_SWEEP
+        ["iserre", "--config", "qs_a2", "--all", "--lambda-range", "-500..500"],
+        # MAX_STRANDS
+        ["klr", "--config", "qs_a2", "--expr", "e(1 2 1 2 1 2 1)"],
+        # MAX_FACTORS
+        ["klr", "--config", "qs_a2", "--expr", "e(1 2) ; " + " ; ".join(["x1"] * 65)],
+        # MAX_TERMS: the product passes 1000 terms after 58 of the 63 factors
+        ["klr", "--config", "split_a2", "--expr", f"e(1 2 1 2 1 2) ; {crossings}"],
+    ]
+
+
+def start(tree: Path, calls: list[list[str]], out: Path) -> subprocess.Popen:
+    """Start the child interpreter of one tree on the call list.  Its
+    results go to the file out and its stderr beside it, so that neither
+    child can fill a pipe while the other runs."""
+    src = str(tree / "src")
+    with open(out, "w") as stdout, open(out.with_suffix(".err"), "w") as stderr:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n{CHILD}"],
+            cwd=tree, stdin=subprocess.PIPE, stdout=stdout, stderr=stderr, text=True,
+            env={k: v for k, v in os.environ.items() if k != "PYTHONPATH"},
+        )
+    proc.stdin.write(json.dumps(calls))
+    proc.stdin.close()
+    return proc
+
+
+def finish(proc: subprocess.Popen, tree: Path, out: Path) -> list[dict]:
+    """The child's results, once it has exited."""
+    if proc.wait() != 0:
+        err = out.with_suffix(".err").read_text(encoding="utf-8")
+        sys.exit(f"{tree}: the child failed with exit code {proc.returncode}\n{err}")
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="root of the parent checkout")
+    parser.add_argument("--change", type=Path, default=ROOT, help="root of the changed checkout")
+    args = parser.parse_args()
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    with tempfile.TemporaryDirectory() as scratch:
+        # the README list starts with selftest
+        calls = readme_examples(trees["change"]) + seeded_calls(SEED) + bound_calls(Path(scratch))
+        t0 = time.perf_counter()
+        outs = {side: Path(scratch) / f"{side}.json" for side in trees}
+        procs = {side: start(trees[side], calls, outs[side]) for side in trees}
+        found = {side: finish(procs[side], trees[side], outs[side]) for side in trees}
+        seconds = time.perf_counter() - t0
+    diffs = [k for k, (a, b) in enumerate(zip(found["parent"], found["change"])) if a != b]
+    print(f"{len(calls)} calls on each tree in {seconds:.1f} s")
+    if not diffs:
+        print("no difference")
+        return 0
+    k = diffs[0]
+    a, b = found["parent"][k], found["change"][k]
+    parts = ", ".join(key for key in ("stdout", "stderr", "exit") if a[key] != b[key])
+    print(f"{len(diffs)} calls differ; the first is call {k}:")
+    print(f"  python3 -m iquantum {shlex.join(calls[k])}")
+    print(f"  differs in {parts} (exit {a['exit']} at the parent, {b['exit']} at the change)")
+    return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
