@@ -68,12 +68,12 @@ class Config:
 _TOP_KEYS = {"nodes", "cartan", "d", "tau", "varsigma", "orientation", "weights", "sign_convention", "N"}
 
 
-def _need(obj, key, kind, path):
+def _need(obj, key, kind):
     if key not in obj:
-        raise ConfigError(path, f"missing required key {key!r}")
+        raise ConfigError("", f"missing required key {key!r}")
     val = obj[key]
     if not isinstance(val, kind):
-        raise ConfigError(f"{path}.{key}" if path else key, f"expected {kind.__name__}")
+        raise ConfigError(key, f"expected {kind.__name__}")
     return val
 
 
@@ -122,7 +122,7 @@ def parse_config(text: str) -> Config:
         if key not in _TOP_KEYS:
             raise ConfigError(key, "unknown key")
 
-    nodes_raw = _need(raw, "nodes", list, "")
+    nodes_raw = _need(raw, "nodes", list)
     if not nodes_raw:
         raise ConfigError("nodes", "must not be empty")
     nodes = []
@@ -133,7 +133,7 @@ def parse_config(text: str) -> Config:
             raise ConfigError(f"nodes[{k}]", f"duplicate node {n!r}")
         nodes.append(n)
 
-    cartan = _need(raw, "cartan", list, "")
+    cartan = _need(raw, "cartan", list)
     if len(cartan) != len(nodes):
         raise ConfigError("cartan", f"need {len(nodes)} rows")
     for r, row in enumerate(cartan):
@@ -148,17 +148,17 @@ def parse_config(text: str) -> Config:
                     f"off-diagonal |a| = {abs(v)}; at most {MAX_CARTAN} is supported",
                 )
 
-    d = _need(raw, "d", list, "")
+    d = _need(raw, "d", list)
     if len(d) != len(nodes) or any(not isinstance(v, int) or isinstance(v, bool) for v in d):
         raise ConfigError("d", f"need {len(nodes)} integers")
 
-    tau = _node_map(_need(raw, "tau", dict, ""), nodes, "tau", str)
+    tau = _node_map(_need(raw, "tau", dict), nodes, "tau", str)
     for i in nodes:
         if i not in tau:
             raise ConfigError(f"tau.{i}", "missing entry")
         if tau[i] not in nodes:
             raise ConfigError(f"tau.{i}", f"{tau[i]!r} is not a declared node")
-    varsigma = _node_map(_need(raw, "varsigma", dict, ""), nodes, "varsigma", int)
+    varsigma = _node_map(_need(raw, "varsigma", dict), nodes, "varsigma", int)
     for i in nodes:
         if i not in varsigma:
             raise ConfigError(f"varsigma.{i}", "missing entry")
@@ -190,7 +190,7 @@ def parse_config(text: str) -> Config:
     if problems:
         raise ConfigError("datum", "; ".join(problems))
 
-    weights_raw = _need(raw, "weights", dict, "")
+    weights_raw = _need(raw, "weights", dict)
     weights = {}
     for name, entry in weights_raw.items():
         path = f"weights.{name}"

@@ -81,14 +81,6 @@ class FElem:
         r.terms = out
         return r
 
-    def __neg__(self) -> "FElem":
-        r = FElem()
-        r.terms = {w: -c for w, c in self.terms.items()}
-        return r
-
-    def __sub__(self, other: "FElem") -> "FElem":
-        return self + (-other)
-
     def scale(self, c: RatQ) -> "FElem":
         if c.is_zero():
             return FElem.zero()

@@ -728,22 +728,20 @@ def serre_complex_check(qt: QTable, i: str, j: str) -> SerreComplexReport:
         tensor(tensor(divided_idempotent(qt, i, n), e((j,))), divided_idempotent(qt, i, m - n))
         for n in range(m + 1)
     ]
-
-    def lateral(bottom, top, perm):
-        # one strand over a block of parallel strands: the permutation
-        # avoids the pattern 321, so every reduced word gives this diagram
-        return diagram(top, bottom, perm, (0,) * len(bottom))
-
+    # each differential is one strand over a block of parallel strands: its
+    # permutation avoids the pattern 321, so every reduced word gives this
+    # diagram
+    flat = (0,) * (m + 1)
     d = {}
     for n in range(1, m + 1):
         # leftmost strand of the left bundle crosses its bundle and j
         perm = (n,) + tuple(range(n)) + tuple(range(n + 1, m + 1))
-        d[n] = mul(qt, idem[n - 1], mul(qt, lateral(words[n], words[n - 1], perm), idem[n]))
+        d[n] = mul(qt, idem[n - 1], mul(qt, diagram(words[n - 1], words[n], perm, flat), idem[n]))
     s = {}
     for n in range(m):
         # rightmost strand of the right bundle crosses its bundle and j
         perm = tuple(range(n)) + (n + 1,) + tuple(range(n + 2, m + 1)) + (n,)
-        elem = mul(qt, idem[n + 1], mul(qt, lateral(words[n], words[n + 1], perm), idem[n]))
+        elem = mul(qt, idem[n + 1], mul(qt, diagram(words[n + 1], words[n], perm, flat), idem[n]))
         s[n] = elem.scale((-1) ** n * t)
     details = []
     dd_zero = True

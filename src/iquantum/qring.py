@@ -311,8 +311,6 @@ class RatQ:
         return not self.is_zero()
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = RatQ.from_int(other)
         if not isinstance(other, RatQ):
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -321,13 +319,9 @@ class RatQ:
         return hash((self.num, self.den))
 
     def __add__(self, other: "RatQ") -> "RatQ":
-        if isinstance(other, int):
-            other = RatQ.from_int(other)
         if not isinstance(other, RatQ):
             return NotImplemented
         return RatQ(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
 
     def __neg__(self) -> "RatQ":
         if self.is_zero():
@@ -344,18 +338,12 @@ class RatQ:
         normal form and is not normalized again."""
         return RatQ._trusted(self.num.shifted(k), self.den)
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            other = RatQ.from_int(other)
+    def __mul__(self, other: "RatQ") -> "RatQ":
         if not isinstance(other, RatQ):
             return NotImplemented
         return RatQ(self.num * other.num, self.den * other.den)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other: "RatQ") -> "RatQ":
-        if isinstance(other, int):
-            other = RatQ.from_int(other)
         if not isinstance(other, RatQ):
             return NotImplemented
         if other.is_zero():
@@ -467,14 +455,7 @@ class PowerSeriesTrunc:
         return self.coeffs.get(e, 0)
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self.coeffs):
-            v = self.coeffs[e]
-            sign = "+" if v > 0 else "-"
-            parts.append(f"{sign}{abs(v)}*q^{e}")
-        return " ".join(parts)
+        return str(LaurentPoly(self.coeffs))
 
     def __repr__(self) -> str:
         return f"PowerSeriesTrunc({self.order}, {self.coeffs!r})"

@@ -9,8 +9,9 @@ Encodings:
 * ``IWeight`` stores only the coordinates lam_i and the parity bit at
   tau-fixed nodes.  No ambient weight lattice is kept: every formula in this
   package consumes exactly this data.
-* ``LamVec`` is a multiplicity vector over I (an element of the positive
-  cone spanned by the alpha_i).
+* A word's content (``word_weight``) is a ``collections.Counter`` of its
+  letter multiplicities, an element of the positive cone spanned by the
+  alpha_i.
 * A ``Word`` is a tuple of node names; a ``DPWord`` is a tuple of
   (node, multiplicity) pairs with positive multiplicities, written on the
   command line as e.g. ``1^(2) 2``.
@@ -19,6 +20,7 @@ Encodings:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 
@@ -215,35 +217,15 @@ def shift(datum: SatakeDatum, lw: IWeight, j: str, sign: int) -> IWeight:
     )
 
 
-@dataclass(frozen=True)
-class LamVec:
-    """Finite multiplicity vector in the positive cone."""
-
-    mult: tuple[tuple[str, int], ...]
-
-    @staticmethod
-    def from_dict(m: dict[str, int]) -> "LamVec":
-        items = tuple(sorted((k, int(v)) for k, v in m.items() if v))
-        for _, v in items:
-            if v < 0:
-                raise ValueError("negative multiplicity in LamVec")
-        return LamVec(items)
-
-    def of(self, i: str) -> int:
-        for k, v in self.mult:
-            if k == i:
-                return v
-        return 0
-
-
-def leq_lambda(datum: SatakeDatum, alpha: LamVec, beta: LamVec) -> bool:
-    """Order test: beta - alpha must lie in the cone spanned by alpha_i + alpha_{tau i}.
+def leq_lambda(datum: SatakeDatum, alpha: Counter, beta: Counter) -> bool:
+    """Order test on two word contents: beta - alpha must lie in the cone
+    spanned by alpha_i + alpha_{tau i}.
 
     Closed form: on each 2-element tau-orbit both coordinates of the
     difference agree and are >= 0; at tau-fixed nodes the difference is even
     and >= 0.
     """
-    diff = {i: beta.of(i) - alpha.of(i) for i in datum.nodes}
+    diff = {i: beta[i] - alpha[i] for i in datum.nodes}
     for i in datum.nodes:
         ti = datum.tau[i]
         if diff[i] < 0:
@@ -260,11 +242,12 @@ Word = tuple[str, ...]
 DPWord = tuple[tuple[str, int], ...]
 
 
-def word_weight(word: DPWord) -> LamVec:
-    m: dict[str, int] = {}
+def word_weight(word: DPWord) -> Counter:
+    """The content of a word: its letter multiplicities."""
+    m: Counter = Counter()
     for i, n in word:
-        m[i] = m.get(i, 0) + n
-    return LamVec.from_dict(m)
+        m[i] += n
+    return m
 
 
 def apply_word(datum: SatakeDatum, lw: IWeight, word: DPWord) -> IWeight:

@@ -423,19 +423,10 @@ def end_grdim(datum: SatakeDatum, order: int = 20) -> RankSeries:
     """
     two, fixed = orbit_reps(datum)
     series = PowerSeriesTrunc.one(order)
-    for i in two:
+    for i in two + fixed:
         d = datum.qi(i)
-        n = 1
-        while 2 * d * n <= order:
+        for n in range(1, order // (2 * d) + 1, 1 if i in two else 2):
             series = series * _geometric(2 * d * n, order)
-            n += 1
-    for i in fixed:
-        d = datum.qi(i)
-        n = 1
-        while 2 * d * n <= order:
-            if n % 2:
-                series = series * _geometric(2 * d * n, order)
-            n += 1
     return RankSeries(series)
 
 

@@ -10,7 +10,7 @@ import time
 import pytest
 
 import iquantum
-from iquantum import cli, selftest, shapes
+from iquantum import cli, klr, selftest, shapes
 from iquantum.standard import SIGN_CONVENTION, STANDARD
 
 
@@ -53,23 +53,50 @@ def base_config():
 
 
 def test_parse_config_paths():
+    # each patch updates the qs_a2 config, missing drops its key, and a
+    # patch that is not a dict replaces the whole document
+    missing = object()
     checks = [
-        (dict(tau={"1": "9", "2": "1"}), "tau.1"),
-        (dict(sign_convention="magic"), "sign_convention"),
-        (dict(cartan=[[2, -1], [-1, "2"]]), "cartan[1][1]"),
-        (dict(d=[1]), "d"),
-        (dict(orientation={"1 9": 1}), "orientation.1 9"),
-        (dict(N=0), "N"),
-        (dict(bogus=3), "bogus"),
+        ([1, 2], "", "top level must be an object"),
+        (dict(nodes=missing), "", "missing required key 'nodes'"),
+        (dict(nodes="1 2"), "nodes", "expected list"),
+        (dict(nodes=[]), "nodes", "must not be empty"),
+        (dict(nodes=[1, "2"]), "nodes[0]", "nonempty strings"),
+        (dict(nodes=["1", "1"]), "nodes[1]", "duplicate node '1'"),
+        (dict(tau={"1": "9", "2": "1"}), "tau.1", "not a declared node"),
+        (dict(tau={"1": "2"}), "tau.2", "missing entry"),
+        (dict(varsigma={"1": 1}), "varsigma.2", "missing entry"),
+        (dict(sign_convention="magic"), "sign_convention", '"body" or "intro"'),
+        (dict(cartan=[[2, -1]]), "cartan", "need 2 rows"),
+        (dict(cartan=[[2, -1], [-1]]), "cartan[1]", "need a row of 2 integers"),
+        (dict(cartan=[[2, -1], [-1, "2"]]), "cartan[1][1]", "expected int"),
+        (dict(d=[1]), "d", "need 2 integers"),
+        (dict(orientation=[["1", "2"]]), "orientation", "expected object"),
+        (dict(orientation={"1 9": 1}), "orientation.1 9", "node pairs"),
+        (dict(orientation={"1 2": -1}), "orientation.1 2", "nonnegative int"),
+        (dict(N=0), "N", "positive int"),
+        (dict(bogus=3), "bogus", "unknown key"),
         # breaking the varsigma sum rule is a datum-level invariant
-        (dict(varsigma={"1": 0, "2": 0}), "datum"),
+        (dict(varsigma={"1": 0, "2": 0}), "datum", "varsigma sum rule"),
+        (
+            dict(weights={"W": {"lam": {}, "parity": {}, "mu": {}}}),
+            "weights.W",
+            'keys "lam" and "parity"',
+        ),
+        (
+            dict(weights={"W": {"lam": {"1": 1001}, "parity": {}}}),
+            "weights.W.lam.1",
+            "|lam| = 1001; at most 1000 is supported",
+        ),
     ]
-    for patch, path in checks:
-        doc = base_config()
-        doc.update(patch)
+    for patch, path, message in checks:
+        doc = patch
+        if isinstance(patch, dict):
+            doc = {k: v for k, v in {**base_config(), **patch}.items() if v is not missing}
         with pytest.raises(cli.ConfigError) as ei:
             cli.parse_config(json.dumps(doc))
         assert ei.value.path == path, (patch, ei.value.path)
+        assert message in ei.value.message, (patch, ei.value.message)
 
 
 def test_parse_config_weight_errors_name_the_node():
@@ -276,6 +303,19 @@ def test_grdim_word_pair(capsys):
     )
     assert code == 0
     assert out.strip() == "rank series = +1*q^0 +1*q^2 +1*q^4 +1*q^6"
+    code, out, _ = run_cli(
+        capsys,
+        "grdim", "--config", "qs_a2", "--i", "1", "--j", "1", "--lambda", "L0",
+        "--N", "6", "--json",
+    )
+    assert code == 0
+    assert json.loads(out) == {
+        "i": "1",
+        "j": "1",
+        "lambda": "L0",
+        "order": 6,
+        "series": "+1*q^0 +1*q^2 +1*q^4 +1*q^6",
+    }
 
 
 def test_shapes_listing(capsys):
@@ -496,6 +536,26 @@ def test_usage_and_config_errors(capsys):
     assert code == 2 and ei_path_in(err, "weights.NOPE")
     code, _, err = run_cli(capsys, "iserre", "--config", "qs_a2", "--all")
     assert code == 2
+    for argv, message in [
+        (("iserre", "--config", "qs_a2", "--all", "--lambda-range", "1to3"),
+         "config error: range must look like -3..3, got '1to3'"),
+        (("iserre", "--config", "qs_a2", "--all", "--lambda-range", "3..1"),
+         "config error: empty range '3..1'"),
+        (("iserre", "--config", "qs_a2", "--i", "1", "--lambda", "L0"),
+         "config error: iserre needs --all or both --i and --j"),
+        (("iserre", "--config", "qs_a2", "--i", "1", "--j", "9", "--lambda", "L0"),
+         "config error: unknown node '9'"),
+        (("bkl", "--config", "qs_a2", "--i", "9", "--lambda", "L0"),
+         "config error: unknown node '9'"),
+        (("grdim", "--config", "qs_a2", "--i", "1", "--j", "1"),
+         "config error: grdim needs --lambda NAME (or --end)"),
+        (("klr", "--config", "qs_a2", "--expr", "e(1 9)"),
+         "error: unknown node '9' in e(...)"),
+        (("klr", "--config", "qs_a2", "--expr", "e(1 2) ; s2"),
+         "error: crossing position 2 outside word of length 2"),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err.strip()) == (2, "", message), argv
 
 
 def ei_path_in(err, path):
@@ -512,6 +572,46 @@ def test_config_file_loading(tmp_path, capsys):
     )
     assert code == 0
     assert out.strip().endswith("+1*q^6")
+
+
+def test_config_warnings_go_to_stderr(tmp_path, capsys):
+    # two tau-fixed nodes whose Cartan entries differ mod 2: a warning only
+    doc = {
+        "nodes": ["1", "2"],
+        "cartan": [[2, -1], [-2, 2]],
+        "d": [2, 1],
+        "tau": {"1": "1", "2": "2"},
+        "varsigma": {"1": -1, "2": -1},
+        "weights": {"L0": {"lam": {}, "parity": {"1": 0, "2": 0}}},
+    }
+    path = tmp_path / "warn.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "grdim", "--config", str(path), "--end", "--N", "4")
+    assert code == 0
+    assert out == "end series = +1*q^0 +1*q^2 +2*q^4\n"
+    assert err == (
+        "warning: a[1,2] and a[2,1] differ mod 2 between tau-fixed nodes; "
+        "2-category parameters need not exist\n"
+    )
+
+
+def test_klr_reads_the_config_orientation(tmp_path, capsys):
+    doc = base_config()
+    doc["orientation"] = {"2 1": 1}
+    path = tmp_path / "reversed.json"
+    path.write_text(json.dumps(doc))
+    expr = "e(1 2) ; s1 ; s1"
+    cfg = cli.load_config(str(path))
+    assert cfg.orientation == {("2", "1"): 1}
+    qt = klr.geometric_qtable(cfg.datum, orientation=cfg.orientation)
+    once = klr.mul(qt, klr.e(("1", "2")), klr.crossing(("2", "1"), 1))
+    want = klr.mul(qt, once, klr.crossing(("1", "2"), 1))
+    code, out, _ = run_cli(capsys, "klr", "--config", str(path), "--expr", expr)
+    assert code == 0 and f"normal form = {want}\n" in out
+    # the default orientation, 1 -> 2, gives the opposite sign
+    code, default, _ = run_cli(capsys, "klr", "--config", "qs_a2", "--expr", expr)
+    assert code == 0 and default != out
+    assert "normal form = (-1)*[x2^1] + (+1)*[x1^1]" in default
 
 
 def test_module_entry_point():

@@ -138,6 +138,19 @@ def test_ratq_zero_and_div():
         RatQ(LaurentPoly.one(), LaurentPoly.zero())
 
 
+def test_ratq_takes_only_ratq_operands():
+    # integers enter the field through RatQ.from_int, never by coercion
+    one = RatQ.one()
+    with pytest.raises(TypeError):
+        one + 1
+    with pytest.raises(TypeError):
+        2 * one
+    with pytest.raises(TypeError):
+        one / 2
+    assert (one == 1) is False
+    assert one == RatQ.from_int(1)
+
+
 def test_bar_of_geometric_factor():
     x = RatQ(LaurentPoly.one(), L({0: 1, -2: -1}))  # 1/(1 - q^-2)
     b = x.bar()
@@ -254,6 +267,7 @@ def test_canonical_text():
     assert str(x) == "(+1*q^0)/(-1*q^0 +1*q^2)"
     s = PowerSeriesTrunc(4, {0: 1, -2: 2})
     assert str(s) == "+2*q^-2 +1*q^0"
+    assert str(PowerSeriesTrunc(4, {})) == "0"
 
 
 def test_exact_div_rejects_inexact():

@@ -1,11 +1,11 @@
 """Satake data, iweights, shifts, the cone order, and word bookkeeping."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from iquantum.satake import (
-    LamVec,
     apply_word,
     format_dpword,
     leq_lambda,
@@ -31,23 +31,60 @@ def test_standard_data_validate(make):
 
 
 def test_validate_diagnostics():
-    bad = make_datum(
-        ["1", "2"], [[2, -1], [-1, 2]], [1, 1], {"1": "2", "2": "1"}, {"1": 0, "2": 0}
-    )
-    msgs = validate(bad)
-    assert any("varsigma sum rule" in m for m in msgs)
-    bad2 = make_datum(["1"], [[2]], [1], {"1": "1"}, {"1": 0})
-    assert any("must be -1" in m for m in validate(bad2))
-    bad3 = make_datum(
-        ["1", "2"], [[2, 0], [0, 2]], [1, 1], {"1": "2", "2": "1"}, {"1": 1, "2": -1}
-    )
-    msgs3 = validate(bad3)
-    assert any("must be 0 when" in m for m in msgs3)
-    # negative varsigma at a non-fixed node
-    bad4 = make_datum(
-        ["1", "2"], [[2, -1], [-1, 2]], [1, 1], {"1": "2", "2": "1"}, {"1": -2, "2": 3}
-    )
-    assert any("negative at non-fixed" in m for m in validate(bad4))
+    swap = {"1": "2", "2": "1"}
+    fixed = {"1": "1", "2": "2"}
+    # (nodes, cartan rows, d, tau, varsigma, a fragment of one error)
+    checks = [
+        (["1", "2"], [[2, -1], [-1, 2]], [1, 1], swap, {"1": 0, "2": 0}, "varsigma sum rule"),
+        (["1"], [[2]], [1], {"1": "1"}, {"1": 0}, "must be -1"),
+        (["1", "2"], [[2, 0], [0, 2]], [1, 1], swap, {"1": 1, "2": -1}, "must be 0 when"),
+        (["1", "2"], [[2, -1], [-1, 2]], [1, 1], swap, {"1": -2, "2": 3}, "negative at non-fixed"),
+        (
+            ["1", "2"], [[2, 0], [0, 2]], [1, 1], swap, {"1": 0},
+            "missing d/tau/varsigma entry for node 2",
+        ),
+        (
+            ["1", "2"], [[3, 0], [0, 2]], [1, 1], swap, {"1": 0, "2": 0},
+            "diagonal cartan entry a[1,1] = 3 != 2",
+        ),
+        (
+            ["1", "2"], [[2, 0], [0, 2]], [0, 0], swap, {"1": 0, "2": 0},
+            "symmetrizer d[1] = 0 not positive",
+        ),
+        (
+            ["1", "2"], [[2, 0], [0, 2]], [1, 1], {"1": "9", "2": "1"}, {"1": 0, "2": 0},
+            "tau[1] = 9 is not a node",
+        ),
+        (
+            ["1", "2", "3"], [[2, 0, 0], [0, 2, 0], [0, 0, 2]], [1, 1, 1],
+            {"1": "2", "2": "3", "3": "1"}, {"1": 0, "2": 0, "3": 0},
+            "tau is not an involution at 1",
+        ),
+        (
+            ["1", "2"], [[2, 1], [1, 2]], [1, 1], swap, {"1": 0, "2": 0},
+            "off-diagonal a[1,2] = 1 positive",
+        ),
+        (
+            ["1", "2"], [[2, 0], [-1, 2]], [1, 1], fixed, {"1": -1, "2": -1},
+            "zero pattern of a not symmetric at (1,2)",
+        ),
+        (
+            ["1", "2"], [[2, -1], [-2, 2]], [1, 1], fixed, {"1": -1, "2": -1},
+            "symmetrizability d_i a_ij = d_j a_ji fails at (1,2)",
+        ),
+        (
+            ["1", "2", "3"], [[2, -1, 0], [-1, 2, -1], [0, -1, 2]], [1, 1, 1],
+            {"1": "2", "2": "1", "3": "3"}, {"1": 0, "2": 0, "3": -1},
+            "tau-invariance of a fails at (1,3)",
+        ),
+        (
+            ["1", "2"], [[2, 0], [0, 2]], [1, 2], swap, {"1": 0, "2": 0},
+            "tau-invariance of d fails at 1",
+        ),
+    ]
+    for *data, message in checks:
+        msgs = validate(make_datum(*data))
+        assert any(message in m and not m.startswith("warning:") for m in msgs), (message, msgs)
 
 
 def test_validate_parity_warning_only():
@@ -116,21 +153,21 @@ def test_dontmentionit_identity():
 
 def test_leq_lambda_examples():
     a1 = split_a1()
-    zero = LamVec.from_dict({})
+    zero = Counter()
     assert leq_lambda(a1, zero, zero)
-    assert leq_lambda(a1, zero, LamVec.from_dict({"1": 2}))
-    assert not leq_lambda(a1, zero, LamVec.from_dict({"1": 1}))
+    assert leq_lambda(a1, zero, Counter({"1": 2}))
+    assert not leq_lambda(a1, zero, Counter({"1": 1}))
     a2 = qs_a2()
-    assert leq_lambda(a2, zero, LamVec.from_dict({"1": 1, "2": 1}))
-    assert not leq_lambda(a2, zero, LamVec.from_dict({"1": 1}))
-    assert not leq_lambda(a2, LamVec.from_dict({"1": 1}), zero)
+    assert leq_lambda(a2, zero, Counter({"1": 1, "2": 1}))
+    assert not leq_lambda(a2, zero, Counter({"1": 1}))
+    assert not leq_lambda(a2, Counter({"1": 1}), zero)
 
 
 def test_leq_lambda_partial_order_random():
     rng = random.Random(41)
     datum = qs_a3()
     vecs = [
-        LamVec.from_dict({i: rng.randint(0, 3) for i in datum.nodes})
+        Counter({i: rng.randint(0, 3) for i in datum.nodes})
         for _ in range(40)
     ]
     for a in vecs:
@@ -150,7 +187,7 @@ def test_words():
     datum = qs_a2()
     w = parse_dpword("1^(2) 2", datum)
     assert w == (("1", 2), ("2", 1))
-    assert word_weight(w).mult == (("1", 2), ("2", 1))
+    assert word_weight(w) == Counter({"1": 2, "2": 1})
     assert to_word(w) == ("1", "1", "2")
     assert format_dpword(w) == "1^(2) 2"
     assert parse_dpword("", datum) == ()

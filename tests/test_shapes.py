@@ -1,7 +1,6 @@
 """Tests for shape enumeration, degrees, the combinatorial pairings, and the
 graded-rank series, including the cross-checks against the algebraic routes."""
 
-import itertools
 import json
 import random
 from collections import Counter
@@ -10,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import iquantum
-from iquantum import freealg, iuea, satake, shapes
+from iquantum import freealg, iuea, satake, selftest, shapes
 from iquantum.freealg import FElem, inv_one_minus_qinv2
 from iquantum.qring import ASC_Q, LaurentPoly, PowerSeriesTrunc, RatQ, expand
 from iquantum.satake import make_datum, to_dpword, word_weight
@@ -23,10 +22,6 @@ def make(name):
 
 def weight(datum, lam=None, par=None):
     return satake.make_iweight(datum, lam or {}, par)
-
-
-def words_up_to(datum, n):
-    return [w for k in range(n + 1) for w in itertools.product(datum.nodes, repeat=k)]
 
 
 def belem(datum, word, lw):
@@ -835,7 +830,7 @@ def test_pair_theta_matches_freealg():
     rng = random.Random(97)
     for name in STANDARD:
         datum = make(name)
-        words = words_up_to(datum, 3)
+        words = selftest.word_pairs(datum, 3)[0]
         for _ in range(40):
             wi, wj = rng.choice(words), rng.choice(words)
             got = shapes.pair_theta(datum, wi, wj)
@@ -848,7 +843,7 @@ def test_pair_b_matches_ipair():
     # the other walks the recursive generator action
     for name in STANDARD:
         datum = make(name)
-        words = words_up_to(datum, 2)
+        words = selftest.word_pairs(datum, 2)[0]
         for lw in satake.weight_sweep(datum, -1, 1):
             for wi in words:
                 for wj in words:
@@ -861,7 +856,7 @@ def test_pair_b_symmetric():
     rng = random.Random(5150)
     for name in STANDARD:
         datum = make(name)
-        words = words_up_to(datum, 3)
+        words = selftest.word_pairs(datum, 3)[0]
         pool = satake.weight_sweep(datum, -2, 2)
         for _ in range(25):
             wi, wj = rng.choice(words), rng.choice(words)
@@ -872,7 +867,7 @@ def test_pair_b_symmetric():
 def test_pair_b_nabla_triangular():
     for name in ("split_a1", "qs_a2", "split_a2"):
         datum = make(name)
-        words = words_up_to(datum, 3)
+        words = selftest.word_pairs(datum, 3)[0]
         lw = satake.weight_sweep(datum, 0, 0)[0]
         for wi in words:
             for wj in words:
@@ -886,7 +881,7 @@ def test_pair_delta_nabla_weight_free():
     # without cups or caps the degree never sees the weight, so the
     # permutation-only pairing collapses to the theta pairing
     datum = make("qs_a3")
-    words = words_up_to(datum, 2)
+    words = selftest.word_pairs(datum, 2)[0]
     for lw in satake.weight_sweep(datum, -1, 1)[:4]:
         for wi in words:
             for wj in words:
@@ -1008,7 +1003,7 @@ def test_hom_rank_equals_bar_pair_b():
     rng = random.Random(777)
     for name in STANDARD:
         datum = make(name)
-        words = words_up_to(datum, 2)
+        words = selftest.word_pairs(datum, 2)[0]
         pool = satake.weight_sweep(datum, -1, 1)
         for _ in range(15):
             wi, wj = rng.choice(words), rng.choice(words)

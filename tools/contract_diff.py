@@ -6,8 +6,10 @@ The contract is the ``selftest`` report, CLI stdout, ``--json`` output and
 the exit codes.  One fixed call list is run on each tree: ``selftest``
 plain and with ``--json``; every ``python3 -m iquantum`` line of the
 README (read from the change's checkout), as written and with ``--json``;
-seeded calls of every subcommand on the five built-in data; and one input
-over each ``cli.MAX_*`` bound, so that the exit-2 messages are compared too.
+seeded calls of every subcommand on the five built-in data (read from the
+change's ``iquantum.standard``); one input over each ``cli.MAX_*`` bound;
+and one call per config error and usage error, so that the exit-2 messages
+are compared too.
 
 Each tree runs the whole list in one child interpreter, with the tree's
 ``src`` alone on its path.  Every call goes through ``cli.run`` with every
@@ -18,7 +20,7 @@ does; it exits 0 when every call agrees and 1 otherwise.
 
 DIR defaults to the checkout this script sits in.  The two children run at
 the same time.  Standard library only; the children import each tree's
-package.
+package, and the script imports the change's ``iquantum.standard``.
 """
 
 from __future__ import annotations
@@ -37,15 +39,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PREFIX = "python3 -m iquantum "
 SEED = 2101
-
-# The built-in data by name, with their nodes and the nodes tau fixes.
-BUILTINS = {
-    "split_a1": (("1",), ("1",)),
-    "diag_a1a1": (("1", "2"), ()),
-    "qs_a2": (("1", "2"), ()),
-    "qs_a3": (("1", "2", "3"), ("2",)),
-    "split_a2": (("1", "2"), ("1", "2")),
-}
 
 # Runs in the child: reads the call list on stdin, writes one result per call.
 CHILD = """
@@ -84,11 +77,23 @@ def _word(rng: random.Random, nodes, powers, letters: int) -> str:
     return " ".join(out)
 
 
-def seeded_calls(seed: int) -> list[list[str]]:
+def builtin_data(tree: Path) -> dict[str, tuple[tuple[str, ...], list[str]]]:
+    """The built-in data of a tree by name, with their nodes and the nodes
+    tau fixes, read from its ``iquantum.standard`` (which imports
+    ``satake`` alone)."""
+    sys.path.insert(0, str(tree / "src"))
+    from iquantum.satake import orbit_reps
+    from iquantum.standard import STANDARD
+
+    data = {name: make() for name, make in STANDARD.items()}
+    return {name: (datum.nodes, orbit_reps(datum)[1]) for name, datum in data.items()}
+
+
+def seeded_calls(seed: int, data: dict[str, tuple[tuple[str, ...], list[str]]]) -> list[list[str]]:
     """Every subcommand on each built-in, with seeded words and weights."""
     rng = random.Random(seed)
     calls = []
-    for name, (nodes, fixed) in BUILTINS.items():
+    for name, (nodes, fixed) in data.items():
         cfg = ["--config", name]
         moved = [i for i in nodes if i not in fixed]
         for _ in range(3):
@@ -151,6 +156,67 @@ def bound_calls(configs: Path) -> list[list[str]]:
     ]
 
 
+# Config documents that parse_config refuses, as patches of the qs_a2-like
+# _config(1, 0): None drops the key, and a patch that is not a dict is the
+# whole document.
+CONFIG_ERRORS = [
+    [1, 2],
+    {"nodes": None},
+    {"nodes": "1 2"},
+    {"nodes": []},
+    {"nodes": [1, "2"]},
+    {"nodes": ["1", "1"]},
+    {"cartan": [[2, -1]]},
+    {"cartan": [[2, -1], [-1]]},
+    {"tau": {"1": "2"}},
+    {"varsigma": {"1": 1}},
+    {"orientation": [["1", "2"]]},
+    {"orientation": {"1 2": -1}},
+    {"weights": {"W": {"lam": {}, "parity": {}, "mu": {}}}},
+]
+
+# Usage errors of the subcommands on a built-in.
+USAGE_ERRORS = [
+    ["iserre", "--config", "qs_a2", "--all", "--lambda-range", "1to3"],
+    ["iserre", "--config", "qs_a2", "--all", "--lambda-range", "3..1"],
+    ["iserre", "--config", "qs_a2", "--i", "1", "--lambda", "L0"],
+    ["iserre", "--config", "qs_a2", "--i", "1", "--j", "9", "--lambda", "L0"],
+    ["bkl", "--config", "qs_a2", "--i", "9", "--lambda", "L0"],
+    ["grdim", "--config", "qs_a2", "--i", "1", "--j", "1"],
+    ["klr", "--config", "qs_a2", "--expr", "e(1 9)"],
+    ["klr", "--config", "qs_a2", "--expr", "e(1 2) ; s2"],
+]
+
+
+def error_calls(configs: Path) -> list[list[str]]:
+    """One call per config error, one on a config with a warning and one on
+    a config with an orientation, then one call per usage error."""
+    base = json.loads(_config(1, 0))
+    calls = []
+    for k, patch in enumerate(CONFIG_ERRORS):
+        doc = patch
+        if isinstance(patch, dict):
+            doc = {key: v for key, v in {**base, **patch}.items() if v is not None}
+        path = configs / f"error{k}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        calls.append(["grdim", "--config", str(path), "--end", "--N", "4"])
+    # two tau-fixed nodes whose Cartan entries differ mod 2
+    warn = configs / "warning.json"
+    warn.write_text(json.dumps({
+        "nodes": ["1", "2"],
+        "cartan": [[2, -1], [-2, 2]],
+        "d": [2, 1],
+        "tau": {"1": "1", "2": "2"},
+        "varsigma": {"1": -1, "2": -1},
+        "weights": {"L0": {"lam": {}, "parity": {"1": 0, "2": 0}}},
+    }), encoding="utf-8")
+    calls.append(["grdim", "--config", str(warn), "--end", "--N", "4"])
+    reversed_edge = configs / "orientation.json"
+    reversed_edge.write_text(json.dumps({**base, "orientation": {"2 1": 1}}), encoding="utf-8")
+    calls.append(["klr", "--config", str(reversed_edge), "--expr", "e(1 2) ; s1 ; s1"])
+    return calls + USAGE_ERRORS
+
+
 def start(tree: Path, calls: list[list[str]], out: Path) -> subprocess.Popen:
     """Start the child interpreter of one tree on the call list.  Its
     results go to the file out and its stderr beside it, so that neither
@@ -183,7 +249,12 @@ def main() -> int:
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     with tempfile.TemporaryDirectory() as scratch:
         # the README list starts with selftest
-        calls = readme_examples(trees["change"]) + seeded_calls(SEED) + bound_calls(Path(scratch))
+        calls = (
+            readme_examples(trees["change"])
+            + seeded_calls(SEED, builtin_data(trees["change"]))
+            + bound_calls(Path(scratch))
+            + error_calls(Path(scratch))
+        )
         t0 = time.perf_counter()
         outs = {side: Path(scratch) / f"{side}.json" for side in trees}
         procs = {side: start(trees[side], calls, outs[side]) for side in trees}

@@ -26,20 +26,13 @@ from __future__ import annotations
 import ast
 import contextlib
 import io
-import shlex
 import sys
 from pathlib import Path
 
+from contract_diff import readme_examples
+
 ROOT = Path(__file__).resolve().parent.parent
 PKG = ROOT / "src" / "iquantum"
-PREFIX = "python3 -m iquantum "
-
-
-def readme_examples() -> list[list[str]]:
-    """The argv of every README example, then each again with --json."""
-    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
-    argvs = [shlex.split(line[len(PREFIX):]) for line in lines if line.startswith(PREFIX)]
-    return argvs + [argv + ["--json"] for argv in argvs]
 
 
 def _defs(node: ast.AST, prefix: str):
@@ -95,7 +88,7 @@ def entered_under_contract(argvs: list[list[str]]) -> tuple[set[tuple[str, int]]
 
 
 def main() -> int:
-    argvs = readme_examples()
+    argvs = readme_examples(ROOT)
     entered, codes = entered_under_contract(argvs)
     functions = package_functions()
     missed = [functions[key] for key in sorted(functions) if key not in entered]
