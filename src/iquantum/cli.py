@@ -189,6 +189,11 @@ def parse_config(text: str) -> Config:
     problems = [m for m in diags if not m.startswith("warning:")]
     if problems:
         raise ConfigError("datum", "; ".join(problems))
+    if orientation is not None:
+        try:
+            klr.edge_counts(datum, orientation)
+        except ValueError as exc:
+            raise ConfigError("orientation", str(exc)) from None
 
     weights_raw = _need(raw, "weights", dict)
     weights = {}
@@ -662,11 +667,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p, config_required=True):
+    def common(p):
         p.add_argument(
             "--config",
-            required=config_required,
-            default=None,
+            required=True,
             help="config file path or a built-in name (split_a1, qs_a2, ...)",
         )
         p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -712,7 +716,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("selftest", help="run the full cross-check suite")
-    common(p, config_required=False)
+    p.set_defaults(config=None)
+    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument(
         "--timings", action="store_true", help="wall seconds per check, on stderr"
     )

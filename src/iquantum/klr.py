@@ -66,13 +66,13 @@ def _swap_values(p, r):
 def _lexmin_word(p) -> tuple[int, ...]:
     """Lexicographically smallest reduced word, greedy on left descents."""
     out = []
-    cur = list(p)
+    cur = p
     while True:
         pos = {t: s for s, t in enumerate(cur)}
         for r in range(len(cur) - 1):
             if pos[r] > pos[r + 1]:
                 out.append(r)
-                cur = [r + 1 if t == r else r if t == r + 1 else t for t in cur]
+                cur = _swap_values(cur, r)
                 break
         else:
             return tuple(out)
@@ -285,8 +285,7 @@ def _lift_all(forms: _Forms, d: dict) -> dict:
 class QTable:
     """Crossing polynomials Q_{i,j}(x, y) = sign * (x - y)^n for ordered
     pairs of distinct nodes, held as factors[(i, j)] = (sign, n) with the
-    involution sign already applied; t[(i, j)] is the leading coefficient,
-    the sign.
+    involution sign already applied; the sign is the leading coefficient.
 
     Every table is validated here: it must hold exactly the ordered pairs of
     distinct datum nodes, each entry must be +-(x - y)^n, and the symmetry
@@ -315,7 +314,6 @@ class QTable:
                 )
         self.datum = datum
         self.factors: dict[tuple[str, str], tuple[int, int]] = dict(factors)
-        self.t = {ij: sign for ij, (sign, _) in self.factors.items()}
         self.sign_convention = sign_convention
         content = (datum.key(), tuple(sorted(self.factors.items())))
         self.content_id = _TABLE_IDS.setdefault(content, len(_TABLE_IDS))
@@ -324,9 +322,40 @@ class QTable:
         return self.datum.nodes.index(i)
 
 
+def edge_counts(datum: SatakeDatum, orientation=None) -> dict[tuple[str, str], int]:
+    """The number of arrows i -> j of the quiver, for every ordered pair of
+    distinct nodes.
+
+    With no orientation every edge points from the earlier node to the later
+    one in node order.  An orientation maps pairs of datum nodes to
+    nonnegative arrow counts, absent pairs counting 0.  Either way the
+    arrows between i and j, both directions together, must number -a_ij.
+    """
+    nodes = datum.nodes
+    if orientation is None:
+        orientation = {
+            (i, j): -datum.a[(i, j)] for k, i in enumerate(nodes) for j in nodes[k + 1 :]
+        }
+    else:
+        for (i, j), n in orientation.items():
+            if i not in nodes or j not in nodes:
+                raise ValueError(f"orientation names unknown pair ({i}, {j})")
+            if n < 0:
+                raise ValueError(f"negative edge count for ({i}, {j})")
+    counts = {(i, j): int(orientation.get((i, j), 0)) for i in nodes for j in nodes if i != j}
+    for (i, j), nij in counts.items():
+        nji = counts[(j, i)]
+        if nij + nji != -datum.a[(i, j)]:
+            raise ValueError(
+                f"orientation of ({i}, {j}) has {nij}+{nji} edges, expected {-datum.a[(i, j)]}"
+            )
+    return counts
+
+
 def geometric_qtable(datum: SatakeDatum, orientation=None, sign_convention: str = "body") -> QTable:
-    """Build the quiver choice (x-y)^{#(i->j)} (y-x)^{#(j->i)} and apply the
-    involution sign: the factor is (sign * (-1)^{#(j->i)}, #(i->j) + #(j->i)).
+    """Build the quiver choice (x-y)^{#(i->j)} (y-x)^{#(j->i)} over the
+    arrow counts of ``edge_counts`` and apply the involution sign: the
+    factor is (sign * (-1)^{#(j->i)}, #(i->j) + #(j->i)).
 
     sign_convention "body" multiplies row i by -1 when i is tau-fixed;
     "intro" multiplies entry (i,j) by -1 when i = tau(j).  ``QTable``
@@ -337,35 +366,15 @@ def geometric_qtable(datum: SatakeDatum, orientation=None, sign_convention: str 
     for i in datum.nodes:
         if datum.qi(i) != 1:
             raise ValueError(f"geometric parameters need d_i = 1, got d_{i} = {datum.qi(i)}")
-    counts: dict[tuple[str, str], int] = {}
-    if orientation is None:
-        for i in datum.nodes:
-            for j in datum.nodes:
-                if datum.nodes.index(i) < datum.nodes.index(j):
-                    counts[(i, j)] = -datum.a[(i, j)]
-    else:
-        for (i, j), n in orientation.items():
-            if i not in datum.nodes or j not in datum.nodes:
-                raise ValueError(f"orientation names unknown pair ({i}, {j})")
-            if n < 0:
-                raise ValueError(f"negative edge count for ({i}, {j})")
-            counts[(i, j)] = int(n)
+    counts = edge_counts(datum, orientation)
     factors = {}
-    for i in datum.nodes:
-        for j in datum.nodes:
-            if i == j:
-                continue
-            nij = counts.get((i, j), 0)
-            nji = counts.get((j, i), 0)
-            if nij + nji != -datum.a[(i, j)]:
-                raise ValueError(
-                    f"orientation of ({i}, {j}) has {nij}+{nji} edges, expected {-datum.a[(i, j)]}"
-                )
-            if sign_convention == "body":
-                sign = -1 if datum.tau[i] == i else 1
-            else:
-                sign = -1 if datum.tau[j] == i else 1
-            factors[(i, j)] = (sign * (-1) ** nji, nij + nji)
+    for (i, j), nij in counts.items():
+        nji = counts[(j, i)]
+        if sign_convention == "body":
+            sign = -1 if datum.tau[i] == i else 1
+        else:
+            sign = -1 if datum.tau[j] == i else 1
+        factors[(i, j)] = (sign * (-1) ** nji, nij + nji)
     return QTable(datum, factors, sign_convention)
 
 
@@ -419,7 +428,7 @@ class KLRElem:
         self._check(other)
         out = dict(self.terms)
         for b, c in other.terms.items():
-            out[b] = out.get(b, 0) + c
+            _acc(out, b, c)
         return KLRElem(self.top, self.bottom, out)
 
     def __sub__(self, other: "KLRElem") -> "KLRElem":
@@ -519,7 +528,7 @@ def _make_entry(qt: QTable, i: str, j: str, l: int, r: int):
     return {(0,) * l: sign}, forms.zero[:k] + (n,) + forms.zero[k + 1 :]
 
 
-def _expand_psi(qt: QTable, bottom: Word, perm) -> tuple[Word, dict]:
+def _expand_psi(qt: QTable, bottom: Word, perm) -> dict:
     """Expand the crossing diagram of perm over the bottom word into the
     twisted group algebra: a map permutation -> coefficient.
 
@@ -530,7 +539,7 @@ def _expand_psi(qt: QTable, bottom: Word, perm) -> tuple[Word, dict]:
     return _PSI_CACHE.get_or_make((qt.content_id, bottom, perm), _psi_terms, qt, bottom, perm)
 
 
-def _psi_terms(qt: QTable, bottom: Word, perm) -> tuple[Word, dict]:
+def _psi_terms(qt: QTable, bottom: Word, perm) -> dict:
     """``_expand_psi``'s maker: one crossing of the reduced word per step."""
     l = len(bottom)
     forms = _forms(l)
@@ -554,7 +563,7 @@ def _psi_terms(qt: QTable, bottom: Word, perm) -> tuple[Word, dict]:
                 _lazy_add(new, _swap_values(u, r), g if mult is None else _cmul(mult, g))
             cw[r], cw[r + 1] = cw[r + 1], cw[r]
         terms = _lift_all(forms, new)
-    return tuple(cw), terms
+    return terms
 
 
 def _expand_elem(qt: QTable, x: KLRElem) -> dict:
@@ -569,8 +578,7 @@ def _elem_terms(qt: QTable, x: KLRElem) -> dict:
     out: dict = {}
     for bas, c in x.terms.items():
         mono = ({bas.dots: c}, forms.zero)
-        _, exp = _expand_psi(qt, x.bottom, bas.perm)
-        for u, f in exp.items():
+        for u, f in _expand_psi(qt, x.bottom, bas.perm).items():
             _lazy_add(out, u, _cmul(f, _permute(forms, mono, u)))
     return _lift_all(forms, out)
 
@@ -612,7 +620,7 @@ def _extract(qt: QTable, top: Word, bottom: Word, work: dict) -> KLRElem:
         num, ex = _lift(forms, work.pop(w))
         if not num:
             continue
-        _, exp = _expand_psi(qt, bottom, w)
+        exp = _expand_psi(qt, bottom, w)
         # the single path to w: a sign times a product of linear forms
         lead, lead_ex = exp[w]
         sign = lead.get((0,) * l)
@@ -722,7 +730,7 @@ def serre_complex_check(qt: QTable, i: str, j: str) -> SerreComplexReport:
     m = 1 - datum.a[(i, j)]
     if m > 3:
         raise ValueError(f"complex length {m} out of the supported range")
-    t = qt.t[(i, j)]
+    t = qt.factors[(i, j)][0]
     words = [(i,) * n + (j,) + (i,) * (m - n) for n in range(m + 1)]
     idem = [
         tensor(tensor(divided_idempotent(qt, i, n), e((j,))), divided_idempotent(qt, i, m - n))

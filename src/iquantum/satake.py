@@ -197,26 +197,6 @@ def make_iweight(datum: SatakeDatum, lam: dict[str, int], par: dict[str, int] | 
     return IWeight(lam=lam_items, par=par_items)
 
 
-def shift(datum: SatakeDatum, lw: IWeight, j: str, sign: int) -> IWeight:
-    """Shift an iweight by +alpha_j (sign=+1) or -alpha_j (sign=-1)."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    tj = datum.tau[j]
-    lam = {}
-    par = {}
-    for i in datum.nodes:
-        if datum.tau[i] == i:
-            par[i] = (lw.par_of(i) + datum.a[(i, j)]) % 2
-        else:
-            v = lw.lam_of(i) + sign * (datum.a[(i, j)] - datum.a[(i, tj)])
-            if v:
-                lam[i] = v
-    return IWeight(
-        lam=tuple((i, lam[i]) for i in datum.nodes if i in lam),
-        par=tuple((i, par[i]) for i in datum.nodes if i in par),
-    )
-
-
 def leq_lambda(datum: SatakeDatum, alpha: Counter, beta: Counter) -> bool:
     """Order test on two word contents: beta - alpha must lie in the cone
     spanned by alpha_i + alpha_{tau i}.
@@ -251,12 +231,26 @@ def word_weight(word: DPWord) -> Counter:
 
 
 def apply_word(datum: SatakeDatum, lw: IWeight, word: DPWord) -> IWeight:
-    """lambda minus the weight of the word, by iterated shifts."""
-    out = lw
-    for i, n in word:
-        for _ in range(n):
-            out = shift(datum, out, i, -1)
-    return out
+    """lambda minus the weight of the word, in one pass over its letters.
+
+    Each letter j^(n) moves lam_i by -n * (a[i, j] - a[i, tau j]) at a node
+    i moved by tau, and the parity at a tau-fixed node i by n * a[i, j],
+    read mod 2 at the end.
+    """
+    a, tau = datum.a, datum.tau
+    lam = dict(lw.lam)
+    par = dict(lw.par)
+    for j, n in word:
+        tj = tau[j]
+        for i in datum.nodes:
+            if tau[i] == i:
+                par[i] += n * a[(i, j)]
+            else:
+                lam[i] = lam.get(i, 0) - n * (a[(i, j)] - a[(i, tj)])
+    return IWeight(
+        lam=tuple((i, lam[i]) for i in datum.nodes if lam.get(i)),
+        par=tuple((i, par[i] % 2) for i in datum.nodes if i in par),
+    )
 
 
 def to_word(word: DPWord) -> Word:

@@ -214,9 +214,9 @@ def _close_arcs(
 
         mu_i = lw.lam_of(i) - sum_r (a[i, w_r] - a[i, tau w_r]),
 
-    the integer that shifting lw by -alpha_{w_r} one letter at a time would
-    leave at i (``satake.apply_word``).  At a tau-fixed i it is 0, since an
-    IWeight holds no lam at a fixed node.
+    the same closed form by which ``satake.apply_word`` takes the weight of
+    a word off lw.  At a tau-fixed i it is 0, since an IWeight holds no lam
+    at a fixed node.
     """
     if reflected:
         ordered = sorted(arcs, key=lambda a: (a[1] - a[0], -a[0]))

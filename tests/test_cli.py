@@ -74,6 +74,12 @@ def test_parse_config_paths():
         (dict(orientation=[["1", "2"]]), "orientation", "expected object"),
         (dict(orientation={"1 9": 1}), "orientation.1 9", "node pairs"),
         (dict(orientation={"1 2": -1}), "orientation.1 2", "nonnegative int"),
+        # the arrow counts are checked against the Cartan matrix
+        (
+            dict(orientation={"1 2": 3}),
+            "orientation",
+            "orientation of (1, 2) has 3+0 edges, expected 1",
+        ),
         (dict(N=0), "N", "positive int"),
         (dict(bogus=3), "bogus", "unknown key"),
         # breaking the varsigma sum rule is a datum-level invariant
@@ -536,6 +542,10 @@ def test_usage_and_config_errors(capsys):
     assert code == 2 and ei_path_in(err, "weights.NOPE")
     code, _, err = run_cli(capsys, "iserre", "--config", "qs_a2", "--all")
     assert code == 2
+    # selftest runs on the built-in data alone and takes no config
+    code, out, err = run_cli(capsys, "selftest", "--config", "qs_a2")
+    assert code == 2 and out == ""
+    assert err.endswith("error: unrecognized arguments: --config qs_a2\n")
     for argv, message in [
         (("iserre", "--config", "qs_a2", "--all", "--lambda-range", "1to3"),
          "config error: range must look like -3..3, got '1to3'"),
@@ -612,6 +622,21 @@ def test_klr_reads_the_config_orientation(tmp_path, capsys):
     code, default, _ = run_cli(capsys, "klr", "--config", "qs_a2", "--expr", expr)
     assert code == 0 and default != out
     assert "normal form = (-1)*[x2^1] + (+1)*[x1^1]" in default
+
+
+def test_every_subcommand_checks_the_orientation(tmp_path, capsys):
+    doc = base_config()
+    doc["orientation"] = {"1 2": 3}
+    path = tmp_path / "three_arrows.json"
+    path.write_text(json.dumps(doc))
+    message = "config error at orientation: orientation of (1, 2) has 3+0 edges, expected 1\n"
+    for argv in [
+        ("pair", "--i", "1", "--j", "1", "--lambda", "L0"),
+        ("grdim", "--end"),
+        ("klr", "--expr", "e(1 2)"),
+    ]:
+        code, out, err = run_cli(capsys, argv[0], "--config", str(path), *argv[1:])
+        assert (code, out, err) == (2, "", message), argv
 
 
 def test_module_entry_point():

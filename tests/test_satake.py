@@ -1,4 +1,5 @@
-"""Satake data, iweights, shifts, the cone order, and word bookkeeping."""
+"""Satake data, iweights, the weight of a word, the cone order, and word
+bookkeeping."""
 
 import random
 from collections import Counter
@@ -6,6 +7,7 @@ from collections import Counter
 import pytest
 
 from iquantum.satake import (
+    IWeight,
     apply_word,
     format_dpword,
     leq_lambda,
@@ -13,7 +15,6 @@ from iquantum.satake import (
     make_iweight,
     orbit_reps,
     parse_dpword,
-    shift,
     to_word,
     validate,
     weight_sweep,
@@ -23,6 +24,25 @@ from iquantum.standard import diag_a1a1, qs_a2, qs_a3, split_a1, split_a2
 
 
 ALL_DATA = [split_a1, diag_a1a1, qs_a2, qs_a3, split_a2]
+
+
+def shift(datum, lw, j, sign):
+    """Reference for ``apply_word``: shift an iweight by +alpha_j (sign=+1)
+    or -alpha_j (sign=-1), one letter at a time."""
+    tj = datum.tau[j]
+    lam = {}
+    par = {}
+    for i in datum.nodes:
+        if datum.tau[i] == i:
+            par[i] = (lw.par_of(i) + datum.a[(i, j)]) % 2
+        else:
+            v = lw.lam_of(i) + sign * (datum.a[(i, j)] - datum.a[(i, tj)])
+            if v:
+                lam[i] = v
+    return IWeight(
+        lam=tuple((i, lam[i]) for i in datum.nodes if i in lam),
+        par=tuple((i, par[i]) for i in datum.nodes if i in par),
+    )
 
 
 @pytest.mark.parametrize("make", ALL_DATA)
@@ -122,18 +142,26 @@ def test_shift_examples():
     lw = make_iweight(datum, {})
     up = shift(datum, lw, "1", 1)
     assert up.lam_of("1") == 3 and up.lam_of("2") == -3
-    assert shift(datum, up, "1", -1) == lw
+    assert apply_word(datum, up, (("1", 1),)) == lw
+    assert apply_word(datum, lw, (("1", 2),)) == make_iweight(datum, {"1": -6})
     a1 = split_a1()
     lw1 = make_iweight(a1, {}, {"1": 0})
-    assert shift(datum=a1, lw=lw1, j="1", sign=-1).par_of("1") == 0  # a_11 = 2 even
+    assert apply_word(a1, lw1, (("1", 1),)).par_of("1") == 0  # a_11 = 2 even
+    a2 = split_a2()
+    lw2 = make_iweight(a2, {}, {"1": 0, "2": 0})
+    # a_21 = -1 is odd: each letter 1 flips the parity at 2
+    assert apply_word(a2, lw2, (("1", 1),)).par == (("1", 0), ("2", 1))
+    assert apply_word(a2, lw2, (("1", 2),)).par == (("1", 0), ("2", 0))
+    assert apply_word(a2, lw2, (("1", 3), ("2", 1))).par == (("1", 1), ("2", 1))
 
 
 def test_shift_tau_pair_cancels():
     datum = qs_a3()
     lw = make_iweight(datum, {"1": 1}, {"2": 0})
-    out = shift(datum, shift(datum, lw, "1", 1), "3", 1)
+    out = apply_word(datum, lw, (("1", 1), ("3", 1)))
     for i in datum.nodes:
         assert out.lam_of(i) == lw.lam_of(i)
+    assert out == shift(datum, shift(datum, lw, "1", -1), "3", -1)
 
 
 def test_dontmentionit_identity():
@@ -207,10 +235,28 @@ def test_apply_word_roundtrip():
         for _ in range(n):
             back = shift(datum, back, i, 1)
     assert back == lw
+    assert apply_word(datum, lw, ()) == lw
     # two words of equal weight shift lambda identically
     w2 = parse_dpword("2 1^(2) 2", datum)
     assert word_weight(w2) == word_weight(w)
     assert apply_word(datum, lw, w2) == out
+
+
+def test_apply_word_matches_the_letter_by_letter_reference():
+    rng = random.Random(2301)
+    for make in ALL_DATA:
+        datum = make()
+        for lw in weight_sweep(datum, -2, 2):
+            for _ in range(8):
+                word = tuple(
+                    (rng.choice(datum.nodes), rng.randint(1, 3))
+                    for _ in range(rng.randint(0, 4))
+                )
+                want = lw
+                for j, n in word:
+                    for _ in range(n):
+                        want = shift(datum, want, j, -1)
+                assert apply_word(datum, lw, word) == want, (datum.nodes, lw, word)
 
 
 def test_orbit_reps():

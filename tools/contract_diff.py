@@ -172,6 +172,7 @@ CONFIG_ERRORS = [
     {"varsigma": {"1": 1}},
     {"orientation": [["1", "2"]]},
     {"orientation": {"1 2": -1}},
+    {"orientation": {"1 2": 3}},
     {"weights": {"W": {"lam": {}, "parity": {}, "mu": {}}}},
 ]
 
@@ -185,6 +186,7 @@ USAGE_ERRORS = [
     ["grdim", "--config", "qs_a2", "--i", "1", "--j", "1"],
     ["klr", "--config", "qs_a2", "--expr", "e(1 9)"],
     ["klr", "--config", "qs_a2", "--expr", "e(1 2) ; s2"],
+    ["selftest", "--config", "qs_a2"],
 ]
 
 
