@@ -17,12 +17,16 @@ the unique integral normal form.  Every table entry is +-(x - y)^n and is
 held as its integer factor (sign, n), so each rational function that arises
 is an integer polynomial times signed powers of the linear forms x_s - x_t;
 it is held in exactly that shape, sums need no gcd, and each peel divides
-exactly by the forms.  Nothing here computes symbolically.
+exactly by each power of a form, by synthetic division in one pass.
+Nothing here computes symbolically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from math import comb
+from operator import add, itemgetter, sub
 
 # Unused: loaded only because perfbench's tracer installs on sympy.polys.fields.
 import sympy  # noqa: F401
@@ -90,13 +94,17 @@ def _lexmin_word(p) -> tuple[int, ...]:
 # one under the same exponent with no multiplication.  The parts are lifted
 # to their componentwise minimum exponent once per permutation (_lift): at
 # the end of each crossing step of _psi_terms, at the end of _elem_terms,
-# and when the peel in _extract reads the coefficient.  No gcd runs: the
-# peel divides exactly by the forms once per basis diagram.
+# and when the peel in _extract reads the coefficient.  No gcd runs: once
+# per basis diagram the peel divides exactly by each negative power
+# (x_s - x_t)^m, one synthetic-division pass per form (_div_form), and
+# multiplies by each positive power, one pass per form (_times_form).
 
 
 class _Forms:
-    """The linear forms x_s - x_t (s < t) on l strands, and how a strand
-    permutation x_t -> x_{p[t]} acts on them."""
+    """The linear forms x_s - x_t (s < t) on l strands, how a strand
+    permutation x_t -> x_{p[t]} acts on them, and the permutations'
+    lengths; both are cached per permutation, so each cache is bounded by
+    l!."""
 
     def __init__(self, l: int):
         self.pairs = tuple((s, t) for s in range(l) for t in range(s + 1, l))
@@ -104,11 +112,14 @@ class _Forms:
         self.identity = _identity(l)
         self.zero = (0,) * len(self.pairs)
         self._moves: dict[tuple, tuple] = {}
+        self._lengths: dict[tuple, int] = {}
 
     def move(self, p):
-        """(q, src, rev) for x_t -> x_{p[t]}: a monomial's new exponents are
-        its old ones read through q = p^-1, form k of the image is form
-        src[k] of the original, and the forms in rev came out reversed."""
+        """(read, src, rev) for x_t -> x_{p[t]}: a monomial's new exponents
+        are its old ones read through p^-1 by the itemgetter read, form k of
+        the image is form src[k] of the original, and the forms in rev came
+        out reversed.  p is not the identity, so it moves at least two
+        strands and read returns a tuple."""
         got = self._moves.get(p)
         if got is None:
             src = [0] * len(self.pairs)
@@ -120,9 +131,16 @@ class _Forms:
                 else:
                     src[self.index[(b, a)]] = k
                     rev.append(k)
-            got = (_inverse(p), tuple(src), tuple(rev))
+            got = (itemgetter(*_inverse(p)), tuple(src), tuple(rev))
             self._moves[p] = got
         return got
+
+    def length(self, p) -> int:
+        """The number of inversions of p."""
+        n = self._lengths.get(p)
+        if n is None:
+            n = self._lengths[p] = _inv_count(p)
+        return n
 
 
 _FIELDS = Memo("klr._FIELDS")
@@ -137,50 +155,75 @@ def _pmul(a: dict, b: dict) -> dict:
         a, b = b, a
     if len(a) == 1:
         ((ea, ca),) = a.items()
-        return {tuple(x + y for x, y in zip(ea, eb)): ca * cb for eb, cb in b.items()}
+        return {tuple(map(add, ea, eb)): ca * cb for eb, cb in b.items()}
     out: dict = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
+            e = tuple(map(add, ea, eb))
             out[e] = out.get(e, 0) + ca * cb
     return {e: c for e, c in out.items() if c}
 
 
 def _times_form(num: dict, s: int, t: int, n: int) -> dict:
-    """num * (x_s - x_t)^n."""
-    for _ in range(n):
-        out: dict = {}
-        for e, c in num.items():
-            up = e[:s] + (e[s] + 1,) + e[s + 1 :]
-            out[up] = out.get(up, 0) + c
-            up = e[:t] + (e[t] + 1,) + e[t + 1 :]
-            out[up] = out.get(up, 0) - c
-        num = {e: c for e, c in out.items() if c}
-    return num
-
-
-def _div_form(num: dict, s: int, t: int):
-    """num / (x_s - x_t), or None when x_s = x_t leaves a remainder.
-
-    x_s^k = (x_s - x_t) * sum_{i<k} x_s^i x_t^(k-1-i) + x_t^k, term by term.
-    """
-    quo: dict = {}
-    rem: dict = {}
+    """num * (x_s - x_t)^n, in one pass over num and the n + 1 terms
+    C(n, i) (-1)^(n-i) x_s^i x_t^(n-i) of the binomial expansion."""
+    terms = [(i, n - i, (-1) ** (n - i) * comb(n, i)) for i in range(n + 1)]
+    out: dict = {}
     for e, c in num.items():
-        k, j = e[s], e[t]
-        head, mid, tail = e[:s], e[s + 1 : t], e[t + 1 :]
-        for i in range(k):
-            key = head + (i,) + mid + (j + k - 1 - i,) + tail
-            quo[key] = quo.get(key, 0) + c
-        key = head + (0,) + mid + (j + k,) + tail
-        rem[key] = rem.get(key, 0) + c
-    if any(rem.values()):
-        return None
-    return {e: c for e, c in quo.items() if c}
+        e = list(e)
+        a, b = e[s], e[t]
+        for i, j, w in terms:
+            e[s] = a + i
+            e[t] = b + j
+            key = tuple(e)
+            out[key] = out.get(key, 0) + w * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _div_form(num: dict, s: int, t: int, m: int):
+    """num / (x_s - x_t)^m, or None when the division leaves a remainder.
+
+    Grouped by its exponents off s and t and by D = e_s + e_t, num is a sum
+    of binary forms sum_k c_k x_s^k x_t^(D-k).  Dividing one by x_s - x_t is
+    synthetic division of sum_k c_k y^k by y - 1, from the top down:
+    q_(k-1) = c_k + q_k, and the remainder is c_0 + q_0.  On the
+    coefficients listed from c_D down, these are the running sums, the last
+    one being the remainder, so each of the m divisions is one accumulate.
+    A nonzero form of degree D < m is never divisible.
+    """
+    # each group under its exponents with e_s = 0 and e_t = D
+    groups: dict = {}
+    for e, c in num.items():
+        e = list(e)
+        k = e[s]
+        d = k + e[t]
+        e[s] = 0
+        e[t] = d
+        key = tuple(e)
+        top = groups.get(key)
+        if top is None:
+            groups[key] = top = [0] * (d + 1)
+        top[d - k] = c
+    quo: dict = {}
+    for key, top in groups.items():
+        d = key[t] - m
+        if d < 0:
+            return None
+        for _ in range(m):
+            top = list(accumulate(top))
+            if top.pop():
+                return None
+        e = list(key)
+        for j, c in enumerate(top):
+            if c:
+                e[s] = d - j
+                e[t] = j
+                quo[tuple(e)] = c
+    return quo
 
 
 def _cmul(f, g):
-    return _pmul(f[0], g[0]), tuple(a + b for a, b in zip(f[1], g[1]))
+    return _pmul(f[0], g[0]), tuple(map(add, f[1], g[1]))
 
 
 def _merge(cur: dict, num: dict) -> None:
@@ -209,10 +252,10 @@ def _permute(forms: _Forms, f, p):
     if p == forms.identity:
         return f
     num, ex = f
-    q, src, rev = forms.move(p)
-    sign = -1 if sum(ex[k] for k in rev) & 1 else 1
-    num = {tuple(e[i] for i in q): sign * c for e, c in num.items()}
-    return num, tuple(ex[k] for k in src)
+    read, src, rev = forms.move(p)
+    sign = -1 if sum(map(ex.__getitem__, rev)) & 1 else 1
+    num = {read(e): sign * c for e, c in num.items()}
+    return num, tuple(map(ex.__getitem__, src))
 
 
 def _acc(d, k, v):
@@ -254,7 +297,7 @@ def _lift(forms: _Forms, parts: dict):
         ((ex, num),) = parts.items()
         return num, ex
     low = tuple(map(min, zip(*parts)))
-    acc = {tuple(a - m for a, m in zip(ex, low)): num for ex, num in parts.items()}
+    acc = {tuple(map(sub, ex, low)): num for ex, num in parts.items()}
     for k, (s, t) in enumerate(forms.pairs):
         lifted: dict = {}
         for exc, num in acc.items():
@@ -587,8 +630,8 @@ def _polynomial(forms: _Forms, f):
     """The coefficient f as a polynomial, or None if it is not one."""
     num, ex = f
     for k, n in enumerate(ex):
-        for _ in range(-n):
-            num = _div_form(num, *forms.pairs[k])
+        if n < 0:
+            num = _div_form(num, *forms.pairs[k], -n)
             if num is None:
                 return None
     for k, n in enumerate(ex):
@@ -616,7 +659,7 @@ def _extract(qt: QTable, top: Word, bottom: Word, work: dict) -> KLRElem:
                 raise ValueError("mismatched strand colors in straightening")
     out: dict[KLRBasisElem, int] = {}
     while work:
-        w = max(work, key=_inv_count)
+        w = max(work, key=forms.length)
         num, ex = _lift(forms, work.pop(w))
         if not num:
             continue
@@ -626,7 +669,7 @@ def _extract(qt: QTable, top: Word, bottom: Word, work: dict) -> KLRElem:
         sign = lead.get((0,) * l)
         if len(lead) != 1 or sign not in (1, -1):
             raise ArithmeticError("leading crossing coefficient is not a signed product of forms")
-        quot = ({e: sign * c for e, c in num.items()}, tuple(a - b for a, b in zip(ex, lead_ex)))
+        quot = ({e: sign * c for e, c in num.items()}, tuple(map(sub, ex, lead_ex)))
         dotspoly = _polynomial(forms, _permute(forms, quot, _inverse(w)))
         if dotspoly is None:
             raise ValueError("straightening left a non-polynomial dot part")

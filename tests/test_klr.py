@@ -572,6 +572,40 @@ def test_mul_agrees_with_the_polynomial_action():
                 assert _act(qt, prod, g, xs) == _act(qt, a, _act(qt, b, g, xs), xs), (name, k)
 
 
+def test_div_form_matches_sympy():
+    # seeded g on 2-6 strands, every pair s < t and m = 1..3: dividing
+    # sympy's expansion of g * (x_s - x_t)^m gives g back, the same input
+    # with one stray monomial added is not divisible, and _times_form
+    # multiplies as sympy does
+    rng = random.Random(24)
+    cases = 0
+    for l in range(2, 7):
+        xs = sympy.symbols(f"w0:{l}")
+        for s in range(l):
+            for t in range(s + 1, l):
+                for m in (1, 2, 3):
+                    g = {}
+                    for _ in range(rng.randint(1, 5)):
+                        e = tuple(rng.randrange(4) for _ in range(l))
+                        g[e] = g.get(e, 0) + rng.choice((-3, -2, -1, 1, 2, 3))
+                    g = {e: c for e, c in g.items() if c} or {(0,) * l: 1}
+                    form = sympy.Poly((xs[s] - xs[t]) ** m, *xs)
+                    num = (sympy.Poly.from_dict(g, *xs) * form).as_dict()
+                    assert klr._times_form(g, s, t, m) == num, (l, s, t, m)
+                    assert klr._div_form(num, s, t, m) == g, (l, s, t, m)
+                    stray = tuple(rng.randrange(5) for _ in range(l))
+                    bad = dict(num)
+                    bad[stray] = bad.get(stray, 0) + 1
+                    bad = {e: c for e, c in bad.items() if c}
+                    assert klr._div_form(bad, s, t, m) is None, (l, s, t, m, stray)
+                    cases += 1
+    assert cases == 3 * (1 + 3 + 6 + 10 + 15)
+    # a nonzero form of degree below m is never divisible, a zero one is
+    assert klr._div_form({(1, 0, 2): 1, (0, 1, 2): -1}, 0, 1, 2) is None
+    assert klr._div_form({}, 0, 1, 2) == {}
+    assert klr._times_form({(1, 2): 5}, 0, 1, 0) == {(1, 2): 5}
+
+
 def test_cache_stats_count_hits_misses_and_sizes():
     iquantum.clear_caches()
     stats = iquantum.cache_stats()
@@ -683,10 +717,45 @@ def _acc_coeff(forms, d, k, v):
     d[k] = v if cur is None else _cadd(forms, cur, v)
 
 
+def _div_form_reference(num, s, t):
+    """num / (x_s - x_t), or None when x_s = x_t leaves a remainder:
+    x_s^k = (x_s - x_t) * sum_{i<k} x_s^i x_t^(k-1-i) + x_t^k, term by term."""
+    quo = {}
+    rem = {}
+    for e, c in num.items():
+        k, j = e[s], e[t]
+        head, mid, tail = e[:s], e[s + 1 : t], e[t + 1 :]
+        for i in range(k):
+            key = head + (i,) + mid + (j + k - 1 - i,) + tail
+            quo[key] = quo.get(key, 0) + c
+        key = head + (0,) + mid + (j + k,) + tail
+        rem[key] = rem.get(key, 0) + c
+    if any(rem.values()):
+        return None
+    return {e: c for e, c in quo.items() if c}
+
+
+def _polynomial_reference(forms, f):
+    """The coefficient f as a polynomial, or None if it is not one,
+    dividing by one linear form at a time."""
+    num, ex = f
+    for k, n in enumerate(ex):
+        for _ in range(-n):
+            num = _div_form_reference(num, *forms.pairs[k])
+            if num is None:
+                return None
+    for k, n in enumerate(ex):
+        if n > 0:
+            num = klr._times_form(num, *forms.pairs[k], n)
+    return num
+
+
 def _extract_reference(qt, top, bottom, table):
     """The peel as it was before the lazy sums: work holds one coefficient
-    (num, ex) per permutation, and every subtraction lifts both sides to
-    their componentwise minimum exponent at once (_cadd)."""
+    (num, ex) per permutation, every subtraction lifts both sides to their
+    componentwise minimum exponent at once (_cadd), the longest permutation
+    is found by counting inversions, and the dot part is divided by one
+    linear form at a time (_polynomial_reference)."""
     l = len(bottom)
     forms = klr._forms(l)
     out = {}
@@ -698,7 +767,7 @@ def _extract_reference(qt, top, bottom, table):
         sign = lead[(0,) * l]
         num, ex = work[w]
         quot = ({e: sign * c for e, c in num.items()}, tuple(a - b for a, b in zip(ex, lead_ex)))
-        dotspoly = klr._polynomial(forms, klr._permute(forms, quot, klr._inverse(w)))
+        dotspoly = _polynomial_reference(forms, klr._permute(forms, quot, klr._inverse(w)))
         assert dotspoly is not None
         for exps, coeff in dotspoly.items():
             klr._acc(out, klr.KLRBasisElem(top, bottom, w, exps), coeff)

@@ -15,8 +15,9 @@ Each tree runs the whole list in one child interpreter, with the tree's
 ``src`` alone on its path.  Every call goes through ``cli.run`` with every
 memo emptied first, as in a fresh process, and the child reports the
 sha256 of its stdout, of its stderr, and its exit code.  The script prints
-the first call that differs and which of the three differ, or that none
-does; it exits 0 when every call agrees and 1 otherwise.
+every call that differs, with its index, its argv and which of the three
+differ, or that none does; it exits 0 when every call agrees and 1
+otherwise.
 
 DIR defaults to the checkout this script sits in.  The two children run at
 the same time.  Standard library only; the children import each tree's
@@ -267,12 +268,12 @@ def main() -> int:
     if not diffs:
         print("no difference")
         return 0
-    k = diffs[0]
-    a, b = found["parent"][k], found["change"][k]
-    parts = ", ".join(key for key in ("stdout", "stderr", "exit") if a[key] != b[key])
-    print(f"{len(diffs)} calls differ; the first is call {k}:")
-    print(f"  python3 -m iquantum {shlex.join(calls[k])}")
-    print(f"  differs in {parts} (exit {a['exit']} at the parent, {b['exit']} at the change)")
+    print(f"{len(diffs)} calls differ:")
+    for k in diffs:
+        a, b = found["parent"][k], found["change"][k]
+        parts = ", ".join(key for key in ("stdout", "stderr", "exit") if a[key] != b[key])
+        print(f"call {k}: python3 -m iquantum {shlex.join(calls[k])}")
+        print(f"  differs in {parts} (exit {a['exit']} at the parent, {b['exit']} at the change)")
     return 1
 
 
