@@ -57,6 +57,6 @@ def cache_stats() -> dict[str, dict[str, int]]:
 
 def clear_caches() -> None:
     """Empty every module-level memo table, forget its scope and zero its
-    counters."""
+    counters; the tables are all the state the package keeps."""
     for m in _memos().values():
         m.reset()

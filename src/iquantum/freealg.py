@@ -209,7 +209,7 @@ def _word_pair(datum: SatakeDatum, wx: Word, wy: Word) -> RatQ:
         return RatQ.zero()
     if not wx:
         return RatQ.one()
-    return _WORD_PAIR_CACHE.get_or_make((datum.key(), wx, wy), _peel_pair, datum, wx, wy)
+    return _WORD_PAIR_CACHE.get_or_make((datum, wx, wy), _peel_pair, datum, wx, wy)
 
 
 def _peel_pair(datum: SatakeDatum, wx: Word, wy: Word) -> RatQ:

@@ -18,8 +18,8 @@ take a gcd.  ``ipair`` builds one normalized RatQ per pairing, and reading
 ``b_word`` memoizes the images of word suffixes, since b_word(w) is one
 ``b_divided`` on b_word(w[1:]); its maker recurses through ``b_word``, so
 every read and write goes through ``Memo.get_or_make``.  The memo's scope is
-its bound: it holds the suffixes computed at the (datum content, weight) of
-the last call, and a call at another datum content or weight empties it.
+its bound: it holds the suffixes computed at the (datum, weight) of the last
+call, and a call at another datum (compared by content) or weight empties it.
 ``iquantum.cache_stats`` reports its hits, misses and size.
 
 Equality of module elements (``iserre_check``) is tested through the
@@ -215,7 +215,7 @@ def b_divided(datum: SatakeDatum, i: str, n: int, xi: IElem) -> IElem:
     return result
 
 
-# b_word's suffix images, scoped to the (datum.key(), lw) of its last call
+# b_word's suffix images, scoped to the (datum, lw) of its last call
 _B_WORD_MEMO = Memo("iuea._B_WORD_MEMO")
 
 
@@ -225,11 +225,11 @@ def b_word(datum: SatakeDatum, word: DPWord, lw: IWeight) -> IElem:
     b_word(w) = b_divided(w[0], b_word(w[1:])), and ``_b_word`` recurses
     through this function, so the memo stores the image of every suffix of
     a new word, the empty word's 1_lambda included, and a word reads its
-    suffix as a hit.  The memo holds one (datum.key(), lw) scope: a call
-    with another datum content or weight empties it.  Elements are never
-    mutated in place, so the stored images are shared with callers.
+    suffix as a hit.  The memo holds one (datum, lw) scope: a call with
+    another datum, compared by content, or weight empties it.  Elements
+    are never mutated in place, so the stored images are shared with callers.
     """
-    return _B_WORD_MEMO.within((datum.key(), lw)).get_or_make(
+    return _B_WORD_MEMO.within((datum, lw)).get_or_make(
         word, _b_word, datum, word, lw
     )
 

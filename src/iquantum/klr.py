@@ -36,19 +36,9 @@ from .qring import ASC_Q, LaurentPoly, RatQ, expand
 from .satake import SatakeDatum, Word
 from .shapes import RankSeries
 
-# One small id per distinct table content, (datum.key(), sorted (sign, n)
-# factors); the product caches are keyed by it, so equal tables share
-# entries.  It holds one entry per distinct table and is never cleared, so
-# an id always names one content.
-_TABLE_IDS: dict[tuple, int] = {}
-
 
 def _identity(l: int) -> tuple[int, ...]:
     return tuple(range(l))
-
-
-def _inv_count(p) -> int:
-    return sum(1 for s in range(len(p)) for t in range(s + 1, len(p)) if p[s] > p[t])
 
 
 def _inverse(p):
@@ -139,7 +129,7 @@ class _Forms:
         """The number of inversions of p."""
         n = self._lengths.get(p)
         if n is None:
-            n = self._lengths[p] = _inv_count(p)
+            n = self._lengths[p] = sum(p[s] > p[t] for s, t in self.pairs)
         return n
 
 
@@ -334,7 +324,8 @@ class QTable:
     distinct datum nodes, each entry must be +-(x - y)^n, and the symmetry
     Q_{i,j}(x, y) = Q_{j,i}(y, x), that is sign_ij = sign_ji * (-1)^n, is
     what makes the polynomial action associative, so a violation is an error
-    naming the offending pair.
+    naming the offending pair.  A table is equal and hashed by its datum
+    and factors, not its convention name, so equal tables share cache keys.
     """
 
     def __init__(self, datum: SatakeDatum, factors, sign_convention: str):
@@ -358,8 +349,14 @@ class QTable:
         self.datum = datum
         self.factors: dict[tuple[str, str], tuple[int, int]] = dict(factors)
         self.sign_convention = sign_convention
-        content = (datum.key(), tuple(sorted(self.factors.items())))
-        self.content_id = _TABLE_IDS.setdefault(content, len(_TABLE_IDS))
+        self._key = (datum, tuple(sorted(self.factors.items())))
+        self._hash = hash(self._key)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, QTable) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def order(self, i: str) -> int:
         return self.datum.nodes.index(i)
@@ -487,8 +484,9 @@ class KLRElem:
         if not self.terms:
             return "0"
         parts = []
+        length = _forms(len(self.bottom)).length
         for b, c in sorted(
-            self.terms.items(), key=lambda it: (_inv_count(it[0].perm), it[0].perm, it[0].dots)
+            self.terms.items(), key=lambda it: (length(it[0].perm), it[0].perm, it[0].dots)
         ):
             bits = [f"x{t + 1}^{n}" for t, n in enumerate(b.dots) if n]
             word = _lexmin_word(b.perm)
@@ -560,7 +558,7 @@ _ELEM_CACHE = Memo("klr._ELEM_CACHE")
 def _pinned_entry(qt: QTable, i: str, j: str, l: int, r: int):
     """The table polynomial at (i, j) as a coefficient on l strands, pinned
     to strands r, r+1 (0-based): sign * (x_r - x_{r+1})^n."""
-    return _ENTRY_CACHE.get_or_make((qt.content_id, i, j, l, r), _make_entry, qt, i, j, l, r)
+    return _ENTRY_CACHE.get_or_make((qt, i, j, l, r), _make_entry, qt, i, j, l, r)
 
 
 def _make_entry(qt: QTable, i: str, j: str, l: int, r: int):
@@ -579,7 +577,7 @@ def _expand_psi(qt: QTable, bottom: Word, perm) -> dict:
     so the only term of maximal length sits at perm itself; that is the
     triangularity the extraction in mul relies on.
     """
-    return _PSI_CACHE.get_or_make((qt.content_id, bottom, perm), _psi_terms, qt, bottom, perm)
+    return _PSI_CACHE.get_or_make((qt, bottom, perm), _psi_terms, qt, bottom, perm)
 
 
 def _psi_terms(qt: QTable, bottom: Word, perm) -> dict:
@@ -610,7 +608,7 @@ def _psi_terms(qt: QTable, bottom: Word, perm) -> dict:
 
 
 def _expand_elem(qt: QTable, x: KLRElem) -> dict:
-    key = (qt.content_id, x.top, x.bottom, frozenset(x.terms.items()))
+    key = (qt, x.top, x.bottom, frozenset(x.terms.items()))
     return _ELEM_CACHE.get_or_make(key, _elem_terms, qt, x)
 
 

@@ -2,13 +2,15 @@
 
 A ``Memo`` is a dict that does its owner's lookups: ``get_or_make`` returns
 the stored value or makes and stores it, counting a hit or a miss.  A scoped
-table holds the entries of one scope, such as one (datum content, weight)
-pair; its owner passes each call's scope to ``within``, which empties the
-table when another arrives, so the scope is the table's bound.  Every table
-registers in ``MEMOS`` under its name on creation, replacing a table made
-earlier under that name (as a module reload does); ``iquantum.cache_stats``
-and ``iquantum.clear_caches`` read that registry.  A size cap, should one be
-needed, belongs in ``get_or_make``.
+table holds the entries of one scope, such as one (datum, weight) pair; its
+owner passes each call's scope to ``within``, which empties the table when
+an unequal one arrives, so the scope is the table's bound.  Data and
+Q-tables are values, equal and hashed by their content, so keys and scopes
+hold them as themselves.  Every table registers in ``MEMOS`` under its name
+on creation, replacing a table made earlier under that name (as a module
+reload does); ``iquantum.cache_stats`` and ``iquantum.clear_caches`` read
+that registry, and the tables are all the state the package keeps.  A size
+cap, should one be needed, belongs in ``get_or_make``.
 """
 
 from __future__ import annotations

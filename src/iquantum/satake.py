@@ -26,40 +26,34 @@ from dataclasses import dataclass, field
 
 @dataclass(frozen=True)
 class SatakeDatum:
-    nodes: tuple[str, ...]
+    """A value: equal and hashed by its full content, whose sorted form and
+    hash are computed once, at construction (the content is never mutated)."""
+
+    nodes: tuple[str, ...] = field(compare=False)
     a: dict[tuple[str, str], int] = field(compare=False)
     d: dict[str, int] = field(compare=False)
     tau: dict[str, str] = field(compare=False)
     varsigma: dict[str, int] = field(compare=False)
-    _key: tuple = field(init=False, repr=False, compare=False)
+    _key: tuple = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # the content is never mutated after construction, so its sorted
-        # form is built once here rather than on every key() call
-        object.__setattr__(
-            self,
-            "_key",
-            (
-                self.nodes,
-                tuple(sorted(self.a.items())),
-                tuple(sorted(self.d.items())),
-                tuple(sorted(self.tau.items())),
-                tuple(sorted(self.varsigma.items())),
-            ),
+        key = (
+            self.nodes,
+            tuple(sorted(self.a.items())),
+            tuple(sorted(self.d.items())),
+            tuple(sorted(self.tau.items())),
+            tuple(sorted(self.varsigma.items())),
         )
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def qi(self, i: str) -> int:
         """The exponent d_i with q_i = q^{d_i}."""
         return self.d[i]
-
-    def key(self) -> tuple:
-        """Canonical hashable form of the full content, usable as a cache key.
-
-        The dataclass hash only sees the node tuple, so two data over the
-        same nodes would collide; this key does not.  It is computed once,
-        at construction.
-        """
-        return self._key
 
 
 def make_datum(

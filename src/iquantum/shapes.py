@@ -21,16 +21,16 @@ memoized in ``_ARC_MEMO`` keyed by (word, arcs, reflected).  The crossing
 term depends only on (datum, bottom word, props) and no realization orders
 it, so the same memo holds it keyed by (bottom, props), and ``degree`` and
 ``degree_alt`` share it: the two realizations differ only in the
-annihilation terms.  The memo holds the (datum.key(), weight) scope of its
-last call and is emptied whenever another datum content or weight arrives
-(``iquantum.cache_stats``, ``iquantum.clear_caches``).
+annihilation terms.  The memo holds the (datum, weight) scope of its last
+call and is emptied whenever another datum or weight arrives, data compared
+by content (``iquantum.cache_stats``, ``iquantum.clear_caches``).
 
 The shape sums (``pair_b`` and its restricted modes, ``pair_theta`` and
 ``hom_rank``) need only a histogram of the degrees.  Every strand joins two
 points of one tau-orbit and tau-partners share d, so all matchings of one
 word pair carry the same strands, counted once from the letters; the sum is
 the histogram over one product of strand factors 1 - q^(2d).  One word pair
-has one table, ``_SHAPE_MEMO``, scoped to the (datum.key(), top, bottom) of
+has one table, ``_SHAPE_MEMO``, scoped to the (datum, top, bottom) of
 its last call, so that scope is its bound: it holds the pair's matchings
 keyed by mode (``enumerate_shapes``) and the histograms of ``degree`` over
 them keyed by (mode, weight).  ``hom_rank`` and ``pair_b`` on one pair at
@@ -77,7 +77,7 @@ class Shape:
 
 
 # the matchings of one word pair keyed by mode and their degree histograms
-# keyed (mode, lw), scoped to the (datum.key(), top, bottom) of the last call
+# keyed (mode, lw), scoped to the (datum, top, bottom) of the last call
 _SHAPE_MEMO = Memo("shapes._SHAPE_MEMO")
 
 
@@ -98,7 +98,7 @@ def enumerate_shapes(
     if (len(top) + len(bottom)) % 2:
         return []
     return list(
-        _SHAPE_MEMO.within((datum.key(), top, bottom)).get_or_make(
+        _SHAPE_MEMO.within((datum, top, bottom)).get_or_make(
             mode, _enumerate, datum, top, bottom, mode
         )
     )
@@ -248,7 +248,7 @@ def _close_arcs(
 
 
 # annihilation degrees keyed (word, arcs, reflected) and prop crossing degrees
-# keyed (bottom, props), scoped to the (datum.key(), lw) of the last call
+# keyed (bottom, props), scoped to the (datum, lw) of the last call
 _ARC_MEMO = Memo("shapes._ARC_MEMO")
 
 
@@ -280,13 +280,13 @@ def _degree(datum: SatakeDatum, sh: Shape, lw: IWeight, reflected: bool) -> int:
 
     All matchings of one word pair close off the same two words, and only a
     few dozen distinct cup or cap sets occur among hundreds of matchings, so
-    most lookups repeat one.  The memo holds one (datum.key(), lw) scope: a
-    call with another datum content or weight empties it first, so the
-    scope is its only bound.  ``reflected`` is part of the annihilation
+    most lookups repeat one.  The memo holds one (datum, lw) scope: a call
+    with another datum, compared by content, or weight empties it first, so
+    the scope is its only bound.  ``reflected`` is part of the annihilation
     keys: the two realizations differ only in the annihilation terms, and
     they share the realization-free crossing term, keyed (bottom, props).
     """
-    arcs = _ARC_MEMO.within((datum.key(), lw))
+    arcs = _ARC_MEMO.within((datum, lw))
     return (
         arcs.get_or_make(
             (sh.bottom, sh.caps, reflected), _close_arcs, datum, sh.bottom, sh.caps, lw, reflected
@@ -359,7 +359,7 @@ def _shape_sum(
     top, bottom = tuple(top), tuple(bottom)
     if (len(top) + len(bottom)) % 2:
         return RatQ.zero()
-    hist = _SHAPE_MEMO.within((datum.key(), top, bottom)).get_or_make(
+    hist = _SHAPE_MEMO.within((datum, top, bottom)).get_or_make(
         (mode, lw), _degree_histogram, datum, top, bottom, mode, lw
     )
     if not hist:

@@ -32,7 +32,7 @@ def test_parse_config_builtin():
 @pytest.mark.parametrize("name", list(STANDARD))
 def test_builtin_config_is_the_registry_datum(name):
     cfg = cli.parse_config(cli._builtin_config(name))
-    assert cfg.datum.key() == STANDARD[name]().key()
+    assert cfg.datum == STANDARD[name]()
     assert cfg.sign_convention == SIGN_CONVENTION[name]
     assert cfg.warnings == ()
 

@@ -227,18 +227,18 @@ def test_b_word_memo_matches_the_reference_fold():
         }
         for lw in (lw_a, lw_b, lw_a):
             for w in words:
-                assert iuea.b_word(datum, w, lw) == want[lw][w], (datum.key(), lw, w)
+                assert iuea.b_word(datum, w, lw) == want[lw][w], (datum, lw, w)
     assert powers["fixed"] >= 5 and powers["moved"] >= 5
     split = make("split_a2")
-    assert split.nodes == a1a1.nodes and split.key() != a1a1.key()
+    assert split.nodes == a1a1.nodes and split != a1a1
     par = {"1": 0, "2": 1}
     lw = satake.make_iweight(split, {}, par)
     assert satake.make_iweight(a1a1, {}, par) == lw
     words = [(), (("2", 1),), (("1", 2), ("2", 1)), (("2", 1), ("1", 2), ("2", 1))]
-    want = {d.key(): [_b_word_reference(d, w, lw) for w in words] for d in (split, a1a1)}
-    assert want[split.key()][-1] != want[a1a1.key()][-1]
+    want = {d: [_b_word_reference(d, w, lw) for w in words] for d in (split, a1a1)}
+    assert want[split][-1] != want[a1a1][-1]
     for datum in (split, a1a1, split, a1a1):
-        assert [iuea.b_word(datum, w, lw) for w in words] == want[datum.key()]
+        assert [iuea.b_word(datum, w, lw) for w in words] == want[datum]
 
 
 def test_b_word_acts_once_per_distinct_word_in_a_block(monkeypatch):
@@ -285,7 +285,7 @@ def test_clear_caches_forgets_the_scopes():
     iuea.b_word(datum, word, lw)
     (sh,) = shapes.enumerate_shapes(datum, ("1",), ("1",))
     shapes.degree(datum, sh, lw)
-    assert iuea._B_WORD_MEMO.scope == shapes._ARC_MEMO.scope == (datum.key(), lw)
+    assert iuea._B_WORD_MEMO.scope == shapes._ARC_MEMO.scope == (datum, lw)
     iquantum.clear_caches()
     assert iuea._B_WORD_MEMO.scope is None and shapes._ARC_MEMO.scope is None
     # the same weight again is a new scope: the word's image and those of

@@ -657,7 +657,7 @@ def test_equal_tables_share_cache_entries():
     iquantum.clear_caches()
     qt = geometric_qtable(split_a2())
     twin = geometric_qtable(split_a2())
-    assert twin is not qt and twin.content_id == qt.content_id
+    assert twin is not qt and twin == qt and hash(twin) == hash(qt)
     want = _mixed_products(qt)
     first = iquantum.cache_stats()
     assert _mixed_products(twin) == want
@@ -676,7 +676,7 @@ def test_tables_of_different_content_never_share_entries():
     fresh_stats = iquantum.cache_stats()
     iquantum.clear_caches()
     qt = geometric_qtable(split_a2())
-    assert flipped.content_id != qt.content_id
+    assert flipped != qt
     theirs = _mixed_products(qt)
     assert theirs[0] != fresh[0]
     before = iquantum.cache_stats()
@@ -687,9 +687,8 @@ def test_tables_of_different_content_never_share_entries():
     for name in _PRODUCT_CACHES:
         for field in ("hits", "misses"):
             assert after[name][field] - before[name][field] == fresh_stats[name][field], (name, field)
-    ids = {qt.content_id, flipped.content_id}
     for cache in (klr._PSI_CACHE, klr._ENTRY_CACHE, klr._ELEM_CACHE):
-        assert {key[0] for key in cache} == ids
+        assert {key[0] for key in cache} == {qt, flipped}
     iquantum.clear_caches()
 
 
@@ -750,6 +749,10 @@ def _polynomial_reference(forms, f):
     return num
 
 
+def _inv_count(p):
+    return sum(1 for s in range(len(p)) for t in range(s + 1, len(p)) if p[s] > p[t])
+
+
 def _extract_reference(qt, top, bottom, table):
     """The peel as it was before the lazy sums: work holds one coefficient
     (num, ex) per permutation, every subtraction lifts both sides to their
@@ -761,7 +764,7 @@ def _extract_reference(qt, top, bottom, table):
     out = {}
     work = {u: f for u, f in table.items() if f[0]}
     while work:
-        w = max(work, key=klr._inv_count)
+        w = max(work, key=_inv_count)
         exp = klr._expand_psi(qt, bottom, w)
         lead, lead_ex = exp[w]
         sign = lead[(0,) * l]

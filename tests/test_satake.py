@@ -8,6 +8,7 @@ import pytest
 
 from iquantum.satake import (
     IWeight,
+    SatakeDatum,
     apply_word,
     format_dpword,
     leq_lambda,
@@ -282,23 +283,28 @@ def test_orbit_reps_ignore_node_order():
 @pytest.mark.parametrize("make", ALL_DATA)
 def test_key_is_the_content_computed_at_construction(make):
     datum = make()
-    assert datum.key() is datum.key()
-    assert datum.key() == (
-        datum.nodes,
-        tuple(sorted(datum.a.items())),
-        tuple(sorted(datum.d.items())),
-        tuple(sorted(datum.tau.items())),
-        tuple(sorted(datum.varsigma.items())),
-    )
     twin = make()
-    assert twin == datum and hash(twin) == hash(datum) and twin.key() == datum.key()
-    assert repr(twin) == repr(datum) and "_key" not in repr(datum)
+    assert twin is not datum
+    assert twin == datum and hash(twin) == hash(datum)
+    # the content is compared, not the order its dicts were filled in
+    shuffled = SatakeDatum(
+        datum.nodes,
+        *(dict(reversed(m.items())) for m in (datum.a, datum.d, datum.tau, datum.varsigma)),
+    )
+    assert shuffled == datum and hash(shuffled) == hash(datum)
+    assert repr(twin) == repr(datum) == (
+        f"SatakeDatum(nodes={datum.nodes!r}, a={datum.a!r}, d={datum.d!r}, "
+        f"tau={datum.tau!r}, varsigma={datum.varsigma!r})"
+    )
+    assert "_key" not in repr(datum) and "_hash" not in repr(datum)
 
 
 def test_key_tells_apart_data_over_the_same_nodes():
     a2 = split_a2()
     b2 = make_datum(["1", "2"], [[2, -1], [-2, 2]], [2, 1], {"1": "1", "2": "2"}, {"1": -1, "2": -1})
     a1a1 = make_datum(["1", "2"], [[2, 0], [0, 2]], [1, 1], {"1": "1", "2": "2"}, {"1": -1, "2": -1})
-    # equality and hashing still see only the node tuple
-    assert a2 == b2 == a1a1 and hash(a2) == hash(b2) == hash(a1a1)
-    assert len({a2.key(), b2.key(), a1a1.key()}) == 3
+    assert a2.nodes == b2.nodes == a1a1.nodes == ("1", "2")
+    # equality and hashing see the whole content, not only the node tuple
+    assert a2 != b2 and b2 != a1a1 and a2 != a1a1
+    assert len({a2, b2, a1a1}) == 3
+    assert qs_a2() != a2 and len({qs_a2(), a2}) == 2

@@ -392,16 +392,16 @@ def test_memoized_degrees_match_the_memo_free_route():
     # two data over the same nodes with different content, at one IWeight value
     a1a1 = _a1a1()
     split = make("split_a2")
-    assert split.nodes == a1a1.nodes and split.key() != a1a1.key()
+    assert split.nodes == a1a1.nodes and split != a1a1
     par = {"1": 0, "2": 1}
     lw = weight(split, {}, par)
     assert weight(a1a1, {}, par) == lw
     pairs = [(("1", "2", "1", "2"), ("2", "1")), (("1", "2", "2", "1"), ("2", "1", "1", "2"))]
     found = _all_shapes(split, pairs)
-    want = {d.key(): _memo_free_table(d, found, lw) for d in (split, a1a1)}
-    assert want[split.key()] != want[a1a1.key()]
+    want = {d: _memo_free_table(d, found, lw) for d in (split, a1a1)}
+    assert want[split] != want[a1a1]
     for datum in (split, a1a1, split, a1a1):
-        assert _memo_table(datum, found, lw) == want[datum.key()]
+        assert _memo_table(datum, found, lw) == want[datum]
     # equal IWeight values that are distinct instances share one scope
     datum = make("qs_a3")
     found = _all_shapes(datum, golden["qs_a3"] + [_series_pair(rng, "qs_a3")])
@@ -515,7 +515,7 @@ def test_one_prop_set_on_two_bottom_words_keeps_two_crossing_terms():
         for sh in order:
             assert shapes.degree(datum, sh, lw) == want[sh]
             assert shapes.degree_alt(datum, sh, lw) == want[sh]
-        assert shapes._ARC_MEMO.scope == (datum.key(), lw)
+        assert shapes._ARC_MEMO.scope == (datum, lw)
 
 
 # -------------------------------------------------------------- histogram memo
@@ -561,7 +561,7 @@ def test_memoized_histogram_is_the_counter_of_degrees():
                     )
                     route(datum, top, bottom, lw)
                     hist = shapes._SHAPE_MEMO[(mode, lw)]
-                    assert shapes._SHAPE_MEMO.scope == (datum.key(), top, bottom)
+                    assert shapes._SHAPE_MEMO.scope == (datum, top, bottom)
                     if want:
                         assert hist == want, (name, top, bottom, mode, lw)
                     else:
@@ -628,11 +628,11 @@ def test_another_pair_empties_the_histograms():
     # one histogram and one enumeration per pair; the table holds the last
     # pair's two entries
     assert _shape_stats() == {"hits": 0, "misses": 4, "size": 2}
-    assert shapes._SHAPE_MEMO.scope == (datum.key(), *pairs[1])
+    assert shapes._SHAPE_MEMO.scope == (datum, *pairs[1])
     # another pair is another scope, whatever the weight
     assert shapes.pair_b(datum, *pairs[0], lw_b) == sums[lw_b][0]
     assert _shape_stats() == {"hits": 0, "misses": 6, "size": 2}
-    assert shapes._SHAPE_MEMO.scope == (datum.key(), *pairs[0])
+    assert shapes._SHAPE_MEMO.scope == (datum, *pairs[0])
     # another weight on that pair adds its histogram over the stored matchings
     assert shapes.pair_b(datum, *pairs[0], lw_a) == sums[lw_a][0]
     assert _shape_stats() == {"hits": 1, "misses": 7, "size": 3}
@@ -747,20 +747,20 @@ def test_returned_lists_are_copies():
 def test_another_pair_or_datum_empties_the_shape_memo():
     iquantum.clear_caches()
     qs, split = make("qs_a2"), make("split_a2")
-    assert qs.nodes == split.nodes and qs.key() != split.key()
+    assert qs.nodes == split.nodes and qs != split
     pair_a, pair_b = _series_pair(random.Random(1719), "qs_a2"), (("1", "2"), ())
     for mode in shapes.MODES:
         shapes.enumerate_shapes(qs, *pair_a, mode)
     assert _shape_stats() == {"hits": 0, "misses": 3, "size": 3}
-    assert shapes._SHAPE_MEMO.scope == (qs.key(), *pair_a)
+    assert shapes._SHAPE_MEMO.scope == (qs, *pair_a)
     # another pair: the table holds only its entry
     assert len(shapes.enumerate_shapes(qs, *pair_b)) == 1
     assert _shape_stats() == {"hits": 0, "misses": 4, "size": 1}
-    assert shapes._SHAPE_MEMO.scope == (qs.key(), *pair_b)
+    assert shapes._SHAPE_MEMO.scope == (qs, *pair_b)
     # the same words on another datum: 1 and 2 are not partners there
     assert shapes.enumerate_shapes(split, *pair_b) == []
     assert _shape_stats() == {"hits": 0, "misses": 5, "size": 1}
-    assert shapes._SHAPE_MEMO.scope == (split.key(), *pair_b)
+    assert shapes._SHAPE_MEMO.scope == (split, *pair_b)
     assert len(shapes.enumerate_shapes(qs, *pair_b)) == 1
     assert _shape_stats() == {"hits": 0, "misses": 6, "size": 1}
 
