@@ -78,6 +78,8 @@ def _need(obj, key, kind):
 
 
 def _node_map(obj, nodes, path, kind):
+    if not isinstance(obj, dict):
+        raise ConfigError(path, "expected object")
     out = {}
     for k, v in obj.items():
         if k not in nodes:
@@ -542,8 +544,10 @@ def _cmd_shapes(cfg: Config, args) -> int:
     return 0
 
 
-# Products on seven strands run for minutes (the longest permutation alone
-# has 5040 terms in the twisted group algebra); six take seconds.
+# Products of mixed colors on seven strands run for minutes (the longest
+# permutation alone has 5040 terms in the twisted group algebra); six take
+# seconds.  On one color the longest crossing on six strands takes
+# milliseconds, but the bound counts strands, not colors.
 MAX_STRANDS = 6
 # A product's terms can grow with every factor (the square of a crossing of
 # two colors is a polynomial in the dots): 150 factors of "s1 ; s3 ; s5" on

@@ -7,18 +7,29 @@ through a crossing of equal colors leaves a correction term, the square of
 a mixed-color crossing is the table polynomial pinned to the strands, and
 triple crossings satisfy the deformed braid relation.
 
-Products are computed through a faithful action on polynomial vectors: a
-crossing acts as the difference-quotient operator on equal colors and as a
-(possibly table-weighted) variable swap otherwise.  Composites live in the
-twisted group algebra over rational functions, from which the basis
-coefficients are recovered by peeling longest permutations; the transition
-is triangular, so the peeling terminates and the recovered coefficients are
-the unique integral normal form.  Every table entry is +-(x - y)^n and is
-held as its integer factor (sign, n), so each rational function that arises
-is an integer polynomial times signed powers of the linear forms x_s - x_t;
-it is held in exactly that shape, sums need no gcd, and each peel divides
-exactly by each power of a form, by synthetic division in one pass.
-Nothing here computes symbolically.
+``mul`` has two routes, chosen by the strand colors alone.  On strands of
+one color the algebra is the nilHecke algebra whatever the table (there is
+no Q_ii, so a crossing squares to zero and the braid relations need no
+correction), and ``_mul_one_color`` straightens a product in the integer
+polynomial ring: each crossing of the right factor is moved past the left
+factor's dots by f psi_r = psi_r s_r(f) + d_r(f), with the divided
+difference d_r in closed form.  No table entry, rational function or memo
+is involved.
+
+Every other product goes through a faithful action on polynomial vectors
+(``_mul_twisted``): a crossing acts as the difference-quotient operator on
+equal colors and as a (possibly table-weighted) variable swap otherwise.
+Composites live in the twisted group algebra over rational functions, from
+which the basis coefficients are recovered by peeling longest
+permutations; the transition is triangular, so the peeling terminates and
+the recovered coefficients are the unique integral normal form.  Every
+table entry is +-(x - y)^n and is held as its integer factor (sign, n), so
+each rational function that arises is an integer polynomial times signed
+powers of the linear forms x_s - x_t; it is held in exactly that shape,
+sums need no gcd, and each peel divides exactly by each power of a form, by
+synthetic division in one pass.  This route stays for mixed colors, where
+the table's entries enter the relations, and it is the one-color route's
+reference in the tests.  Nothing here computes symbolically.
 """
 
 from __future__ import annotations
@@ -680,11 +691,76 @@ def _extract(qt: QTable, top: Word, bottom: Word, work: dict) -> KLRElem:
     return KLRElem(tuple(top), tuple(bottom), out)
 
 
+def _swap_positions(t: tuple, r: int) -> tuple:
+    """t with its entries at r and r+1 exchanged."""
+    return t[:r] + (t[r + 1], t[r]) + t[r + 2 :]
+
+
+def _divided_difference(p: dict, r: int) -> dict:
+    """(p - s_r p) / (x_r - x_(r+1)), monomial by monomial in closed form:
+    x_r^a x_(r+1)^b goes to +-sum_(lo <= i < hi) x_r^i x_(r+1)^(lo + hi - 1 - i)
+    with lo, hi = min(a, b), max(a, b), signed + when a > b."""
+    out: dict = {}
+    for e, c in p.items():
+        a, b = e[r], e[r + 1]
+        if a == b:
+            continue
+        if a < b:
+            a, b, c = b, a, -c
+        head, tail = e[:r], e[r + 2 :]
+        for i in range(b, a):
+            key = head + (i, a + b - 1 - i) + tail
+            out[key] = out.get(key, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _mul_one_color(a: KLRElem, b: KLRElem) -> KLRElem:
+    """The product on strands of one color, where the algebra is the
+    nilHecke algebra whatever the table: psi_r^2 = 0 and the braid
+    relations hold with no correction.
+
+    The left factor is a state {u: p}, the sum of psi_u p.  Each right
+    diagram's crossings are applied letter by letter through
+    p psi_r = psi_r s_r(p) + d_r(p): psi_u psi_r is psi_(u s_r) when the
+    length grows and 0 otherwise, and the dots of the right diagram are
+    multiplied in last.
+    """
+    top, bottom = a.top, b.bottom
+    start: dict = {}
+    for bas, c in a.terms.items():
+        start.setdefault(bas.perm, {})[bas.dots] = c
+    out: dict[KLRBasisElem, int] = {}
+    for bas, c in b.terms.items():
+        state = start
+        for r in _lexmin_word(bas.perm):
+            new: dict = {}
+            for u, p in state.items():
+                if u[r] < u[r + 1]:
+                    swapped = {_swap_positions(e, r): v for e, v in p.items()}
+                    _merge(new.setdefault(_swap_positions(u, r), {}), swapped)
+                _merge(new.setdefault(u, {}), _divided_difference(p, r))
+            state = {u: p for u, p in new.items() if p}
+        for u, p in state.items():
+            for e, v in p.items():
+                _acc(out, KLRBasisElem(top, bottom, u, tuple(map(add, e, bas.dots))), c * v)
+    return KLRElem(top, bottom, out)
+
+
 def mul(qt: QTable, a: KLRElem, b: KLRElem) -> KLRElem:
+    """The product a b, a on top of b: on one color by ``_mul_one_color``,
+    which never reads the table, and otherwise by ``_mul_twisted``."""
     if a.bottom != b.top:
         raise ValueError("inner boundary words differ")
     if a.is_zero() or b.is_zero():
         return zero(a.top, b.bottom)
+    if len(set(b.bottom)) == 1:
+        return _mul_one_color(a, b)
+    return _mul_twisted(qt, a, b)
+
+
+def _mul_twisted(qt: QTable, a: KLRElem, b: KLRElem) -> KLRElem:
+    """The product of nonzero a and b with a.bottom == b.top, through the
+    twisted group algebra and the peel; the one-color route's reference."""
     forms = _forms(len(b.bottom))
     ea = _expand_elem(qt, a)
     eb = _expand_elem(qt, b)

@@ -94,6 +94,12 @@ def test_parse_config_paths():
             "weights.W.lam.1",
             "|lam| = 1001; at most 1000 is supported",
         ),
+        (dict(weights={"W": {"lam": 3}}), "weights.W.lam", "expected object"),
+        (dict(weights={"W": {"lam": []}}), "weights.W.lam", "expected object"),
+        (dict(weights={"W": {"lam": "x"}}), "weights.W.lam", "expected object"),
+        (dict(weights={"W": {"parity": 3}}), "weights.W.parity", "expected object"),
+        (dict(weights={"W": {"parity": []}}), "weights.W.parity", "expected object"),
+        (dict(weights={"W": {"parity": "x"}}), "weights.W.parity", "expected object"),
     ]
     for patch, path, message in checks:
         doc = patch

@@ -867,7 +867,75 @@ def _count_times_form(monkeypatch, product):
 
 
 def test_lazy_sums_multiply_by_fewer_forms(monkeypatch):
-    # one square of the 4-strand divided idempotent, each from the same
-    # cache state: lifting once per peel multiplies by fewer forms than
-    # lifting at every addition
-    assert _count_times_form(monkeypatch, mul) < _count_times_form(monkeypatch, _mul_reference)
+    # one square of the 4-strand divided idempotent through the twisted
+    # route (mul takes the one-color route there), each from the same cache
+    # state: lifting once per peel multiplies by fewer forms than lifting at
+    # every addition
+    lazy = _count_times_form(monkeypatch, klr._mul_twisted)
+    assert 0 < lazy < _count_times_form(monkeypatch, _mul_reference)
+
+
+# -- one color: the nilHecke straightening against the twisted route -------
+
+
+def _one_color_elem(rng, l, nterms):
+    """A seeded element on l strands of one color with dots up to 3.  On 5
+    and 6 strands each permutation is a product of at most 3 crossings, so
+    that the twisted route stays fast."""
+    w = ("1",) * l
+    terms = {}
+    for _ in range(nterms):
+        if l < 5:
+            perm = tuple(rng.sample(range(l), l))
+        else:
+            perm = tuple(range(l))
+            for _ in range(rng.randrange(4)):
+                perm = klr._swap_values(perm, rng.randrange(l - 1))
+        b = KLRBasisElem(w, w, perm, tuple(rng.randrange(4) for _ in w))
+        terms[b] = terms.get(b, 0) + rng.choice((-2, -1, 1, 2))
+    return KLRElem(w, w, terms)
+
+
+def _one_color_cases(qt):
+    """(a, b): seeded products on 1-6 strands with 1-4 terms per factor,
+    the squares of the 3- and 4-strand divided idempotents, and each step
+    of the longest crossing on six strands (W0) built one crossing at a
+    time, as ``klr --expr`` builds it."""
+    rng = random.Random(20261019)
+    for k in range(48):
+        l = 1 + k % 6
+        yield _one_color_elem(rng, l, 1 + k % 4), _one_color_elem(rng, l, 1 + (k // 6) % 4)
+    for n in (3, 4):
+        d = divided_idempotent(qt, "1", n)
+        yield d, d
+    w = ("1",) * 6
+    cur = e(w)
+    for r in (1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 4, 3, 2, 1):
+        yield cur, crossing(w, r)
+        cur = mul(qt, cur, crossing(w, r))
+    assert cur == diagram(w, w, (5, 4, 3, 2, 1, 0), (0,) * 6)
+
+
+def test_one_color_products_match_the_twisted_route():
+    iquantum.clear_caches()
+    qt = geometric_qtable(split_a1())
+    nonzero = 0
+    for a, b in _one_color_cases(qt):
+        got = mul(qt, a, b)
+        want = klr._mul_twisted(qt, a, b)
+        assert got == want and str(got) == str(want), (a, b)
+        nonzero += not got.is_zero()
+    assert nonzero >= 50
+    iquantum.clear_caches()
+
+
+def test_one_color_products_never_read_the_table():
+    # psi^2 = 0, the braid relation without correction and the dot slide,
+    # with no table at all and no memo filled
+    iquantum.clear_caches()
+    w = ("1",) * 3
+    s1, s2 = crossing(w, 1), crossing(w, 2)
+    assert mul(None, s1, s1).is_zero()
+    assert mul(None, mul(None, s1, s2), s1) == mul(None, mul(None, s2, s1), s2)
+    assert mul(None, dot(w, 1), s1) - mul(None, s1, dot(w, 2)) == e(w)
+    assert all(v["size"] == 0 for v in iquantum.cache_stats().values())

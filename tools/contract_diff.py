@@ -7,9 +7,9 @@ the exit codes.  One fixed call list is run on each tree: ``selftest``
 plain and with ``--json``; every ``python3 -m iquantum`` line of the
 README (read from the change's checkout), as written and with ``--json``;
 seeded calls of every subcommand on the five built-in data (read from the
-change's ``iquantum.standard``); one input over each ``cli.MAX_*`` bound;
-and one call per config error and usage error, so that the exit-2 messages
-are compared too.
+change's ``iquantum.standard``); two ``klr`` products on strands of one
+color; one input over each ``cli.MAX_*`` bound; and one call per config
+error and usage error, so that the exit-2 messages are compared too.
 
 Each tree runs the whole list in one child interpreter, with the tree's
 ``src`` alone on its path.  Every call goes through ``cli.run`` with every
@@ -124,6 +124,18 @@ def _config(cartan: int, lam: int) -> str:
         "varsigma": {"1": 1, "2": 0},
         "weights": {"L0": {"lam": {}}, "L": {"lam": {"1": lam}}},
     })
+
+
+# Products on one color, which never read the table: the longest crossing
+# on six strands (W0), and a dotted product on five strands.
+W0 = "e(1 1 1 1 1 1) ; " + " ; ".join(
+    f"s{r}" for r in (1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 4, 3, 2, 1)
+)
+ONE_COLOR_CALLS = [
+    ["klr", "--config", "split_a1", "--expr", W0],
+    ["klr", "--config", "split_a1", "--expr",
+     "e(1 1 1 1 1) ; x1 ; x2 ; x2 ; x3 ; s1 ; s2 ; s1 ; s3 ; s2 ; s4 ; x5 ; s3"],
+]
 
 
 def bound_calls(configs: Path) -> list[list[str]]:
@@ -255,6 +267,7 @@ def main() -> int:
         calls = (
             readme_examples(trees["change"])
             + seeded_calls(SEED, builtin_data(trees["change"]))
+            + ONE_COLOR_CALLS
             + bound_calls(Path(scratch))
             + error_calls(Path(scratch))
         )
