@@ -101,6 +101,12 @@ MAX_CARTAN = 4
 # linear in |lam|: bkl takes 0.7 s at 10^3 and 7 s at 10^6, and the heaviest
 # 8-letter pair 1.4 s at 10^3 and 2.3 s at 10^4.
 MAX_LAM = 1000
+# Degrees scale with d, and so does the cost of a long pair: cold, the
+# heaviest 8-letter pair (|lam| = 1000) took 1.6-1.7 s at d = 1, 1.3-2.1 s
+# at 4, 2.4-2.8 s at 10 and 10-12 s at 100 on a loaded 2-core machine, and
+# over a minute at 1000 (CHANGES.md).  d_i <= 4 holds for every finite and
+# affine Cartan matrix with symmetrizers of gcd 1.
+MAX_D = 4
 
 
 def _check_order(order, path: str) -> int:
@@ -153,6 +159,9 @@ def parse_config(text: str) -> Config:
     d = _need(raw, "d", list)
     if len(d) != len(nodes) or any(not isinstance(v, int) or isinstance(v, bool) for v in d):
         raise ConfigError("d", f"need {len(nodes)} integers")
+    for k, v in enumerate(d):
+        if v > MAX_D:
+            raise ConfigError(f"d[{k}]", f"symmetrizer {v}; at most {MAX_D} is supported")
 
     tau = _node_map(_need(raw, "tau", dict), nodes, "tau", str)
     for i in nodes:

@@ -39,8 +39,12 @@ from itertools import accumulate
 from math import comb
 from operator import add, itemgetter, sub
 
-# Unused: loaded only because perfbench's tracer installs on sympy.polys.fields.
-import sympy  # noqa: F401
+# Unused: loaded only because perfbench's tracer installs on sympy.polys.fields,
+# and skipped where sympy is not installed; ROADMAP item 1 step B deletes it.
+try:
+    import sympy  # noqa: F401
+except ImportError:
+    pass
 
 from .memo import Memo
 from .qring import ASC_Q, LaurentPoly, RatQ, expand

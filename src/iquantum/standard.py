@@ -67,9 +67,10 @@ def builtin_weights(datum: SatakeDatum) -> dict[str, tuple[dict[str, int], dict[
 
 
 # The sign convention each datum's geometric Q-table is built with (see
-# klr.geometric_qtable).  "body" negates the rows of tau-fixed nodes, which
-# breaks the table's symmetry on qs_a3, where the fixed middle node has an
-# edge to both moved ends; "intro" keeps it symmetric.
+# klr.geometric_qtable).  "body" negates the rows of tau-fixed nodes, and the
+# table holds an entry for every ordered pair of nodes, edge or no edge, so
+# it is symmetric exactly when tau fixes every node or none: qs_a3 mixes a
+# fixed middle node with moved ends.  "intro" is symmetric on every datum.
 SIGN_CONVENTION = {
     "split_a1": "body",
     "diag_a1a1": "body",

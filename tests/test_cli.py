@@ -71,6 +71,7 @@ def test_parse_config_paths():
         (dict(cartan=[[2, -1], [-1]]), "cartan[1]", "need a row of 2 integers"),
         (dict(cartan=[[2, -1], [-1, "2"]]), "cartan[1][1]", "expected int"),
         (dict(d=[1]), "d", "need 2 integers"),
+        (dict(d=[5, 5]), "d[0]", "symmetrizer 5; at most 4 is supported"),
         (dict(orientation=[["1", "2"]]), "orientation", "expected object"),
         (dict(orientation={"1 9": 1}), "orientation.1 9", "node pairs"),
         (dict(orientation={"1 2": -1}), "orientation.1 2", "nonnegative int"),
@@ -482,6 +483,27 @@ def test_weight_size_is_bounded(tmp_path, capsys):
         "iserre", "--config", "qs_a2", "--i", "1", "--j", "2", "--lambda-range", "1000..1000",
     )
     assert code == 0 and out
+
+
+def test_symmetrizer_is_bounded(tmp_path, capsys):
+    # unbounded, d = 10^8 runs past a minute, since degrees scale with d
+    assert cli.MAX_D == 4
+    doc = json.loads(cli._builtin_config("split_a1"))
+    path = tmp_path / "d.json"
+    doc["d"] = [10**8]
+    path.write_text(json.dumps(doc))
+    proc = _cold_cli("pair", "--config", str(path), "--i", "1", "--j", "1", "--lambda", "L0")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.strip() == (
+        "config error at d[0]: symmetrizer 100000000; at most 4 is supported"
+    )
+    # at the bound
+    doc["d"] = [4]
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(
+        capsys, "pair", "--config", str(path), "--i", "1", "--j", "1", "--lambda", "L0"
+    )
+    assert code == 0 and "match = true" in out
 
 
 def test_cartan_entries_are_bounded(tmp_path, capsys):

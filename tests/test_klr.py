@@ -1,6 +1,7 @@
 """Quiver Hecke layer: relations, normal forms, idempotents, Serre complex."""
 
 import copy
+import itertools
 import random
 
 import pytest
@@ -25,7 +26,7 @@ from iquantum.klr import (
     zero,
 )
 from iquantum.qring import ASC_Q, expand
-from iquantum.satake import make_datum
+from iquantum.satake import make_datum, validate
 from iquantum.selftest import _random_elem as random_elem
 from iquantum.selftest import _shuffled as shuffled
 from iquantum.selftest import _tables
@@ -90,6 +91,42 @@ def test_geometric_qtable_sign_conventions_on_a3():
     qt = qs_a3_table()
     assert poly(qt, "1", "3") == -1
     assert poly(qt, "3", "1") == -1
+
+
+def _small_data():
+    """Every valid datum with d = 1 on one to three nodes with a_ij in
+    {0, -1}: each involution tau of the diagram and each valid varsigma,
+    whose entries then lie in {-1, 0, 1}."""
+    for n in (1, 2, 3):
+        nodes = [str(k + 1) for k in range(n)]
+        pairs = list(itertools.combinations(range(n), 2))
+        for edges in itertools.product((0, -1), repeat=len(pairs)):
+            cartan = [[2 if r == c else 0 for c in range(n)] for r in range(n)]
+            for (r, c), a in zip(pairs, edges):
+                cartan[r][c] = cartan[c][r] = a
+            for perm in itertools.permutations(range(n)):
+                if any(perm[perm[k]] != k for k in range(n)):
+                    continue
+                tau = {nodes[k]: nodes[perm[k]] for k in range(n)}
+                for signs in itertools.product((-1, 0, 1), repeat=n):
+                    datum = make_datum(nodes, cartan, [1] * n, tau, dict(zip(nodes, signs)))
+                    if not [m for m in validate(datum) if not m.startswith("warning:")]:
+                        yield datum
+
+
+def test_sign_convention_rule_on_small_data():
+    # the table holds an entry for every ordered pair, edge or no edge, so
+    # "body", which negates the rows of tau-fixed nodes, is symmetric exactly
+    # when tau fixes every node or none; "intro" always is
+    data = list(_small_data())
+    assert len(data) == 32
+    for datum in data:
+        geometric_qtable(datum, sign_convention="intro")
+        if len({datum.tau[i] == i for i in datum.nodes}) == 1:
+            geometric_qtable(datum, sign_convention="body")
+        else:
+            with pytest.raises(ValueError, match="not symmetric"):
+                geometric_qtable(datum, sign_convention="body")
 
 
 def test_geometric_qtable_orientation():
@@ -351,22 +388,6 @@ def test_serre_complex_rejects():
     )
     with pytest.raises(ValueError):
         serre_complex_check(geometric_qtable(triple), "1", "2")
-
-
-class _NoSympy:
-    def __getattr__(self, name):
-        raise AssertionError(f"klr computed with sympy.{name}")
-
-
-def test_klr_computes_without_sympy(monkeypatch):
-    monkeypatch.setattr(klr, "sympy", _NoSympy())
-    iquantum.clear_caches()
-    tables = _tables()
-    oriented = geometric_qtable(split_a2(), orientation={("2", "1"): 1})
-    qt = tables["split_a1"]
-    d3 = divided_idempotent(qt, "1", 3)
-    assert mul(qt, d3, d3) == d3
-    assert serre_complex_check(oriented, "1", "2").ok
 
 
 def test_zero_and_scale():
@@ -848,31 +869,32 @@ def test_mul_matches_the_eager_reference():
     iquantum.clear_caches()
 
 
-def _count_times_form(monkeypatch, product):
+def _count_calls(monkeypatch, name, product):
+    """The calls of klr.<name> in one square of the idempotent of
+    1^(4) 2 on split_a2, from empty caches."""
     calls = [0]
-    times_form = klr._times_form
+    wrapped = getattr(klr, name)
 
     def counted(*args):
         calls[0] += 1
-        return times_form(*args)
+        return wrapped(*args)
 
     iquantum.clear_caches()
-    qt = geometric_qtable(split_a1())
-    d = divided_idempotent(qt, "1", 4)
+    qt = geometric_qtable(split_a2())
+    d = tensor(divided_idempotent(qt, "1", 4), e(("2",)))
     with monkeypatch.context() as m:
-        m.setattr(klr, "_times_form", counted)
+        m.setattr(klr, name, counted)
         assert product(qt, d, d) == d
     iquantum.clear_caches()
     return calls[0]
 
 
 def test_lazy_sums_multiply_by_fewer_forms(monkeypatch):
-    # one square of the 4-strand divided idempotent through the twisted
-    # route (mul takes the one-color route there), each from the same cache
-    # state: lifting once per peel multiplies by fewer forms than lifting at
-    # every addition
-    lazy = _count_times_form(monkeypatch, klr._mul_twisted)
-    assert 0 < lazy < _count_times_form(monkeypatch, _mul_reference)
+    # a square of two colors, which mul sends to the twisted route: lifting
+    # once per peel multiplies by fewer forms than lifting at every addition
+    assert _count_calls(monkeypatch, "_mul_twisted", mul) == 1
+    lazy = _count_calls(monkeypatch, "_times_form", mul)
+    assert 0 < lazy < _count_calls(monkeypatch, "_times_form", _mul_reference)
 
 
 # -- one color: the nilHecke straightening against the twisted route -------

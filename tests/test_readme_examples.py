@@ -7,14 +7,21 @@ as written and once with ``--json``.  Stdout must equal
 ``tests/golden/exit_codes.json``, where ``<name>`` is the subcommand, with a
 ``_json`` suffix for the second run.  Regenerate a golden file only for an
 intended change of output.
+
+The package depends on the standard library alone: the same examples run
+once more in a child interpreter that cannot import sympy.
 """
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import iquantum
 from iquantum import cli
 
 TESTS = Path(__file__).resolve().parent
@@ -46,3 +53,54 @@ def test_readme_example(name, argv, capsys):
     out = capsys.readouterr().out
     assert code == EXIT_CODES[name]
     assert out == (GOLDEN / f"{name}.stdout").read_text(encoding="utf-8")
+
+
+# Runs in the child: blocks sympy, runs the examples read on stdin and the
+# products of a split and an oriented table, then reports the top-level
+# modules it loaded beyond those the interpreter loaded at start-up.
+NO_SYMPY = """
+import sys
+start = {name.partition(".")[0] for name in sys.modules}
+sys.modules["sympy"] = None
+import contextlib, io, json
+from iquantum import cli
+from iquantum.klr import divided_idempotent, geometric_qtable, mul, serre_complex_check
+from iquantum.selftest import _tables
+from iquantum.standard import split_a2
+
+examples = {}
+for name, argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(argv)
+    examples[name] = [code, out.getvalue()]
+qt = _tables()["split_a1"]
+d3 = divided_idempotent(qt, "1", 3)
+oriented = geometric_qtable(split_a2(), orientation={("2", "1"): 1})
+products = [mul(qt, d3, d3) == d3, serre_complex_check(oriented, "1", "2").ok]
+loaded = {name.partition(".")[0] for name, mod in sys.modules.items() if mod is not None}
+foreign = sorted(loaded - start - set(sys.stdlib_module_names) - {"iquantum"})
+json.dump({"examples": examples, "products": products, "foreign": foreign}, sys.stdout)
+"""
+
+
+def test_package_runs_without_sympy():
+    # sympy is an extra for the test oracles only; with it blocked, every
+    # example still prints its golden output and nothing else is imported
+    src = os.path.dirname(os.path.dirname(os.path.abspath(iquantum.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SYMPY],
+        input=json.dumps(CASES),
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    for name, _ in CASES:
+        want = [EXIT_CODES[name], (GOLDEN / f"{name}.stdout").read_text(encoding="utf-8")]
+        assert got["examples"][name] == want, name
+    assert got["products"] == [True, True]
+    assert got["foreign"] == []

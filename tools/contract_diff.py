@@ -8,8 +8,9 @@ plain and with ``--json``; every ``python3 -m iquantum`` line of the
 README (read from the change's checkout), as written and with ``--json``;
 seeded calls of every subcommand on the five built-in data (read from the
 change's ``iquantum.standard``); two ``klr`` products on strands of one
-color; one input over each ``cli.MAX_*`` bound; and one call per config
-error and usage error, so that the exit-2 messages are compared too.
+color and one on two colors; one input over each ``cli.MAX_*`` bound; and
+one call per config error and usage error, so that the exit-2 messages are
+compared too.
 
 Each tree runs the whole list in one child interpreter, with the tree's
 ``src`` alone on its path.  Every call goes through ``cli.run`` with every
@@ -128,13 +129,18 @@ def _config(cartan: int, lam: int) -> str:
 
 # Products on one color, which never read the table: the longest crossing
 # on six strands (W0), and a dotted product on five strands.
-W0 = "e(1 1 1 1 1 1) ; " + " ; ".join(
-    f"s{r}" for r in (1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 4, 3, 2, 1)
-)
+W0_CROSSINGS = " ; ".join(f"s{r}" for r in (1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 4, 3, 2, 1))
+W0 = "e(1 1 1 1 1 1) ; " + W0_CROSSINGS
 ONE_COLOR_CALLS = [
     ["klr", "--config", "split_a1", "--expr", W0],
     ["klr", "--config", "split_a1", "--expr",
      "e(1 1 1 1 1) ; x1 ; x2 ; x2 ; x3 ; s1 ; s2 ; s1 ; s3 ; s2 ; s4 ; x5 ; s3"],
+]
+# A product on two colors, through the lazy sums and the peel: W0's
+# crossings after six dots on e(2 1 1 1 1 1).
+MIXED_COLOR_CALL = [
+    "klr", "--config", "split_a2", "--expr",
+    "e(2 1 1 1 1 1) ; x1 ; x2 ; x2 ; x3 ; x3 ; x3 ; " + W0_CROSSINGS,
 ]
 
 
@@ -144,6 +150,11 @@ def bound_calls(configs: Path) -> list[list[str]]:
     over_cartan.write_text(_config(5, 0), encoding="utf-8")
     over_lam = configs / "lam1001.json"
     over_lam.write_text(_config(1, 1001), encoding="utf-8")
+    over_d = configs / "d5.json"
+    over_d.write_text(json.dumps({
+        "nodes": ["1"], "cartan": [[2]], "d": [5], "tau": {"1": "1"}, "varsigma": {"1": -1},
+        "weights": {"L0": {"lam": {}, "parity": {"1": 0}}},
+    }), encoding="utf-8")
     crossings = " ; ".join(["s1 ; s3 ; s5"] * 21)
     return [
         # MAX_ORDER
@@ -153,6 +164,8 @@ def bound_calls(configs: Path) -> list[list[str]]:
         # MAX_LAM, in a config and in a sweep
         ["bkl", "--config", str(over_lam), "--i", "1", "--lambda", "L"],
         ["iserre", "--config", "qs_a2", "--all", "--lambda-range", "1001..1001"],
+        # MAX_D
+        ["pair", "--config", str(over_d), "--i", "1", "--j", "1", "--lambda", "L0"],
         # MAX_WORD
         ["pair", "--config", "qs_a2", "--i", "1 2 1 2 1 2 1 2 1", "--j", "1", "--lambda", "L0"],
         # MAX_SHAPES: two 8-letter words of one fixed-node letter have 15!! shapes
@@ -268,6 +281,7 @@ def main() -> int:
             readme_examples(trees["change"])
             + seeded_calls(SEED, builtin_data(trees["change"]))
             + ONE_COLOR_CALLS
+            + [MIXED_COLOR_CALL]
             + bound_calls(Path(scratch))
             + error_calls(Path(scratch))
         )
