@@ -732,7 +732,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(config=None)
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument(
-        "--timings", action="store_true", help="wall seconds per check, on stderr"
+        "--timings",
+        action="store_true",
+        help="wall seconds and garbage collections per check, on stderr",
     )
     p.add_argument(
         "--cache-stats",

@@ -776,20 +776,22 @@ def _mul_twisted(qt: QTable, a: KLRElem, b: KLRElem) -> KLRElem:
 
 
 def _matchings(top: Word, bottom: Word):
-    """Permutations carrying bottom positions to equal-colored top positions."""
+    """Permutations carrying bottom positions to equal-colored top positions,
+    in lexicographic order: a depth-first walk on an explicit stack, each
+    position's choices pushed last to first."""
     l = len(bottom)
+    if len(top) != l:
+        return []
     out = []
-
-    def rec(s, used, acc):
+    stack = [()]
+    while stack:
+        acc = stack.pop()
+        s = len(acc)
         if s == l:
-            out.append(tuple(acc))
-            return
-        for t in range(l):
-            if t not in used and top[t] == bottom[s]:
-                rec(s + 1, used | {t}, acc + [t])
-
-    if len(top) == l:
-        rec(0, frozenset(), [])
+            out.append(acc)
+            continue
+        c = bottom[s]
+        stack.extend(acc + (t,) for t in range(l - 1, -1, -1) if top[t] == c and t not in acc)
     return out
 
 

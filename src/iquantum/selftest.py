@@ -5,7 +5,8 @@ Every check the package promises is implemented here as a function returning
 so a passing report is byte-identical across runs.  ``checks`` runs them in
 order for the ``selftest`` subcommand, which prints one line per check;
 tests/test_acceptance.py calls the same functions one at a time.
-Wall seconds per check are available on request, on a separate channel
+Wall seconds per check, and the garbage collections that ran inside it with
+their seconds, are available on request, on a separate channel
 (``checks(timing)``, ``selftest --timings``).
 
 All comparisons are exact: RatQ equality is structural equality of canonical
@@ -14,6 +15,7 @@ forms, never numeric tolerance.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 import time
@@ -397,16 +399,44 @@ CRITERIA = (
 )
 
 
+class _CollectorClock:
+    """Counts garbage collections and their wall seconds while it sits in
+    ``gc.callbacks``; a profiler never shows the collector's time."""
+
+    def __init__(self):
+        self.count = 0
+        self.seconds = 0.0
+        self._start = 0.0
+
+    def __call__(self, phase, info):
+        if phase == "start":
+            self._start = time.perf_counter()
+        else:
+            self.count += 1
+            self.seconds += time.perf_counter() - self._start
+
+
 def checks(timing=None):
     """Run every check in order, yielding (title, ok, detail).
 
     ``timing``, if given, receives one line per check with its wall seconds
+    and the number and seconds of the garbage collections run inside it
     (``selftest --timings`` writes them to stderr); the seconds never enter
     a detail string.
     """
-    for k, (title, fn) in enumerate(CRITERIA, start=1):
-        t0 = time.perf_counter()
-        ok, detail = fn()
+    clock = _CollectorClock()
+    if timing is not None:
+        gc.callbacks.append(clock)
+    try:
+        for k, (title, fn) in enumerate(CRITERIA, start=1):
+            t0, runs, spent = time.perf_counter(), clock.count, clock.seconds
+            ok, detail = fn()
+            if timing is not None:
+                timing(
+                    f"[{k:2d}/{len(CRITERIA)}] {time.perf_counter() - t0:.2f} s  {title}"
+                    f"  (gc: {clock.count - runs} in {clock.seconds - spent:.2f} s)"
+                )
+            yield title, ok, detail
+    finally:
         if timing is not None:
-            timing(f"[{k:2d}/{len(CRITERIA)}] {time.perf_counter() - t0:.2f} s  {title}")
-        yield title, ok, detail
+            gc.callbacks.remove(clock)

@@ -39,10 +39,18 @@ signed sum, and their agreement (``hom_rank`` against the bar of
 ``pair_b``) stays a check of ``_assemble``, ``bar`` and ``expand``.  A
 caller that walks the matchings after a shape sum on the same pair
 (``degree`` against ``degree_alt`` after ``hom_rank``) reads them instead
-of enumerating again.  ``enumerate_shapes`` returns a new list over the
-stored tuple; the mode check and the empty list of an odd total length come
-before any lookup.  ``pair_theta`` sums the weight-free crossing degree
-outside ``_ARC_MEMO`` and keeps no histogram.
+of enumerating again.  A restricted mode the table lacks is read off the
+pair's ``all`` matchings when the table holds them (``pair_b_nabla`` and
+``pair_theta`` after ``pair_b``), and enumerated by itself otherwise, since
+``all`` can be far longer than the mode asked for.  ``enumerate_shapes``
+returns a new list over the stored tuple; the mode check and the empty list
+of an odd total length come before any lookup.  ``pair_theta`` sums the
+weight-free crossing degree outside ``_ARC_MEMO`` and keeps no histogram.
+
+No enumeration builds a reference cycle (``_enumerate`` keeps its open
+branches on an explicit stack, not in a function that calls itself), so a
+pair's matchings die by reference count as soon as the table moves to the
+next pair, and the garbage collector never has to find them.
 """
 
 from __future__ import annotations
@@ -90,6 +98,9 @@ def enumerate_shapes(
     earlier one, caps likewise on the bottom, props need equal labels; modes
     drop caps, or both cups and caps (``_enumerate``).  The matchings are
     read through ``_SHAPE_MEMO``, which holds those of the last word pair.
+    A restricted mode missing there is read off the pair's ``all`` matchings
+    when the table holds them (``_restrict``), and enumerated otherwise:
+    ``all`` can be far longer than the mode asked for.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -97,48 +108,66 @@ def enumerate_shapes(
     bottom = tuple(bottom)
     if (len(top) + len(bottom)) % 2:
         return []
-    return list(
-        _SHAPE_MEMO.within((datum, top, bottom)).get_or_make(
-            mode, _enumerate, datum, top, bottom, mode
-        )
-    )
+    table = _SHAPE_MEMO.within((datum, top, bottom))
+    if mode == "all" or mode in table or "all" not in table:
+        return list(table.get_or_make(mode, _enumerate, datum, top, bottom, mode))
+    every = table.get_or_make("all", _enumerate, datum, top, bottom, "all")
+    return list(table.get_or_make(mode, _restrict, every, mode))
+
+
+def _restrict(every: tuple[Shape, ...], mode: str) -> tuple[Shape, ...]:
+    """The matchings of a restricted mode among the pair's ``all`` ones, in
+    the order ``_enumerate`` gives them: they are the leaves of the same
+    walk that the mode's pruning keeps."""
+    if mode == "cap_free":
+        return tuple(sh for sh in every if not sh.caps)
+    return tuple(sh for sh in every if not sh.caps and not sh.cups)
 
 
 def _enumerate(datum: SatakeDatum, top: Word, bottom: Word, mode: str) -> tuple[Shape, ...]:
     """The matchings of one mode, on tuples of even total length.
 
-    The recursion always matches the first open point, so each matching is
-    produced exactly once, and cups and caps come out sorted by their first
-    foot.
+    A depth-first walk that always matches the first open point, so each
+    matching is produced exactly once, and cups and caps come out sorted by
+    their first foot.  The walk keeps its open branches on an explicit stack,
+    pushing each point's options last to first so that the first is popped
+    first: cups in the order of their second foot, then props in the order
+    of their bottom point.  No function refers to itself, so nothing here
+    builds a reference cycle, and the matchings die by reference count as
+    soon as the table lets them go.
     """
-    allow_cups = mode in ("all", "cap_free")
+    allow_cups = mode != "cup_cap_free"
     allow_caps = mode == "all"
+    tau = datum.tau
     out: list[Shape] = []
-
-    def rec(ut, ub, cups, caps, props):
-        if not ut and not ub:
-            out.append(Shape(top, bottom, cups, caps, tuple(sorted(props))))
-            return
+    stack = [(tuple(range(len(top))), tuple(range(len(bottom))), (), (), ())]
+    pop, push = stack.pop, stack.append
+    while stack:
+        ut, ub, cups, caps, props = pop()
         if ut:
             p = ut[0]
             rest = ut[1:]
+            label = top[p]
+            for k in range(len(ub) - 1, -1, -1):
+                b = ub[k]
+                if bottom[b] == label:
+                    push((rest, ub[:k] + ub[k + 1 :], cups, caps, props + ((b, p),)))
             if allow_cups:
-                want = datum.tau[top[p]]
-                for k, q in enumerate(rest):
+                want = tau[label]
+                for k in range(len(rest) - 1, -1, -1):
+                    q = rest[k]
                     if top[q] == want:
-                        rec(rest[:k] + rest[k + 1 :], ub, cups + ((p, q),), caps, props)
-            for k, b in enumerate(ub):
-                if bottom[b] == top[p]:
-                    rec(rest, ub[:k] + ub[k + 1 :], cups, caps, props + ((b, p),))
+                        push((rest[:k] + rest[k + 1 :], ub, cups + ((p, q),), caps, props))
+        elif not ub:
+            out.append(Shape(top, bottom, cups, caps, tuple(sorted(props))))
         elif allow_caps:
             p = ub[0]
             rest = ub[1:]
-            want = datum.tau[bottom[p]]
-            for k, q in enumerate(rest):
+            want = tau[bottom[p]]
+            for k in range(len(rest) - 1, -1, -1):
+                q = rest[k]
                 if bottom[q] == want:
-                    rec(ut, rest[:k] + rest[k + 1 :], cups, caps + ((p, q),), props)
-
-    rec(tuple(range(len(top))), tuple(range(len(bottom))), (), (), ())
+                    push((ut, rest[:k] + rest[k + 1 :], cups, caps + ((p, q),), props))
     return tuple(out)
 
 

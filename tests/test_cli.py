@@ -1,5 +1,6 @@
 """Config diagnostics, subcommand output, and exit codes."""
 
+import gc
 import json
 import os
 import re
@@ -248,9 +249,24 @@ def test_pair_rejects_a_non_integer_multiplicity(capsys, token):
     assert err.strip() == f"error: malformed divided-power suffix in {token!r}"
 
 
-def test_selftest_timings_go_to_stderr_only(capsys, monkeypatch):
-    fake = (("first check", lambda: (True, "3 agree")), ("second check", lambda: (True, "0 fail")))
+def _collect_twice():
+    gc.collect()
+    gc.collect()
+    return True, "0 fail"
+
+
+@pytest.fixture
+def collector_off():
+    """No automatic collection, so a check counts exactly its own."""
+    gc.disable()
+    yield
+    gc.enable()
+
+
+def test_selftest_timings_go_to_stderr_only(capsys, monkeypatch, collector_off):
+    fake = (("first check", lambda: (True, "3 agree")), ("second check", _collect_twice))
     monkeypatch.setattr(selftest, "CRITERIA", fake)
+    callbacks = list(gc.callbacks)
     for extra in ([], ["--json"]):
         code, plain_out, plain_err = run_cli(capsys, "selftest", *extra)
         assert code == 0 and plain_err == ""
@@ -258,9 +274,10 @@ def test_selftest_timings_go_to_stderr_only(capsys, monkeypatch):
         assert code == 0
         assert timed_out == plain_out
         assert re.sub(r"\d+\.\d\d s", "T s", timed_err).splitlines() == [
-            "[ 1/2] T s  first check",
-            "[ 2/2] T s  second check",
+            "[ 1/2] T s  first check  (gc: 0 in T s)",
+            "[ 2/2] T s  second check  (gc: 2 in T s)",
         ]
+        assert gc.callbacks == callbacks
         if not extra:
             # both streams count the criteria that run
             assert plain_out.splitlines() == [

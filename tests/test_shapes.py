@@ -541,6 +541,19 @@ def _shape_stats():
     return iquantum.cache_stats()["shapes._SHAPE_MEMO"]
 
 
+def _record_enumerations(monkeypatch):
+    """The modes that reach shapes._enumerate, in call order."""
+    calls = []
+    recursion = shapes._enumerate
+
+    def recorded(datum, top, bottom, mode):
+        calls.append(mode)
+        return recursion(datum, top, bottom, mode)
+
+    monkeypatch.setattr(shapes, "_enumerate", recorded)
+    return calls
+
+
 def test_memoized_histogram_is_the_counter_of_degrees():
     iquantum.clear_caches()
     rng = random.Random(1616)
@@ -649,14 +662,7 @@ def test_one_pair_at_two_weights_keeps_two_histograms(monkeypatch):
     assert fresh[lw_a] != fresh[lw_b]
     iquantum.clear_caches()
     want_rank = expand(fresh[lw_a].bar(), ASC_Q, 12)
-    calls = []
-    recursion = shapes._enumerate
-
-    def recorded(*args):
-        calls.append(args)
-        return recursion(*args)
-
-    monkeypatch.setattr(shapes, "_enumerate", recorded)
+    calls = _record_enumerations(monkeypatch)
     assert shapes.hom_rank(datum, top, bottom, lw_a, order=12).series == want_rank
     assert shapes.pair_b(datum, top, bottom, lw_b) == fresh[lw_b]
     # one enumeration serves both weights; each weight keeps its histogram
@@ -686,8 +692,9 @@ def test_each_mode_reads_its_own_histogram():
     iquantum.clear_caches()
     for mode, route in SUMS.items():
         assert route(datum, top, bottom, lw) == fresh[mode], mode
-    # each mode is one histogram and one enumeration
-    assert _shape_stats() == {"hits": 0, "misses": 6, "size": 6}
+    # each mode is one histogram and one list of matchings; the restricted
+    # modes read theirs off the stored "all" list, a hit each
+    assert _shape_stats() == {"hits": 2, "misses": 6, "size": 6}
     assert shapes._SHAPE_MEMO[("cup_cap_free", lw)] == ()
 
 
@@ -714,7 +721,8 @@ def test_enumerate_shapes_matches_the_memo_free_recursion():
             last = (name, top, bottom)
             want = {m: list(shapes._enumerate(datum, top, bottom, m)) for m in shapes.MODES}
             assert len(want["all"]) == shapes.shape_count(datum, top, bottom)
-            # every mode cold, then again in reverse order from the memo
+            # every mode cold, the restricted ones read off "all", then again
+            # in reverse order from the memo
             for mode in (*shapes.MODES, *reversed(shapes.MODES)):
                 assert shapes.enumerate_shapes(datum, top, bottom, mode) == want[mode], (
                     name, top, bottom, mode,
@@ -723,9 +731,59 @@ def test_enumerate_shapes_matches_the_memo_free_recursion():
             assert shapes.enumerate_shapes(datum, list(top), list(bottom)) == want["all"]
             npairs += 1
     assert npairs == 40 + 5 * 6
+    # a new scope: three misses and two reads of "all" for the restricted
+    # modes; the other calls hit
     assert _shape_stats() == {
-        "hits": 7 * npairs - 3 * scopes, "misses": 3 * scopes, "size": 3,
+        "hits": 7 * npairs - scopes, "misses": 3 * scopes, "size": 3,
     }
+
+
+def test_restricted_modes_after_all_are_read_off_it(monkeypatch):
+    rng = random.Random(1727)
+    golden = _golden_pairs()
+    recursion = shapes._enumerate
+    calls = _record_enumerations(monkeypatch)
+    npairs = proper = 0
+    for name in STANDARD:
+        datum = make(name)
+        pairs = golden[name] + [_series_pair(rng, name) for _ in range(2)]
+        pairs += [strand_pair(rng, datum, rng.randint(1, 4)) for _ in range(4)]
+        for top, bottom in pairs:
+            iquantum.clear_caches()
+            every = shapes.enumerate_shapes(datum, top, bottom, "all")
+            for mode in ("cap_free", "cup_cap_free"):
+                want = list(recursion(datum, top, bottom, mode))
+                assert shapes.enumerate_shapes(datum, top, bottom, mode) == want, (
+                    name, top, bottom, mode,
+                )
+                proper += 0 < len(want) < len(every)
+            # one enumeration, of "all"; each restricted mode is a hit on
+            # "all" and a miss on its own key
+            assert calls == ["all"]
+            calls.clear()
+            assert _shape_stats() == {"hits": 2, "misses": 3, "size": 3}
+            npairs += 1
+    assert npairs == 40 + 5 * 6
+    assert proper >= 40
+
+
+def test_a_cold_restricted_mode_is_enumerated_by_itself(monkeypatch):
+    iquantum.clear_caches()
+    datum = make("split_a1")
+    top, bottom = ("1",) * 7, ("1",) * 3
+    calls = _record_enumerations(monkeypatch)
+    for mode in ("cup_cap_free", "cap_free"):
+        found = shapes.enumerate_shapes(datum, top, bottom, mode)
+        assert len(found) == shapes.shape_count(datum, top, bottom, mode)
+    # "all" holds 945 matchings against none and 630: it is never made for them
+    assert shapes.shape_count(datum, top, bottom) == 945
+    assert calls == ["cup_cap_free", "cap_free"] and "all" not in shapes._SHAPE_MEMO
+    assert _shape_stats() == {"hits": 0, "misses": 2, "size": 2}
+    assert len(shapes.enumerate_shapes(datum, top, bottom, "all")) == 945
+    # a stored restricted mode is one hit, with no read of "all"
+    assert len(shapes.enumerate_shapes(datum, top, bottom, "cap_free")) == 630
+    assert calls == ["cup_cap_free", "cap_free", "all"]
+    assert _shape_stats() == {"hits": 1, "misses": 3, "size": 3}
 
 
 def test_returned_lists_are_copies():
@@ -751,18 +809,19 @@ def test_another_pair_or_datum_empties_the_shape_memo():
     pair_a, pair_b = _series_pair(random.Random(1719), "qs_a2"), (("1", "2"), ())
     for mode in shapes.MODES:
         shapes.enumerate_shapes(qs, *pair_a, mode)
-    assert _shape_stats() == {"hits": 0, "misses": 3, "size": 3}
+    # the restricted modes read the stored "all" list, a hit each
+    assert _shape_stats() == {"hits": 2, "misses": 3, "size": 3}
     assert shapes._SHAPE_MEMO.scope == (qs, *pair_a)
     # another pair: the table holds only its entry
     assert len(shapes.enumerate_shapes(qs, *pair_b)) == 1
-    assert _shape_stats() == {"hits": 0, "misses": 4, "size": 1}
+    assert _shape_stats() == {"hits": 2, "misses": 4, "size": 1}
     assert shapes._SHAPE_MEMO.scope == (qs, *pair_b)
     # the same words on another datum: 1 and 2 are not partners there
     assert shapes.enumerate_shapes(split, *pair_b) == []
-    assert _shape_stats() == {"hits": 0, "misses": 5, "size": 1}
+    assert _shape_stats() == {"hits": 2, "misses": 5, "size": 1}
     assert shapes._SHAPE_MEMO.scope == (split, *pair_b)
     assert len(shapes.enumerate_shapes(qs, *pair_b)) == 1
-    assert _shape_stats() == {"hits": 0, "misses": 6, "size": 1}
+    assert _shape_stats() == {"hits": 2, "misses": 6, "size": 1}
 
 
 def test_hom_rank_then_enumerate_shapes_is_one_miss_then_one_hit(monkeypatch):
@@ -770,14 +829,7 @@ def test_hom_rank_then_enumerate_shapes_is_one_miss_then_one_hit(monkeypatch):
     datum = make("qs_a3")
     top, bottom = _series_pair(random.Random(1720), "qs_a3")
     lw = weight(datum, {"1": 1}, {"2": 1})
-    calls = []
-    recursion = shapes._enumerate
-
-    def recorded(*args):
-        calls.append(args)
-        return recursion(*args)
-
-    monkeypatch.setattr(shapes, "_enumerate", recorded)
+    calls = _record_enumerations(monkeypatch)
     shapes.hom_rank(datum, top, bottom, lw, order=12)
     # the histogram and the matchings it enumerated
     assert _shape_stats() == {"hits": 0, "misses": 2, "size": 2}
