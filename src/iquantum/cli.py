@@ -10,7 +10,7 @@ A config is a JSON document::
       "varsigma": {"1": 1, "2": 0},
       "orientation": {"1 2": 1},            # optional, arrow counts
       "weights": {"L0": {"lam": {}, "parity": {}}},
-      "sign_convention": "body",            # optional, "body" or "intro"
+      "sign_convention": "body",            # optional, see klr.geometric_qtable
       "N": 20                               # optional truncation order
     }
 
@@ -43,7 +43,7 @@ from .satake import (
     validate,
     weight_sweep,
 )
-from .standard import SIGN_CONVENTION, STANDARD, builtin_weights
+from .standard import STANDARD, builtin_weights
 
 
 class ConfigError(Exception):
@@ -60,7 +60,7 @@ class Config:
     datum: SatakeDatum
     weights: dict[str, IWeight]
     orientation: dict[tuple[str, str], int] | None
-    sign_convention: str
+    sign_convention: str | None
     order: int
     warnings: tuple[str, ...]
 
@@ -109,13 +109,21 @@ MAX_LAM = 1000
 MAX_D = 4
 
 
-def _check_order(order, path: str) -> int:
+def _check_order(order) -> int:
     """The truncation order rule, for the config's N and the --N flag alike."""
     if not isinstance(order, int) or isinstance(order, bool) or order < 1:
-        raise ConfigError(path, "truncation order must be a positive int")
+        raise ValueError("truncation order must be a positive int")
     if order > MAX_ORDER:
-        raise ConfigError(path, f"truncation order must be at most {MAX_ORDER}")
+        raise ValueError(f"truncation order must be at most {MAX_ORDER}")
     return order
+
+
+def _located(path: str, make, *args):
+    """make(*args), with a ValueError or TypeError it raises reported at path."""
+    try:
+        return make(*args)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(path, str(exc)) from None
 
 
 def parse_config(text: str) -> Config:
@@ -187,24 +195,18 @@ def parse_config(text: str) -> Config:
                 raise ConfigError(f"orientation.{key}", "arrow count must be a nonnegative int")
             orientation[(parts[0], parts[1])] = count
 
-    convention = raw.get("sign_convention", "body")
-    if convention not in ("body", "intro"):
+    convention = raw.get("sign_convention")
+    if "sign_convention" in raw and convention not in ("body", "intro"):
         raise ConfigError("sign_convention", 'must be "body" or "intro"')
-    order = _check_order(raw.get("N", 20), "N")
+    order = _located("N", _check_order, raw.get("N", 20))
 
-    try:
-        datum = make_datum(nodes, cartan, d, tau, varsigma)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError("datum", str(exc)) from None
+    datum = _located("datum", make_datum, nodes, cartan, d, tau, varsigma)
     diags = validate(datum)
     problems = [m for m in diags if not m.startswith("warning:")]
     if problems:
         raise ConfigError("datum", "; ".join(problems))
     if orientation is not None:
-        try:
-            klr.edge_counts(datum, orientation)
-        except ValueError as exc:
-            raise ConfigError("orientation", str(exc)) from None
+        _located("orientation", klr.edge_counts, datum, orientation)
 
     weights_raw = _need(raw, "weights", dict)
     weights = {}
@@ -219,10 +221,7 @@ def parse_config(text: str) -> Config:
                     f"{path}.lam.{i}", f"|lam| = {abs(v)}; at most {MAX_LAM} is supported"
                 )
         par = _node_map(entry.get("parity", {}), nodes, f"{path}.parity", int)
-        try:
-            weights[name] = make_iweight(datum, lam, par)
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from None
+        weights[name] = _located(path, make_iweight, datum, lam, par)
 
     return Config(
         datum=datum,
@@ -247,7 +246,6 @@ def _builtin_config(name: str) -> str | None:
             "d": [datum.d[i] for i in datum.nodes],
             "tau": datum.tau,
             "varsigma": datum.varsigma,
-            "sign_convention": SIGN_CONVENTION[name],
             "weights": {
                 name: {"lam": lam, "parity": parity}
                 for name, (lam, parity) in builtin_weights(datum).items()
@@ -378,10 +376,10 @@ MAX_SWEEP = 1000
 def _parse_range(text: str) -> tuple[int, int]:
     m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text.strip())
     if not m:
-        raise ConfigError("", f"range must look like -3..3, got {text!r}")
+        raise ValueError(f"range must look like -3..3, got {text!r}")
     lo, hi = int(m.group(1)), int(m.group(2))
     if lo > hi:
-        raise ConfigError("", f"empty range {text!r}")
+        raise ValueError(f"empty range {text!r}")
     return lo, hi
 
 
@@ -391,13 +389,13 @@ def _sweep(datum: SatakeDatum, lo: int, hi: int) -> list[IWeight]:
     reps, fixed = orbit_reps(datum)
     size = (hi - lo + 1) ** len(reps) * 2 ** len(fixed)
     if size > MAX_SWEEP:
-        raise ConfigError(
-            "", f"--lambda-range {lo}..{hi} gives {size} weights; at most {MAX_SWEEP} are supported"
+        raise ValueError(
+            f"--lambda-range {lo}..{hi} gives {size} weights; at most {MAX_SWEEP} are supported"
         )
     reach = max(abs(lo), abs(hi))
     if reps and reach > MAX_LAM:
-        raise ConfigError(
-            "", f"--lambda-range {lo}..{hi} gives |lam| = {reach}; at most {MAX_LAM} is supported"
+        raise ValueError(
+            f"--lambda-range {lo}..{hi} gives |lam| = {reach}; at most {MAX_LAM} is supported"
         )
     return weight_sweep(datum, lo, hi)
 
@@ -408,17 +406,17 @@ def _cmd_iserre(cfg: Config, args) -> int:
         jobs = [(i, j) for i in datum.nodes for j in datum.nodes if i != j]
     else:
         if not args.i or not args.j:
-            raise ConfigError("", "iserre needs --all or both --i and --j")
+            raise ValueError("iserre needs --all or both --i and --j")
         for n in (args.i, args.j):
             if n not in datum.nodes:
-                raise ConfigError("", f"unknown node {n!r}")
+                raise ValueError(f"unknown node {n!r}")
         jobs = [(args.i, args.j)]
     if args.lambda_range:
         sweep = _sweep(datum, *_parse_range(args.lambda_range))
     elif args.lam:
         sweep = [_weight(cfg, args.lam)]
     else:
-        raise ConfigError("", "iserre needs --lambda NAME or --lambda-range LO..HI")
+        raise ValueError("iserre needs --lambda NAME or --lambda-range LO..HI")
     rows = []
     ok_all = True
     for i, j in jobs:
@@ -447,9 +445,9 @@ def _cmd_bkl(cfg: Config, args) -> int:
     datum = cfg.datum
     i = args.i
     if i not in datum.nodes:
-        raise ConfigError("", f"unknown node {i!r}")
+        raise ValueError(f"unknown node {i!r}")
     if datum.tau[i] == i:
-        raise ConfigError("", f"node {i!r} is fixed by the involution; pick a moved node")
+        raise ValueError(f"node {i!r} is fixed by the involution; pick a moved node")
     lw = _weight(cfg, args.lam)
     m = 1 - datum.a[(i, datum.tau[i])]
     coeffs = [(n, iuea.f_coeff(datum, n, m, i, lw)) for n in range(m + 1)]
@@ -479,7 +477,7 @@ def _cmd_bkl(cfg: Config, args) -> int:
 
 def _cmd_grdim(cfg: Config, args) -> int:
     datum = cfg.datum
-    order = cfg.order if args.N is None else _check_order(args.N, "--N")
+    order = cfg.order if args.N is None else _check_order(args.N)
     if args.end:
         series = shapes.end_grdim(datum, order)
         if args.json:
@@ -488,7 +486,7 @@ def _cmd_grdim(cfg: Config, args) -> int:
             print(f"end series = {series}")
         return 0
     if args.lam is None:
-        raise ConfigError("", "grdim needs --lambda NAME (or --end)")
+        raise ValueError("grdim needs --lambda NAME (or --end)")
     lw = _weight(cfg, args.lam)
     top = to_word(_parse_word(args.i, datum))
     bottom = to_word(_parse_word(args.j, datum))
@@ -760,7 +758,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = load_config(args.config) if args.config else None
+        cfg = None if args.config is None else load_config(args.config)
         for line in cfg.warnings if cfg else ():
             print(line, file=sys.stderr)
         return _HANDLERS[args.cmd](cfg, args)

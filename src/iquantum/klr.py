@@ -5,7 +5,9 @@ between a bottom and a top word, with dot exponents on the bottom ends.  A
 two-variable polynomial table drives the defining relations: a dot sliding
 through a crossing of equal colors leaves a correction term, the square of
 a mixed-color crossing is the table polynomial pinned to the strands, and
-triple crossings satisfy the deformed braid relation.
+triple crossings satisfy the deformed braid relation.  ``geometric_qtable``
+builds the table from a quiver and signs it by tau, by default in the
+convention that ``usable_sign_convention`` derives, the one place it is chosen.
 
 ``mul`` has two routes, chosen by the strand colors alone.  On strands of
 one color the algebra is the nilHecke algebra whatever the table (there is
@@ -407,15 +409,25 @@ def edge_counts(datum: SatakeDatum, orientation=None) -> dict[tuple[str, str], i
     return counts
 
 
-def geometric_qtable(datum: SatakeDatum, orientation=None, sign_convention: str = "body") -> QTable:
+def usable_sign_convention(datum: SatakeDatum) -> str:
+    """"body" when tau fixes every node or none, else "intro": "body" negates
+    the rows of tau-fixed nodes and the table has an entry for every ordered
+    pair of distinct nodes, so it is symmetric exactly then; "intro" always is."""
+    return "body" if len({datum.tau[i] == i for i in datum.nodes}) == 1 else "intro"
+
+
+def geometric_qtable(datum: SatakeDatum, orientation=None, sign_convention=None) -> QTable:
     """Build the quiver choice (x-y)^{#(i->j)} (y-x)^{#(j->i)} over the
     arrow counts of ``edge_counts`` and apply the involution sign: the
     factor is (sign * (-1)^{#(j->i)}, #(i->j) + #(j->i)).
 
     sign_convention "body" multiplies row i by -1 when i is tau-fixed;
-    "intro" multiplies entry (i,j) by -1 when i = tau(j).  ``QTable``
-    rejects a convention that breaks the table's symmetry on this datum.
+    "intro" multiplies entry (i,j) by -1 when i = tau(j); None, the
+    default, takes ``usable_sign_convention(datum)``.  ``QTable`` rejects a
+    convention that breaks the table's symmetry on this datum.
     """
+    if sign_convention is None:
+        sign_convention = usable_sign_convention(datum)
     if sign_convention not in ("body", "intro"):
         raise ValueError(f"unknown sign convention {sign_convention!r}")
     for i in datum.nodes:

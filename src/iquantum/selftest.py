@@ -34,7 +34,7 @@ from .shapes import (
     pair_b_nabla,
     pair_theta,
 )
-from .standard import SIGN_CONVENTION, STANDARD
+from .standard import STANDARD
 
 
 def word_pairs(datum, total: int):
@@ -269,10 +269,7 @@ def degree_well_defined():
 
 def _tables():
     """The geometric Q-table of every built-in datum, in registry order."""
-    return {
-        name: klr.geometric_qtable(make(), sign_convention=SIGN_CONVENTION[name])
-        for name, make in STANDARD.items()
-    }
+    return {name: klr.geometric_qtable(make()) for name, make in STANDARD.items()}
 
 
 def _random_perm(rng, top, bottom):

@@ -8,6 +8,9 @@ Five small data cover the behaviors that matter at desk scale:
 * ``qs_a2``: two nodes swapped by tau, single edge, varsigma = (1, 0).
 * ``qs_a3``: three nodes, tau swaps the ends and fixes the middle.
 * ``split_a2``: two nodes, tau = id, single edge.
+
+No datum here names a sign convention: ``klr.geometric_qtable`` derives it
+from tau (``klr.usable_sign_convention``), "intro" for qs_a3, else "body".
 """
 
 from __future__ import annotations
@@ -65,16 +68,3 @@ def builtin_weights(datum: SatakeDatum) -> dict[str, tuple[dict[str, int], dict[
         "L1": ({i: 1 for i in reps}, {i: 1 for i in fixed}),
     }
 
-
-# The sign convention each datum's geometric Q-table is built with (see
-# klr.geometric_qtable).  "body" negates the rows of tau-fixed nodes, and the
-# table holds an entry for every ordered pair of nodes, edge or no edge, so
-# it is symmetric exactly when tau fixes every node or none: qs_a3 mixes a
-# fixed middle node with moved ends.  "intro" is symmetric on every datum.
-SIGN_CONVENTION = {
-    "split_a1": "body",
-    "diag_a1a1": "body",
-    "qs_a2": "body",
-    "qs_a3": "intro",
-    "split_a2": "body",
-}

@@ -1,0 +1,59 @@
+"""Every small valid datum of symmetric type, for the tests that check the
+package on more than the five built-in data."""
+
+import itertools
+
+from iquantum.satake import make_datum, validate
+
+
+def canonical(datum):
+    """The least (cartan, tau, d, varsigma) over the orders of the nodes,
+    with tau as positions in that order: two data get the same key exactly
+    when they are equal up to relabelling the nodes."""
+    keys = []
+    for order in itertools.permutations(datum.nodes):
+        pos = {i: k for k, i in enumerate(order)}
+        keys.append((
+            tuple(tuple(datum.a[(i, j)] for j in order) for i in order),
+            tuple(pos[datum.tau[i]] for i in order),
+            tuple(datum.d[i] for i in order),
+            tuple(datum.varsigma[i] for i in order),
+        ))
+    return min(keys)
+
+
+def small_data(entries=(0, -1, -2), distinct=True):
+    """Every valid datum with d = 1 on one to three nodes whose Cartan
+    entries a_ij = a_ji off the diagonal lie in ``entries``: each involution
+    tau of the diagram and each valid varsigma.  A valid varsigma is -1 at a
+    fixed node and nonnegative elsewhere, where varsigma_i +
+    varsigma_tau(i) = -a_{i,tau(i)}, so its entries lie in -1..max(-a_ij).
+    With ``distinct`` only the first datum of each class up to relabelling
+    the nodes is kept."""
+    top = max(-a for a in entries)
+    seen = set()
+    for n in (1, 2, 3):
+        nodes = [str(k + 1) for k in range(n)]
+        pairs = list(itertools.combinations(range(n), 2))
+        for edges in itertools.product(entries, repeat=len(pairs)):
+            cartan = [[2 if r == c else 0 for c in range(n)] for r in range(n)]
+            for (r, c), a in zip(pairs, edges):
+                cartan[r][c] = cartan[c][r] = a
+            for perm in itertools.permutations(range(n)):
+                if any(perm[perm[k]] != k for k in range(n)):
+                    continue
+                tau = {nodes[k]: nodes[perm[k]] for k in range(n)}
+                for signs in itertools.product(range(-1, top + 1), repeat=n):
+                    datum = make_datum(nodes, cartan, [1] * n, tau, dict(zip(nodes, signs)))
+                    if [m for m in validate(datum) if not m.startswith("warning:")]:
+                        continue
+                    key = canonical(datum) if distinct else datum
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    yield datum
+
+
+# d = 1, a_ij in {0, -1, -2}, at most 3 nodes, up to relabelling: it holds
+# each of the five built-in data under some relabelling.
+SMALL_DATA = tuple(small_data())

@@ -12,7 +12,7 @@ import pytest
 
 import iquantum
 from iquantum import cli, klr, selftest, shapes
-from iquantum.standard import SIGN_CONVENTION, STANDARD
+from iquantum.standard import STANDARD
 
 
 def run_cli(capsys, *argv):
@@ -24,7 +24,7 @@ def run_cli(capsys, *argv):
 def test_parse_config_builtin():
     cfg = cli.parse_config(cli._builtin_config("qs_a2"))
     assert cfg.datum.nodes == ("1", "2")
-    assert cfg.sign_convention == "body"
+    assert cfg.sign_convention is None
     assert cfg.order == 20
     assert set(cfg.weights) == {"L0", "L1"}
     assert cfg.weights["L1"].lam_of("1") == 1
@@ -34,7 +34,7 @@ def test_parse_config_builtin():
 def test_builtin_config_is_the_registry_datum(name):
     cfg = cli.parse_config(cli._builtin_config(name))
     assert cfg.datum == STANDARD[name]()
-    assert cfg.sign_convention == SIGN_CONVENTION[name]
+    assert cfg.sign_convention is None
     assert cfg.warnings == ()
 
 
@@ -68,6 +68,7 @@ def test_parse_config_paths():
         (dict(tau={"1": "2"}), "tau.2", "missing entry"),
         (dict(varsigma={"1": 1}), "varsigma.2", "missing entry"),
         (dict(sign_convention="magic"), "sign_convention", '"body" or "intro"'),
+        (dict(sign_convention=None), "sign_convention", '"body" or "intro"'),
         (dict(cartan=[[2, -1]]), "cartan", "need 2 rows"),
         (dict(cartan=[[2, -1], [-1]]), "cartan[1]", "need a row of 2 integers"),
         (dict(cartan=[[2, -1], [-1, "2"]]), "cartan[1][1]", "expected int"),
@@ -223,15 +224,15 @@ def test_grdim_end_series(capsys):
 def test_grdim_order_flag_follows_the_config_rule(capsys, flag):
     code, out, err = run_cli(capsys, "grdim", "--config", "split_a1", "--end", "--N", flag)
     assert code == 2 and out == ""
-    assert err.strip() == "config error at --N: truncation order must be a positive int"
+    assert err.strip() == "error: truncation order must be a positive int"
 
 
 def test_truncation_order_is_bounded(capsys):
-    assert cli._check_order(cli.MAX_ORDER, "N") == cli.MAX_ORDER
+    assert cli._check_order(cli.MAX_ORDER) == cli.MAX_ORDER
     over = str(cli.MAX_ORDER + 1)
     code, out, err = run_cli(capsys, "grdim", "--config", "split_a1", "--end", "--N", over)
     assert code == 2 and out == ""
-    assert err.strip() == "config error at --N: truncation order must be at most 1000"
+    assert err.strip() == "error: truncation order must be at most 1000"
     doc = base_config()
     doc["N"] = cli.MAX_ORDER + 1
     with pytest.raises(cli.ConfigError) as ei:
@@ -439,7 +440,7 @@ def test_lambda_range_sweep_is_bounded(capsys):
         )
         assert code == 2 and out == ""
         assert err.strip() == (
-            f"config error: --lambda-range {rng} gives {size} weights; at most 1000 are supported"
+            f"error: --lambda-range {rng} gives {size} weights; at most 1000 are supported"
         )
     code, _, err = run_cli(
         capsys, "iserre", "--config", "qs_a2", "--all", "--lambda-range", "-4000..4000"
@@ -487,7 +488,7 @@ def test_weight_size_is_bounded(tmp_path, capsys):
     proc = _cold_cli("iserre", "--config", "qs_a2", "--all", "--lambda-range", "99999999..99999999")
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.strip() == (
-        "config error: --lambda-range 99999999..99999999 gives |lam| = 99999999; "
+        "error: --lambda-range 99999999..99999999 gives |lam| = 99999999; "
         "at most 1000 is supported"
     )
     # at the bound
@@ -593,17 +594,23 @@ def test_usage_and_config_errors(capsys):
     assert err.endswith("error: unrecognized arguments: --config qs_a2\n")
     for argv, message in [
         (("iserre", "--config", "qs_a2", "--all", "--lambda-range", "1to3"),
-         "config error: range must look like -3..3, got '1to3'"),
+         "error: range must look like -3..3, got '1to3'"),
         (("iserre", "--config", "qs_a2", "--all", "--lambda-range", "3..1"),
-         "config error: empty range '3..1'"),
+         "error: empty range '3..1'"),
         (("iserre", "--config", "qs_a2", "--i", "1", "--lambda", "L0"),
-         "config error: iserre needs --all or both --i and --j"),
+         "error: iserre needs --all or both --i and --j"),
         (("iserre", "--config", "qs_a2", "--i", "1", "--j", "9", "--lambda", "L0"),
-         "config error: unknown node '9'"),
+         "error: unknown node '9'"),
         (("bkl", "--config", "qs_a2", "--i", "9", "--lambda", "L0"),
-         "config error: unknown node '9'"),
+         "error: unknown node '9'"),
         (("grdim", "--config", "qs_a2", "--i", "1", "--j", "1"),
-         "config error: grdim needs --lambda NAME (or --end)"),
+         "error: grdim needs --lambda NAME (or --end)"),
+        # an empty --config is a path like any other, not "no config"
+        (("grdim", "--config", "", "--end"),
+         "config error: '' is neither a readable file nor a built-in config name"),
+        # a weight the config lacks names the config section to fix
+        (("bkl", "--config", "qs_a2", "--i", "1", "--lambda", "NOPE"),
+         "config error at weights.NOPE: no weight of that name in the config"),
         (("klr", "--config", "qs_a2", "--expr", "e(1 9)"),
          "error: unknown node '9' in e(...)"),
         (("klr", "--config", "qs_a2", "--expr", "e(1 2) ; s2"),
@@ -667,6 +674,23 @@ def test_klr_reads_the_config_orientation(tmp_path, capsys):
     code, default, _ = run_cli(capsys, "klr", "--config", "qs_a2", "--expr", expr)
     assert code == 0 and default != out
     assert "normal form = (-1)*[x2^1] + (+1)*[x1^1]" in default
+
+
+def test_a_config_without_a_convention_gets_the_usable_one(tmp_path, capsys):
+    # qs_a3 fixes its middle node and swaps the ends, so "body" is unusable
+    doc = json.loads(cli._builtin_config("qs_a3"))
+    assert "sign_convention" not in doc
+    path = tmp_path / "qs_a3.json"
+    argv = ("klr", "--config", str(path), "--expr", "e(1 2 3) ; s1 ; s2")
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "") and out
+    path.write_text(json.dumps({**doc, "sign_convention": "intro"}))
+    assert run_cli(capsys, *argv) == (0, out, "")
+    path.write_text(json.dumps({**doc, "sign_convention": "body"}))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith("convention 'body' is unusable for this datum\n")
 
 
 def test_every_subcommand_checks_the_orientation(tmp_path, capsys):

@@ -13,6 +13,7 @@ from iquantum import freealg, iuea, satake, selftest, shapes
 from iquantum.freealg import FElem, inv_one_minus_q2, inv_one_minus_qinv2
 from iquantum.qring import LaurentPoly, RatQ, qint
 from iquantum.standard import STANDARD
+from small_data import SMALL_DATA
 
 
 def make(name):
@@ -434,8 +435,7 @@ def test_iserre_rejects_equal_nodes():
 
 
 def test_f_coeff_against_oracle():
-    for name in ("diag_a1a1", "qs_a2", "qs_a3"):
-        datum = make(name)
+    for datum in SMALL_DATA:
         for lw in satake.weight_sweep(datum, -2, 2):
             for i in datum.nodes:
                 if datum.tau[i] == i:
@@ -444,7 +444,7 @@ def test_f_coeff_against_oracle():
                     for n in range(m + 1):
                         assert iuea.f_coeff(datum, n, m, i, lw) == iuea.f_coeff_oracle(
                             datum, n, m, i, lw
-                        ), (name, i, n, m)
+                        ), (datum, i, n, m)
 
 
 def test_f_coeff_base_value():

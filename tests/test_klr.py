@@ -1,7 +1,6 @@
 """Quiver Hecke layer: relations, normal forms, idempotents, Serre complex."""
 
 import copy
-import itertools
 import random
 
 import pytest
@@ -26,12 +25,13 @@ from iquantum.klr import (
     zero,
 )
 from iquantum.qring import ASC_Q, expand
-from iquantum.satake import make_datum, validate
+from iquantum.satake import make_datum
 from iquantum.selftest import _random_elem as random_elem
 from iquantum.selftest import _shuffled as shuffled
 from iquantum.selftest import _tables
 from iquantum.shapes import pair_theta
-from iquantum.standard import SIGN_CONVENTION, STANDARD, diag_a1a1, qs_a2, qs_a3, split_a1, split_a2
+from iquantum.standard import STANDARD, diag_a1a1, qs_a2, qs_a3, split_a1, split_a2
+from small_data import small_data
 
 
 def aux_a1a1():
@@ -47,7 +47,7 @@ def aux_double_edge():
 
 
 def qs_a3_table():
-    return geometric_qtable(qs_a3(), sign_convention=SIGN_CONVENTION["qs_a3"])
+    return geometric_qtable(qs_a3())
 
 
 _QX, _QY = sympy.symbols("qt_x qt_y")
@@ -93,40 +93,39 @@ def test_geometric_qtable_sign_conventions_on_a3():
     assert poly(qt, "3", "1") == -1
 
 
-def _small_data():
-    """Every valid datum with d = 1 on one to three nodes with a_ij in
-    {0, -1}: each involution tau of the diagram and each valid varsigma,
-    whose entries then lie in {-1, 0, 1}."""
-    for n in (1, 2, 3):
-        nodes = [str(k + 1) for k in range(n)]
-        pairs = list(itertools.combinations(range(n), 2))
-        for edges in itertools.product((0, -1), repeat=len(pairs)):
-            cartan = [[2 if r == c else 0 for c in range(n)] for r in range(n)]
-            for (r, c), a in zip(pairs, edges):
-                cartan[r][c] = cartan[c][r] = a
-            for perm in itertools.permutations(range(n)):
-                if any(perm[perm[k]] != k for k in range(n)):
-                    continue
-                tau = {nodes[k]: nodes[perm[k]] for k in range(n)}
-                for signs in itertools.product((-1, 0, 1), repeat=n):
-                    datum = make_datum(nodes, cartan, [1] * n, tau, dict(zip(nodes, signs)))
-                    if not [m for m in validate(datum) if not m.startswith("warning:")]:
-                        yield datum
-
-
 def test_sign_convention_rule_on_small_data():
     # the table holds an entry for every ordered pair, edge or no edge, so
     # "body", which negates the rows of tau-fixed nodes, is symmetric exactly
-    # when tau fixes every node or none; "intro" always is
-    data = list(_small_data())
+    # when tau fixes every node or none; "intro" always is, and the default
+    # is "body" exactly where it builds
+    data = list(small_data((0, -1), distinct=False))
     assert len(data) == 32
     for datum in data:
         geometric_qtable(datum, sign_convention="intro")
+        usable = klr.usable_sign_convention(datum)
+        assert geometric_qtable(datum) == geometric_qtable(datum, sign_convention=usable)
         if len({datum.tau[i] == i for i in datum.nodes}) == 1:
+            assert usable == "body"
             geometric_qtable(datum, sign_convention="body")
         else:
+            assert usable == "intro"
             with pytest.raises(ValueError, match="not symmetric"):
                 geometric_qtable(datum, sign_convention="body")
+
+
+def test_builtin_tables_keep_their_conventions():
+    # the conventions the built-in data were built with before the default
+    # was derived from tau
+    conventions = {
+        "split_a1": "body",
+        "diag_a1a1": "body",
+        "qs_a2": "body",
+        "qs_a3": "intro",
+        "split_a2": "body",
+    }
+    for name, make in STANDARD.items():
+        datum = make()
+        assert geometric_qtable(datum) == geometric_qtable(datum, sign_convention=conventions[name])
 
 
 def test_geometric_qtable_orientation():

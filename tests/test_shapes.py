@@ -14,6 +14,7 @@ from iquantum.freealg import FElem, inv_one_minus_qinv2
 from iquantum.qring import ASC_Q, LaurentPoly, PowerSeriesTrunc, RatQ, expand
 from iquantum.satake import make_datum, to_dpword, word_weight
 from iquantum.standard import STANDARD, builtin_weights
+from small_data import SMALL_DATA
 
 
 def make(name):
@@ -279,10 +280,9 @@ def test_degree_crossing():
 
 def test_degree_realizations_agree():
     rng = random.Random(20260823)
-    for name in STANDARD:
-        datum = make(name)
+    for datum in SMALL_DATA:
         pool = satake.weight_sweep(datum, -2, 2)
-        for _ in range(60):
+        for _ in range(10):
             top = tuple(rng.choice(datum.nodes) for _ in range(rng.randrange(5)))
             bottom = tuple(rng.choice(datum.nodes) for _ in range(rng.randrange(5)))
             lw = rng.choice(pool)

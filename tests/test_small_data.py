@@ -1,0 +1,56 @@
+"""The pure cross-checks on every small datum of symmetric type, not only
+the five built-ins: the 30 data of ``small_data.SMALL_DATA``."""
+
+import random
+
+from iquantum import freealg, iuea, klr, satake, shapes
+from iquantum.qring import ASC_Q, expand
+from iquantum.selftest import _random_elem as random_elem
+from iquantum.selftest import _shuffled as shuffled
+from iquantum.selftest import word_pairs
+from small_data import SMALL_DATA, canonical, small_data
+
+
+def test_the_enumeration():
+    assert len(SMALL_DATA) == 30
+    assert len({canonical(datum) for datum in SMALL_DATA}) == 30
+    # every datum up to relabelling, with a double edge in some
+    assert {canonical(datum) for datum in small_data(distinct=False)} == {
+        canonical(datum) for datum in SMALL_DATA
+    }
+    assert any(-2 in datum.a.values() for datum in SMALL_DATA)
+
+
+def test_cross_checks_on_every_small_datum():
+    rng = random.Random(2029)
+    for datum in SMALL_DATA:
+        # total length 4 is the shortest with two crossing props
+        words, pairs = word_pairs(datum, 4)
+        thetas = {w: freealg.theta_word(datum, satake.to_dpword(w)) for w in words}
+        for top, bottom in pairs:
+            where = (datum, top, bottom)
+            theta = shapes.pair_theta(datum, top, bottom)
+            assert theta == freealg.pair(datum, thetas[top], thetas[bottom]), where
+            series = klr.graded_dim(datum, top, bottom, order=12)
+            assert series.series.coeffs == expand(theta.bar(), ASC_Q, 12).coeffs, where
+        words, pairs = word_pairs(datum, 3)
+        for lw in satake.weight_sweep(datum, -1, 1):
+            images = {w: iuea.b_word(datum, satake.to_dpword(w), lw) for w in words}
+            for top, bottom in pairs:
+                where = (datum, top, bottom, lw)
+                got = shapes.pair_b(datum, top, bottom, lw)
+                assert got == iuea.ipair(datum, images[top], images[bottom]), where
+                for sh in shapes.enumerate_shapes(datum, top, bottom):
+                    assert shapes.degree(datum, sh, lw) == shapes.degree_alt(datum, sh, lw), where
+            for i in datum.nodes:
+                for j in datum.nodes:
+                    if i != j:
+                        assert iuea.iserre_check(datum, i, j, lw).equal, (datum, i, j, lw)
+        # the table's default sign convention is the one usable on the datum
+        qt = klr.geometric_qtable(datum)
+        for _ in range(5):
+            wd = tuple(rng.choice(datum.nodes) for _ in range(3))
+            wc, wb, wa = shuffled(rng, wd), shuffled(rng, wd), shuffled(rng, wd)
+            x, y, z = random_elem(rng, wa, wb), random_elem(rng, wb, wc), random_elem(rng, wc, wd)
+            lhs = klr.mul(qt, klr.mul(qt, x, y), z)
+            assert lhs == klr.mul(qt, x, klr.mul(qt, y, z)), (datum, x, y, z)

@@ -8,9 +8,9 @@ plain and with ``--json``; every ``python3 -m iquantum`` line of the
 README (read from the change's checkout), as written and with ``--json``;
 seeded calls of every subcommand on the five built-in data (read from the
 change's ``iquantum.standard``); two ``klr`` products on strands of one
-color and one on two colors; one input over each ``cli.MAX_*`` bound; and
-one call per config error and usage error, so that the exit-2 messages are
-compared too.
+color and one on two colors; one input over each ``cli.MAX_*`` bound;
+one ``klr`` call on a config that names no sign convention; and one call per
+config error and usage error, so that the exit-2 messages are compared too.
 
 Each tree runs the whole list in one child interpreter, with the tree's
 ``src`` alone on its path.  Every call goes through ``cli.run`` with every
@@ -217,8 +217,9 @@ USAGE_ERRORS = [
 
 
 def error_calls(configs: Path) -> list[list[str]]:
-    """One call per config error, one on a config with a warning and one on
-    a config with an orientation, then one call per usage error."""
+    """One call per config error, one on a config with a warning, one on a
+    config with an orientation and one on a config with no sign_convention,
+    then one call per usage error."""
     base = json.loads(_config(1, 0))
     calls = []
     for k, patch in enumerate(CONFIG_ERRORS):
@@ -242,6 +243,18 @@ def error_calls(configs: Path) -> list[list[str]]:
     reversed_edge = configs / "orientation.json"
     reversed_edge.write_text(json.dumps({**base, "orientation": {"2 1": 1}}), encoding="utf-8")
     calls.append(["klr", "--config", str(reversed_edge), "--expr", "e(1 2) ; s1 ; s1"])
+    # qs_a3's fields with no sign_convention: tau fixes one node and moves
+    # two, so the table takes "intro"
+    no_convention = configs / "no_convention.json"
+    no_convention.write_text(json.dumps({
+        "nodes": ["1", "2", "3"],
+        "cartan": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+        "d": [1, 1, 1],
+        "tau": {"1": "3", "2": "2", "3": "1"},
+        "varsigma": {"1": 0, "2": -1, "3": 0},
+        "weights": {"L0": {"lam": {}, "parity": {"2": 0}}},
+    }), encoding="utf-8")
+    calls.append(["klr", "--config", str(no_convention), "--expr", "e(1 2 3) ; s1 ; s2"])
     return calls + USAGE_ERRORS
 
 
