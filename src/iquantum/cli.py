@@ -17,8 +17,8 @@ A config is a JSON document::
 Words on the command line are whitespace-separated node names with an
 optional divided-power suffix, e.g. ``"1^(2) 2"``.  --config takes a file
 path or one of the built-in names (split_a1, diag_a1a1, qs_a2, qs_a3,
-split_a2).  Exit codes: 0 all checks passed, 1 a computed mismatch,
-2 usage or config error.
+split_a2).  Exit codes: 0 all checks passed, 1 a computed mismatch or a
+rejected computed result, 2 usage or config error.
 """
 
 from __future__ import annotations
@@ -619,7 +619,11 @@ def _cmd_klr(cfg: Config, args) -> int:
     qt = klr.geometric_qtable(
         cfg.datum, orientation=cfg.orientation, sign_convention=cfg.sign_convention
     )
-    elem = _parse_klr_expr(args.expr, qt)
+    try:
+        elem = _parse_klr_expr(args.expr, qt)
+    except ArithmeticError as exc:
+        print(f"normal form rejected: {exc}", file=sys.stderr)
+        return 1
     degs = sorted(elem.degrees(cfg.datum))
     if args.json:
         terms = [

@@ -28,16 +28,15 @@ the recovered coefficients are the unique integral normal form.  Every
 table entry is +-(x - y)^n and is held as its integer factor (sign, n), so
 each rational function that arises is an integer polynomial times signed
 powers of the linear forms x_s - x_t; it is held in exactly that shape,
-sums need no gcd, and each peel divides exactly by each power of a form, by
-synthetic division in one pass.  This route stays for mixed colors, where
-the table's entries enter the relations, and it is the one-color route's
-reference in the tests.  Nothing here computes symbolically.
+sums need no gcd, and each peel divides exactly by one form at a time,
+term by term.  This route stays for mixed colors, where the table's
+entries enter the relations, and it is the one-color route's reference in
+the tests.  Nothing here computes symbolically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from math import comb
 from operator import add, itemgetter, sub
 
@@ -103,8 +102,21 @@ def _lexmin_word(p) -> tuple[int, ...]:
 # the end of each crossing step of _psi_terms, at the end of _elem_terms,
 # and when the peel in _extract reads the coefficient.  No gcd runs: once
 # per basis diagram the peel divides exactly by each negative power
-# (x_s - x_t)^m, one synthetic-division pass per form (_div_form), and
+# (x_s - x_t)^m, one form at a time and term by term (_div_form), and
 # multiplies by each positive power, one pass per form (_times_form).
+#
+# mul sends one-color products to _mul_one_color, so the kernels that stay
+# are those the mixed products need, measured on the two five-strand ones,
+# W0's 15 crossings after six dots on e(1 1 1 1 2 1) and on
+# e(1 1 1 1 1 2) over split_a2 (about 2 and 5 s of CPU on a 2-vCPU machine):
+# - _lift multiplies out one form at a time and merges the parts that agree
+#   (Horner's scheme); lifting each part on its own takes 2.2 times as long;
+# - the lazy sums: lifting both sides of every sum at once, as the tests'
+#   eager reference does, takes twice as long;
+# - the _Forms.move cache: 40 000 and 70 000 moves read 395 and 719 cached
+#   entries, where building one takes about 5 us (6-9% of each product);
+# - the _Forms.length cache: the peel order reads 25 000 and 52 000 lengths
+#   of at most 720 permutations, where counting one takes about 1 us (1%).
 
 
 class _Forms:
@@ -190,43 +202,30 @@ def _times_form(num: dict, s: int, t: int, n: int) -> dict:
 def _div_form(num: dict, s: int, t: int, m: int):
     """num / (x_s - x_t)^m, or None when the division leaves a remainder.
 
-    Grouped by its exponents off s and t and by D = e_s + e_t, num is a sum
-    of binary forms sum_k c_k x_s^k x_t^(D-k).  Dividing one by x_s - x_t is
-    synthetic division of sum_k c_k y^k by y - 1, from the top down:
-    q_(k-1) = c_k + q_k, and the remainder is c_0 + q_0.  On the
-    coefficients listed from c_D down, these are the running sums, the last
-    one being the remainder, so each of the m divisions is one accumulate.
-    A nonzero form of degree D < m is never divisible.
+    One form at a time, term by term: x_s^k = (x_s - x_t) sum_(i<k) x_s^i
+    x_t^(k-1-i) + x_t^k, so the sums make the quotient and the x_t^k parts
+    the remainder, which must cancel.
     """
-    # each group under its exponents with e_s = 0 and e_t = D
-    groups: dict = {}
-    for e, c in num.items():
-        e = list(e)
-        k = e[s]
-        d = k + e[t]
-        e[s] = 0
-        e[t] = d
-        key = tuple(e)
-        top = groups.get(key)
-        if top is None:
-            groups[key] = top = [0] * (d + 1)
-        top[d - k] = c
-    quo: dict = {}
-    for key, top in groups.items():
-        d = key[t] - m
-        if d < 0:
+    for _ in range(m):
+        quo: dict = {}
+        rem: dict = {}
+        for e, c in num.items():
+            e = list(e)
+            k = e[s]
+            d = k + e[t]
+            for i in range(k):
+                e[s] = i
+                e[t] = d - 1 - i
+                key = tuple(e)
+                quo[key] = quo.get(key, 0) + c
+            e[s] = 0
+            e[t] = d
+            key = tuple(e)
+            rem[key] = rem.get(key, 0) + c
+        if any(rem.values()):
             return None
-        for _ in range(m):
-            top = list(accumulate(top))
-            if top.pop():
-                return None
-        e = list(key)
-        for j, c in enumerate(top):
-            if c:
-                e[s] = d - j
-                e[t] = j
-                quo[tuple(e)] = c
-    return quo
+        num = {e: c for e, c in quo.items() if c}
+    return num
 
 
 def _cmul(f, g):
@@ -681,7 +680,7 @@ def _extract(qt: QTable, top: Word, bottom: Word, work: dict) -> KLRElem:
     for u in work:
         for s in range(l):
             if top[u[s]] != bottom[s]:
-                raise ValueError("mismatched strand colors in straightening")
+                raise ArithmeticError("mismatched strand colors in straightening")
     out: dict[KLRBasisElem, int] = {}
     while work:
         w = max(work, key=forms.length)
@@ -697,7 +696,7 @@ def _extract(qt: QTable, top: Word, bottom: Word, work: dict) -> KLRElem:
         quot = ({e: sign * c for e, c in num.items()}, tuple(map(sub, ex, lead_ex)))
         dotspoly = _polynomial(forms, _permute(forms, quot, _inverse(w)))
         if dotspoly is None:
-            raise ValueError("straightening left a non-polynomial dot part")
+            raise ArithmeticError("straightening left a non-polynomial dot part")
         for exps, coeff in dotspoly.items():
             _acc(out, KLRBasisElem(tuple(top), tuple(bottom), w, exps), coeff)
         neg = _cneg((dotspoly, forms.zero))

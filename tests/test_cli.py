@@ -12,6 +12,7 @@ import pytest
 
 import iquantum
 from iquantum import cli, klr, selftest, shapes
+from iquantum.qring import PowerSeriesTrunc
 from iquantum.standard import STANDARD
 
 
@@ -349,6 +350,16 @@ def test_grdim_word_pair(capsys):
     }
 
 
+def test_grdim_reports_a_rejected_rank_series(capsys, monkeypatch):
+    # a series with a negative coefficient cannot count basis elements
+    monkeypatch.setattr(shapes, "expand", lambda f, how, n: PowerSeriesTrunc(n, {0: -1}))
+    code, out, err = run_cli(
+        capsys, "grdim", "--config", "qs_a2", "--i", "1 2", "--j", "1 2", "--lambda", "L0"
+    )
+    assert (code, out) == (1, "")
+    assert err == "rank series rejected: negative coefficient -1 at q^0 in a rank series\n"
+
+
 def test_shapes_listing(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -378,6 +389,14 @@ def test_klr_bad_expressions(capsys):
     assert code == 2 and "unrecognized factor" in err
     code, _, err = run_cli(capsys, "klr", "--config", "qs_a2", "--expr", "e(1) ; e(2)")
     assert code == 2
+
+
+def test_klr_reports_a_rejected_normal_form(capsys, monkeypatch):
+    # a failed invariant of the peel is a computed rejection, not a usage error
+    monkeypatch.setattr(klr, "_polynomial", lambda forms, f: None)
+    code, out, err = run_cli(capsys, "klr", "--config", "qs_a2", "--expr", "e(1 2) ; x1 ; s1")
+    assert (code, out) == (1, "")
+    assert err == "normal form rejected: straightening left a non-polynomial dot part\n"
 
 
 def test_klr_strand_count_is_bounded(capsys):

@@ -12,9 +12,9 @@ from iquantum.freealg import (
     theta_word,
 )
 from iquantum.qring import LaurentPoly, RatQ, qfact
-from iquantum.standard import diag_a1a1, qs_a2, qs_a3, split_a1, split_a2
+from iquantum.standard import STANDARD, qs_a2, split_a1
 
-ALL_DATA = [split_a1, diag_a1a1, qs_a2, qs_a3, split_a2]
+ALL_DATA = list(STANDARD.values())
 
 
 def test_mul():

@@ -736,39 +736,6 @@ def _acc_coeff(forms, d, k, v):
     d[k] = v if cur is None else _cadd(forms, cur, v)
 
 
-def _div_form_reference(num, s, t):
-    """num / (x_s - x_t), or None when x_s = x_t leaves a remainder:
-    x_s^k = (x_s - x_t) * sum_{i<k} x_s^i x_t^(k-1-i) + x_t^k, term by term."""
-    quo = {}
-    rem = {}
-    for e, c in num.items():
-        k, j = e[s], e[t]
-        head, mid, tail = e[:s], e[s + 1 : t], e[t + 1 :]
-        for i in range(k):
-            key = head + (i,) + mid + (j + k - 1 - i,) + tail
-            quo[key] = quo.get(key, 0) + c
-        key = head + (0,) + mid + (j + k,) + tail
-        rem[key] = rem.get(key, 0) + c
-    if any(rem.values()):
-        return None
-    return {e: c for e, c in quo.items() if c}
-
-
-def _polynomial_reference(forms, f):
-    """The coefficient f as a polynomial, or None if it is not one,
-    dividing by one linear form at a time."""
-    num, ex = f
-    for k, n in enumerate(ex):
-        for _ in range(-n):
-            num = _div_form_reference(num, *forms.pairs[k])
-            if num is None:
-                return None
-    for k, n in enumerate(ex):
-        if n > 0:
-            num = klr._times_form(num, *forms.pairs[k], n)
-    return num
-
-
 def _inv_count(p):
     return sum(1 for s in range(len(p)) for t in range(s + 1, len(p)) if p[s] > p[t])
 
@@ -777,8 +744,8 @@ def _extract_reference(qt, top, bottom, table):
     """The peel as it was before the lazy sums: work holds one coefficient
     (num, ex) per permutation, every subtraction lifts both sides to their
     componentwise minimum exponent at once (_cadd), the longest permutation
-    is found by counting inversions, and the dot part is divided by one
-    linear form at a time (_polynomial_reference)."""
+    is found by counting inversions, and the dot part is read through
+    klr._polynomial."""
     l = len(bottom)
     forms = klr._forms(l)
     out = {}
@@ -790,7 +757,7 @@ def _extract_reference(qt, top, bottom, table):
         sign = lead[(0,) * l]
         num, ex = work[w]
         quot = ({e: sign * c for e, c in num.items()}, tuple(a - b for a, b in zip(ex, lead_ex)))
-        dotspoly = _polynomial_reference(forms, klr._permute(forms, quot, klr._inverse(w)))
+        dotspoly = klr._polynomial(forms, klr._permute(forms, quot, klr._inverse(w)))
         assert dotspoly is not None
         for exps, coeff in dotspoly.items():
             klr._acc(out, klr.KLRBasisElem(top, bottom, w, exps), coeff)

@@ -21,10 +21,10 @@ from iquantum.satake import (
     weight_sweep,
     word_weight,
 )
-from iquantum.standard import diag_a1a1, qs_a2, qs_a3, split_a1, split_a2
+from iquantum.standard import STANDARD, qs_a2, qs_a3, split_a1, split_a2
 
 
-ALL_DATA = [split_a1, diag_a1a1, qs_a2, qs_a3, split_a2]
+ALL_DATA = list(STANDARD.values())
 
 
 def shift(datum, lw, j, sign):

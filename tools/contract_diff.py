@@ -8,9 +8,10 @@ plain and with ``--json``; every ``python3 -m iquantum`` line of the
 README (read from the change's checkout), as written and with ``--json``;
 seeded calls of every subcommand on the five built-in data (read from the
 change's ``iquantum.standard``); two ``klr`` products on strands of one
-color and one on two colors; one input over each ``cli.MAX_*`` bound;
-one ``klr`` call on a config that names no sign convention; and one call per
-config error and usage error, so that the exit-2 messages are compared too.
+color and two on two colors, one of them with five strands of one color;
+one input over each ``cli.MAX_*`` bound; one ``klr`` call on a config that
+names no sign convention; and one call per config error and usage error,
+so that the exit-2 messages are compared too.
 
 Each tree runs the whole list in one child interpreter, with the tree's
 ``src`` alone on its path.  Every call goes through ``cli.run`` with every
@@ -141,6 +142,12 @@ ONE_COLOR_CALLS = [
 MIXED_COLOR_CALL = [
     "klr", "--config", "split_a2", "--expr",
     "e(2 1 1 1 1 1) ; x1 ; x2 ; x2 ; x3 ; x3 ; x3 ; " + W0_CROSSINGS,
+]
+# The same on e(1 1 1 1 2 1), whose five strands of one color make the
+# peel's kernels (_lift, _div_form, _times_form) carry most of the time.
+FIVE_STRAND_CALL = [
+    "klr", "--config", "split_a2", "--expr",
+    "e(1 1 1 1 2 1) ; x1 ; x2 ; x2 ; x3 ; x3 ; x3 ; " + W0_CROSSINGS,
 ]
 
 
@@ -294,7 +301,7 @@ def main() -> int:
             readme_examples(trees["change"])
             + seeded_calls(SEED, builtin_data(trees["change"]))
             + ONE_COLOR_CALLS
-            + [MIXED_COLOR_CALL]
+            + [MIXED_COLOR_CALL, FIVE_STRAND_CALL]
             + bound_calls(Path(scratch))
             + error_calls(Path(scratch))
         )
