@@ -1,0 +1,324 @@
+"""The behaviour contract, recorded call by call and replayed.
+
+The contract is the ``selftest`` report, CLI stdout, ``--json`` output and
+the exit codes.  ``tests/golden/contract.json`` holds, for one fixed list
+of calls, each call's argv, stdout, stderr and exit code.  The list:
+``selftest`` and every other ``python3 -m iquantum`` line of the README,
+plain and with ``--json``; seeded calls of every subcommand on the five
+built-in data; four heavy ``klr`` products; one input over each
+``cli.MAX_*`` bound; and one call per config error and usage error.  A
+call that reads a config file names it ``$CONFIGS/<name>``; the record
+holds those documents, and the replay writes them to a temporary
+directory that takes the place of ``$CONFIGS``.
+
+Each call runs in process through ``cli.run`` with every memo emptied
+first, as in a fresh process, and must reproduce its record byte for byte.
+The record must also hold exactly the call list built here, so neither can
+change alone.  Regenerate it (``python tests/test_contract.py --write``)
+only for an intended change, which then shows as a diff of the record: a
+change keeps its parent's contract when the tests pass and
+``git diff PARENT -- tests/golden/contract.json`` is empty.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import difflib
+import io
+import json
+import random
+import shlex
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+import iquantum
+from iquantum import cli
+from iquantum.satake import orbit_reps
+from iquantum.standard import STANDARD
+
+TESTS = Path(__file__).resolve().parent
+GOLDEN = TESTS / "golden" / "contract.json"
+PREFIX = "python3 -m iquantum "
+CONFIGS = "$CONFIGS"
+SEED = 2101
+
+
+def readme_examples() -> list[list[str]]:
+    """The argv of every ``python3 -m iquantum`` line of the README."""
+    lines = (TESTS.parent / "README.md").read_text(encoding="utf-8").splitlines()
+    return [shlex.split(line[len(PREFIX):]) for line in lines if line.startswith(PREFIX)]
+
+
+def _word(rng: random.Random, nodes, powers, letters: int) -> str:
+    """A word of up to ``letters`` letters; one letter in four at a node of
+    ``powers`` is a divided power 2."""
+    out = []
+    for _ in range(rng.randint(0, letters)):
+        i = rng.choice(nodes)
+        out.append(f"{i}^(2)" if i in powers and rng.random() < 0.25 else i)
+    return " ".join(out)
+
+
+def seeded_calls() -> list[list[str]]:
+    """Every subcommand on each built-in, with seeded words and weights."""
+    rng = random.Random(SEED)
+    calls = []
+    for name, make in STANDARD.items():
+        datum = make()
+        nodes, fixed = datum.nodes, orbit_reps(datum)[1]
+        cfg = ["--config", name]
+        moved = [i for i in nodes if i not in fixed]
+        for _ in range(3):
+            lam = rng.choice(("L0", "L1"))
+            calls.append(["pair", *cfg, "--i", _word(rng, nodes, moved, 3),
+                          "--j", _word(rng, nodes, moved, 3), "--lambda", lam])
+        top, bottom = _word(rng, nodes, (), 3), _word(rng, nodes, (), 3)
+        calls.append(["shapes", *cfg, "--i", top, "--j", bottom, "--lambda", "L1",
+                      "--mode", rng.choice(("all", "cap_free", "cup_cap_free"))])
+        calls.append(["grdim", *cfg, "--i", top, "--j", bottom, "--lambda", "L0", "--N", "8"])
+        calls.append(["grdim", *cfg, "--end", "--N", str(rng.randint(4, 12))])
+        calls.append(["iserre", *cfg, "--all", "--lambda-range", "-1..1"])
+        calls.append(["bkl", *cfg, "--i", rng.choice(moved or nodes), "--lambda", "L1"])
+        strands = " ".join(rng.choice(nodes) for _ in range(3))
+        calls.append(["klr", *cfg, "--expr", f"e({strands}) ; s1 ; x2 ; s2"])
+    return calls + [argv + ["--json"] for argv in calls]
+
+
+def _config(cartan: int, lam: int) -> dict:
+    """A two-node config with off-diagonal Cartan entries -cartan and one
+    weight of lam at node 1."""
+    return {
+        "nodes": ["1", "2"],
+        "cartan": [[2, -cartan], [-cartan, 2]],
+        "d": [1, 1],
+        "tau": {"1": "2", "2": "1"},
+        "varsigma": {"1": 1, "2": 0},
+        "weights": {"L0": {"lam": {}}, "L": {"lam": {"1": lam}}},
+    }
+
+
+# Products on one color, which never read the table: the longest crossing
+# on six strands (W0), and a dotted product on five strands.
+W0_CROSSINGS = " ; ".join(f"s{r}" for r in (1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 4, 3, 2, 1))
+W0 = "e(1 1 1 1 1 1) ; " + W0_CROSSINGS
+ONE_COLOR_CALLS = [
+    ["klr", "--config", "split_a1", "--expr", W0],
+    ["klr", "--config", "split_a1", "--expr",
+     "e(1 1 1 1 1) ; x1 ; x2 ; x2 ; x3 ; s1 ; s2 ; s1 ; s3 ; s2 ; s4 ; x5 ; s3"],
+]
+# A product on two colors, through the lazy sums and the peel: W0's
+# crossings after six dots on e(2 1 1 1 1 1).
+MIXED_COLOR_CALL = [
+    "klr", "--config", "split_a2", "--expr",
+    "e(2 1 1 1 1 1) ; x1 ; x2 ; x2 ; x3 ; x3 ; x3 ; " + W0_CROSSINGS,
+]
+# The same on e(1 1 1 1 2 1), whose five strands of one color make the
+# peel's kernels (_lift, _div_form, _times_form) carry most of the time.
+FIVE_STRAND_CALL = [
+    "klr", "--config", "split_a2", "--expr",
+    "e(1 1 1 1 2 1) ; x1 ; x2 ; x2 ; x3 ; x3 ; x3 ; " + W0_CROSSINGS,
+]
+
+BOUND_CONFIGS = {
+    "cartan5.json": _config(5, 0),
+    "lam1001.json": _config(1, 1001),
+    "d5.json": {
+        "nodes": ["1"], "cartan": [[2]], "d": [5], "tau": {"1": "1"}, "varsigma": {"1": -1},
+        "weights": {"L0": {"lam": {}, "parity": {"1": 0}}},
+    },
+}
+
+
+def bound_calls() -> list[list[str]]:
+    """One input over each cli.MAX_* bound (each an exit-2 message)."""
+    crossings = " ; ".join(["s1 ; s3 ; s5"] * 21)
+    return [
+        # MAX_ORDER
+        ["grdim", "--config", "qs_a2", "--end", "--N", "1001"],
+        # MAX_CARTAN
+        ["pair", "--config", f"{CONFIGS}/cartan5.json", "--i", "1", "--j", "1", "--lambda", "L0"],
+        # MAX_LAM, in a config and in a sweep
+        ["bkl", "--config", f"{CONFIGS}/lam1001.json", "--i", "1", "--lambda", "L"],
+        ["iserre", "--config", "qs_a2", "--all", "--lambda-range", "1001..1001"],
+        # MAX_D
+        ["pair", "--config", f"{CONFIGS}/d5.json", "--i", "1", "--j", "1", "--lambda", "L0"],
+        # MAX_WORD
+        ["pair", "--config", "qs_a2", "--i", "1 2 1 2 1 2 1 2 1", "--j", "1", "--lambda", "L0"],
+        # MAX_SHAPES: two 8-letter words of one fixed-node letter have 15!! shapes
+        ["pair", "--config", "split_a1", "--i", " ".join("1" * 8), "--j", " ".join("1" * 8),
+         "--lambda", "L0"],
+        # MAX_SWEEP
+        ["iserre", "--config", "qs_a2", "--all", "--lambda-range", "-500..500"],
+        # MAX_STRANDS
+        ["klr", "--config", "qs_a2", "--expr", "e(1 2 1 2 1 2 1)"],
+        # MAX_FACTORS
+        ["klr", "--config", "qs_a2", "--expr", "e(1 2) ; " + " ; ".join(["x1"] * 65)],
+        # MAX_TERMS: the product passes 1000 terms after 58 of the 63 factors
+        ["klr", "--config", "split_a2", "--expr", f"e(1 2 1 2 1 2) ; {crossings}"],
+    ]
+
+
+# Config documents that parse_config refuses, as patches of the qs_a2-like
+# _config(1, 0): None drops the key, and a patch that is not a dict is the
+# whole document.
+CONFIG_ERRORS = [
+    [1, 2],
+    {"nodes": None},
+    {"nodes": "1 2"},
+    {"nodes": []},
+    {"nodes": [1, "2"]},
+    {"nodes": ["1", "1"]},
+    {"cartan": [[2, -1]]},
+    {"cartan": [[2, -1], [-1]]},
+    {"tau": {"1": "2"}},
+    {"varsigma": {"1": 1}},
+    {"orientation": [["1", "2"]]},
+    {"orientation": {"1 2": -1}},
+    {"orientation": {"1 2": 3}},
+    {"weights": {"W": {"lam": {}, "parity": {}, "mu": {}}}},
+]
+
+# Usage errors of the subcommands on a built-in.
+USAGE_ERRORS = [
+    ["iserre", "--config", "qs_a2", "--all", "--lambda-range", "1to3"],
+    ["iserre", "--config", "qs_a2", "--all", "--lambda-range", "3..1"],
+    ["iserre", "--config", "qs_a2", "--i", "1", "--lambda", "L0"],
+    ["iserre", "--config", "qs_a2", "--i", "1", "--j", "9", "--lambda", "L0"],
+    ["bkl", "--config", "qs_a2", "--i", "9", "--lambda", "L0"],
+    ["grdim", "--config", "qs_a2", "--i", "1", "--j", "1"],
+    ["klr", "--config", "qs_a2", "--expr", "e(1 9)"],
+    ["klr", "--config", "qs_a2", "--expr", "e(1 2) ; s2"],
+    ["selftest", "--config", "qs_a2"],
+]
+
+
+def contract_configs() -> dict[str, object]:
+    """Every config document a call reads, by file name: those of
+    bound_calls, of CONFIG_ERRORS, and a config with a warning, one with an
+    orientation and one with no sign_convention."""
+    base = _config(1, 0)
+    docs = dict(BOUND_CONFIGS)
+    for k, patch in enumerate(CONFIG_ERRORS):
+        if isinstance(patch, dict):
+            patch = {key: v for key, v in {**base, **patch}.items() if v is not None}
+        docs[f"error{k}.json"] = patch
+    # two tau-fixed nodes whose Cartan entries differ mod 2
+    docs["warning.json"] = {
+        "nodes": ["1", "2"],
+        "cartan": [[2, -1], [-2, 2]],
+        "d": [2, 1],
+        "tau": {"1": "1", "2": "2"},
+        "varsigma": {"1": -1, "2": -1},
+        "weights": {"L0": {"lam": {}, "parity": {"1": 0, "2": 0}}},
+    }
+    docs["orientation.json"] = {**base, "orientation": {"2 1": 1}}
+    # qs_a3's fields with no sign_convention: tau fixes one node and moves
+    # two, so the table takes "intro"
+    docs["no_convention.json"] = {
+        "nodes": ["1", "2", "3"],
+        "cartan": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+        "d": [1, 1, 1],
+        "tau": {"1": "3", "2": "2", "3": "1"},
+        "varsigma": {"1": 0, "2": -1, "3": 0},
+        "weights": {"L0": {"lam": {}, "parity": {"2": 0}}},
+    }
+    return docs
+
+
+def error_calls() -> list[list[str]]:
+    """One call per config error, one on a config with a warning, one on a
+    config with an orientation and one on a config with no sign_convention,
+    then one call per usage error."""
+    calls = [["grdim", "--config", f"{CONFIGS}/error{k}.json", "--end", "--N", "4"]
+             for k in range(len(CONFIG_ERRORS))]
+    calls.append(["grdim", "--config", f"{CONFIGS}/warning.json", "--end", "--N", "4"])
+    calls.append(["klr", "--config", f"{CONFIGS}/orientation.json", "--expr", "e(1 2) ; s1 ; s1"])
+    calls.append(["klr", "--config", f"{CONFIGS}/no_convention.json", "--expr", "e(1 2 3) ; s1 ; s2"])
+    return calls + USAGE_ERRORS
+
+
+def contract_calls() -> list[list[str]]:
+    """The whole call list, in record order; the README's starts with
+    selftest."""
+    readme = readme_examples()
+    return (
+        readme + [argv + ["--json"] for argv in readme] + seeded_calls() + ONE_COLOR_CALLS
+        + [MIXED_COLOR_CALL, FIVE_STRAND_CALL] + bound_calls() + error_calls()
+    )
+
+
+def write_configs(docs: dict[str, object], directory: Path) -> None:
+    for name, doc in docs.items():
+        (directory / name).write_text(json.dumps(doc), encoding="utf-8")
+
+
+def run_call(argv: list[str], directory: Path) -> dict:
+    """Stdout, stderr and exit code of one call, run cold through cli.run
+    with ``$CONFIGS`` read as directory."""
+    iquantum.clear_caches()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run([arg.replace(CONFIGS, str(directory)) for arg in argv])
+    return {"stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
+
+
+# A missing record reads as empty, so that --write can make the first one
+# and the guard below fails until it does.
+RECORD = (
+    json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists()
+    else {"configs": {}, "calls": []}
+)
+
+
+def test_the_record_holds_the_call_list():
+    assert [call["argv"] for call in RECORD["calls"]] == contract_calls()
+    assert RECORD["configs"] == contract_configs()
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("configs")
+    write_configs(RECORD["configs"], directory)
+    return directory
+
+
+def _ids(calls: list[dict]) -> list[str]:
+    """The argv of each call; a repeated argv gets ``#2``, ``#3``, ..."""
+    seen: dict[str, int] = {}
+    ids = []
+    for call in calls:
+        name = shlex.join(call["argv"])
+        seen[name] = seen.get(name, 0) + 1
+        ids.append(name if seen[name] == 1 else f"{name} #{seen[name]}")
+    return ids
+
+
+@pytest.mark.parametrize("want", RECORD["calls"], ids=_ids(RECORD["calls"]))
+def test_call_replays_its_record(want, config_dir):
+    got = run_call(want["argv"], config_dir)
+    problems = [] if got["exit"] == want["exit"] else [f"exit {got['exit']}, recorded {want['exit']}"]
+    for stream in ("stdout", "stderr"):
+        if got[stream] != want[stream]:
+            problems.append("".join(difflib.unified_diff(
+                want[stream].splitlines(keepends=True), got[stream].splitlines(keepends=True),
+                f"recorded {stream}", f"replayed {stream}",
+            )))
+    if problems:
+        pytest.fail("\n".join([PREFIX + shlex.join(want["argv"]), *problems]), pytrace=False)
+
+
+def _capture() -> dict:
+    docs = contract_configs()
+    with tempfile.TemporaryDirectory() as tmp:
+        write_configs(docs, Path(tmp))
+        calls = [{"argv": argv, **run_call(argv, Path(tmp))} for argv in contract_calls()]
+    return {"configs": docs, "calls": calls}
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_contract.py --write")
+    GOLDEN.write_text(json.dumps(_capture(), indent=1) + "\n", encoding="utf-8")

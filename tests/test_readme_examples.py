@@ -1,58 +1,44 @@
-"""The README's command-line examples, pinned byte for byte.
+"""The README's command-line examples are pinned by the contract record.
 
-Every ``python3 -m iquantum`` line of the README except ``selftest`` (which
-tests/test_acceptance.py covers) runs in process through ``cli.run``, once
-as written and once with ``--json``.  Stdout must equal
-``tests/golden/<name>.stdout`` and the exit code the entry in
-``tests/golden/exit_codes.json``, where ``<name>`` is the subcommand, with a
-``_json`` suffix for the second run.  Regenerate a golden file only for an
-intended change of output.
+Every ``python3 -m iquantum`` line of the README, once as written and once
+with ``--json``, must be a call of ``tests/golden/contract.json`` that
+exits 0; ``tests/test_contract.py`` replays it byte for byte.  Here the
+examples are only looked up, so a README example cannot change without
+the record being written again.
 
-The package depends on the standard library alone: the same examples run
-once more in a child interpreter that cannot import sympy.
+The package depends on the standard library alone: the examples other
+than ``selftest`` run once more in a child interpreter that cannot import
+sympy, and must print their recorded output.
 """
 
 import json
 import os
-import shlex
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import iquantum
-from iquantum import cli
+from test_contract import RECORD, readme_examples
 
-TESTS = Path(__file__).resolve().parent
-GOLDEN = TESTS / "golden"
-PREFIX = "python3 -m iquantum "
-
-
-def _readme_examples():
-    lines = (TESTS.parent / "README.md").read_text(encoding="utf-8").splitlines()
-    argvs = [shlex.split(line[len(PREFIX):]) for line in lines if line.startswith(PREFIX)]
-    return [argv for argv in argvs if argv[0] != "selftest"]
-
-
-EXAMPLES = _readme_examples()
+RECORDED_CALLS = {tuple(call["argv"]): call for call in RECORD["calls"]}
+EXAMPLES = readme_examples()
 CASES = [(argv[0], argv) for argv in EXAMPLES] + [
     (f"{argv[0]}_json", argv + ["--json"]) for argv in EXAMPLES
 ]
-EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+NO_SYMPY_CASES = [(name, argv) for name, argv in CASES if argv[0] != "selftest"]
 
 
 def test_readme_lists_one_example_per_subcommand():
-    assert [argv[0] for argv in EXAMPLES] == ["pair", "iserre", "bkl", "grdim", "shapes", "klr"]
-    assert sorted(EXIT_CODES) == sorted(name for name, _ in CASES)
+    assert [argv[0] for argv in EXAMPLES] == [
+        "selftest", "pair", "iserre", "bkl", "grdim", "shapes", "klr"
+    ]
 
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
-def test_readme_example(name, argv, capsys):
-    code = cli.run(argv)
-    out = capsys.readouterr().out
-    assert code == EXIT_CODES[name]
-    assert out == (GOLDEN / f"{name}.stdout").read_text(encoding="utf-8")
+def test_readme_example(name, argv):
+    assert tuple(argv) in RECORDED_CALLS, "run python tests/test_contract.py --write"
+    assert RECORDED_CALLS[tuple(argv)]["exit"] == 0
 
 
 # Runs in the child: blocks sympy, runs the examples read on stdin and the
@@ -70,10 +56,10 @@ from iquantum.standard import split_a2
 
 examples = {}
 for name, argv in json.load(sys.stdin):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(argv)
-    examples[name] = [code, out.getvalue()]
+    examples[name] = {"stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
 qt = _tables()["split_a1"]
 d3 = divided_idempotent(qt, "1", 3)
 oriented = geometric_qtable(split_a2(), orientation={("2", "1"): 1})
@@ -86,12 +72,12 @@ json.dump({"examples": examples, "products": products, "foreign": foreign}, sys.
 
 def test_package_runs_without_sympy():
     # sympy is an extra for the test oracles only; with it blocked, every
-    # example still prints its golden output and nothing else is imported
+    # example still prints its recorded output and nothing else is imported
     src = os.path.dirname(os.path.dirname(os.path.abspath(iquantum.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", NO_SYMPY],
-        input=json.dumps(CASES),
+        input=json.dumps(NO_SYMPY_CASES),
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
@@ -99,8 +85,8 @@ def test_package_runs_without_sympy():
     )
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
-    for name, _ in CASES:
-        want = [EXIT_CODES[name], (GOLDEN / f"{name}.stdout").read_text(encoding="utf-8")]
+    for name, argv in NO_SYMPY_CASES:
+        want = {key: RECORDED_CALLS[tuple(argv)][key] for key in ("stdout", "stderr", "exit")}
         assert got["examples"][name] == want, name
     assert got["products"] == [True, True]
     assert got["foreign"] == []

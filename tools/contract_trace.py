@@ -2,12 +2,12 @@
 
     python3 tools/contract_trace.py
 
-The contract is ``selftest`` and every other ``python3 -m iquantum`` line of
-the README, each run once as written and once with ``--json``.  Each runs
-in this process through ``cli.run`` under ``sys.settrace``, with its stdout
-and stderr discarded and every memo table emptied first, so each run is as
-cold as a fresh process.  The package is imported under the trace too, so
-code run at import counts as entered.
+The contract is the record ``tests/golden/contract.json``.  Each of its
+calls runs in this process as ``tests/test_contract.py`` replays it:
+through ``cli.run``, with its stdout and stderr captured and every memo
+table emptied first, so each run is as cold as a fresh process.  Here the
+runs go under ``sys.settrace``, and the package is imported under the
+trace too, so code run at import counts as entered.
 
 Every ``def`` in the package source (methods, properties and nested
 functions included) that no run entered is printed as
@@ -17,19 +17,16 @@ never listed; nor are lambdas and comprehensions.  ``cli.main`` is always
 listed: ``python -m iquantum`` reaches ``cli.run`` through it, and this
 script calls ``cli.run`` directly.
 
-Standard library only; it starts no process.  It reads the package and
-README of the checkout it sits in.
+It starts no process, and needs pytest, which ``tests/test_contract.py``
+imports.  It reads the package and record of the checkout it sits in.
 """
 
 from __future__ import annotations
 
 import ast
-import contextlib
-import io
 import sys
+import tempfile
 from pathlib import Path
-
-from contract_diff import readme_examples
 
 ROOT = Path(__file__).resolve().parent.parent
 PKG = ROOT / "src" / "iquantum"
@@ -62,7 +59,7 @@ def package_functions() -> dict[tuple[str, int], tuple[str, int]]:
     return out
 
 
-def entered_under_contract(argvs: list[list[str]]) -> tuple[set[tuple[str, int]], list[int]]:
+def entered_under_contract() -> tuple[set[tuple[str, int]], list[int]]:
     """(file, first line) of every code object entered, and the exit codes."""
     entered: set[tuple[str, int]] = set()
 
@@ -70,29 +67,24 @@ def entered_under_contract(argvs: list[list[str]]) -> tuple[set[tuple[str, int]]
         code = frame.f_code
         entered.add((code.co_filename, code.co_firstlineno))
 
-    sys.path.insert(0, str(ROOT / "src"))
-    codes = []
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     sys.settrace(trace)
     try:
-        import iquantum
-        from iquantum import cli
+        from test_contract import RECORD, run_call, write_configs
 
-        for argv in argvs:
-            iquantum.clear_caches()
-            sink = io.StringIO()
-            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-                codes.append(cli.run(argv))
+        with tempfile.TemporaryDirectory() as configs:
+            write_configs(RECORD["configs"], Path(configs))
+            codes = [run_call(call["argv"], Path(configs))["exit"] for call in RECORD["calls"]]
     finally:
         sys.settrace(None)
     return entered, codes
 
 
 def main() -> int:
-    argvs = readme_examples(ROOT)
-    entered, codes = entered_under_contract(argvs)
+    entered, codes = entered_under_contract()
     functions = package_functions()
     missed = [functions[key] for key in sorted(functions) if key not in entered]
-    print(f"{len(argvs)} runs, exit codes {' '.join(str(c) for c in codes)}")
+    print(f"{len(codes)} runs, exit codes {' '.join(str(c) for c in codes)}")
     for name, lines in missed:
         print(f"{name}  {lines} lines")
     print(f"{len(missed)} of {len(functions)} functions never entered, "
