@@ -50,8 +50,10 @@ def cache_stats() -> dict[str, dict[str, int]]:
     """Hits, misses and size of every module-level memo table, keyed
     ``module.NAME``: ``freealg._WORD_PAIR_CACHE``, ``iuea._B_WORD_MEMO``,
     ``shapes._ARC_MEMO``, ``shapes._SHAPE_MEMO`` (a word pair's matchings
-    and degree histograms) and the four ``klr`` caches.  Read on request
-    (``selftest --cache-stats`` writes them to stderr)."""
+    and degree histograms), ``klr._STEP_MEMO`` and ``klr._REWORD_MEMO``
+    (the straightening route's steps and word rewrites) and the four caches
+    of the twisted route that the tests keep as ``mul``'s reference.  Read
+    on request (``selftest --cache-stats`` writes them to stderr)."""
     return {m.name: m.stats() for m in _memos().values()}
 
 

@@ -551,17 +551,21 @@ def _cmd_shapes(cfg: Config, args) -> int:
     return 0
 
 
-# Products of mixed colors on seven strands run for minutes (the longest
-# permutation alone has 5040 terms in the twisted group algebra); six take
-# seconds.  On one color the longest crossing on six strands takes
-# milliseconds, but the bound counts strands, not colors.
+# The bound was set when products of mixed colors went through the twisted
+# group algebra and took minutes on seven strands.  Straightened in the
+# polynomial ring, the longest crossing after six dots takes about 0.02 s
+# in process on six strands (e(2 1 1 1 1 1), e(1 2 1 2 1 2)), 0.05-0.12 s on
+# seven (e(1 1 1 1 1 1 2), e(1 2 1 2 1 2 1) with 2142 terms) and 0.44 s on
+# eight (e(1 2 1 2 1 2 1 2), 4427 terms) on a 2-vCPU machine; the bound
+# stays until it is derived again from such timings.
 MAX_STRANDS = 6
 # A product's terms can grow with every factor (the square of a crossing of
 # two colors is a polynomial in the dots): 150 factors of "s1 ; s3 ; s5" on
-# e(1 2 1 2 1 2) give 17576 terms and take about 21 s cold on a 2-vCPU
-# machine, where a mul costs about 15-30 us per term.  So the factors after
-# e(word) and the terms after each product are both bounded; inside both,
-# the products timed there took at most 1.4 s cold.
+# e(1 2 1 2 1 2) give 17576 terms and take about 5.5 s in process on a
+# 2-vCPU machine, where a mul costs about 6-9 us per term (15 s and about
+# 20 us per term through the twisted group algebra).  So the factors after
+# e(word) and the terms after each product are both bounded; the bounds
+# were set when the products inside both took at most 1.4 s cold.
 MAX_FACTORS = 64
 MAX_TERMS = 1000
 

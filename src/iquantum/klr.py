@@ -9,29 +9,39 @@ triple crossings satisfy the deformed braid relation.  ``geometric_qtable``
 builds the table from a quiver and signs it by tau, by default in the
 convention that ``usable_sign_convention`` derives, the one place it is chosen.
 
-``mul`` has two routes, chosen by the strand colors alone.  On strands of
-one color the algebra is the nilHecke algebra whatever the table (there is
-no Q_ii, so a crossing squares to zero and the braid relations need no
-correction), and ``_mul_one_color`` straightens a product in the integer
-polynomial ring: each crossing of the right factor is moved past the left
-factor's dots by f psi_r = psi_r s_r(f) + d_r(f), with the divided
-difference d_r in closed form.  No table entry, rational function or memo
-is involved.
+``mul`` straightens every product in the integer polynomial ring, on the
+basis theorem of Khovanov-Lauda ("A diagrammatic approach to
+categorification of quantum groups I", 2009): the diagrams psi_w x^d e(c),
+with psi_w read through the lexicographically smallest reduced word of w,
+form a basis.  The left factor is a state {u: p}, the sum of
+psi_{lexmin(u)} p e(c), and the crossings of each right diagram are applied
+one at a time.  A crossing moves past the dots by
+p psi_r = psi_r s_r(p) + d_r(p), the divided difference d_r in closed form
+and present on equal colors only; psi_{lexmin(u)} psi_r is then one
+memoized step.  When the length grows it is a reduced word of u s_r,
+rewritten into the lexmin one.  When it drops the word of u is first
+rewritten to end in r, and psi_r^2 e(c) is the table polynomial pinned to
+the strands on mixed colors and 0 on equal ones.  Rewriting one reduced word
+into another follows Tits' solution of the word problem ("Le probleme des
+mots dans les groupes de Coxeter", 1969): only a braid move i j i with
+i != j leaves a term, a polynomial times a shorter word.  Both local rules
+are closed forms in the table's integer factors, so no rational function
+arises, and on one color the table is never read.
 
-Every other product goes through a faithful action on polynomial vectors
-(``_mul_twisted``): a crossing acts as the difference-quotient operator on
-equal colors and as a (possibly table-weighted) variable swap otherwise.
-Composites live in the twisted group algebra over rational functions, from
-which the basis coefficients are recovered by peeling longest
-permutations; the transition is triangular, so the peeling terminates and
-the recovered coefficients are the unique integral normal form.  Every
-table entry is +-(x - y)^n and is held as its integer factor (sign, n), so
-each rational function that arises is an integer polynomial times signed
-powers of the linear forms x_s - x_t; it is held in exactly that shape,
-sums need no gcd, and each peel divides exactly by one form at a time,
-term by term.  This route stays for mixed colors, where the table's
-entries enter the relations, and it is the one-color route's reference in
-the tests.  Nothing here computes symbolically.
+The twisted group algebra route (``_mul_twisted``) is kept unchanged below
+as the tests' reference for ``mul``; no package code calls it.  It acts
+faithfully on polynomial vectors: a crossing acts as the
+difference-quotient operator on equal colors and as a (possibly
+table-weighted) variable swap otherwise.  Composites live in the twisted
+group algebra over rational functions, from which the basis coefficients
+are recovered by peeling longest permutations; the transition is
+triangular, so the peeling terminates and the recovered coefficients are
+the unique integral normal form.  Every table entry is +-(x - y)^n and is
+held as its integer factor (sign, n), so each rational function that
+arises is an integer polynomial times signed powers of the linear forms
+x_s - x_t; it is held in exactly that shape, sums need no gcd, and each
+peel divides exactly by one form at a time, term by term.  Nothing here
+computes symbolically.
 """
 
 from __future__ import annotations
@@ -73,22 +83,39 @@ def _swap_values(p, r):
     return tuple(r + 1 if t == r else r if t == r + 1 else t for t in p)
 
 
+def _length(p) -> int:
+    """The number of inversions of p."""
+    return sum(a > b for s, a in enumerate(p) for b in p[s + 1 :])
+
+
 def _lexmin_word(p) -> tuple[int, ...]:
-    """Lexicographically smallest reduced word, greedy on left descents."""
+    """Lexicographically smallest reduced word, greedy on left descents:
+    r is a left descent when value r sits right of value r + 1, and taking
+    the smallest one swaps those two values.  That can only make r - 1 a
+    descent, so the scan resumes there."""
+    pos = list(_inverse(p))
     out = []
-    cur = p
-    while True:
-        pos = {t: s for s, t in enumerate(cur)}
-        for r in range(len(cur) - 1):
-            if pos[r] > pos[r + 1]:
-                out.append(r)
-                cur = _swap_values(cur, r)
-                break
+    r = 0
+    while r < len(pos) - 1:
+        if pos[r] > pos[r + 1]:
+            out.append(r)
+            pos[r], pos[r + 1] = pos[r + 1], pos[r]
+            r = max(r - 1, 0)
         else:
-            return tuple(out)
+            r += 1
+    return tuple(out)
 
 
 # -- exact coefficients of the twisted group algebra ---------------------
+#
+# The twisted route (these kernels, the expansions and peel from
+# _PSI_CACHE to _extract, and _mul_twisted) is the tests' reference for
+# mul, and no package code calls it.  It stays in this module because
+# perfbench reads it by name: the untraced pass takes len() of _PSI_CACHE,
+# _ENTRY_CACHE, _ELEM_CACHE and _FIELDS (perfbench/layers.py:21-27 and
+# :123-129, called from perfbench/worker.py:106,111,126,131), and the traced
+# pass wraps _expand_psi and _extract (perfbench/layers.py:69-70).  It moves
+# to the tests when those lists move.
 #
 # On l strands a coefficient is a pair (num, ex): num is a sparse integer
 # polynomial {exponent tuple: int} and ex a signed exponent vector over the
@@ -105,10 +132,11 @@ def _lexmin_word(p) -> tuple[int, ...]:
 # (x_s - x_t)^m, one form at a time and term by term (_div_form), and
 # multiplies by each positive power, one pass per form (_times_form).
 #
-# mul sends one-color products to _mul_one_color, so the kernels that stay
-# are those the mixed products need, measured on the two five-strand ones,
-# W0's 15 crossings after six dots on e(1 1 1 1 2 1) and on
-# e(1 1 1 1 1 2) over split_a2 (about 2 and 5 s of CPU on a 2-vCPU machine):
+# The kernels are those the mixed products needed while this route served
+# them, measured on the two five-strand ones, W0's 15 crossings after six
+# dots on e(1 1 1 1 2 1) and on e(1 1 1 1 1 2) over split_a2 (about 2 and
+# 5 s of CPU on a 2-vCPU machine; the straightening route in mul takes a
+# few hundredths of a second on each):
 # - _lift multiplies out one form at a time and merges the parts that agree
 #   (Horner's scheme); lifting each part on its own takes 2.2 times as long;
 # - the lazy sums: lifting both sides of every sum at once, as the tests'
@@ -510,9 +538,8 @@ class KLRElem:
         if not self.terms:
             return "0"
         parts = []
-        length = _forms(len(self.bottom)).length
         for b, c in sorted(
-            self.terms.items(), key=lambda it: (length(it[0].perm), it[0].perm, it[0].dots)
+            self.terms.items(), key=lambda it: (_length(it[0].perm), it[0].perm, it[0].dots)
         ):
             bits = [f"x{t + 1}^{n}" for t, n in enumerate(b.dots) if n]
             word = _lexmin_word(b.perm)
@@ -575,6 +602,10 @@ def tensor(a: KLRElem, b: KLRElem) -> KLRElem:
             _acc(out, key, ca * cb)
     return KLRElem(top, bottom, out)
 
+
+# -- the twisted route's expansions and peel (the tests' reference; these
+# memos and _expand_psi and _extract are read by name in perfbench, see the
+# coefficient section above) -----------------------------------------------
 
 _PSI_CACHE = Memo("klr._PSI_CACHE")
 _ENTRY_CACHE = Memo("klr._ENTRY_CACHE")
@@ -729,53 +760,194 @@ def _divided_difference(p: dict, r: int) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
-def _mul_one_color(a: KLRElem, b: KLRElem) -> KLRElem:
-    """The product on strands of one color, where the algebra is the
-    nilHecke algebra whatever the table: psi_r^2 = 0 and the braid
-    relations hold with no correction.
+# -- the straightening route -----------------------------------------------
+#
+# A state {u: p} over a bottom word c is the sum of psi_{lexmin(u)} p e(c):
+# u a permutation (bottom position -> top position) and p an integer
+# polynomial {exponent tuple: int} in the dots at the bottom.  Memo values
+# are states too and are shared, so every sum below builds fresh dicts and
+# never merges into a value it read.  Both memos are keyed by the table
+# value, as a product's only dependence on it, and by the bottom word; they
+# are not scoped, since a run that changes table on every product would
+# empty a scoped memo on every product.
 
-    The left factor is a state {u: p}, the sum of psi_u p.  Each right
-    diagram's crossings are applied letter by letter through
-    p psi_r = psi_r s_r(p) + d_r(p): psi_u psi_r is psi_(u s_r) when the
-    length grows and 0 otherwise, and the dots of the right diagram are
-    multiplied in last.
-    """
-    top, bottom = a.top, b.bottom
-    start: dict = {}
-    for bas, c in a.terms.items():
-        start.setdefault(bas.perm, {})[bas.dots] = c
-    out: dict[KLRBasisElem, int] = {}
-    for bas, c in b.terms.items():
-        state = start
-        for r in _lexmin_word(bas.perm):
-            new: dict = {}
-            for u, p in state.items():
-                if u[r] < u[r + 1]:
-                    swapped = {_swap_positions(e, r): v for e, v in p.items()}
-                    _merge(new.setdefault(_swap_positions(u, r), {}), swapped)
-                _merge(new.setdefault(u, {}), _divided_difference(p, r))
-            state = {u: p for u, p in new.items() if p}
-        for u, p in state.items():
-            for e, v in p.items():
-                _acc(out, KLRBasisElem(top, bottom, u, tuple(map(add, e, bas.dots))), c * v)
-    return KLRElem(top, bottom, out)
+_STEP_MEMO = Memo("klr._STEP_MEMO")
+_REWORD_MEMO = Memo("klr._REWORD_MEMO")
+
+
+def _add_state(out: dict, state: dict) -> None:
+    """out += state, copying every polynomial it keeps."""
+    for u, p in state.items():
+        cur = out.get(u)
+        if cur is None:
+            out[u] = dict(p)
+        else:
+            _merge(cur, p)
+
+
+def _square(qt: QTable, c: Word, r: int) -> dict:
+    """psi_r^2 e(c) on mixed colors a, b at r, r+1: the table polynomial
+    Q_{a,b}(x_r, x_{r+1}) = sign (x_r - x_{r+1})^n, with (sign, n) =
+    factors[(a, b)].  The table's symmetry makes this the entry of the node
+    earlier in node order, its sign times (-1)^n when that node is b."""
+    sign, n = qt.factors[(c[r], c[r + 1])]
+    head, tail = (0,) * r, (0,) * (len(c) - r - 2)
+    return {head + (i, n - i) + tail: sign * (-1) ** (n - i) * comb(n, i) for i in range(n + 1)}
+
+
+def _braid_term(qt: QTable, c: Word, k: int) -> dict:
+    """(psi_k psi_{k+1} psi_k - psi_{k+1} psi_k psi_{k+1}) e(c) for colors
+    i j i at k, k+1, k+2 with i != j: (Q_{i,j}(x_k, x_{k+1}) -
+    Q_{i,j}(x_{k+2}, x_{k+1})) / (x_k - x_{k+2}), which for
+    Q_{i,j}(x, y) = sign (x - y)^n is
+    sign sum_(a<n) (x_k - x_{k+1})^a (x_{k+2} - x_{k+1})^(n-1-a)."""
+    sign, n = qt.factors[(c[k], c[k + 1])]
+    head, tail = (0,) * k, (0,) * (len(c) - k - 3)
+    out: dict = {}
+    for a in range(n):
+        b = n - 1 - a
+        for i in range(a + 1):
+            for j in range(b + 1):
+                mid = a - i + b - j
+                e = head + (i, mid, j) + tail
+                out[e] = out.get(e, 0) + sign * (-1) ** mid * comb(a, i) * comb(b, j)
+    return {e: v for e, v in out.items() if v}
+
+
+def _times_word(p, word) -> tuple[int, ...]:
+    """p s_(word[0]) s_(word[1]) ...: the permutation of psi_word on
+    len(p) strands when p is the identity."""
+    for r in word:
+        p = _swap_positions(p, r)
+    return p
+
+
+def _times_psi(qt: QTable, state: dict, c: Word, r: int) -> dict:
+    """state psi_r e(c), for a state over c with its entries at r, r+1
+    exchanged: p psi_r = psi_r s_r(p) + d_r(p), the divided difference only
+    on equal colors, and psi_{lexmin(u)} psi_r from ``_step``."""
+    unit = {(0,) * len(c): 1}
+    equal = c[r] == c[r + 1]
+    out: dict = {}
+    for u, p in state.items():
+        swapped = {e[:r] + (e[r + 1], e[r]) + e[r + 2 :]: v for e, v in p.items()}
+        for w, q in _step(qt, c, u, r).items():
+            term = swapped if q == unit else _pmul(q, swapped)
+            cur = out.get(w)
+            if cur is None:
+                out[w] = dict(term)
+            else:
+                _merge(cur, term)
+        if equal:
+            dd = _divided_difference(p, r)
+            cur = out.get(u)
+            if cur is None:
+                out[u] = dd
+            else:
+                _merge(cur, dd)
+    return {u: p for u, p in out.items() if p}
+
+
+def _step(qt: QTable, c: Word, u, r: int) -> dict:
+    """psi_{lexmin(u)} psi_r e(c) as a state over c, memoized."""
+    return _STEP_MEMO.get_or_make((qt, c, u, r), _make_step, qt, c, u, r)
+
+
+def _make_step(qt: QTable, c: Word, u, r: int) -> dict:
+    """``_step``'s maker.  When u s_r is longer, lexmin(u) r is one of its
+    reduced words; otherwise lexmin(u) = lexmin(u s_r) r + T, and
+    psi_r^2 e(c) is the pinned table polynomial or 0."""
+    v = _swap_positions(u, r)
+    out: dict = {}
+    if u[r] < u[r + 1]:
+        out[v] = {(0,) * len(c): 1}
+        x, y = _lexmin_word(u) + (r,), _lexmin_word(v)
+        if x != y:
+            _add_state(out, _reword(qt, c, x, y))
+    else:
+        if c[r] != c[r + 1]:
+            out[v] = _square(qt, c, r)
+        x, y = _lexmin_word(u), _lexmin_word(v) + (r,)
+        if x != y:
+            _add_state(out, _times_psi(qt, _reword(qt, _swap_positions(c, r), x, y), c, r))
+    return {w: p for w, p in out.items() if p}
+
+
+def _reword(qt: QTable, c: Word, x, y) -> dict:
+    """T = psi_x e(c) - psi_y e(c) for two distinct reduced words x, y of
+    one permutation, as a state over c, memoized."""
+    return _REWORD_MEMO.get_or_make((qt, c, x, y), _make_reword, qt, c, x, y)
+
+
+def _make_reword(qt: QTable, c: Word, x, y) -> dict:
+    """``_reword``'s maker, by Tits' recursion on the last letters.  Equal
+    last letters r recurse on the heads, times psi_r.  Otherwise, with
+    s = x[-1] and t = y[-1], both are right descents of the permutation, so
+    it is rest w_st with w_st the longest element of <s, t>, and both words
+    pass through lexmin(rest) followed by an alternating word of s and t,
+    one ending in s and one in t; those two differ by one braid move, which
+    leaves a term only on colors i j i with i != j.  Every recursion is on
+    shorter words or on words with equal last letters."""
+    s, t = x[-1], y[-1]
+    if s == t:
+        return _times_psi(qt, _reword(qt, _swap_positions(c, s), x[:-1], y[:-1]), c, s)
+    one = _identity(len(c))
+    p = _times_word(one, x)
+    if p != _times_word(one, y):
+        raise ArithmeticError("rewriting between reduced words of different permutations")
+    braid = abs(s - t) == 1
+    tail_s, tail_t = ((s, t, s), (t, s, t)) if braid else ((t, s), (s, t))
+    rest = _times_word(p, reversed(tail_s))
+    z = _lexmin_word(rest)
+    xs, ys = z + tail_s, z + tail_t
+    out: dict = {}
+    if x != xs:
+        _add_state(out, _reword(qt, c, x, xs))
+    k = min(s, t)
+    if braid and c[k] == c[k + 2] != c[k + 1]:
+        term = _braid_term(qt, c, k)
+        if s != k:
+            term = {e: -v for e, v in term.items()}
+        _add_state(out, {rest: term})
+    if ys != y:
+        _add_state(out, _reword(qt, c, ys, y))
+    return {w: q for w, q in out.items() if q}
 
 
 def mul(qt: QTable, a: KLRElem, b: KLRElem) -> KLRElem:
-    """The product a b, a on top of b: on one color by ``_mul_one_color``,
-    which never reads the table, and otherwise by ``_mul_twisted``."""
+    """The product a b, a on top of b, straightened in the polynomial ring:
+    a is the starting state, each diagram of b applies its crossings top to
+    bottom through ``_times_psi`` and multiplies its dots in last.  A
+    wiring whose strands end on other colors is an invariant failure,
+    raised as ArithmeticError."""
     if a.bottom != b.top:
         raise ValueError("inner boundary words differ")
     if a.is_zero() or b.is_zero():
         return zero(a.top, b.bottom)
-    if len(set(b.bottom)) == 1:
-        return _mul_one_color(a, b)
-    return _mul_twisted(qt, a, b)
+    top, bottom = a.top, b.bottom
+    start: dict = {}
+    for bas, c in a.terms.items():
+        start.setdefault(bas.perm, {})[bas.dots] = c
+    out: dict = {}
+    for bas, c in b.terms.items():
+        state, colors = start, b.top
+        for r in _lexmin_word(bas.perm):
+            colors = _swap_positions(colors, r)
+            state = _times_psi(qt, state, colors, r)
+        for u, p in state.items():
+            for e, v in p.items():
+                key = (u, tuple(map(add, e, bas.dots)))
+                out[key] = out.get(key, 0) + c * v
+    for u in {u for u, _ in out}:
+        if any(top[t] != bottom[s] for s, t in enumerate(u)):
+            raise ArithmeticError("mismatched strand colors in straightening")
+    terms = {KLRBasisElem(top, bottom, u, d): v for (u, d), v in out.items() if v}
+    return KLRElem(top, bottom, terms)
 
 
 def _mul_twisted(qt: QTable, a: KLRElem, b: KLRElem) -> KLRElem:
     """The product of nonzero a and b with a.bottom == b.top, through the
-    twisted group algebra and the peel; the one-color route's reference."""
+    twisted group algebra and the peel; the tests' reference for mul."""
     forms = _forms(len(b.bottom))
     ea = _expand_elem(qt, a)
     eb = _expand_elem(qt, b)

@@ -294,6 +294,8 @@ CACHE_NAMES = {
     "iuea._B_WORD_MEMO",
     "shapes._ARC_MEMO",
     "shapes._SHAPE_MEMO",
+    "klr._STEP_MEMO",
+    "klr._REWORD_MEMO",
     "klr._PSI_CACHE",
     "klr._ENTRY_CACHE",
     "klr._ELEM_CACHE",
@@ -392,11 +394,13 @@ def test_klr_bad_expressions(capsys):
 
 
 def test_klr_reports_a_rejected_normal_form(capsys, monkeypatch):
-    # a failed invariant of the peel is a computed rejection, not a usage error
-    monkeypatch.setattr(klr, "_polynomial", lambda forms, f: None)
+    # a failed invariant of the straightening is a computed rejection, not a
+    # usage error: a reduced word that does not spell the crossing leaves
+    # the product's strands on the wrong colors
+    monkeypatch.setattr(klr, "_lexmin_word", lambda p: ())
     code, out, err = run_cli(capsys, "klr", "--config", "qs_a2", "--expr", "e(1 2) ; x1 ; s1")
     assert (code, out) == (1, "")
-    assert err == "normal form rejected: straightening left a non-polynomial dot part\n"
+    assert err == "normal form rejected: mismatched strand colors in straightening\n"
 
 
 def test_klr_strand_count_is_bounded(capsys):

@@ -1,6 +1,7 @@
 """Quiver Hecke layer: relations, normal forms, idempotents, Serre complex."""
 
 import copy
+import itertools
 import random
 
 import pytest
@@ -31,7 +32,7 @@ from iquantum.selftest import _shuffled as shuffled
 from iquantum.selftest import _tables
 from iquantum.shapes import pair_theta
 from iquantum.standard import STANDARD, diag_a1a1, qs_a2, qs_a3, split_a1, split_a2
-from small_data import small_data
+from small_data import SMALL_DATA, small_data
 
 
 def aux_a1a1():
@@ -632,16 +633,31 @@ def test_cache_stats_count_hits_misses_and_sizes():
     others = {
         "freealg._WORD_PAIR_CACHE", "iuea._B_WORD_MEMO", "shapes._ARC_MEMO", "shapes._SHAPE_MEMO",
     }
-    mine = {"klr._PSI_CACHE", "klr._ENTRY_CACHE", "klr._ELEM_CACHE", "klr._FIELDS"}
-    assert set(stats) == mine | others
+    mine = {"klr._STEP_MEMO", "klr._REWORD_MEMO"}
+    twisted = {"klr._PSI_CACHE", "klr._ENTRY_CACHE", "klr._ELEM_CACHE", "klr._FIELDS"}
+    assert set(stats) == mine | twisted | others
     assert all(v == {"hits": 0, "misses": 0, "size": 0} for v in stats.values())
-    qt = geometric_qtable(qs_a2())
-    w = ("1", "2")
-    x = crossing(("2", "1"), 1)
-    y = crossing(w, 1)
-    mul(qt, x, y)
+    qt = geometric_qtable(split_a2())
+    w = ("1", "2", "1")
+    triple_crossing(qt, w, 2)
     first = iquantum.cache_stats()
-    mul(qt, x, y)
+    triple_crossing(qt, w, 2)
+    second = iquantum.cache_stats()
+    for name, cache in (("_STEP_MEMO", klr._STEP_MEMO), ("_REWORD_MEMO", klr._REWORD_MEMO)):
+        assert first[f"klr.{name}"]["size"] == len(cache) > 0
+        assert first[f"klr.{name}"]["misses"] == len(cache)
+    # mul never reaches the twisted route's memos
+    assert all(first[name]["size"] == 0 for name in twisted)
+    # the repeat reads each of its three steps from the memo
+    assert second["klr._STEP_MEMO"]["hits"] == first["klr._STEP_MEMO"]["hits"] + 3
+    assert second["klr._STEP_MEMO"]["misses"] == first["klr._STEP_MEMO"]["misses"]
+    assert second["klr._REWORD_MEMO"] == first["klr._REWORD_MEMO"]
+    # the twisted route, the tests' reference, counts in its own memos
+    x = crossing(("2", "1"), 1)
+    y = crossing(("1", "2"), 1)
+    klr._mul_twisted(qt, x, y)
+    first = iquantum.cache_stats()
+    klr._mul_twisted(qt, x, y)
     second = iquantum.cache_stats()
     for name, cache in (
         ("_PSI_CACHE", klr._PSI_CACHE),
@@ -660,17 +676,28 @@ def test_cache_stats_count_hits_misses_and_sizes():
         assert set(every[name]) == {"hits", "misses", "size"}
     iquantum.clear_caches()
     assert iquantum.cache_stats() == stats
-    assert mul(qt, x, y) == diagram(w, w, (0, 1), (1, 0)) - diagram(w, w, (0, 1), (0, 1))
+    assert mul(qt, x, y) == diagram(y.bottom, y.bottom, (0, 1), (0, 1)) - diagram(
+        y.bottom, y.bottom, (0, 1), (1, 0)
+    )
 
 
-_PRODUCT_CACHES = ("klr._PSI_CACHE", "klr._ENTRY_CACHE", "klr._ELEM_CACHE")
+_PRODUCT_CACHES = ("klr._STEP_MEMO", "klr._REWORD_MEMO")
 
 
 def _mixed_products(qt):
-    """Products on two strands of split_a2 that read the (1, 2) table entry."""
+    """Products on split_a2 that read the (1, 2) table entry: the squares
+    of a crossing on two strands, one with a dot, and both triple crossings
+    on 1 2 1, whose difference is the braid term."""
     x = crossing(("2", "1"), 1)
     y = crossing(("1", "2"), 1)
-    return [mul(qt, x, y), mul(qt, y, x), mul(qt, mul(qt, x, y), dot(("1", "2"), 1))]
+    w = ("1", "2", "1")
+    return [
+        mul(qt, x, y),
+        mul(qt, y, x),
+        mul(qt, mul(qt, x, y), dot(("1", "2"), 1)),
+        triple_crossing(qt, w, 1),
+        triple_crossing(qt, w, 2),
+    ]
 
 
 def test_equal_tables_share_cache_entries():
@@ -685,7 +712,7 @@ def test_equal_tables_share_cache_entries():
     for name in _PRODUCT_CACHES:
         assert second[name]["misses"] == first[name]["misses"], name
         assert second[name]["size"] == first[name]["size"], name
-    assert second["klr._PSI_CACHE"]["hits"] > first["klr._PSI_CACHE"]["hits"]
+    assert second["klr._STEP_MEMO"]["hits"] > first["klr._STEP_MEMO"]["hits"]
     iquantum.clear_caches()
 
 
@@ -707,12 +734,20 @@ def test_tables_of_different_content_never_share_entries():
     for name in _PRODUCT_CACHES:
         for field in ("hits", "misses"):
             assert after[name][field] - before[name][field] == fresh_stats[name][field], (name, field)
-    for cache in (klr._PSI_CACHE, klr._ENTRY_CACHE, klr._ELEM_CACHE):
+    for cache in (klr._STEP_MEMO, klr._REWORD_MEMO):
         assert {key[0] for key in cache} == {qt, flipped}
     iquantum.clear_caches()
 
 
-# -- the eager peel, kept as a reference for the lazy sums in mul ----------
+def test_rewriting_needs_words_of_one_permutation():
+    # an invariant of the straightening, raised as ArithmeticError so that
+    # the klr subcommand reports a rejected normal form
+    qt = geometric_qtable(split_a2())
+    with pytest.raises(ArithmeticError, match="different permutations"):
+        klr._make_reword(qt, ("1", "2", "1"), (0,), (1,))
+
+
+# -- the eager peel, the reference for the twisted route's lazy sums --------
 
 
 def _cadd(forms, f, g):
@@ -775,7 +810,7 @@ def _extract_reference(qt, top, bottom, table):
 
 
 def _mul_reference(qt, a, b):
-    """mul with the eager composite table and the eager peel."""
+    """_mul_twisted with the eager composite table and the eager peel."""
     assert a.bottom == b.top
     if a.is_zero() or b.is_zero():
         return zero(a.top, b.bottom)
@@ -824,14 +859,20 @@ def test_mul_matches_the_eager_reference():
     for qt, a, b in cases:
         got = mul(qt, a, b)
         assert got == _mul_reference(qt, a, b), (a, b)
+        assert got == klr._mul_twisted(qt, a, b), (a, b)
         nonzero += not got.is_zero()
     assert nonzero >= 30
-    # the lazy sums merge only into their own products: a second pass reads
-    # every expansion from the caches and leaves them as they were
-    snapshot = copy.deepcopy((klr._PSI_CACHE, klr._ELEM_CACHE, klr._ENTRY_CACHE))
+    # both routes' sums merge only into their own products: a second pass
+    # reads every step and expansion from the memos and leaves them as they
+    # were
+    memos = (
+        klr._STEP_MEMO, klr._REWORD_MEMO, klr._PSI_CACHE, klr._ELEM_CACHE, klr._ENTRY_CACHE,
+    )
+    snapshot = copy.deepcopy(memos)
     for qt, a, b in cases:
         mul(qt, a, b)
-    assert (klr._PSI_CACHE, klr._ELEM_CACHE, klr._ENTRY_CACHE) == snapshot
+        klr._mul_twisted(qt, a, b)
+    assert memos == snapshot
     iquantum.clear_caches()
 
 
@@ -856,10 +897,11 @@ def _count_calls(monkeypatch, name, product):
 
 
 def test_lazy_sums_multiply_by_fewer_forms(monkeypatch):
-    # a square of two colors, which mul sends to the twisted route: lifting
-    # once per peel multiplies by fewer forms than lifting at every addition
-    assert _count_calls(monkeypatch, "_mul_twisted", mul) == 1
-    lazy = _count_calls(monkeypatch, "_times_form", mul)
+    # a square of two colors, which mul straightens without the twisted
+    # route: there, lifting once per peel multiplies by fewer forms than
+    # lifting at every addition
+    assert _count_calls(monkeypatch, "_mul_twisted", mul) == 0
+    lazy = _count_calls(monkeypatch, "_times_form", klr._mul_twisted)
     assert 0 < lazy < _count_calls(monkeypatch, "_times_form", _mul_reference)
 
 
@@ -917,13 +959,139 @@ def test_one_color_products_match_the_twisted_route():
     iquantum.clear_caches()
 
 
+def _lexmin_word_reference(p):
+    """The greedy definition: the smallest left descent r first, then the
+    word of s_r p, each descent found by a fresh scan."""
+    out = []
+    cur = p
+    while True:
+        pos = {t: s for s, t in enumerate(cur)}
+        for r in range(len(cur) - 1):
+            if pos[r] > pos[r + 1]:
+                out.append(r)
+                cur = klr._swap_values(cur, r)
+                break
+        else:
+            return tuple(out)
+
+
+def test_lexmin_word_matches_the_greedy_reference():
+    # every permutation on at most six strands: the same word, reduced, and
+    # spelling the permutation as mul applies it
+    count = 0
+    for l in range(7):
+        for p in itertools.permutations(range(l)):
+            word = klr._lexmin_word(p)
+            assert word == _lexmin_word_reference(p), p
+            assert len(word) == klr._length(p)
+            assert klr._times_word(tuple(range(l)), word) == p
+            count += 1
+    assert count == 1 + 1 + 2 + 6 + 24 + 120 + 720
+
+
+# -- mixed colors: the straightening against the twisted route -------------
+
+
+def _mixed_word(rng, nodes, l):
+    """A seeded word on l strands with at least two colors."""
+    while True:
+        w = tuple(rng.choice(nodes) for _ in range(l))
+        if len(set(w)) > 1:
+            return w
+
+
+def _mixed_cases(rng, qt, count, lengths):
+    """(a, b): count seeded products of 1-3 by 1-2 terms on mixed words,
+    cycling through the strand counts in lengths."""
+    nodes = qt.datum.nodes
+    for k in range(count):
+        wc = _mixed_word(rng, nodes, lengths[k % len(lengths)])
+        wb = shuffled(rng, wc)
+        wa = shuffled(rng, wc)
+        yield random_elem(rng, wa, wb, nterms=1 + k % 3), random_elem(rng, wb, wc, nterms=1 + k % 2)
+
+
+def _longest_crossing_steps(qt, word):
+    """(a, b): the longest crossing on four strands after four dots, built
+    one crossing at a time, as ``klr --expr`` builds it."""
+    cur = e(word)
+    for t in (1, 2, 2, 3):
+        nxt = dot(cur.bottom, t)
+        yield cur, nxt
+        cur = mul(qt, cur, nxt)
+    for r in (1, 2, 1, 3, 2, 1):
+        w = list(cur.bottom)
+        w[r - 1], w[r] = w[r], w[r - 1]
+        nxt = crossing(tuple(w), r)
+        yield cur, nxt
+        cur = mul(qt, cur, nxt)
+
+
+def _assert_routes_agree(qt, cases):
+    nonzero = 0
+    for a, b in cases:
+        got = mul(qt, a, b)
+        want = klr._mul_twisted(qt, a, b)
+        assert got == want and str(got) == str(want), (qt.datum.nodes, qt.factors, a, b)
+        nonzero += not got.is_zero()
+    return nonzero
+
+
+def test_mixed_products_match_the_twisted_route():
+    # the four built-in tables with two or more nodes: seeded products on
+    # 3-5 strands, and the longest crossing on 1 2 1 2 and 2 1 1 1 after
+    # four dots, where the rewriting meets every braid move
+    iquantum.clear_caches()
+    rng = random.Random(20261020)
+    nonzero = 0
+    for qt in _tables().values():
+        nodes = qt.datum.nodes
+        if len(nodes) < 2:
+            continue
+        nonzero += _assert_routes_agree(qt, _mixed_cases(rng, qt, 24, (3, 4, 5)))
+        for word in ((nodes[0], nodes[1]) * 2, (nodes[1],) + (nodes[0],) * 3):
+            nonzero += _assert_routes_agree(qt, _longest_crossing_steps(qt, word))
+    assert nonzero >= 165
+    iquantum.clear_caches()
+
+
+def _small_tables():
+    """Each small datum with two or three nodes under its default table,
+    the "intro" table where "body" is the default, and every arrow
+    reversed."""
+    for datum in SMALL_DATA:
+        if len(datum.nodes) < 2:
+            continue
+        yield geometric_qtable(datum)
+        if klr.usable_sign_convention(datum) == "body":
+            yield geometric_qtable(datum, sign_convention="intro")
+        reversed_arrows = {(j, i): n for (i, j), n in klr.edge_counts(datum).items()}
+        yield geometric_qtable(datum, reversed_arrows)
+
+
+def test_small_data_products_match_the_twisted_route():
+    # 450 seeded products on 3 and 4 strands over 75 tables of the small data
+    iquantum.clear_caches()
+    rng = random.Random(20261021)
+    tables = list(_small_tables())
+    assert len(tables) == 75
+    nonzero = sum(_assert_routes_agree(qt, _mixed_cases(rng, qt, 6, (3, 4))) for qt in tables)
+    assert nonzero >= 430
+    iquantum.clear_caches()
+
+
 def test_one_color_products_never_read_the_table():
     # psi^2 = 0, the braid relation without correction and the dot slide,
-    # with no table at all and no memo filled
+    # with no table at all: the table value only keys the memos, and no
+    # other memo is filled
     iquantum.clear_caches()
     w = ("1",) * 3
     s1, s2 = crossing(w, 1), crossing(w, 2)
     assert mul(None, s1, s1).is_zero()
     assert mul(None, mul(None, s1, s2), s1) == mul(None, mul(None, s2, s1), s2)
     assert mul(None, dot(w, 1), s1) - mul(None, s1, dot(w, 2)) == e(w)
-    assert all(v["size"] == 0 for v in iquantum.cache_stats().values())
+    stats = iquantum.cache_stats()
+    assert stats["klr._STEP_MEMO"]["size"] > 0 and stats["klr._REWORD_MEMO"]["size"] > 0
+    assert {key[0] for key in (*klr._STEP_MEMO, *klr._REWORD_MEMO)} == {None}
+    assert all(v["size"] == 0 for name, v in stats.items() if name not in _PRODUCT_CACHES)
+    iquantum.clear_caches()

@@ -125,5 +125,5 @@ def test_no_package_state_survives_clear_caches():
     for name in MEMOS:
         if not name.startswith("test."):
             assert f"iquantum.{name}" in start, name
-    assert all(worked[f"iquantum.{name}"] > 0 for name in ("freealg._WORD_PAIR_CACHE", "klr._PSI_CACHE"))
+    assert all(worked[f"iquantum.{name}"] > 0 for name in ("freealg._WORD_PAIR_CACHE", "klr._STEP_MEMO"))
     assert {name: n for name, n in cleared.items() if n != start[name]} == {}
