@@ -5,8 +5,8 @@ Submodules:
 * ``qring``: Laurent polynomials, the rational function field Q(q),
   truncated series and quantum binomials.
 * ``satake``: Cartan data with involution, iweights and word bookkeeping.
-* ``freealg``: the free-type algebra on theta generators with twisted
-  derivations and its bilinear form.
+* ``freealg``: the free-type algebra on theta generators, the scan behind
+  its twisted derivations and its bilinear form.
 * ``iuea``: b-monomials and (i)divided powers through the recursive
   isometries, the sesquilinear pairing, the iSerre check and the
   straightening coefficients.

@@ -3,15 +3,18 @@
 Encodings:
 
 * ``FElem``: finite map from words (tuples of node names) to RatQ
-  coefficients, never storing zeros.  The product is the bilinear extension
-  of word concatenation; the weight of a word is its letter multiset.
-* Twisted derivations: ``iR`` peels from the left, ``Ri`` from the right,
-  both sending theta_j to delta_{ij}/(1 - q_i^-2); ``iRtilde`` is the
-  psi-conjugate of iR, with value delta_{ij}/(1 - q_i^2) and inverse twist.
-  Each is one scan over letter positions with the exponent prefix sums of
-  the Cartan pairing, then one multiplication by its value.  The scan
-  (``_derivation``) only shifts and adds, so ``iuea`` runs the same scan on
-  its Laurent numerators.
+  coefficients, never storing zeros; the weight of a word is its letter
+  multiset.  The package reads an element through its constructors,
+  ``scale``, ``==`` and ``str``.  The product (word concatenation), the sum
+  and the bar involution psi are the tests' (``tests/freealg_reference.py``).
+* Twisted derivations: iR peels from the left, Ri from the right, both
+  sending theta_j to delta_{ij}/(1 - q_i^-2); iRtilde is the psi-conjugate
+  of iR, with value delta_{ij}/(1 - q_i^2) and inverse twist.  Each is one
+  scan over letter positions with the exponent prefix sums of the Cartan
+  pairing, then one multiplication by its value.  The scan
+  (``_derivation``) only shifts and adds, so ``iuea`` runs it on its
+  Laurent numerators; the three whole-element derivations, which run it on
+  RatQ coefficients, are the tests' oracles.
 * ``pair`` is the bilinear form with (1,1) = 1 and adjunction peeling the
   left argument's leading letter through iR.
   Symmetry of ``pair`` is a tested property, not an assumption.
@@ -58,54 +61,16 @@ class FElem:
     def theta(i: str) -> "FElem":
         return FElem({(i,): RatQ.one()})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, w: Word) -> RatQ:
-        return self.terms.get(tuple(w), RatQ.zero())
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FElem):
             return NotImplemented
         return self.terms == other.terms
-
-    def __add__(self, other: "FElem") -> "FElem":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, RatQ.zero()) + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-        r = FElem()
-        r.terms = out
-        return r
 
     def scale(self, c: RatQ) -> "FElem":
         if c.is_zero():
             return FElem.zero()
         r = FElem()
         r.terms = {w: v * c for w, v in self.terms.items()}
-        return r
-
-    def __mul__(self, other: "FElem") -> "FElem":
-        out: dict[Word, RatQ] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                s = out.get(w, RatQ.zero()) + c1 * c2
-                if s.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = s
-        r = FElem()
-        r.terms = out
-        return r
-
-    def psi(self) -> "FElem":
-        """Bar-conjugate every coefficient; words are fixed."""
-        r = FElem()
-        r.terms = {w: c.bar() for w, c in self.terms.items()}
         return r
 
     def __str__(self) -> str:
@@ -129,8 +94,9 @@ def _derivation(datum: SatakeDatum, i: str, terms: dict, prefix_side: str, twist
     a_{i, letter} over letters strictly before the removed position,
     "right" strictly after; twist_sign multiplies the exponent.  The scan
     only shifts and adds, so a coefficient is anything with ``shifted``,
-    ``+`` and ``is_zero``: RatQ here, a Laurent numerator in ``iuea``.  The
-    caller multiplies by the derivation's value on theta_i.
+    ``+`` and ``is_zero``: RatQ in the tests' whole-element derivations, a
+    Laurent numerator in ``iuea``.  The caller multiplies by the
+    derivation's value on theta_i.
     """
     d = datum.qi(i)
     out: dict = {}
@@ -157,24 +123,6 @@ def _derivation(datum: SatakeDatum, i: str, terms: dict, prefix_side: str, twist
                     continue
             out[key] = v
     return out
-
-
-def iR(datum: SatakeDatum, i: str, y: FElem) -> FElem:
-    """Left-peeling twisted derivation with theta_j -> delta_ij/(1-q_i^-2)."""
-    scan = _derivation(datum, i, y.terms, "left", 1)
-    return FElem(scan).scale(inv_one_minus_qinv2(datum.qi(i)))
-
-
-def Ri(datum: SatakeDatum, i: str, y: FElem) -> FElem:
-    """Right-peeling twisted derivation with theta_j -> delta_ij/(1-q_i^-2)."""
-    scan = _derivation(datum, i, y.terms, "right", 1)
-    return FElem(scan).scale(inv_one_minus_qinv2(datum.qi(i)))
-
-
-def iRtilde(datum: SatakeDatum, i: str, y: FElem) -> FElem:
-    """psi-conjugate of iR: theta_j -> delta_ij/(1-q_i^2), inverse twist."""
-    scan = _derivation(datum, i, y.terms, "left", -1)
-    return FElem(scan).scale(inv_one_minus_q2(datum.qi(i)))
 
 
 def theta_word(datum: SatakeDatum, word: DPWord) -> FElem:

@@ -611,33 +611,15 @@ def test_usage_and_config_errors(capsys):
     assert code == 2 and ei_path_in(err, "weights.NOPE")
     code, _, err = run_cli(capsys, "iserre", "--config", "qs_a2", "--all")
     assert code == 2
-    # selftest runs on the built-in data alone and takes no config
-    code, out, err = run_cli(capsys, "selftest", "--config", "qs_a2")
-    assert code == 2 and out == ""
-    assert err.endswith("error: unrecognized arguments: --config qs_a2\n")
+    # the usage errors of test_contract.USAGE_ERRORS are replayed from the
+    # contract record, stderr byte for byte; these are the ones it lacks
     for argv, message in [
-        (("iserre", "--config", "qs_a2", "--all", "--lambda-range", "1to3"),
-         "error: range must look like -3..3, got '1to3'"),
-        (("iserre", "--config", "qs_a2", "--all", "--lambda-range", "3..1"),
-         "error: empty range '3..1'"),
-        (("iserre", "--config", "qs_a2", "--i", "1", "--lambda", "L0"),
-         "error: iserre needs --all or both --i and --j"),
-        (("iserre", "--config", "qs_a2", "--i", "1", "--j", "9", "--lambda", "L0"),
-         "error: unknown node '9'"),
-        (("bkl", "--config", "qs_a2", "--i", "9", "--lambda", "L0"),
-         "error: unknown node '9'"),
-        (("grdim", "--config", "qs_a2", "--i", "1", "--j", "1"),
-         "error: grdim needs --lambda NAME (or --end)"),
         # an empty --config is a path like any other, not "no config"
         (("grdim", "--config", "", "--end"),
          "config error: '' is neither a readable file nor a built-in config name"),
         # a weight the config lacks names the config section to fix
         (("bkl", "--config", "qs_a2", "--i", "1", "--lambda", "NOPE"),
          "config error at weights.NOPE: no weight of that name in the config"),
-        (("klr", "--config", "qs_a2", "--expr", "e(1 9)"),
-         "error: unknown node '9' in e(...)"),
-        (("klr", "--config", "qs_a2", "--expr", "e(1 2) ; s2"),
-         "error: crossing position 2 outside word of length 2"),
     ]:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err.strip()) == (2, "", message), argv

@@ -17,6 +17,7 @@ import random
 import sys
 from pathlib import Path
 
+from freealg_reference import psi
 from iquantum import iuea
 from iquantum.satake import format_dpword, make_iweight, weight_sweep
 from iquantum.standard import STANDARD, builtin_weights
@@ -63,7 +64,7 @@ def _capture():
             xs = {w: iuea.b_word(datum, w, lw) for w in words}
             for w, xi in xs.items():
                 key = f"{name} {label} {lw} [{format_dpword(w)}]"
-                images[key] = {"jt": str(xi.jt), "j": str(xi.jt.psi())}
+                images[key] = {"jt": str(xi.jt), "j": str(psi(xi.jt))}
             for wx in words:
                 for wy in words:
                     key = f"{name} {label} [{format_dpword(wx)}] | [{format_dpword(wy)}]"
