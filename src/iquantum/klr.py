@@ -28,8 +28,8 @@ i != j leaves a term, a polynomial times a shorter word.  Both local rules
 are closed forms in the table's integer factors, so no rational function
 arises, and on one color the table is never read.
 
-The twisted group algebra route (``_mul_twisted``) is kept unchanged below
-as the tests' reference for ``mul``; no package code calls it.  It acts
+The twisted group algebra route (``_mul_twisted``) is kept below as the
+tests' reference for ``mul``; no package code calls it.  It acts
 faithfully on polynomial vectors: a crossing acts as the
 difference-quotient operator on equal colors and as a (possibly
 table-weighted) variable swap otherwise.  Composites live in the twisted
@@ -39,9 +39,9 @@ triangular, so the peeling terminates and the recovered coefficients are
 the unique integral normal form.  Every table entry is +-(x - y)^n and is
 held as its integer factor (sign, n), so each rational function that
 arises is an integer polynomial times signed powers of the linear forms
-x_s - x_t; it is held in exactly that shape, sums need no gcd, and each
-peel divides exactly by one form at a time, term by term.  Nothing here
-computes symbolically.
+x_s - x_t; it is held in exactly that shape, a sum is taken over the
+componentwise minimum exponent with no gcd, and each peel divides exactly
+by one form at a time, term by term.  Nothing here computes symbolically.
 """
 
 from __future__ import annotations
@@ -122,36 +122,17 @@ def _lexmin_word(p) -> tuple[int, ...]:
 # linear forms x_s - x_t (s < t, in the order of _Forms.pairs).  The value
 # is num * prod (x_s - x_t)^ex.  Every table entry is +-(x - y)^n, so the
 # divided differences, the table weights and the variable permutations keep
-# this shape.  Sums are lazy (_lazy_add): while a sum is built, a
-# coefficient is a map {ex: num}, and a term merges its numerator into the
-# one under the same exponent with no multiplication.  The parts are lifted
-# to their componentwise minimum exponent once per permutation (_lift): at
-# the end of each crossing step of _psi_terms, at the end of _elem_terms,
-# and when the peel in _extract reads the coefficient.  No gcd runs: once
-# per basis diagram the peel divides exactly by each negative power
+# this shape.  A sum (_cadd) lifts both sides to their componentwise
+# minimum exponent and adds the numerators into a fresh one.  No gcd runs:
+# once per basis diagram the peel divides exactly by each negative power
 # (x_s - x_t)^m, one form at a time and term by term (_div_form), and
 # multiplies by each positive power, one pass per form (_times_form).
-#
-# The kernels are those the mixed products needed while this route served
-# them, measured on the two five-strand ones, W0's 15 crossings after six
-# dots on e(1 1 1 1 2 1) and on e(1 1 1 1 1 2) over split_a2 (about 2 and
-# 5 s of CPU on a 2-vCPU machine; the straightening route in mul takes a
-# few hundredths of a second on each):
-# - _lift multiplies out one form at a time and merges the parts that agree
-#   (Horner's scheme); lifting each part on its own takes 2.2 times as long;
-# - the lazy sums: lifting both sides of every sum at once, as the tests'
-#   eager reference does, takes twice as long;
-# - the _Forms.move cache: 40 000 and 70 000 moves read 395 and 719 cached
-#   entries, where building one takes about 5 us (6-9% of each product);
-# - the _Forms.length cache: the peel order reads 25 000 and 52 000 lengths
-#   of at most 720 permutations, where counting one takes about 1 us (1%).
 
 
 class _Forms:
-    """The linear forms x_s - x_t (s < t) on l strands, how a strand
-    permutation x_t -> x_{p[t]} acts on them, and the permutations'
-    lengths; both are cached per permutation, so each cache is bounded by
-    l!."""
+    """The linear forms x_s - x_t (s < t) on l strands, and how a strand
+    permutation x_t -> x_{p[t]} acts on them, cached per permutation, so
+    the cache is bounded by l!."""
 
     def __init__(self, l: int):
         self.pairs = tuple((s, t) for s in range(l) for t in range(s + 1, l))
@@ -159,7 +140,6 @@ class _Forms:
         self.identity = _identity(l)
         self.zero = (0,) * len(self.pairs)
         self._moves: dict[tuple, tuple] = {}
-        self._lengths: dict[tuple, int] = {}
 
     def move(self, p):
         """(read, src, rev) for x_t -> x_{p[t]}: a monomial's new exponents
@@ -181,13 +161,6 @@ class _Forms:
             got = (itemgetter(*_inverse(p)), tuple(src), tuple(rev))
             self._moves[p] = got
         return got
-
-    def length(self, p) -> int:
-        """The number of inversions of p."""
-        n = self._lengths.get(p)
-        if n is None:
-            n = self._lengths[p] = sum(p[s] > p[t] for s, t in self.pairs)
-        return n
 
 
 _FIELDS = Memo("klr._FIELDS")
@@ -297,66 +270,33 @@ def _acc(d, k, v):
     d[k] = v if cur is None else cur + v
 
 
-def _lazy_add(d, k, v):
-    """Add the coefficient v = (num, ex) into d[k], a map {ex: num}, with no
-    lift.  A numerator that cancels drops its exponent, and a key with no
-    exponent left is dropped.  Later terms merge into num in place, so d
-    takes ownership of it: the caller passes a numerator nothing else holds,
-    a fresh product or a copy."""
-    num, ex = v
-    parts = d.get(k)
-    if parts is None:
-        d[k] = {ex: num}
-        return
-    cur = parts.get(ex)
-    if cur is None:
-        parts[ex] = num
-        return
-    _merge(cur, num)
-    if not cur:
-        del parts[ex]
-        if not parts:
-            del d[k]
+def _cadd(forms: _Forms, f, g):
+    """f + g over their componentwise minimum exponent: each side is
+    multiplied out by its excess, one form at a time, and the numerators
+    are added into a fresh one."""
+    (nf, ef), (ng, eg) = f, g
+    if ef != eg:
+        low = tuple(map(min, ef, eg))
+        for k, (a, b, m) in enumerate(zip(ef, eg, low)):
+            if a > m:
+                nf = _times_form(nf, *forms.pairs[k], a - m)
+            elif b > m:
+                ng = _times_form(ng, *forms.pairs[k], b - m)
+        ef = low
+    out = dict(nf)
+    _merge(out, ng)
+    return out, ef
 
 
-def _lift(forms: _Forms, parts: dict):
-    """The sum of the parts {ex: num}, owned by the caller, as one
-    coefficient (num, ex) over their componentwise minimum exponent.
-
-    The excess is multiplied out one form at a time, and the parts that then
-    agree on every form are merged, so a factor that several parts share is
-    multiplied once.
-    """
-    if len(parts) == 1:
-        ((ex, num),) = parts.items()
-        return num, ex
-    low = tuple(map(min, zip(*parts)))
-    acc = {tuple(map(sub, ex, low)): num for ex, num in parts.items()}
-    for k, (s, t) in enumerate(forms.pairs):
-        lifted: dict = {}
-        for exc, num in acc.items():
-            if exc[k]:
-                num = _times_form(num, s, t, exc[k])
-                exc = exc[:k] + (0,) + exc[k + 1 :]
-            cur = lifted.get(exc)
-            if cur is None:
-                lifted[exc] = num
-            else:
-                _merge(cur, num)
-        acc = lifted
-    ((_, num),) = acc.items()
-    return num, low
-
-
-def _lift_all(forms: _Forms, d: dict) -> dict:
-    """The lazy sums {key: {ex: num}} lifted to {key: (num, ex)}, dropping
-    the sums that vanish."""
-    out = {}
-    for k, parts in d.items():
-        f = _lift(forms, parts)
-        if f[0]:
-            out[k] = f
-    return out
+def _cacc(forms: _Forms, d, k, v):
+    """d[k] += v for a coefficient v, dropping a sum that cancels."""
+    cur = d.get(k)
+    if cur is not None:
+        v = _cadd(forms, cur, v)
+    if v[0]:
+        d[k] = v
+    else:
+        d.pop(k, None)
 
 
 class QTable:
@@ -538,11 +478,11 @@ class KLRElem:
         if not self.terms:
             return "0"
         parts = []
-        for b, c in sorted(
-            self.terms.items(), key=lambda it: (_length(it[0].perm), it[0].perm, it[0].dots)
+        for word, b, c in sorted(
+            ((_lexmin_word(b.perm), b, c) for b, c in self.terms.items()),
+            key=lambda it: (len(it[0]), it[1].perm, it[1].dots),
         ):
             bits = [f"x{t + 1}^{n}" for t, n in enumerate(b.dots) if n]
-            word = _lexmin_word(b.perm)
             if word:
                 bits.append("s(" + " ".join(str(r + 1) for r in word) + ")")
             label = " ".join(bits) if bits else "e"
@@ -641,7 +581,6 @@ def _psi_terms(qt: QTable, bottom: Word, perm) -> dict:
     """``_expand_psi``'s maker: one crossing of the reduced word per step."""
     l = len(bottom)
     forms = _forms(l)
-    # terms owns its numerators: _cdiv_form hands f's own to _lazy_add
     terms = {forms.identity: ({(0,) * l: 1}, forms.zero)}
     cw = list(bottom)
     for r in reversed(_lexmin_word(perm)):
@@ -651,16 +590,16 @@ def _psi_terms(qt: QTable, bottom: Word, perm) -> dict:
         if a == b:
             k = forms.index[(r, r + 1)]
             for u, f in terms.items():
-                _lazy_add(new, u, _cdiv_form(f, k))
+                _cacc(forms, new, u, _cdiv_form(f, k))
                 g = _cneg(_permute(forms, f, swap))
-                _lazy_add(new, _swap_values(u, r), _cdiv_form(g, k))
+                _cacc(forms, new, _swap_values(u, r), _cdiv_form(g, k))
         else:
             mult = None if qt.order(a) < qt.order(b) else _pinned_entry(qt, b, a, l, r)
             for u, f in terms.items():
                 g = _permute(forms, f, swap)
-                _lazy_add(new, _swap_values(u, r), g if mult is None else _cmul(mult, g))
+                _cacc(forms, new, _swap_values(u, r), g if mult is None else _cmul(mult, g))
             cw[r], cw[r + 1] = cw[r + 1], cw[r]
-        terms = _lift_all(forms, new)
+        terms = new
     return terms
 
 
@@ -677,8 +616,8 @@ def _elem_terms(qt: QTable, x: KLRElem) -> dict:
     for bas, c in x.terms.items():
         mono = ({bas.dots: c}, forms.zero)
         for u, f in _expand_psi(qt, x.bottom, bas.perm).items():
-            _lazy_add(out, u, _cmul(f, _permute(forms, mono, u)))
-    return _lift_all(forms, out)
+            _cacc(forms, out, u, _cmul(f, _permute(forms, mono, u)))
+    return out
 
 
 def _polynomial(forms: _Forms, f):
@@ -696,15 +635,14 @@ def _polynomial(forms: _Forms, f):
 
 
 def _extract(qt: QTable, top: Word, bottom: Word, work: dict) -> KLRElem:
-    """Peel the basis coefficients off a composite {permutation: {ex: num}},
-    which is consumed.
+    """Peel the basis coefficients off a composite {permutation:
+    coefficient}, which is consumed.
 
-    The longest permutation w left is read first: its parts are lifted once
-    and summed, divided by the single path to w in its crossing expansion,
-    and the dot polynomial found there is recorded; its multiple of that
-    expansion is then subtracted lazily from every shorter permutation.  The
-    term at w cancels exactly, so w is popped and never comes back.  Parts
-    that sum to zero at the lift are skipped.
+    The longest permutation w left is read first: its coefficient is
+    divided by the single path to w in its crossing expansion, and the dot
+    polynomial found there is recorded; its multiple of that expansion is
+    then subtracted from every shorter permutation.  The term at w cancels
+    exactly, so w is popped and never comes back.
     """
     l = len(bottom)
     forms = _forms(l)
@@ -714,10 +652,8 @@ def _extract(qt: QTable, top: Word, bottom: Word, work: dict) -> KLRElem:
                 raise ArithmeticError("mismatched strand colors in straightening")
     out: dict[KLRBasisElem, int] = {}
     while work:
-        w = max(work, key=forms.length)
-        num, ex = _lift(forms, work.pop(w))
-        if not num:
-            continue
+        w = max(work, key=_length)
+        num, ex = work.pop(w)
         exp = _expand_psi(qt, bottom, w)
         # the single path to w: a sign times a product of linear forms
         lead, lead_ex = exp[w]
@@ -733,7 +669,7 @@ def _extract(qt: QTable, top: Word, bottom: Word, work: dict) -> KLRElem:
         neg = _cneg((dotspoly, forms.zero))
         for u, f in exp.items():
             if u != w:
-                _lazy_add(work, u, _cmul(f, _permute(forms, neg, u)))
+                _cacc(forms, work, u, _cmul(f, _permute(forms, neg, u)))
     return KLRElem(tuple(top), tuple(bottom), out)
 
 
@@ -954,7 +890,7 @@ def _mul_twisted(qt: QTable, a: KLRElem, b: KLRElem) -> KLRElem:
     comp: dict = {}
     for u, f in ea.items():
         for w, g in eb.items():
-            _lazy_add(comp, _compose(u, w), _cmul(f, _permute(forms, g, u)))
+            _cacc(forms, comp, _compose(u, w), _cmul(f, _permute(forms, g, u)))
     return _extract(qt, a.top, b.bottom, comp)
 
 

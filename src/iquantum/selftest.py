@@ -4,7 +4,8 @@ Every check the package promises is implemented here as a function returning
 (ok, detail).  The detail strings carry deterministic counts, never timings,
 so a passing report is byte-identical across runs.  ``checks`` runs them in
 order for the ``selftest`` subcommand, which prints one line per check;
-tests/test_acceptance.py calls the same functions one at a time.
+tests/test_contract.py replays ``selftest`` and ``selftest --json`` against
+their recorded output and bounds the replays' wall time.
 Wall seconds per check, and the garbage collections that ran inside it with
 their seconds, are available on request, on a separate channel
 (``checks(timing)``, ``selftest --timings``).

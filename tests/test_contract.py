@@ -12,7 +12,9 @@ holds those documents, and the replay writes them to a temporary
 directory that takes the place of ``$CONFIGS``.
 
 Each call runs in process through ``cli.run`` with every memo emptied
-first, as in a fresh process, and must reproduce its record byte for byte.
+first, as in a fresh process, and must reproduce its record byte for byte;
+the record pins each ``selftest`` check's result and detail, and
+``test_runtime_budget`` bounds the wall time of the ``selftest`` replays.
 The record must also hold exactly the call list built here, so neither can
 change alone.  Regenerate it (``python tests/test_contract.py --write``)
 only for an intended change, which then shows as a diff of the record: a
@@ -30,6 +32,7 @@ import random
 import shlex
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -296,9 +299,22 @@ def _ids(calls: list[dict]) -> list[str]:
     return ids
 
 
-@pytest.mark.parametrize("want", RECORD["calls"], ids=_ids(RECORD["calls"]))
-def test_call_replays_its_record(want, config_dir):
-    got = run_call(want["argv"], config_dir)
+@pytest.fixture(scope="module")
+def seconds() -> dict[int, float]:
+    """Wall seconds of each replayed call, by record index."""
+    return {}
+
+
+def _timed_replay(k: int, directory: Path, seconds: dict[int, float]) -> dict:
+    start = time.monotonic()
+    got = run_call(RECORD["calls"][k]["argv"], directory)
+    seconds[k] = time.monotonic() - start
+    return got
+
+
+@pytest.mark.parametrize("k,want", enumerate(RECORD["calls"]), ids=_ids(RECORD["calls"]))
+def test_call_replays_its_record(k, want, config_dir, seconds):
+    got = _timed_replay(k, config_dir, seconds)
     problems = [] if got["exit"] == want["exit"] else [f"exit {got['exit']}, recorded {want['exit']}"]
     for stream in ("stdout", "stderr"):
         if got[stream] != want[stream]:
@@ -308,6 +324,20 @@ def test_call_replays_its_record(want, config_dir):
             )))
     if problems:
         pytest.fail("\n".join([PREFIX + shlex.join(want["argv"]), *problems]), pytrace=False)
+
+
+def test_runtime_budget(config_dir, seconds):
+    # the selftest sweep is meant to stay interactive: its replays above,
+    # each cold, fit in two minutes together; a call the run has not
+    # replayed yet, as when this test runs alone, is replayed here
+    selftests = [k for k, call in enumerate(RECORD["calls"]) if call["argv"][0] == "selftest"]
+    assert len(selftests) >= 2
+    for k in selftests:
+        if k not in seconds:
+            _timed_replay(k, config_dir, seconds)
+    elapsed = sum(seconds[k] for k in selftests)
+    print(f"{len(selftests)} selftest calls took {elapsed:.1f}s")
+    assert elapsed < 120.0
 
 
 def _capture() -> dict:

@@ -747,85 +747,6 @@ def test_rewriting_needs_words_of_one_permutation():
         klr._make_reword(qt, ("1", "2", "1"), (0,), (1,))
 
 
-# -- the eager peel, the reference for the twisted route's lazy sums --------
-
-
-def _cadd(forms, f, g):
-    """f + g lifted at once to the componentwise minimum exponent."""
-    (nf, ef), (ng, eg) = f, g
-    if ef != eg:
-        low = tuple(map(min, ef, eg))
-        for k, (a, b, m) in enumerate(zip(ef, eg, low)):
-            if a > m:
-                nf = klr._times_form(nf, *forms.pairs[k], a - m)
-            elif b > m:
-                ng = klr._times_form(ng, *forms.pairs[k], b - m)
-        ef = low
-    out = dict(nf)
-    klr._merge(out, ng)
-    return out, ef
-
-
-def _acc_coeff(forms, d, k, v):
-    cur = d.get(k)
-    d[k] = v if cur is None else _cadd(forms, cur, v)
-
-
-def _inv_count(p):
-    return sum(1 for s in range(len(p)) for t in range(s + 1, len(p)) if p[s] > p[t])
-
-
-def _extract_reference(qt, top, bottom, table):
-    """The peel as it was before the lazy sums: work holds one coefficient
-    (num, ex) per permutation, every subtraction lifts both sides to their
-    componentwise minimum exponent at once (_cadd), the longest permutation
-    is found by counting inversions, and the dot part is read through
-    klr._polynomial."""
-    l = len(bottom)
-    forms = klr._forms(l)
-    out = {}
-    work = {u: f for u, f in table.items() if f[0]}
-    while work:
-        w = max(work, key=_inv_count)
-        exp = klr._expand_psi(qt, bottom, w)
-        lead, lead_ex = exp[w]
-        sign = lead[(0,) * l]
-        num, ex = work[w]
-        quot = ({e: sign * c for e, c in num.items()}, tuple(a - b for a, b in zip(ex, lead_ex)))
-        dotspoly = klr._polynomial(forms, klr._permute(forms, quot, klr._inverse(w)))
-        assert dotspoly is not None
-        for exps, coeff in dotspoly.items():
-            klr._acc(out, klr.KLRBasisElem(top, bottom, w, exps), coeff)
-        neg = klr._cneg((dotspoly, forms.zero))
-        for u, f in exp.items():
-            g = klr._cmul(f, klr._permute(forms, neg, u))
-            cur = work.get(u)
-            if cur is not None:
-                g = _cadd(forms, cur, g)
-            if g[0]:
-                work[u] = g
-            else:
-                work.pop(u, None)
-    return klr.KLRElem(top, bottom, out)
-
-
-def _mul_reference(qt, a, b):
-    """_mul_twisted with the eager composite table and the eager peel."""
-    assert a.bottom == b.top
-    if a.is_zero() or b.is_zero():
-        return zero(a.top, b.bottom)
-    if not b.bottom:
-        return e(()).scale(sum(a.terms.values()) * sum(b.terms.values()))
-    forms = klr._forms(len(b.bottom))
-    ea = klr._expand_elem(qt, a)
-    eb = klr._expand_elem(qt, b)
-    comp = {}
-    for u, f in ea.items():
-        for w, g in eb.items():
-            _acc_coeff(forms, comp, klr._compose(u, w), klr._cmul(f, klr._permute(forms, g, u)))
-    return _extract_reference(qt, a.top, b.bottom, comp)
-
-
 def _reference_cases():
     """(table, a, b): seeded products on 2-4 strands over the five tables,
     squares of the 3- and 4-strand divided idempotents, and the products
@@ -852,19 +773,28 @@ def _reference_cases():
     yield qt, left, mul(qt, lateral, right)
 
 
-def test_mul_matches_the_eager_reference():
+def _never(*args):
+    raise AssertionError("mul reached the twisted route")
+
+
+def test_mul_matches_the_eager_reference(monkeypatch):
     iquantum.clear_caches()
+    # mul squares the idempotent of 1^(4) 2 on split_a2, a product of two
+    # colors, without the twisted route
+    qt = geometric_qtable(split_a2())
+    d = tensor(divided_idempotent(qt, "1", 4), e(("2",)))
+    with monkeypatch.context() as m:
+        m.setattr(klr, "_mul_twisted", _never)
+        assert mul(qt, d, d) == d
     cases = list(_reference_cases())
     nonzero = 0
     for qt, a, b in cases:
         got = mul(qt, a, b)
-        assert got == _mul_reference(qt, a, b), (a, b)
         assert got == klr._mul_twisted(qt, a, b), (a, b)
         nonzero += not got.is_zero()
     assert nonzero >= 30
-    # both routes' sums merge only into their own products: a second pass
-    # reads every step and expansion from the memos and leaves them as they
-    # were
+    # both routes' sums build fresh values: a second pass reads every step
+    # and expansion from the memos and leaves them as they were
     memos = (
         klr._STEP_MEMO, klr._REWORD_MEMO, klr._PSI_CACHE, klr._ELEM_CACHE, klr._ENTRY_CACHE,
     )
@@ -876,42 +806,13 @@ def test_mul_matches_the_eager_reference():
     iquantum.clear_caches()
 
 
-def _count_calls(monkeypatch, name, product):
-    """The calls of klr.<name> in one square of the idempotent of
-    1^(4) 2 on split_a2, from empty caches."""
-    calls = [0]
-    wrapped = getattr(klr, name)
-
-    def counted(*args):
-        calls[0] += 1
-        return wrapped(*args)
-
-    iquantum.clear_caches()
-    qt = geometric_qtable(split_a2())
-    d = tensor(divided_idempotent(qt, "1", 4), e(("2",)))
-    with monkeypatch.context() as m:
-        m.setattr(klr, name, counted)
-        assert product(qt, d, d) == d
-    iquantum.clear_caches()
-    return calls[0]
-
-
-def test_lazy_sums_multiply_by_fewer_forms(monkeypatch):
-    # a square of two colors, which mul straightens without the twisted
-    # route: there, lifting once per peel multiplies by fewer forms than
-    # lifting at every addition
-    assert _count_calls(monkeypatch, "_mul_twisted", mul) == 0
-    lazy = _count_calls(monkeypatch, "_times_form", klr._mul_twisted)
-    assert 0 < lazy < _count_calls(monkeypatch, "_times_form", _mul_reference)
-
-
 # -- one color: the nilHecke straightening against the twisted route -------
 
 
 def _one_color_elem(rng, l, nterms):
     """A seeded element on l strands of one color with dots up to 3.  On 5
     and 6 strands each permutation is a product of at most 3 crossings, so
-    that the twisted route stays fast."""
+    that the twisted reference has few permutations to peel."""
     w = ("1",) * l
     terms = {}
     for _ in range(nterms):

@@ -42,9 +42,9 @@ _TWISTED = ("the twisted KLR route, the tests' reference for klr.mul; "
 _DUNDER = "a dunder no contract output goes through"
 NAMED = {
     **{f"klr.{name}": _TWISTED for name in (
-        "_compose", "_Forms.__init__", "_Forms.move", "_Forms.length", "_forms",
+        "_length", "_compose", "_Forms.__init__", "_Forms.move", "_forms",
         "_times_form", "_div_form", "_cmul", "_cneg", "_cdiv_form", "_permute",
-        "_lazy_add", "_lift", "_lift_all", "QTable.order", "_pinned_entry",
+        "_cadd", "_cacc", "QTable.order", "_pinned_entry",
         "_make_entry", "_expand_psi", "_psi_terms", "_expand_elem", "_elem_terms",
         "_polynomial", "_extract", "_mul_twisted",
     )},
