@@ -627,6 +627,25 @@ def test_div_form_matches_sympy():
     assert klr._times_form({(1, 2): 5}, 0, 1, 0) == {(1, 2): 5}
 
 
+def test_eager_sums_lift_both_sides_and_drop_what_cancels():
+    # _cadd adds whichever side carries the larger exponent; _cacc drops a cancelled sum
+    forms, xs = klr._Forms(3), sympy.symbols("v0:3")
+
+    def value(f):
+        den = sympy.Mul(*((xs[s] - xs[t]) ** n for (s, t), n in zip(forms.pairs, f[1])))
+        return sympy.Poly.from_dict(f[0] or {(0, 0, 0): 0}, *xs).as_expr() * den
+
+    f, g = ({(1, 0, 0): 1}, (0, -1, 0)), ({(0, 1, 0): 2}, (1, 0, 0))
+    minus = (klr._times_form(klr._cneg(f)[0], 0, 1, 2), (-2, -1, 0))
+    for a, b in ((f, g), (g, f), (f, minus)):
+        assert sympy.cancel(value(klr._cadd(forms, a, b)) - value(a) - value(b)) == 0
+    for b in (klr._cneg(f), minus):
+        d = {}
+        klr._cacc(forms, d, "u", f)
+        klr._cacc(forms, d, "u", b)
+        assert d == {}
+
+
 def test_cache_stats_count_hits_misses_and_sizes():
     iquantum.clear_caches()
     stats = iquantum.cache_stats()
