@@ -364,17 +364,24 @@ def operator_algebra():
     return True, f"{checks} operator identities"
 
 
-def serre_complexes():
-    """The alternating-word complexes compose to zero and split."""
-    tables = _tables()
+def _serre_jobs(tables):
+    """(table name, i, j) of each Serre complex checked: both ordered pairs
+    on split_a2, and each ordered pair of qs_a3 nodes that tau does not
+    swap."""
     jobs = [("split_a2", "1", "2"), ("split_a2", "2", "1")]
     datum3 = tables["qs_a3"].datum
     for i in datum3.nodes:
         for j in datum3.nodes:
             if i != j and datum3.tau[j] != i:
                 jobs.append(("qs_a3", i, j))
+    return jobs
+
+
+def serre_complexes():
+    """The alternating-word complexes compose to zero and split."""
+    tables = _tables()
     checks = 0
-    for name, i, j in jobs:
+    for name, i, j in _serre_jobs(tables):
         rep = klr.serre_complex_check(tables[name], i, j)
         if not rep.ok:
             bad = "; ".join(s for s in rep.details if s.endswith("FAIL"))

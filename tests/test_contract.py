@@ -6,10 +6,20 @@ of calls, each call's argv, stdout, stderr and exit code.  The list:
 ``selftest`` and every other ``python3 -m iquantum`` line of the README,
 plain and with ``--json``; seeded calls of every subcommand on the five
 built-in data; four heavy ``klr`` products; one input over each
-``cli.MAX_*`` bound; and one call per config error and usage error.  A
-call that reads a config file names it ``$CONFIGS/<name>``; the record
-holds those documents, and the replay writes them to a temporary
-directory that takes the place of ``$CONFIGS``.
+``cli.MAX_*`` bound, and inputs at six of them; calls that each pin one
+behaviour the others miss (divided powers, repeated and one-weight ranges,
+``grdim`` on a word pair and at a config's own order); one call per config
+error and usage error; three subcommands on a config whose orientation is
+refused; and one ``klr`` product on a config with no ``sign_convention``,
+with "intro" and with "body".  Each argv is in the list once.  A call that
+reads a config file names it ``$CONFIGS/<name>``; the record holds those
+documents, and the replay writes them to a temporary directory that takes
+the place of ``$CONFIGS``.
+
+This is the one home of plain CLI checks, an argv with its stdout, stderr
+and exit code; ``tests/test_cli.py`` keeps only what a record cannot hold:
+library calls, monkeypatched internals, child processes under a resource
+limit, wall-time bounds and argparse's own text.
 
 Each call runs in process through ``cli.run`` with every memo emptied
 first, as in a fresh process, and must reproduce its record byte for byte;
@@ -125,13 +135,22 @@ FIVE_STRAND_CALL = [
     "e(1 1 1 1 2 1) ; x1 ; x2 ; x2 ; x3 ; x3 ; x3 ; " + W0_CROSSINGS,
 ]
 
+def _one_node(d: int) -> dict:
+    """One tau-fixed node with symmetrizer d."""
+    return {
+        "nodes": ["1"], "cartan": [[2]], "d": [d], "tau": {"1": "1"}, "varsigma": {"1": -1},
+        "weights": {"L0": {"lam": {}, "parity": {"1": 0}}},
+    }
+
+
 BOUND_CONFIGS = {
     "cartan5.json": _config(5, 0),
     "lam1001.json": _config(1, 1001),
-    "d5.json": {
-        "nodes": ["1"], "cartan": [[2]], "d": [5], "tau": {"1": "1"}, "varsigma": {"1": -1},
-        "weights": {"L0": {"lam": {}, "parity": {"1": 0}}},
-    },
+    "d5.json": _one_node(5),
+    # at the bounds; a_12 = -4 needs varsigma_1 = 4 for the sum rule
+    "cartan4.json": {**_config(4, 1), "varsigma": {"1": 4, "2": 0}},
+    "lam-1000.json": _config(1, -1000),
+    "d4.json": _one_node(4),
 }
 
 
@@ -161,7 +180,42 @@ def bound_calls() -> list[list[str]]:
         ["klr", "--config", "qs_a2", "--expr", "e(1 2) ; " + " ; ".join(["x1"] * 65)],
         # MAX_TERMS: the product passes 1000 terms after 58 of the 63 factors
         ["klr", "--config", "split_a2", "--expr", f"e(1 2 1 2 1 2) ; {crossings}"],
+        # MAX_SWEEP again, where the tau-fixed node doubles the count
+        ["iserre", "--config", "qs_a3", "--all", "--lambda-range", "-250..250"],
     ]
+
+
+def at_bound_calls() -> list[list[str]]:
+    """Inputs at the cli.MAX_* bounds, each answered."""
+    head = "e(1 2 1 2 1 2)"
+    return [
+        ["iserre", "--config", f"{CONFIGS}/cartan4.json", "--all", "--lambda", "L"],
+        ["bkl", "--config", f"{CONFIGS}/lam-1000.json", "--i", "1", "--lambda", "L"],
+        ["iserre", "--config", "qs_a2", "--i", "1", "--j", "2", "--lambda-range", "1000..1000"],
+        ["pair", "--config", f"{CONFIGS}/d4.json", "--i", "1", "--j", "1", "--lambda", "L0"],
+        ["klr", "--config", "split_a1", "--expr", "e(1 1 1 1 1 1) ; x5 ; s5"],
+        ["klr", "--config", "qs_a2", "--expr", head + " ; x1" * 64],
+        # 64 factors, and 1000 terms from the 54th on
+        ["klr", "--config", "qs_a2", "--expr", head + " ; s1 ; s3 ; s5" * 18 + " ; x1" * 10],
+    ]
+
+
+# Calls that each pin one behaviour the README and seeded calls miss.
+EDGE_CALLS = [
+    # a divided power at a moved node is a q-factorial rescaling
+    ["pair", "--config", "qs_a2", "--i", "1^(2)", "--j", "1 1", "--lambda", "L0"],
+    # the last --lambda-range wins
+    ["iserre", "--config", "qs_a2", "--i", "1", "--j", "2",
+     "--lambda-range", "-1..1", "--lambda-range", "-2..2"],
+    ["iserre", "--config", "qs_a2", "--i", "1", "--j", "2", "--lambda-range", "-2..2"],
+    ["iserre", "--config", "qs_a2", "--i", "1", "--j", "2", "--lambda", "L1", "--json"],
+    ["grdim", "--config", "qs_a2", "--i", "1", "--j", "1", "--lambda", "L0", "--N", "6"],
+    ["grdim", "--config", "qs_a2", "--i", "1", "--j", "1", "--lambda", "L0", "--N", "6", "--json"],
+    # the config's own truncation order, with no --N
+    ["grdim", "--config", f"{CONFIGS}/order6.json", "--i", "1", "--j", "1", "--lambda", "L0"],
+    # the nilHecke square
+    ["klr", "--config", "split_a1", "--expr", "e(1 1) ; s1 ; s1"],
+]
 
 
 # Config documents that parse_config refuses, as patches of the qs_a2-like
@@ -184,7 +238,7 @@ CONFIG_ERRORS = [
     {"weights": {"W": {"lam": {}, "parity": {}, "mu": {}}}},
 ]
 
-# Usage errors of the subcommands on a built-in.
+# Usage errors, and config errors that need no config document.
 USAGE_ERRORS = [
     ["iserre", "--config", "qs_a2", "--all", "--lambda-range", "1to3"],
     ["iserre", "--config", "qs_a2", "--all", "--lambda-range", "3..1"],
@@ -195,13 +249,30 @@ USAGE_ERRORS = [
     ["klr", "--config", "qs_a2", "--expr", "e(1 9)"],
     ["klr", "--config", "qs_a2", "--expr", "e(1 2) ; s2"],
     ["selftest", "--config", "qs_a2"],
+    # an empty --config is a path like any other, not "no config"
+    ["grdim", "--config", "", "--end"],
+    ["pair", "--config", "nosuch.json", "--i", "", "--j", "", "--lambda", "L0"],
+    ["pair", "--config", "qs_a2", "--i", "7", "--j", "", "--lambda", "L0"],
+    # a weight the config lacks names the config section to fix
+    ["pair", "--config", "qs_a2", "--i", "", "--j", "", "--lambda", "NOPE"],
+    ["bkl", "--config", "qs_a2", "--i", "1", "--lambda", "NOPE"],
+    ["iserre", "--config", "qs_a2", "--all"],
+    # a divided power at a fixed node has no factorial bridge to its word
+    ["pair", "--config", "split_a1", "--i", "1^(2)", "--j", "", "--lambda", "L0"],
+    *(["pair", "--config", "qs_a2", "--i", token, "--j", "1", "--lambda", "L0"]
+      for token in ("1^(x)", "1^()", "1^(2.5)")),
+    *(["grdim", "--config", "split_a1", "--end", "--N", n] for n in ("-3", "0")),
+    ["klr", "--config", "qs_a2", "--expr", "x1 ; s1"],
+    ["klr", "--config", "qs_a2", "--expr", "e(1 2) ; y3"],
+    ["klr", "--config", "qs_a2", "--expr", "e(1) ; e(2)"],
 ]
 
 
 def contract_configs() -> dict[str, object]:
     """Every config document a call reads, by file name: those of
-    bound_calls, of CONFIG_ERRORS, and a config with a warning, one with an
-    orientation and one with no sign_convention."""
+    bound_calls and at_bound_calls, of CONFIG_ERRORS, and a config with a
+    warning, one with an orientation, one with its own truncation order,
+    and one with no sign_convention, then the same with each convention."""
     base = _config(1, 0)
     docs = dict(BOUND_CONFIGS)
     for k, patch in enumerate(CONFIG_ERRORS):
@@ -218,6 +289,7 @@ def contract_configs() -> dict[str, object]:
         "weights": {"L0": {"lam": {}, "parity": {"1": 0, "2": 0}}},
     }
     docs["orientation.json"] = {**base, "orientation": {"2 1": 1}}
+    docs["order6.json"] = {**base, "N": 6}
     # qs_a3's fields with no sign_convention: tau fixes one node and moves
     # two, so the table takes "intro"
     docs["no_convention.json"] = {
@@ -228,29 +300,46 @@ def contract_configs() -> dict[str, object]:
         "varsigma": {"1": 0, "2": -1, "3": 0},
         "weights": {"L0": {"lam": {}, "parity": {"2": 0}}},
     }
+    # "body" is unusable for this datum
+    for convention in ("intro", "body"):
+        docs[f"no_convention_{convention}.json"] = {
+            **docs["no_convention.json"], "sign_convention": convention
+        }
     return docs
 
 
 def error_calls() -> list[list[str]]:
     """One call per config error, one on a config with a warning, one on a
     config with an orientation and one on a config with no sign_convention,
-    then one call per usage error."""
+    then one call per usage error, pair and klr on the refused orientation,
+    and klr with each sign_convention."""
     calls = [["grdim", "--config", f"{CONFIGS}/error{k}.json", "--end", "--N", "4"]
              for k in range(len(CONFIG_ERRORS))]
     calls.append(["grdim", "--config", f"{CONFIGS}/warning.json", "--end", "--N", "4"])
     calls.append(["klr", "--config", f"{CONFIGS}/orientation.json", "--expr", "e(1 2) ; s1 ; s1"])
-    calls.append(["klr", "--config", f"{CONFIGS}/no_convention.json", "--expr", "e(1 2 3) ; s1 ; s2"])
-    return calls + USAGE_ERRORS
+    s1s2 = "e(1 2 3) ; s1 ; s2"
+    calls.append(["klr", "--config", f"{CONFIGS}/no_convention.json", "--expr", s1s2])
+    # pair and klr check the orientation as grdim does: error12 has three
+    # arrows where the Cartan matrix gives one
+    three_arrows = f"{CONFIGS}/error12.json"
+    return calls + USAGE_ERRORS + [
+        ["pair", "--config", three_arrows, "--i", "1", "--j", "1", "--lambda", "L0"],
+        ["klr", "--config", three_arrows, "--expr", "e(1 2)"],
+        *(["klr", "--config", f"{CONFIGS}/no_convention_{c}.json", "--expr", s1s2]
+          for c in ("intro", "body")),
+    ]
 
 
 def contract_calls() -> list[list[str]]:
-    """The whole call list, in record order; the README's starts with
-    selftest."""
+    """The whole call list, in record order, each argv at its first place;
+    the README's starts with selftest."""
     readme = readme_examples()
-    return (
+    calls = (
         readme + [argv + ["--json"] for argv in readme] + seeded_calls() + ONE_COLOR_CALLS
-        + [MIXED_COLOR_CALL, FIVE_STRAND_CALL] + bound_calls() + error_calls()
+        + [MIXED_COLOR_CALL, FIVE_STRAND_CALL] + bound_calls() + at_bound_calls() + EDGE_CALLS
+        + error_calls()
     )
+    return [list(argv) for argv in dict.fromkeys(map(tuple, calls))]
 
 
 def write_configs(docs: dict[str, object], directory: Path) -> None:
@@ -277,7 +366,9 @@ RECORD = (
 
 
 def test_the_record_holds_the_call_list():
-    assert [call["argv"] for call in RECORD["calls"]] == contract_calls()
+    argvs = [call["argv"] for call in RECORD["calls"]]
+    assert argvs == contract_calls()
+    assert len(set(map(tuple, argvs))) == len(argvs)
     assert RECORD["configs"] == contract_configs()
 
 
@@ -286,17 +377,6 @@ def config_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("configs")
     write_configs(RECORD["configs"], directory)
     return directory
-
-
-def _ids(calls: list[dict]) -> list[str]:
-    """The argv of each call; a repeated argv gets ``#2``, ``#3``, ..."""
-    seen: dict[str, int] = {}
-    ids = []
-    for call in calls:
-        name = shlex.join(call["argv"])
-        seen[name] = seen.get(name, 0) + 1
-        ids.append(name if seen[name] == 1 else f"{name} #{seen[name]}")
-    return ids
 
 
 @pytest.fixture(scope="module")
@@ -312,7 +392,10 @@ def _timed_replay(k: int, directory: Path, seconds: dict[int, float]) -> dict:
     return got
 
 
-@pytest.mark.parametrize("k,want", enumerate(RECORD["calls"]), ids=_ids(RECORD["calls"]))
+@pytest.mark.parametrize(
+    "k,want", enumerate(RECORD["calls"]),
+    ids=[shlex.join(call["argv"]) for call in RECORD["calls"]],
+)
 def test_call_replays_its_record(k, want, config_dir, seconds):
     got = _timed_replay(k, config_dir, seconds)
     problems = [] if got["exit"] == want["exit"] else [f"exit {got['exit']}, recorded {want['exit']}"]

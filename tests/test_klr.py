@@ -792,6 +792,16 @@ def _reference_cases():
     yield qt, left, mul(qt, lateral, right)
 
 
+def _assert_routes_agree(qt, cases):
+    nonzero = 0
+    for a, b in cases:
+        got = mul(qt, a, b)
+        want = klr._mul_twisted(qt, a, b)
+        assert got == want and str(got) == str(want), (qt.datum.nodes, qt.factors, a, b)
+        nonzero += not got.is_zero()
+    return nonzero
+
+
 def _never(*args):
     raise AssertionError("mul reached the twisted route")
 
@@ -806,12 +816,7 @@ def test_mul_matches_the_eager_reference(monkeypatch):
         m.setattr(klr, "_mul_twisted", _never)
         assert mul(qt, d, d) == d
     cases = list(_reference_cases())
-    nonzero = 0
-    for qt, a, b in cases:
-        got = mul(qt, a, b)
-        assert got == klr._mul_twisted(qt, a, b), (a, b)
-        nonzero += not got.is_zero()
-    assert nonzero >= 30
+    assert sum(_assert_routes_agree(qt, [(a, b)]) for qt, a, b in cases) >= 30
     # both routes' sums build fresh values: a second pass reads every step
     # and expansion from the memos and leaves them as they were
     memos = (
@@ -869,13 +874,7 @@ def _one_color_cases(qt):
 def test_one_color_products_match_the_twisted_route():
     iquantum.clear_caches()
     qt = geometric_qtable(split_a1())
-    nonzero = 0
-    for a, b in _one_color_cases(qt):
-        got = mul(qt, a, b)
-        want = klr._mul_twisted(qt, a, b)
-        assert got == want and str(got) == str(want), (a, b)
-        nonzero += not got.is_zero()
-    assert nonzero >= 50
+    assert _assert_routes_agree(qt, _one_color_cases(qt)) >= 50
     iquantum.clear_caches()
 
 
@@ -945,16 +944,6 @@ def _longest_crossing_steps(qt, word):
         nxt = crossing(tuple(w), r)
         yield cur, nxt
         cur = mul(qt, cur, nxt)
-
-
-def _assert_routes_agree(qt, cases):
-    nonzero = 0
-    for a, b in cases:
-        got = mul(qt, a, b)
-        want = klr._mul_twisted(qt, a, b)
-        assert got == want and str(got) == str(want), (qt.datum.nodes, qt.factors, a, b)
-        nonzero += not got.is_zero()
-    return nonzero
 
 
 def test_mixed_products_match_the_twisted_route():

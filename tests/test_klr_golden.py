@@ -3,7 +3,8 @@
 ``tests/golden/klr_normal_forms.json`` holds the ``str()`` of seeded
 products on the five built-in Q-tables (associativity triples, squares of
 divided idempotents, the relation instances of the operator-algebra
-self-test) and the ``serre_complex_check`` details of the six Serre jobs.
+self-test) and the ``serre_complex_check`` details of the self-test's six
+Serre jobs.
 The values were captured from the sympy fraction-field engine, so they pin
 the normal form across rewrites of the product engine.  Regenerate them
 (``python tests/test_klr_golden.py --write``) only for an intended change.
@@ -15,7 +16,7 @@ import sys
 from pathlib import Path
 
 from iquantum import klr
-from iquantum.selftest import _random_elem, _shuffled, _tables
+from iquantum.selftest import _random_elem, _serre_jobs, _shuffled, _tables
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "klr_normal_forms.json"
 
@@ -67,17 +68,9 @@ def _products():
 
 def _serre_details():
     tables = _tables()
-    jobs = [("split_a2", "1", "2"), ("split_a2", "2", "1")]
-    datum3 = tables["qs_a3"].datum
-    jobs += [
-        ("qs_a3", i, j)
-        for i in datum3.nodes
-        for j in datum3.nodes
-        if i != j and datum3.tau[j] != i
-    ]
     return {
         f"{name} ({i},{j})": list(klr.serre_complex_check(tables[name], i, j).details)
-        for name, i, j in jobs
+        for name, i, j in _serre_jobs(tables)
     }
 
 
