@@ -112,7 +112,7 @@ def _lexmin_word(p) -> tuple[int, ...]:
 # _PSI_CACHE to _extract, and _mul_twisted) is the tests' reference for
 # mul, and no package code calls it.  It stays in this module because
 # perfbench reads it by name: the untraced pass takes len() of _PSI_CACHE,
-# _ENTRY_CACHE, _ELEM_CACHE and _FIELDS (perfbench/layers.py:21-27 and
+# _ENTRY_CACHE, _ELEM_CACHE and _FIELDS (perfbench/layers.py:20-26 and
 # :123-129, called from perfbench/worker.py:106,111,126,131), and the traced
 # pass wraps _expand_psi and _extract (perfbench/layers.py:69-70).  It moves
 # to the tests when those lists move.

@@ -30,6 +30,8 @@ def test_the_harness_reports_escapes_exit_codes_and_hangs(monkeypatch, tmp_path)
     assert fuzz_cli.run_case(argv, doc, path, 5) is None
     monkeypatch.setitem(cli._HANDLERS, "grdim", lambda cfg, args: {}["x"])
     assert fuzz_cli.run_case(argv, doc, path, 5).startswith("KeyError: 'x'")
+    monkeypatch.setitem(cli._HANDLERS, "grdim", lambda cfg, args: 1)
+    assert fuzz_cli.run_case(argv, doc, path, 5) == "exit code 1"
     monkeypatch.setitem(cli._HANDLERS, "grdim", lambda cfg, args: 3)
     assert fuzz_cli.run_case(argv, doc, path, 5) == "exit code 3"
     monkeypatch.setitem(cli._HANDLERS, "grdim", lambda cfg, args: time.sleep(5))

@@ -360,77 +360,6 @@ def test_divided_powers_of_nonfixed_node_stay_monomial():
                     assert psi(xi.jt) == xi.jt
 
 
-def test_divided_square_at_fixed_node():
-    datum = make("split_a1")
-    d = datum.qi("1")
-    for p in (0, 1):
-        lw = weight(datum, par={"1": p})
-        xi = iuea.b_divided(datum, "1", 2, iuea.unit(lw))
-        # exponent 1 when the length 2 matches the weight parity, else 3
-        e = 1 if p == 0 else 3
-        extra = RatQ.q_power(d * e) / RatQ(LaurentPoly({0: 1, 4 * d: -1}))
-        want = add(freealg.theta_word(datum, (("1", 2),)), FElem({(): extra}))
-        assert xi.jt == want
-
-
-def test_fixed_node_expansion_table():
-    # Full table of delta coefficients of b_{i^(n)} 1_lambda on the split
-    # rank-one datum, n <= 6, both parities.
-    datum = make("split_a1")
-    d = datum.qi("1")
-    for p in (0, 1):
-        lw = weight(datum, par={"1": p})
-        for n in range(7):
-            xi = iuea.b_word(datum, (("1", n),) if n else (), lw)
-            words = {w for w in xi.jt.terms}
-            assert words <= {("1",) * (n - 2 * m) for m in range(n // 2 + 1)}
-            for m in range(n // 2 + 1):
-                got = iuea.jt_delta_coeff(datum, xi, (("1", n - 2 * m),) if n - 2 * m else ())
-                e = m * (2 * m - 1) if (n - p) % 2 == 0 else m * (2 * m + 1)
-                den = LaurentPoly.one()
-                for k in range(1, m + 1):
-                    den = den * LaurentPoly({0: 1, 4 * d * k: -1})
-                assert got == RatQ(LaurentPoly.q_power(d * e), den)
-
-
-def test_iserre_relation_sweep():
-    for name in STANDARD:
-        datum = make(name)
-        for lw in satake.weight_sweep(datum, -2, 2):
-            for i in datum.nodes:
-                for j in datum.nodes:
-                    if i == j:
-                        continue
-                    res = iuea.iserre_check(datum, i, j, lw)
-                    assert res.equal, (name, i, j, lw)
-
-
-def test_iserre_specialization_commutator():
-    # a_{i, tau i} = 0: the commutator of the two partner generators acts as
-    # the quantum integer of the weight coordinate.
-    datum = make("diag_a1a1")
-    for lam in range(-3, 4):
-        lw = weight(datum, {"1": lam})
-        res = iuea.iserre_check(datum, "1", "2", lw)
-        want = RatQ(qint(lam, datum.qi("1")))
-        assert res.rhs.jt == FElem.one().scale(want)
-        assert res.equal
-
-
-def test_iserre_specialization_length_two():
-    # a_{i, tau i} = -1: the right side is an explicit two-term q-scalar
-    # times the partner generator.
-    datum = make("qs_a2")
-    d = datum.qi("1")
-    for lam in range(-3, 4):
-        lw = weight(datum, {"1": lam})
-        res = iuea.iserre_check(datum, "1", "2", lw)
-        vs = datum.varsigma["1"]
-        c = -(RatQ.q_power(d * (lam - vs - 1)) + RatQ.q_power(d * (1 + vs - lam)))
-        assert res.rhs.jt == FElem.theta("1").scale(c)
-        assert res.equal
-
-
 def test_iserre_rejects_equal_nodes():
     datum = make("qs_a2")
     with pytest.raises(ValueError):
@@ -470,30 +399,6 @@ def test_f_coeff_range_errors():
     split = make("split_a1")
     with pytest.raises(ValueError):
         iuea.f_coeff(split, 0, 1, "1", weight(split, par={"1": 0}))
-
-
-def test_bkl_sum_product_form():
-    for name in ("diag_a1a1", "qs_a2", "qs_a3"):
-        datum = make(name)
-        for lw in satake.weight_sweep(datum, -2, 2):
-            for i in datum.nodes:
-                ti = datum.tau[i]
-                if ti == i:
-                    continue
-                d = datum.qi(i)
-                m = 1 - datum.a[(i, ti)]
-                li = lw.lam_of(i)
-                vs = datum.varsigma[i]
-                c2 = m * (m - 1) // 2
-                prod = RatQ.one()
-                for r in range(1, m):
-                    prod = prod * RatQ(LaurentPoly({d * r: 1, -d * r: -1}))
-                s = RatQ.q_power(d * (li - vs - c2))
-                if (m - 1) % 2:
-                    s = -s
-                s = s - RatQ.q_power(d * (c2 + vs - li))
-                want = prod * s / RatQ(LaurentPoly({d: 1, -d: -1}))
-                assert iuea.bkl_sum(datum, i, lw) == want
 
 
 def test_f_coeff_matches_pairing_quotient():

@@ -98,25 +98,6 @@ def test_qbinom_pascal(m):
         assert lhs == rhs
 
 
-@pytest.mark.parametrize("m", range(1, 9))
-def test_alternating_qbinom_identity(m):
-    """prod_{r<m}(q^r - q^-r) as two signed binomial sums."""
-    prod = LaurentPoly.one()
-    for r in range(1, m):
-        prod = prod * L({r: 1, -r: -1})
-    c2 = m * (m - 1) // 2
-    mid = LaurentPoly.zero()
-    alt = LaurentPoly.zero()
-    for n in range(0, m):
-        sign = -1 if n % 2 else 1
-        mid = mid + qbinom(m - 1, n, 1).shifted(c2 - n * m) * sign
-        alt = alt + qbinom(m - 1, n, 1).shifted(n * m - c2) * sign
-    if m % 2 == 0:
-        alt = -alt
-    assert prod == mid
-    assert prod == alt
-
-
 def test_ratq_normal_form():
     x = RatQ(L({1: 1, -1: -1}), L({2: 1, -2: -1}))
     assert x == RatQ(L({1: 1}), L({0: 1, 2: 1}))

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import iquantum
-from iquantum import freealg, iuea, satake, selftest, shapes
+from iquantum import freealg, satake, selftest, shapes
 from iquantum.freealg import FElem, inv_one_minus_qinv2
 from iquantum.qring import ASC_Q, LaurentPoly, PowerSeriesTrunc, RatQ, expand
 from iquantum.satake import make_datum, to_dpword, word_weight
@@ -23,10 +23,6 @@ def make(name):
 
 def weight(datum, lam=None, par=None):
     return satake.make_iweight(datum, lam or {}, par)
-
-
-def belem(datum, word, lw):
-    return iuea.b_word(datum, to_dpword(word), lw)
 
 
 def monomial(word):
@@ -890,20 +886,6 @@ def test_pair_theta_matches_freealg():
             assert got == want, (name, wi, wj)
 
 
-def test_pair_b_matches_ipair():
-    # the two routes to the bilinear form share no code: one walks shapes,
-    # the other walks the recursive generator action
-    for name in STANDARD:
-        datum = make(name)
-        words = selftest.word_pairs(datum, 2)[0]
-        for lw in satake.weight_sweep(datum, -1, 1):
-            for wi in words:
-                for wj in words:
-                    got = shapes.pair_b(datum, wi, wj, lw)
-                    want = iuea.ipair(datum, belem(datum, wi, lw), belem(datum, wj, lw))
-                    assert got == want, (name, wi, wj, lw)
-
-
 def test_pair_b_symmetric():
     rng = random.Random(5150)
     for name in STANDARD:
@@ -1051,30 +1033,9 @@ def test_hom_rank_three_shape_example():
     assert all(rs.coeff(e) == 0 for e in range(-9, 10, 2))
 
 
-def test_hom_rank_equals_bar_pair_b():
-    rng = random.Random(777)
-    for name in STANDARD:
-        datum = make(name)
-        words = selftest.word_pairs(datum, 2)[0]
-        pool = satake.weight_sweep(datum, -1, 1)
-        for _ in range(15):
-            wi, wj = rng.choice(words), rng.choice(words)
-            lw = rng.choice(pool)
-            rs = shapes.hom_rank(datum, wi, wj, lw, order=14)
-            want = expand(shapes.pair_b(datum, wi, wj, lw).bar(), ASC_Q, 14)
-            assert rs.series == want, (name, wi, wj, lw)
-
-
 def test_rank_series_rejects_negative():
     with pytest.raises(ValueError):
         shapes.RankSeries(PowerSeriesTrunc(4, {2: -1}))
-
-
-def test_end_grdim_split_a1():
-    rs = shapes.end_grdim(make("split_a1"), order=10)
-    assert {e: rs.coeff(e) for e in range(0, 11, 2)} == {
-        0: 1, 2: 1, 4: 1, 6: 2, 8: 2, 10: 3,
-    }
 
 
 def test_end_grdim_partition_series():

@@ -39,6 +39,14 @@ def parse_seeds(text: str) -> list[int]:
     return [int(v) for v in text.split(",")]
 
 
+def format_seeds(seeds: list[int]) -> str:
+    """The --seeds text that parse_seeds reads back to seeds: 'a-b' for a
+    contiguous ascending run, a comma list otherwise."""
+    if seeds == list(range(seeds[0], seeds[-1] + 1)):
+        return f"{seeds[0]}-{seeds[-1]}"
+    return ",".join(str(s) for s in seeds)
+
+
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``perfbench/run.py --trace 0`` in root: exit code, digest and the
     end-to-end metric values of its last stdout line."""
@@ -120,7 +128,7 @@ def main() -> int:
     result = {
         "command": (
             f"python3 tools/bench_pairs.py --parent PARENT --change CHANGE --workload "
-            f"{args.workload} --seeds {args.seeds[0]}-{args.seeds[-1]} --seconds {args.seconds:g}"
+            f"{args.workload} --seeds {format_seeds(args.seeds)} --seconds {args.seconds:g}"
         ),
         "seeds": args.seeds,
         "seconds": args.seconds,
