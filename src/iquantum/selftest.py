@@ -6,8 +6,8 @@ so a passing report is byte-identical across runs.  ``checks`` runs them in
 order for the ``selftest`` subcommand, which prints one line per check;
 tests/test_contract.py replays ``selftest`` and ``selftest --json`` against
 their recorded output and bounds the replays' wall time.  That replay is each
-criterion's one check in the test suite: no unit test repeats a criterion on
-a subset of its inputs.
+criterion's one check in the test suite: no unit test runs a criterion's
+check on a subset of its inputs.
 Wall seconds per check, and the garbage collections that ran inside it with
 their seconds, are available on request, on a separate channel
 (``checks(timing)``, ``selftest --timings``).

@@ -360,6 +360,75 @@ def test_divided_powers_of_nonfixed_node_stay_monomial():
                     assert psi(xi.jt) == xi.jt
 
 
+# The next four tests carry a selftest criterion's check past the inputs the
+# criterion runs (orbit coordinates -4..4, divided powers n <= 6), so each
+# input is checked once in the suite.
+
+
+def outer_sweep(datum, lo, hi):
+    """Every iweight with orbit coordinates in -hi..-lo or lo..hi."""
+    return satake.weight_sweep(datum, -hi, -lo) + satake.weight_sweep(datum, lo, hi)
+
+
+def test_fixed_node_expansion_table():
+    # criterion 05's table of delta coefficients of b_{i^(n)} 1_lambda on the
+    # split rank-one datum, continued to 7 <= n <= 10, both parities
+    datum = make("split_a1")
+    d = datum.qi("1")
+    for p in (0, 1):
+        lw = weight(datum, par={"1": p})
+        for n in range(7, 11):
+            xi = iuea.b_word(datum, (("1", n),), lw)
+            words = {w for w in xi.jt.terms}
+            assert words <= {("1",) * (n - 2 * m) for m in range(n // 2 + 1)}
+            for m in range(n // 2 + 1):
+                got = iuea.jt_delta_coeff(datum, xi, (("1", n - 2 * m),) if n - 2 * m else ())
+                e = m * (2 * m - 1) if (n - p) % 2 == 0 else m * (2 * m + 1)
+                den = LaurentPoly.one()
+                for k in range(1, m + 1):
+                    den = den * LaurentPoly({0: 1, 4 * d * k: -1})
+                assert got == RatQ(LaurentPoly.q_power(d * e), den), (n, m, p)
+
+
+def test_iserre_relation_sweep():
+    # criterion 03's relation at orbit coordinates 5 <= |lam| <= 8
+    for name in STANDARD:
+        datum = make(name)
+        for lw in outer_sweep(datum, 5, 8):
+            for i in datum.nodes:
+                for j in datum.nodes:
+                    if i == j:
+                        continue
+                    res = iuea.iserre_check(datum, i, j, lw)
+                    assert res.equal, (name, i, j, lw)
+
+
+def test_iserre_specialization_commutator():
+    # a_{i, tau i} = 0: the commutator of the two partner generators acts as
+    # the quantum integer of the weight coordinate, here at 5 <= |lam| <= 12.
+    datum = make("diag_a1a1")
+    for lw in outer_sweep(datum, 5, 12):
+        lam = lw.lam_of("1")
+        res = iuea.iserre_check(datum, "1", "2", lw)
+        want = RatQ(qint(lam, datum.qi("1")))
+        assert res.rhs.jt == FElem.one().scale(want)
+        assert res.equal
+
+
+def test_iserre_specialization_length_two():
+    # a_{i, tau i} = -1: the right side is an explicit two-term q-scalar
+    # times the partner generator, here at 5 <= |lam| <= 12.
+    datum = make("qs_a2")
+    d = datum.qi("1")
+    vs = datum.varsigma["1"]
+    for lw in outer_sweep(datum, 5, 12):
+        lam = lw.lam_of("1")
+        res = iuea.iserre_check(datum, "1", "2", lw)
+        c = -(RatQ.q_power(d * (lam - vs - 1)) + RatQ.q_power(d * (1 + vs - lam)))
+        assert res.rhs.jt == FElem.theta("1").scale(c)
+        assert res.equal
+
+
 def test_iserre_rejects_equal_nodes():
     datum = make("qs_a2")
     with pytest.raises(ValueError):

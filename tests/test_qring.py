@@ -98,6 +98,27 @@ def test_qbinom_pascal(m):
         assert lhs == rhs
 
 
+@pytest.mark.parametrize("m", range(1, 9))
+def test_alternating_qbinom_identity(m):
+    """prod_{r<m}(q_i^r - q_i^-r) as two signed binomial sums in q_i = q^d,
+    the form bkl_product_form takes; selftest criterion 04 runs d = 1."""
+    for d in (2, 3):
+        prod = LaurentPoly.one()
+        for r in range(1, m):
+            prod = prod * L({d * r: 1, -d * r: -1})
+        c2 = m * (m - 1) // 2
+        mid = LaurentPoly.zero()
+        alt = LaurentPoly.zero()
+        for n in range(0, m):
+            sign = -1 if n % 2 else 1
+            mid = mid + qbinom(m - 1, n, d).shifted(d * (c2 - n * m)) * sign
+            alt = alt + qbinom(m - 1, n, d).shifted(d * (n * m - c2)) * sign
+        if m % 2 == 0:
+            alt = -alt
+        assert prod == mid, d
+        assert prod == alt, d
+
+
 def test_ratq_normal_form():
     x = RatQ(L({1: 1, -1: -1}), L({2: 1, -2: -1}))
     assert x == RatQ(L({1: 1}), L({0: 1, 2: 1}))

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import iquantum
-from iquantum import freealg, satake, selftest, shapes
+from iquantum import freealg, iuea, satake, selftest, shapes
 from iquantum.freealg import FElem, inv_one_minus_qinv2
 from iquantum.qring import ASC_Q, LaurentPoly, PowerSeriesTrunc, RatQ, expand
 from iquantum.satake import make_datum, to_dpword, word_weight
@@ -886,6 +886,22 @@ def test_pair_theta_matches_freealg():
             assert got == want, (name, wi, wj)
 
 
+def test_pair_b_matches_ipair():
+    # the two routes to the bilinear form share no code: one walks shapes,
+    # the other walks the recursive generator action; two 3-letter words
+    # make a pair longer than selftest criterion 01 runs (5, or 4 on qs_a3)
+    for name in STANDARD:
+        datum = make(name)
+        words = [w for w in selftest.word_pairs(datum, 3)[0] if len(w) == 3]
+        for lw in satake.weight_sweep(datum, 0, 0):
+            images = {w: iuea.b_word(datum, to_dpword(w), lw) for w in words}
+            for wi in words:
+                for wj in words:
+                    got = shapes.pair_b(datum, wi, wj, lw)
+                    want = iuea.ipair(datum, images[wi], images[wj])
+                    assert got == want, (name, wi, wj, lw)
+
+
 def test_pair_b_symmetric():
     rng = random.Random(5150)
     for name in STANDARD:
@@ -1033,10 +1049,38 @@ def test_hom_rank_three_shape_example():
     assert all(rs.coeff(e) == 0 for e in range(-9, 10, 2))
 
 
+def test_hom_rank_equals_bar_pair_b():
+    # selftest criterion 07's check at orbit coordinates 5 <= |lam| <= 8 and
+    # to order 30 (the criterion runs -4..4 and order 20)
+    rng = random.Random(777)
+    for name in STANDARD:
+        datum = make(name)
+        words = selftest.word_pairs(datum, 2)[0]
+        pool = satake.weight_sweep(datum, -8, -5) + satake.weight_sweep(datum, 5, 8)
+        for _ in range(15):
+            wi, wj = rng.choice(words), rng.choice(words)
+            lw = rng.choice(pool)
+            rs = shapes.hom_rank(datum, wi, wj, lw, order=30)
+            want = expand(shapes.pair_b(datum, wi, wj, lw).bar(), ASC_Q, 30)
+            assert rs.series == want, (name, wi, wj, lw)
+
 def test_rank_series_rejects_negative():
     with pytest.raises(ValueError):
         shapes.RankSeries(PowerSeriesTrunc(4, {2: -1}))
 
+
+def test_end_grdim_split_a1():
+    # the coefficient of q^(2k) counts the partitions of k into odd parts,
+    # counted here by a recursion of their own to order 30 (selftest
+    # criterion 07 compares a table to order 10)
+    rs = shapes.end_grdim(make("split_a1"), order=30)
+    odd = [1] + [0] * 15
+    for part in range(1, 16, 2):
+        for k in range(part, 16):
+            odd[k] += odd[k - part]
+    assert [rs.coeff(e) for e in range(31)] == [
+        odd[e // 2] if e % 2 == 0 else 0 for e in range(31)
+    ]
 
 def test_end_grdim_partition_series():
     rs = shapes.end_grdim(make("diag_a1a1"), order=10)
