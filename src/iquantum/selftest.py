@@ -426,10 +426,12 @@ class _CollectorClock:
 def checks(timing=None):
     """Run every check in order, yielding (title, ok, detail).
 
-    ``timing``, if given, receives one line per check with its wall seconds
-    and the number and seconds of the garbage collections run inside it
-    (``selftest --timings`` writes them to stderr); the seconds never enter
-    a detail string.
+    A check that raises ArithmeticError or ValueError yields ok False with
+    the exception's type and text as its detail.  ``timing``, if given,
+    receives one line per check with its wall seconds and the number and
+    seconds of the garbage collections run inside it (``selftest
+    --timings`` writes them to stderr); the seconds never enter a detail
+    string.
     """
     clock = _CollectorClock()
     if timing is not None:
@@ -437,7 +439,12 @@ def checks(timing=None):
     try:
         for k, (title, fn) in enumerate(CRITERIA, start=1):
             t0, runs, spent = time.perf_counter(), clock.count, clock.seconds
-            ok, detail = fn()
+            try:
+                ok, detail = fn()
+            except (ArithmeticError, ValueError) as exc:
+                # a rejected series or normal form fails this check, and
+                # the later checks still run
+                ok, detail = False, f"{type(exc).__name__}: {exc}"
             if timing is not None:
                 timing(
                     f"[{k:2d}/{len(CRITERIA)}] {time.perf_counter() - t0:.2f} s  {title}"

@@ -144,6 +144,48 @@ def test_selftest_timings_go_to_stderr_only(capsys, monkeypatch, collector_off):
             ]
 
 
+def _rejected_series():
+    raise ValueError("negative coefficient -1 at q^2 in a rank series")
+
+
+def _rejected_normal_form():
+    raise ArithmeticError("mismatched strand colors in straightening")
+
+
+def test_selftest_reports_a_check_that_raises_as_failed(capsys, monkeypatch):
+    # a rejected computed result is a failed check with exit 1, not a usage
+    # error, and the checks after it still run
+    fake = (
+        ("first check", lambda: (True, "3 agree")),
+        ("series check", _rejected_series),
+        ("product check", _rejected_normal_form),
+        ("last check", lambda: (True, "1 agrees")),
+    )
+    monkeypatch.setattr(selftest, "CRITERIA", fake)
+    series = "ValueError: negative coefficient -1 at q^2 in a rank series"
+    product = "ArithmeticError: mismatched strand colors in straightening"
+    code, out, err = run_cli(capsys, "selftest")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "[ 1/4] pass  first check: 3 agree",
+        f"[ 2/4] FAIL  series check: {series}",
+        f"[ 3/4] FAIL  product check: {product}",
+        "[ 4/4] pass  last check: 1 agrees",
+        "selftest: FAILED",
+    ]
+    code, out, err = run_cli(capsys, "selftest", "--json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "checks": [
+            {"title": "first check", "ok": True, "detail": "3 agree"},
+            {"title": "series check", "ok": False, "detail": series},
+            {"title": "product check", "ok": False, "detail": product},
+            {"title": "last check", "ok": True, "detail": "1 agrees"},
+        ],
+        "ok": False,
+    }
+
+
 CACHE_NAMES = {
     "freealg._WORD_PAIR_CACHE",
     "iuea._B_WORD_MEMO",

@@ -160,36 +160,35 @@ def test_idempotents_and_errors():
 
 
 def test_dot_slide_equal_colors():
+    # both slides on three strands at r = 2 (selftest checks them on two)
     qt = geometric_qtable(split_a1())
-    w = ("1", "1")
-    psi = crossing(w, 1)
-    assert mul(qt, psi, dot(w, 1)) - mul(qt, dot(w, 2), psi) == e(w)
-    assert mul(qt, dot(w, 1), psi) - mul(qt, psi, dot(w, 2)) == e(w)
+    w = ("1", "1", "1")
+    psi = crossing(w, 2)
+    assert mul(qt, psi, dot(w, 2)) - mul(qt, dot(w, 3), psi) == e(w)
+    assert mul(qt, dot(w, 2), psi) - mul(qt, psi, dot(w, 3)) == e(w)
     # dots on the strand that is not crossed commute through
-    w3 = ("1", "1", "1")
-    psi3 = crossing(w3, 1)
-    assert mul(qt, psi3, dot(w3, 3)) == mul(qt, dot(w3, 3), psi3)
+    psi = crossing(w, 1)
+    assert mul(qt, psi, dot(w, 3)) == mul(qt, dot(w, 3), psi)
 
 
 def test_dot_slide_distinct_colors():
-    qt = geometric_qtable(qs_a2())
+    # the x1 slide on the tables other than qs_a2's (selftest checks that one)
     w = ("1", "2")
     psi = crossing(w, 1)
-    assert mul(qt, psi, dot(w, 1)) == mul(qt, dot(("2", "1"), 2), psi)
+    for qt in (geometric_qtable(split_a2()), geometric_qtable(diag_a1a1()), qs_a3_table()):
+        assert mul(qt, psi, dot(w, 1)) == mul(qt, dot(("2", "1"), 2), psi)
+    qt = geometric_qtable(qs_a2())
     assert mul(qt, psi, dot(w, 2)) == mul(qt, dot(("2", "1"), 1), psi)
 
 
 def test_quadratic():
+    # selftest checks psi^2 = 0 on two strands and the square on qs_a2
     qt = geometric_qtable(split_a1())
-    w = ("1", "1")
-    assert mul(qt, crossing(w, 1), crossing(w, 1)).is_zero()
+    w = ("1", "1", "1")
+    assert mul(qt, crossing(w, 2), crossing(w, 2)).is_zero()
 
     # mixed colors: the square is the table polynomial pinned to the strands
-    qt = geometric_qtable(qs_a2())
     w = ("1", "2")
-    sq = mul(qt, crossing(("2", "1"), 1), crossing(w, 1))
-    assert sq == diagram(w, w, (0, 1), (1, 0)) - diagram(w, w, (0, 1), (0, 1))
-
     qt = geometric_qtable(split_a2())
     sq = mul(qt, crossing(("2", "1"), 1), crossing(w, 1))
     assert sq == diagram(w, w, (0, 1), (0, 1)) - diagram(w, w, (0, 1), (1, 0))
@@ -235,6 +234,7 @@ def test_distant_crossings_commute():
 
 
 def test_mul_associative_random():
+    # words of four letters (selftest checks triples on three)
     rng = random.Random(20260823)
     tables = [
         geometric_qtable(qs_a2()),
@@ -244,7 +244,7 @@ def test_mul_associative_random():
     for qt in tables:
         nodes = qt.datum.nodes
         for _ in range(10):
-            wd = tuple(rng.choice(nodes) for _ in range(3))
+            wd = tuple(rng.choice(nodes) for _ in range(4))
             wc = shuffled(rng, wd)
             wb = shuffled(rng, wd)
             wa = shuffled(rng, wd)
@@ -294,11 +294,12 @@ def test_graded_dim_equal_pair():
 
 
 def test_graded_dim_matches_diagram_pairing():
+    # pairs of total length 6 and 8 (selftest checks every pair up to 4)
     rng = random.Random(31337)
     for make in (split_a1, diag_a1a1, qs_a2, qs_a3, split_a2):
         datum = make()
         for _ in range(8):
-            n = rng.randrange(4)
+            n = rng.choice((3, 4))
             top = tuple(rng.choice(datum.nodes) for _ in range(n))
             bottom = shuffled(rng, top) if rng.random() < 0.7 else tuple(
                 rng.choice(datum.nodes) for _ in range(n)
@@ -317,12 +318,13 @@ def test_divided_idempotent_normal_form():
 
 
 def test_divided_idempotent_is_idempotent():
+    # selftest squares split_a1's for n = 1..4
     qt = geometric_qtable(split_a1())
-    for n in range(5):
+    for n in (0, 5):
         d = divided_idempotent(qt, "1", n)
         assert mul(qt, d, d) == d
     qt = geometric_qtable(qs_a2())
-    for n in range(4):
+    for n in range(5):
         d = divided_idempotent(qt, "1", n)
         assert mul(qt, d, d) == d
 
@@ -851,30 +853,30 @@ def _one_color_elem(rng, l, nterms):
     return KLRElem(w, w, terms)
 
 
-def _one_color_cases(qt):
-    """(a, b): seeded products on 1-6 strands with 1-4 terms per factor,
-    the squares of the 3- and 4-strand divided idempotents, and each step
-    of the longest crossing on six strands (W0) built one crossing at a
-    time, as ``klr --expr`` builds it."""
+def _one_color_cases():
+    """(a, b): seeded products on 1-6 strands with 1-4 terms per factor."""
     rng = random.Random(20261019)
     for k in range(48):
         l = 1 + k % 6
         yield _one_color_elem(rng, l, 1 + k % 4), _one_color_elem(rng, l, 1 + (k // 6) % 4)
-    for n in (3, 4):
-        d = divided_idempotent(qt, "1", n)
-        yield d, d
-    w = ("1",) * 6
-    cur = e(w)
-    for r in (1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 4, 3, 2, 1):
-        yield cur, crossing(w, r)
-        cur = mul(qt, cur, crossing(w, r))
-    assert cur == diagram(w, w, (5, 4, 3, 2, 1, 0), (0,) * 6)
 
 
 def test_one_color_products_match_the_twisted_route():
     iquantum.clear_caches()
     qt = geometric_qtable(split_a1())
-    assert _assert_routes_agree(qt, _one_color_cases(qt)) >= 50
+    # every one of the 48 products is nonzero
+    assert _assert_routes_agree(qt, _one_color_cases()) == 48
+    # the longest crossing on six strands (W0) built one crossing at a time,
+    # as ``klr --expr`` builds it: along a reduced word each step is the one
+    # basis diagram of the permutation so far (Khovanov-Lauda's basis
+    # theorem), so it needs no reference route
+    w = ("1",) * 6
+    cur, perm = e(w), tuple(range(6))
+    for r in (1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 4, 3, 2, 1):
+        perm = perm[: r - 1] + (perm[r], perm[r - 1]) + perm[r + 1 :]
+        cur = mul(qt, cur, crossing(w, r))
+        assert cur == diagram(w, w, perm, (0,) * 6), r
+    assert perm == (5, 4, 3, 2, 1, 0)
     iquantum.clear_caches()
 
 
