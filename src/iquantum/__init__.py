@@ -5,8 +5,8 @@ Submodules:
 * ``qring``: Laurent polynomials, the rational function field Q(q),
   truncated series and quantum binomials.
 * ``satake``: Cartan data with involution, iweights and word bookkeeping.
-* ``freealg``: the free-type algebra on theta generators, the scan behind
-  its twisted derivations and its bilinear form.
+* ``freealg``: the free-type algebra on theta generators, the iRtilde
+  scan that ``iuea`` runs and its bilinear form.
 * ``iuea``: b-monomials and (i)divided powers through the recursive
   isometries, the sesquilinear pairing, the iSerre check and the
   straightening coefficients.
@@ -47,13 +47,9 @@ def _memos():
 
 
 def cache_stats() -> dict[str, dict[str, int]]:
-    """Hits, misses and size of every module-level memo table, keyed
-    ``module.NAME``: ``freealg._WORD_PAIR_CACHE``, ``iuea._B_WORD_MEMO``,
-    ``shapes._ARC_MEMO``, ``shapes._SHAPE_MEMO`` (a word pair's matchings
-    and degree histograms), ``klr._STEP_MEMO`` and ``klr._REWORD_MEMO``
-    (the straightening route's steps and word rewrites) and the four caches
-    of the twisted route that the tests keep as ``mul``'s reference.  Read
-    on request (``selftest --cache-stats`` writes them to stderr)."""
+    """Hits, misses and size of every memo table in the ``memo.MEMOS``
+    registry, keyed by its ``module.NAME``.  Read on request
+    (``selftest --cache-stats`` writes them to stderr)."""
     return {m.name: m.stats() for m in _memos().values()}
 
 

@@ -9,12 +9,11 @@ Encodings:
   and the bar involution psi are the tests' (``tests/freealg_reference.py``).
 * Twisted derivations: iR peels from the left, Ri from the right, both
   sending theta_j to delta_{ij}/(1 - q_i^-2); iRtilde is the psi-conjugate
-  of iR, with value delta_{ij}/(1 - q_i^2) and inverse twist.  Each is one
-  scan over letter positions with the exponent prefix sums of the Cartan
-  pairing, then one multiplication by its value.  The scan
-  (``_derivation``) only shifts and adds, so ``iuea`` runs it on its
-  Laurent numerators; the three whole-element derivations, which run it on
-  RatQ coefficients, are the tests' oracles.
+  of iR, with value delta_{ij}/(1 - q_i^2) and inverse twist.  The package
+  needs only iRtilde's scan over letter positions, with the exponent prefix
+  sums of the Cartan pairing: ``_derivation`` runs it on the Laurent
+  numerators of ``iuea.act_b``.  The three whole-element derivations on
+  RatQ coefficients, with a scan of their own, are the tests' oracles.
 * ``pair`` is the bilinear form with (1,1) = 1 and adjunction peeling the
   left argument's leading letter through iR.
   Symmetry of ``pair`` is a tested property, not an assumption.
@@ -86,42 +85,30 @@ class FElem:
         return f"FElem({self})"
 
 
-def _derivation(datum: SatakeDatum, i: str, terms: dict, prefix_side: str, twist_sign: int) -> dict:
-    """Shared scan for the three twisted derivations, before their value.
+def _derivation(datum: SatakeDatum, i: str, terms: dict[Word, LaurentPoly]) -> dict[Word, LaurentPoly]:
+    """The iRtilde scan that ``iuea.act_b`` runs on its Laurent numerators,
+    before the derivation's value.
 
-    Removes each letter i of each word, shifting the word's coefficient by
-    q_i to the twist exponent: prefix_side "left" sums the Cartan entries
-    a_{i, letter} over letters strictly before the removed position,
-    "right" strictly after; twist_sign multiplies the exponent.  The scan
-    only shifts and adds, so a coefficient is anything with ``shifted``,
-    ``+`` and ``is_zero``: RatQ in the tests' whole-element derivations, a
-    Laurent numerator in ``iuea``.  The caller multiplies by the
-    derivation's value on theta_i.
+    Removes each letter i of each word, shifting the word's numerator by
+    q_i^-e, with e the sum of the Cartan entries a_{i, letter} over the
+    letters strictly before the removed position.  The caller multiplies by
+    the value on theta_i.
     """
     d = datum.qi(i)
-    out: dict = {}
+    out: dict[Word, LaurentPoly] = {}
     for w, c in terms.items():
-        pref = 0
-        totals = [0] * (len(w) + 1)
-        for t, letter in enumerate(w):
-            totals[t] = pref
-            pref += datum.a[(i, letter)]
-        totals[len(w)] = pref
+        e = 0
         for s, letter in enumerate(w):
-            if letter != i:
-                continue
-            if prefix_side == "left":
-                e = totals[s]
-            else:
-                e = pref - totals[s] - datum.a[(i, i)]
-            key = w[:s] + w[s + 1 :]
-            v = c.shifted(d * twist_sign * e)
-            if key in out:
-                v = out[key] + v
+            if letter == i:
+                key = w[:s] + w[s + 1 :]
+                v = c.shifted(-d * e)
+                if key in out:
+                    v = out[key] + v
                 if v.is_zero():
                     del out[key]
-                    continue
-            out[key] = v
+                else:
+                    out[key] = v
+            e += datum.a[(i, letter)]
     return out
 
 

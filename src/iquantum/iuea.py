@@ -153,7 +153,8 @@ def act_b(datum: SatakeDatum, i: str, xi: IElem) -> IElem:
     whose q-power reads off the weight of the component the correction came
     from.  Over the new denominator den * f, with f = 1 - q^{2 d}, the
     concatenated words carry n * f and iRtilde's value 1/f is 1, so the
-    numerators are twisted first and take one derivation scan.
+    numerators are twisted first and take one scan, ``freealg._derivation``;
+    the tests check it against iRtilde's own scan on RatQ coefficients.
     """
     ti = datum.tau[i]
     di = datum.qi(i)
@@ -164,7 +165,7 @@ def act_b(datum: SatakeDatum, i: str, xi: IElem) -> IElem:
         w: n.shifted(di * (_component_weight(datum, xi.base, w).lam_of(i) - vs - 1))
         for w, n in xi.num_jt.items()
     }
-    jt = freealg._derivation(datum, ti, twisted, "left", -1)
+    jt = freealg._derivation(datum, ti, twisted)
     return IElem(xi.base, xi.den * f, _add({(i,) + w: n * f for w, n in xi.num_jt.items()}, jt))
 
 

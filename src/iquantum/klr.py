@@ -308,8 +308,9 @@ class QTable:
     distinct datum nodes, each entry must be +-(x - y)^n, and the symmetry
     Q_{i,j}(x, y) = Q_{j,i}(y, x), that is sign_ij = sign_ji * (-1)^n, is
     what makes the polynomial action associative, so a violation is an error
-    naming the offending pair.  A table is equal and hashed by its datum
-    and factors, not its convention name, so equal tables share cache keys.
+    naming the offending pair.  The convention name only goes into that
+    error and is not kept: a table is equal and hashed by its datum and
+    factors, so equal tables share cache keys.
     """
 
     def __init__(self, datum: SatakeDatum, factors, sign_convention: str):
@@ -332,7 +333,6 @@ class QTable:
                 )
         self.datum = datum
         self.factors: dict[tuple[str, str], tuple[int, int]] = dict(factors)
-        self.sign_convention = sign_convention
         self._key = (datum, tuple(sorted(self.factors.items())))
         self._hash = hash(self._key)
 
@@ -700,15 +700,14 @@ def _divided_difference(p: dict, r: int) -> dict:
 #
 # A state {u: p} over a bottom word c is the sum of psi_{lexmin(u)} p e(c):
 # u a permutation (bottom position -> top position) and p an integer
-# polynomial {exponent tuple: int} in the dots at the bottom.  Memo values
-# are states too and are shared, so every sum below builds fresh dicts and
-# never merges into a value it read.  Both memos are keyed by the table
-# value, as a product's only dependence on it, and by the bottom word; they
-# are not scoped, since a run that changes table on every product would
-# empty a scoped memo on every product.
+# polynomial {exponent tuple: int} in the dots at the bottom.  The step
+# memo's values are states too and are shared, so every sum below builds
+# fresh dicts and never merges into a value it read.  The memo is keyed by
+# the table value, as a product's only dependence on it, and by the bottom
+# word; it is not scoped, since a run that changes table on every product
+# would empty a scoped memo on every product.
 
 _STEP_MEMO = Memo("klr._STEP_MEMO")
-_REWORD_MEMO = Memo("klr._REWORD_MEMO")
 
 
 def _add_state(out: dict, state: dict) -> None:
@@ -811,19 +810,15 @@ def _make_step(qt: QTable, c: Word, u, r: int) -> dict:
 
 def _reword(qt: QTable, c: Word, x, y) -> dict:
     """T = psi_x e(c) - psi_y e(c) for two distinct reduced words x, y of
-    one permutation, as a state over c, memoized."""
-    return _REWORD_MEMO.get_or_make((qt, c, x, y), _make_reword, qt, c, x, y)
-
-
-def _make_reword(qt: QTable, c: Word, x, y) -> dict:
-    """``_reword``'s maker, by Tits' recursion on the last letters.  Equal
-    last letters r recurse on the heads, times psi_r.  Otherwise, with
-    s = x[-1] and t = y[-1], both are right descents of the permutation, so
-    it is rest w_st with w_st the longest element of <s, t>, and both words
-    pass through lexmin(rest) followed by an alternating word of s and t,
-    one ending in s and one in t; those two differ by one braid move, which
-    leaves a term only on colors i j i with i != j.  Every recursion is on
-    shorter words or on words with equal last letters."""
+    one permutation, as a state over c, by Tits' recursion on the last
+    letters.  Equal last letters r recurse on the heads, times psi_r.
+    Otherwise, with s = x[-1] and t = y[-1], both are right descents of the
+    permutation, so it is rest w_st with w_st the longest element of
+    <s, t>, and both words pass through lexmin(rest) followed by an
+    alternating word of s and t, one ending in s and one in t; those two
+    differ by one braid move, which leaves a term only on colors i j i with
+    i != j.  Every recursion is on shorter words or on words with equal
+    last letters.  It is not memoized; ``_step``, its caller, is."""
     s, t = x[-1], y[-1]
     if s == t:
         return _times_psi(qt, _reword(qt, _swap_positions(c, s), x[:-1], y[:-1]), c, s)

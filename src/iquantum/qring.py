@@ -333,11 +333,6 @@ class RatQ:
     def __sub__(self, other: "RatQ") -> "RatQ":
         return self + (-other)
 
-    def shifted(self, k: int) -> "RatQ":
-        """Multiply by q^k.  Only the numerator moves, so the value stays in
-        normal form and is not normalized again."""
-        return RatQ._trusted(self.num.shifted(k), self.den)
-
     def __mul__(self, other: "RatQ") -> "RatQ":
         if not isinstance(other, RatQ):
             return NotImplemented

@@ -1,12 +1,13 @@
 """The free algebra's operations that only the tests read, as plain
 functions over ``FElem.terms``: the sum, the product (the bilinear extension
 of word concatenation), the bar involution psi and the three whole-element
-twisted derivations.  The derivations run the package's own scan,
-``freealg._derivation``, on RatQ coefficients and multiply by their value on
-theta_i; ``iuea`` runs the same scan on Laurent numerators.
+twisted derivations.  The derivations have a scan of their own on RatQ
+coefficients, apart from ``freealg._derivation``, the one ``iuea.act_b``
+runs on its Laurent numerators, so a fault in that scan shows as a
+disagreement with these.
 """
 
-from iquantum.freealg import FElem, _derivation, inv_one_minus_q2, inv_one_minus_qinv2
+from iquantum.freealg import FElem, inv_one_minus_q2, inv_one_minus_qinv2
 from iquantum.qring import RatQ
 
 
@@ -30,16 +31,33 @@ def psi(x: FElem) -> FElem:
     return FElem({w: c.bar() for w, c in x.terms.items()})
 
 
+def _peel(datum, i: str, y: FElem, side: str, twist: int) -> FElem:
+    """Remove each letter i of each word of y, times q_i^(twist * e): e sums
+    the Cartan entries a_{i, letter} over the letters before the removed
+    one (side "left") or after it (side "right")."""
+    d = datum.qi(i)
+    out: dict = {}
+    for w, c in y.terms.items():
+        for s, letter in enumerate(w):
+            if letter != i:
+                continue
+            rest = w[:s] if side == "left" else w[s + 1 :]
+            e = sum(datum.a[(i, x)] for x in rest)
+            key = w[:s] + w[s + 1 :]
+            out[key] = out.get(key, RatQ.zero()) + c * RatQ.q_power(d * twist * e)
+    return FElem(out)
+
+
 def iR(datum, i: str, y: FElem) -> FElem:
     """Left-peeling twisted derivation with theta_j -> delta_ij/(1-q_i^-2)."""
-    return FElem(_derivation(datum, i, y.terms, "left", 1)).scale(inv_one_minus_qinv2(datum.qi(i)))
+    return _peel(datum, i, y, "left", 1).scale(inv_one_minus_qinv2(datum.qi(i)))
 
 
 def Ri(datum, i: str, y: FElem) -> FElem:
     """Right-peeling twisted derivation with theta_j -> delta_ij/(1-q_i^-2)."""
-    return FElem(_derivation(datum, i, y.terms, "right", 1)).scale(inv_one_minus_qinv2(datum.qi(i)))
+    return _peel(datum, i, y, "right", 1).scale(inv_one_minus_qinv2(datum.qi(i)))
 
 
 def iRtilde(datum, i: str, y: FElem) -> FElem:
     """psi-conjugate of iR: theta_j -> delta_ij/(1-q_i^2), inverse twist."""
-    return FElem(_derivation(datum, i, y.terms, "left", -1)).scale(inv_one_minus_q2(datum.qi(i)))
+    return _peel(datum, i, y, "left", -1).scale(inv_one_minus_q2(datum.qi(i)))

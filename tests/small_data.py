@@ -1,9 +1,23 @@
 """Every small valid datum of symmetric type, for the tests that check the
-package on more than the five built-in data."""
+package on more than the five built-in data, and the weights at which the
+golden files pin each built-in datum."""
 
 import itertools
 
-from iquantum.satake import make_datum, validate
+from iquantum.satake import make_datum, make_iweight, validate, weight_sweep
+from iquantum.standard import builtin_weights
+
+
+def golden_weights(rng, datum):
+    """The built-in weights L0, L1 of a datum and two weights drawn by rng
+    from its sweep, as ``tests/test_shapes_golden.py`` and
+    ``tests/test_iuea_golden.py`` pin them."""
+    sweep = weight_sweep(datum)
+    return {
+        **{name: make_iweight(datum, *lp) for name, lp in builtin_weights(datum).items()},
+        "sweep a": rng.choice(sweep),
+        "sweep b": rng.choice(sweep),
+    }
 
 
 def canonical(datum):

@@ -192,7 +192,6 @@ CACHE_NAMES = {
     "shapes._ARC_MEMO",
     "shapes._SHAPE_MEMO",
     "klr._STEP_MEMO",
-    "klr._REWORD_MEMO",
     "klr._PSI_CACHE",
     "klr._ENTRY_CACHE",
     "klr._ELEM_CACHE",

@@ -19,8 +19,9 @@ from pathlib import Path
 
 from freealg_reference import psi
 from iquantum import iuea
-from iquantum.satake import format_dpword, make_iweight, weight_sweep
-from iquantum.standard import STANDARD, builtin_weights
+from iquantum.satake import format_dpword
+from iquantum.standard import STANDARD
+from small_data import golden_weights
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "b_word_images.json"
 
@@ -45,22 +46,13 @@ def _words(rng, datum, letters):
     return out
 
 
-def _weights(rng, datum):
-    sweep = weight_sweep(datum)
-    return {
-        **{name: make_iweight(datum, *lp) for name, lp in builtin_weights(datum).items()},
-        "sweep a": rng.choice(sweep),
-        "sweep b": rng.choice(sweep),
-    }
-
-
 def _capture():
     images, pairings = {}, {}
     for name, make in STANDARD.items():
         datum = make()
         rng = random.Random(f"b-word-golden:{name}")
         words = _words(rng, datum, 4 if name == "qs_a3" else 5)
-        for label, lw in _weights(rng, datum).items():
+        for label, lw in golden_weights(rng, datum).items():
             xs = {w: iuea.b_word(datum, w, lw) for w in words}
             for w, xi in xs.items():
                 key = f"{name} {label} {lw} [{format_dpword(w)}]"

@@ -416,7 +416,7 @@ def test_qtable_entry_must_be_a_signed_power_of_x_minus_y(pair, factor, message)
     factors = dict(good.factors)
     factors[pair] = factor
     with pytest.raises(ValueError, match=message):
-        QTable(good.datum, factors, good.sign_convention)
+        QTable(good.datum, factors, "body")
 
 
 @pytest.mark.parametrize(
@@ -442,7 +442,7 @@ def test_qtable_holds_exactly_the_pairs_of_distinct_nodes(change, message):
     else:
         factors[("2", "2")] = (1, 0)
     with pytest.raises(ValueError, match=message):
-        QTable(good.datum, factors, good.sign_convention)
+        QTable(good.datum, factors, "body")
 
 
 def _sympy_qtable(datum, orientation=None, sign_convention="body"):
@@ -649,14 +649,12 @@ def test_eager_sums_lift_both_sides_and_drop_what_cancels():
 
 
 def test_cache_stats_count_hits_misses_and_sizes():
+    # the registry as a whole is tests/test_cli.py's CACHE_NAMES; klr's
+    # part is the straightening memo and the twisted route's four
     iquantum.clear_caches()
     stats = iquantum.cache_stats()
-    others = {
-        "freealg._WORD_PAIR_CACHE", "iuea._B_WORD_MEMO", "shapes._ARC_MEMO", "shapes._SHAPE_MEMO",
-    }
-    mine = {"klr._STEP_MEMO", "klr._REWORD_MEMO"}
     twisted = {"klr._PSI_CACHE", "klr._ENTRY_CACHE", "klr._ELEM_CACHE", "klr._FIELDS"}
-    assert set(stats) == mine | twisted | others
+    assert {name for name in stats if name.startswith("klr.")} == {"klr._STEP_MEMO"} | twisted
     assert all(v == {"hits": 0, "misses": 0, "size": 0} for v in stats.values())
     qt = geometric_qtable(split_a2())
     w = ("1", "2", "1")
@@ -664,15 +662,13 @@ def test_cache_stats_count_hits_misses_and_sizes():
     first = iquantum.cache_stats()
     triple_crossing(qt, w, 2)
     second = iquantum.cache_stats()
-    for name, cache in (("_STEP_MEMO", klr._STEP_MEMO), ("_REWORD_MEMO", klr._REWORD_MEMO)):
-        assert first[f"klr.{name}"]["size"] == len(cache) > 0
-        assert first[f"klr.{name}"]["misses"] == len(cache)
+    assert first["klr._STEP_MEMO"]["size"] == len(klr._STEP_MEMO) > 0
+    assert first["klr._STEP_MEMO"]["misses"] == len(klr._STEP_MEMO)
     # mul never reaches the twisted route's memos
     assert all(first[name]["size"] == 0 for name in twisted)
     # the repeat reads each of its three steps from the memo
     assert second["klr._STEP_MEMO"]["hits"] == first["klr._STEP_MEMO"]["hits"] + 3
     assert second["klr._STEP_MEMO"]["misses"] == first["klr._STEP_MEMO"]["misses"]
-    assert second["klr._REWORD_MEMO"] == first["klr._REWORD_MEMO"]
     # the twisted route, the tests' reference, counts in its own memos
     x = crossing(("2", "1"), 1)
     y = crossing(("1", "2"), 1)
@@ -691,10 +687,7 @@ def test_cache_stats_count_hits_misses_and_sizes():
     # the repeat expands both factors from the element cache
     assert second["klr._ELEM_CACHE"]["hits"] == first["klr._ELEM_CACHE"]["hits"] + 2
     assert second["klr._ELEM_CACHE"]["misses"] == first["klr._ELEM_CACHE"]["misses"]
-    every = iquantum.cache_stats()
-    assert set(every) == set(stats)
-    for name in others:
-        assert set(every[name]) == {"hits", "misses", "size"}
+    assert set(iquantum.cache_stats()) == set(stats)
     iquantum.clear_caches()
     assert iquantum.cache_stats() == stats
     assert mul(qt, x, y) == diagram(y.bottom, y.bottom, (0, 1), (0, 1)) - diagram(
@@ -702,7 +695,7 @@ def test_cache_stats_count_hits_misses_and_sizes():
     )
 
 
-_PRODUCT_CACHES = ("klr._STEP_MEMO", "klr._REWORD_MEMO")
+_PRODUCT_CACHES = ("klr._STEP_MEMO",)
 
 
 def _mixed_products(qt):
@@ -755,8 +748,7 @@ def test_tables_of_different_content_never_share_entries():
     for name in _PRODUCT_CACHES:
         for field in ("hits", "misses"):
             assert after[name][field] - before[name][field] == fresh_stats[name][field], (name, field)
-    for cache in (klr._STEP_MEMO, klr._REWORD_MEMO):
-        assert {key[0] for key in cache} == {qt, flipped}
+    assert {key[0] for key in klr._STEP_MEMO} == {qt, flipped}
     iquantum.clear_caches()
 
 
@@ -765,7 +757,7 @@ def test_rewriting_needs_words_of_one_permutation():
     # the klr subcommand reports a rejected normal form
     qt = geometric_qtable(split_a2())
     with pytest.raises(ArithmeticError, match="different permutations"):
-        klr._make_reword(qt, ("1", "2", "1"), (0,), (1,))
+        klr._reword(qt, ("1", "2", "1"), (0,), (1,))
 
 
 def _reference_cases():
@@ -821,9 +813,7 @@ def test_mul_matches_the_eager_reference(monkeypatch):
     assert sum(_assert_routes_agree(qt, [(a, b)]) for qt, a, b in cases) >= 30
     # both routes' sums build fresh values: a second pass reads every step
     # and expansion from the memos and leaves them as they were
-    memos = (
-        klr._STEP_MEMO, klr._REWORD_MEMO, klr._PSI_CACHE, klr._ELEM_CACHE, klr._ENTRY_CACHE,
-    )
+    memos = (klr._STEP_MEMO, klr._PSI_CACHE, klr._ELEM_CACHE, klr._ENTRY_CACHE)
     snapshot = copy.deepcopy(memos)
     for qt, a, b in cases:
         mul(qt, a, b)
@@ -1002,7 +992,7 @@ def test_one_color_products_never_read_the_table():
     assert mul(None, mul(None, s1, s2), s1) == mul(None, mul(None, s2, s1), s2)
     assert mul(None, dot(w, 1), s1) - mul(None, s1, dot(w, 2)) == e(w)
     stats = iquantum.cache_stats()
-    assert stats["klr._STEP_MEMO"]["size"] > 0 and stats["klr._REWORD_MEMO"]["size"] > 0
-    assert {key[0] for key in (*klr._STEP_MEMO, *klr._REWORD_MEMO)} == {None}
+    assert stats["klr._STEP_MEMO"]["size"] > 0
+    assert {key[0] for key in klr._STEP_MEMO} == {None}
     assert all(v["size"] == 0 for name, v in stats.items() if name not in _PRODUCT_CACHES)
     iquantum.clear_caches()

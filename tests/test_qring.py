@@ -425,14 +425,6 @@ def test_ratq_evaluation_is_a_field_map(x, y, q0):
 
 
 @_PROPERTY
-@given(_ratq, st.integers(-5, 5))
-def test_ratq_shifted_is_a_q_power_multiple_in_normal_form(x, k):
-    z = x.shifted(k)
-    assert_normal_form(z)
-    assert z == x * RatQ.q_power(k)
-
-
-@_PROPERTY
 @given(_laurent, _nonzero, _cofactor)
 def test_ratq_bar_is_the_normalized_mirror(a, b, c):
     """bar skips the gcd; it must equal normalizing the mirrored sides."""

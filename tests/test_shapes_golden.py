@@ -17,8 +17,8 @@ import sys
 from pathlib import Path
 
 from iquantum import shapes
-from iquantum.satake import make_iweight, weight_sweep
-from iquantum.standard import STANDARD, builtin_weights
+from iquantum.standard import STANDARD
+from small_data import golden_weights
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "shape_degrees.json"
 
@@ -53,22 +53,13 @@ def _pairs(rng, datum):
     return out
 
 
-def _weights(rng, datum):
-    sweep = weight_sweep(datum)
-    return {
-        **{name: make_iweight(datum, *lp) for name, lp in builtin_weights(datum).items()},
-        "sweep a": rng.choice(sweep),
-        "sweep b": rng.choice(sweep),
-    }
-
-
 def _capture():
     values, thetas = {}, {}
     for name, make in STANDARD.items():
         datum = make()
         rng = random.Random(f"shape-golden:{name}")
         pairs = _pairs(rng, datum)
-        for label, lw in _weights(rng, datum).items():
+        for label, lw in golden_weights(rng, datum).items():
             for top, bottom in pairs:
                 pair = f"[{' '.join(top)}] | [{' '.join(bottom)}]"
                 degrees = [

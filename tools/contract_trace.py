@@ -52,7 +52,6 @@ NAMED = {
                         "runs 9% slower enumerating them directly",
     "freealg.FElem.__str__": "perfbench's pairing_sweep prints FElem images; "
                              "test_freealg's test_canonical_text pins the text",
-    "qring.RatQ.shifted": "freealg._derivation calls it on the tests' RatQ oracles",
     "__init__.cache_stats": "selftest --cache-stats, covered in tests/test_cli.py",
     "memo.Memo.stats": "selftest --cache-stats, covered in tests/test_cli.py",
     "selftest._CollectorClock.__call__": "selftest --timings, covered in tests/test_cli.py",
