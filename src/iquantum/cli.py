@@ -553,11 +553,13 @@ def _cmd_shapes(cfg: Config, args) -> int:
 
 # The bound was set when products of mixed colors went through the twisted
 # group algebra and took minutes on seven strands.  Straightened in the
-# polynomial ring, the longest crossing after six dots takes about 0.02 s
-# in process on six strands (e(2 1 1 1 1 1), e(1 2 1 2 1 2)), 0.05-0.12 s on
-# seven (e(1 1 1 1 1 1 2), e(1 2 1 2 1 2 1) with 2142 terms) and 0.44 s on
-# eight (e(1 2 1 2 1 2 1 2), 4427 terms) on a 2-vCPU machine; the bound
-# stays until it is derived again from such timings.
+# polynomial ring, the longest crossing after six dots takes about 0.01 s
+# through ``run`` on six strands of e(2 1 1 1 1 1), 0.02 s on e(1 2 1 2 1 2)
+# and 0.025 s on one color, e(1 1 1 1 1 1) (cold CPU in a fresh process);
+# in process it takes 0.03-0.09 s on seven (e(1 1 1 1 1 1 2),
+# e(1 2 1 2 1 2 1) with 2142 terms) and 0.26-0.35 s on eight
+# (e(1 2 1 2 1 2 1 2), 4427 terms) on a 2-vCPU machine; the bound stays
+# until it is derived again from such timings.
 MAX_STRANDS = 6
 # A product's terms can grow with every factor (the square of a crossing of
 # two colors is a polynomial in the dots): 150 factors of "s1 ; s3 ; s5" on
