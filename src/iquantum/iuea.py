@@ -209,7 +209,8 @@ def b_divided(datum: SatakeDatum, i: str, n: int, xi: IElem) -> IElem:
         for m in range(n % 2, n):
             if m % 2 != p:
                 continue
-            cur = act_b(datum, i, act_b(datum, i, cur)) - cur.over(qint(m, di) ** 2 * f2, f2)
+            qm = qint(m, di)
+            cur = act_b(datum, i, act_b(datum, i, cur)) - cur.over(qm * qm * f2, f2)
         if n % 2:
             cur = act_b(datum, i, cur)
         result = result + cur.over(one, fact)

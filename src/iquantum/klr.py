@@ -47,6 +47,7 @@ by one form at a time, term by term.  Nothing here computes symbolically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from math import comb
 from operator import add, itemgetter, sub
 
@@ -889,34 +890,17 @@ def _mul_twisted(qt: QTable, a: KLRElem, b: KLRElem) -> KLRElem:
     return _extract(qt, a.top, b.bottom, comp)
 
 
-def _matchings(top: Word, bottom: Word):
-    """Permutations carrying bottom positions to equal-colored top positions,
-    in lexicographic order: a depth-first walk on an explicit stack, each
-    position's choices pushed last to first."""
-    l = len(bottom)
-    if len(top) != l:
-        return []
-    out = []
-    stack = [()]
-    while stack:
-        acc = stack.pop()
-        s = len(acc)
-        if s == l:
-            out.append(acc)
-            continue
-        c = bottom[s]
-        stack.extend(acc + (t,) for t in range(l - 1, -1, -1) if top[t] == c and t not in acc)
-    return out
-
-
 def graded_dim(datum: SatakeDatum, top: Word, bottom: Word, order: int = 20) -> RankSeries:
     """Graded dimension of the span of dotted wiring diagrams: one free
-    polynomial strand factor per bottom letter, summed over matchings."""
+    polynomial strand factor per bottom letter, summed over the
+    permutations carrying each bottom position to an equal-colored top one."""
     top = tuple(top)
     bottom = tuple(bottom)
     num = LaurentPoly({})
-    for w in _matchings(top, bottom):
-        num = num + LaurentPoly.q_power(_wiring_degree(datum, bottom, w))
+    if len(top) == len(bottom):
+        for w in permutations(range(len(bottom))):
+            if all(top[t] == c for c, t in zip(bottom, w)):
+                num = num + LaurentPoly.q_power(_wiring_degree(datum, bottom, w))
     den = LaurentPoly.q_power(0)
     for c in bottom:
         den = den * (LaurentPoly.q_power(0) - LaurentPoly.q_power(2 * datum.qi(c)))

@@ -109,18 +109,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative power of a Laurent polynomial")
-        r = LaurentPoly.one()
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            b = b * b
-            n >>= 1
-        return r
-
     def bar(self) -> "LaurentPoly":
         """Substitute q -> q^-1."""
         r = LaurentPoly()

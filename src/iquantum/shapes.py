@@ -373,10 +373,8 @@ def _assemble(degs: Counter, strands: dict[int, int], sign: int) -> RatQ:
 
 
 def _degree_histogram(datum: SatakeDatum, top: Word, bottom: Word, mode: str, lw: IWeight):
-    """Counter of ``degree`` over the matchings of one mode, or () when there
-    is none (a falsy value that ``Memo.get_or_make`` still counts a hit)."""
-    found = enumerate_shapes(datum, top, bottom, mode)
-    return Counter([degree(datum, sh, lw) for sh in found]) if found else ()
+    """Counter of ``degree`` over the matchings of one mode."""
+    return Counter([degree(datum, sh, lw) for sh in enumerate_shapes(datum, top, bottom, mode)])
 
 
 def _shape_sum(

@@ -1,11 +1,32 @@
-"""Every small valid datum of symmetric type, for the tests that check the
-package on more than the five built-in data, and the weights at which the
-golden files pin each built-in datum."""
+"""The test inputs that more than one test file reads, each written once:
+every small valid datum of symmetric type (``SMALL_DATA``), three named
+data off the built-ins, the weights at which the golden files pin each
+built-in datum, and the seeded word pairs with at least one matching."""
 
 import itertools
 
 from iquantum.satake import make_datum, make_iweight, validate, weight_sweep
 from iquantum.standard import builtin_weights
+
+
+# Two fixed nodes named like split_a2's, with no edge: the shortest Serre
+# complex (m = 1).
+FIXED_A1A1 = make_datum(
+    ["1", "2"], [[2, 0], [0, 2]], [1, 1], {"1": "1", "2": "2"}, {"1": -1, "2": -1}
+)
+# Two fixed nodes joined by a double edge: a Serre complex with m = 3.
+DOUBLE_EDGE = make_datum(
+    ["1", "2"], [[2, -2], [-2, 2]], [1, 1], {"1": "1", "2": "2"}, {"1": -1, "2": -1}
+)
+# Two fixed nodes with d = 2, 1 (type B2): strands of two d-values, and a
+# Cartan matrix whose parity check only warns.
+MIXED_D = make_datum(
+    ["1", "2"], [[2, -1], [-2, 2]], [2, 1], {"1": "1", "2": "2"}, {"1": -1, "2": -1}
+)
+
+
+def weight(datum, lam=None, par=None):
+    return make_iweight(datum, lam or {}, par)
 
 
 def golden_weights(rng, datum):
@@ -14,10 +35,27 @@ def golden_weights(rng, datum):
     ``tests/test_iuea_golden.py`` pin them."""
     sweep = weight_sweep(datum)
     return {
-        **{name: make_iweight(datum, *lp) for name, lp in builtin_weights(datum).items()},
+        **{name: weight(datum, *lp) for name, lp in builtin_weights(datum).items()},
         "sweep a": rng.choice(sweep),
         "sweep b": rng.choice(sweep),
     }
+
+
+def strand_pair(rng, datum, strands):
+    """Two shuffled words built from seeded strands, a prop (i over i), a cup
+    (i, tau i on top) or a cap (i, tau i below): at least one matching."""
+    top, bottom = [], []
+    for _ in range(strands):
+        i = rng.choice(datum.nodes)
+        kind = rng.choice(("prop", "cup", "cap"))
+        if kind == "prop":
+            top.append(i)
+            bottom.append(i)
+        else:
+            (top if kind == "cup" else bottom).extend((i, datum.tau[i]))
+    rng.shuffle(top)
+    rng.shuffle(bottom)
+    return tuple(top), tuple(bottom)
 
 
 def canonical(datum):

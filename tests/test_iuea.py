@@ -12,22 +12,14 @@ import iquantum
 from iquantum import freealg, iuea, satake, selftest, shapes
 from iquantum.freealg import FElem, inv_one_minus_q2, inv_one_minus_qinv2
 from iquantum.qring import LaurentPoly, RatQ, qint
-from iquantum.standard import STANDARD
+from iquantum.standard import STANDARD, diag_a1a1, qs_a2, qs_a3, split_a1, split_a2
 from freealg_reference import add, iR, iRtilde, mul, psi
-from small_data import SMALL_DATA
-
-
-def make(name):
-    return STANDARD[name]()
-
-
-def weight(datum, lam=None, par=None):
-    return satake.make_iweight(datum, lam or {}, par)
+from small_data import FIXED_A1A1, SMALL_DATA, weight
 
 
 def test_unit_and_single_action():
     for name in STANDARD:
-        datum = make(name)
+        datum = STANDARD[name]()
         for lw in satake.weight_sweep(datum, -1, 1):
             one = iuea.unit(lw)
             assert one.jt == FElem.one() and psi(one.jt) == FElem.one()
@@ -75,7 +67,7 @@ def _random_ielem(rng, datum, lw):
 def test_act_b_matches_the_derivation_reference():
     rng = random.Random(6061)
     for name in STANDARD:
-        datum = make(name)
+        datum = STANDARD[name]()
         lws = satake.weight_sweep(datum, -2, 2)
         for _ in range(12):
             lw = rng.choice(lws)
@@ -91,7 +83,7 @@ def test_two_step_constant():
     # Acting by b_i then b_{tau i} on 1_lambda leaves, besides the length-two
     # word, a constant whose exponent collapses to 1 + vs_i - lam_i.
     for name in ("diag_a1a1", "qs_a2", "qs_a3"):
-        datum = make(name)
+        datum = STANDARD[name]()
         for i in datum.nodes:
             ti = datum.tau[i]
             if ti == i:
@@ -110,7 +102,7 @@ def test_two_step_constant():
 
 def test_single_strand_and_single_cup_pairings():
     for name in STANDARD:
-        datum = make(name)
+        datum = STANDARD[name]()
         for i in datum.nodes:
             ti = datum.tau[i]
             di = datum.qi(i)
@@ -124,7 +116,7 @@ def test_single_strand_and_single_cup_pairings():
 
 
 def test_ipair_base_weight_orthogonality():
-    datum = make("qs_a2")
+    datum = qs_a2()
     lw1 = weight(datum, {"1": 1})
     lw2 = weight(datum, {"1": 2})
     x = iuea.b_word(datum, (("1", 1),), lw1)
@@ -139,7 +131,7 @@ def test_b_words_match_the_two_image_reference():
     rng = random.Random(20260823)
     pairs = 0
     for name in STANDARD:
-        datum = make(name)
+        datum = STANDARD[name]()
         lws = satake.weight_sweep(datum, -1, 1)
         for lw in rng.sample(lws, min(2, len(lws))):
             words = {tuple(rng.choice(datum.nodes) for _ in range(rng.randint(0, 3))) for _ in range(6)}
@@ -163,7 +155,7 @@ def test_b_words_match_the_two_image_reference():
 def test_rho_adjunction():
     rng = random.Random(991)
     for name in STANDARD:
-        datum = make(name)
+        datum = STANDARD[name]()
         lws = satake.weight_sweep(datum, -1, 1)
         for _ in range(8):
             lw = rng.choice(lws)
@@ -212,10 +204,8 @@ def test_b_word_memo_matches_the_reference_fold():
     rng = random.Random(1010)
     # two data over the same nodes with different Cartan rows, whose
     # weights at equal parities are equal IWeight values
-    a1a1 = satake.make_datum(
-        ["1", "2"], [[2, 0], [0, 2]], [1, 1], {"1": "1", "2": "2"}, {"1": -1, "2": -1}
-    )
-    data = [make(name) for name in STANDARD] + [a1a1]
+    a1a1 = FIXED_A1A1
+    data = [make() for make in STANDARD.values()] + [a1a1]
     powers = {"fixed": 0, "moved": 0}
     for datum in data:
         sweep = satake.weight_sweep(datum, -2, 2)
@@ -231,7 +221,7 @@ def test_b_word_memo_matches_the_reference_fold():
             for w in words:
                 assert iuea.b_word(datum, w, lw) == want[lw][w], (datum, lw, w)
     assert powers["fixed"] >= 5 and powers["moved"] >= 5
-    split = make("split_a2")
+    split = split_a2()
     assert split.nodes == a1a1.nodes and split != a1a1
     par = {"1": 0, "2": 1}
     lw = satake.make_iweight(split, {}, par)
@@ -246,7 +236,7 @@ def test_b_word_memo_matches_the_reference_fold():
 def test_b_word_acts_once_per_distinct_word_in_a_block(monkeypatch):
     # one criterion-01 block: every word within the budget on qs_a2 at one
     # weight, where every letter is one b_i
-    datum = make("qs_a2")
+    datum = qs_a2()
     words, _ = selftest.word_pairs(datum, selftest._budget("qs_a2"))
     lw = weight(datum, {"1": 1})
     iuea.b_word(datum, (), weight(datum, {"1": 2}))  # another scope empties the memo
@@ -281,7 +271,7 @@ def test_b_word_acts_once_per_distinct_word_in_a_block(monkeypatch):
 
 
 def test_clear_caches_forgets_the_scopes():
-    datum = make("qs_a2")
+    datum = qs_a2()
     lw = weight(datum, {"1": 1})
     word = satake.to_dpword(("1", "2"))
     iuea.b_word(datum, word, lw)
@@ -329,13 +319,13 @@ def test_b_word_survives_a_bare_clear_of_its_memo():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    datum = make("qs_a2")
+    datum = qs_a2()
     want = _b_word_reference(datum, satake.to_dpword(("1", "2")), weight(datum, {"1": 1}))
     assert proc.stdout.splitlines() == [str(want.jt), str(psi(want.jt))]
 
 
 def test_divided_power_basics():
-    datum = make("qs_a2")
+    datum = qs_a2()
     lw = weight(datum, {"1": 1})
     xi = iuea.b_word(datum, (("1", 1), ("2", 1)), lw)
     assert iuea.b_divided(datum, "1", 0, xi).jt == xi.jt
@@ -349,7 +339,7 @@ def test_divided_powers_of_nonfixed_node_stay_monomial():
     # With tau moving i, the correction derivations see no matching letter,
     # so the divided power is exactly the divided theta word.
     for name in ("diag_a1a1", "qs_a2", "qs_a3"):
-        datum = make(name)
+        datum = STANDARD[name]()
         for lw in satake.weight_sweep(datum, -1, 1):
             for i in datum.nodes:
                 if datum.tau[i] == i:
@@ -373,7 +363,7 @@ def outer_sweep(datum, lo, hi):
 def test_fixed_node_expansion_table():
     # criterion 05's table of delta coefficients of b_{i^(n)} 1_lambda on the
     # split rank-one datum, continued to 7 <= n <= 10, both parities
-    datum = make("split_a1")
+    datum = split_a1()
     d = datum.qi("1")
     for p in (0, 1):
         lw = weight(datum, par={"1": p})
@@ -393,7 +383,7 @@ def test_fixed_node_expansion_table():
 def test_iserre_relation_sweep():
     # criterion 03's relation at orbit coordinates 5 <= |lam| <= 8
     for name in STANDARD:
-        datum = make(name)
+        datum = STANDARD[name]()
         for lw in outer_sweep(datum, 5, 8):
             for i in datum.nodes:
                 for j in datum.nodes:
@@ -406,7 +396,7 @@ def test_iserre_relation_sweep():
 def test_iserre_specialization_commutator():
     # a_{i, tau i} = 0: the commutator of the two partner generators acts as
     # the quantum integer of the weight coordinate, here at 5 <= |lam| <= 12.
-    datum = make("diag_a1a1")
+    datum = diag_a1a1()
     for lw in outer_sweep(datum, 5, 12):
         lam = lw.lam_of("1")
         res = iuea.iserre_check(datum, "1", "2", lw)
@@ -418,7 +408,7 @@ def test_iserre_specialization_commutator():
 def test_iserre_specialization_length_two():
     # a_{i, tau i} = -1: the right side is an explicit two-term q-scalar
     # times the partner generator, here at 5 <= |lam| <= 12.
-    datum = make("qs_a2")
+    datum = qs_a2()
     d = datum.qi("1")
     vs = datum.varsigma["1"]
     for lw in outer_sweep(datum, 5, 12):
@@ -430,13 +420,17 @@ def test_iserre_specialization_length_two():
 
 
 def test_iserre_rejects_equal_nodes():
-    datum = make("qs_a2")
+    datum = qs_a2()
     with pytest.raises(ValueError):
         iuea.iserre_check(datum, "1", "1", weight(datum))
 
 
 def test_f_coeff_against_oracle():
+    # criterion 04 runs this check on its three data at every weight here
+    theirs = [diag_a1a1(), qs_a2(), qs_a3()]
     for datum in SMALL_DATA:
+        if datum in theirs:
+            continue
         for lw in satake.weight_sweep(datum, -2, 2):
             for i in datum.nodes:
                 if datum.tau[i] == i:
@@ -449,7 +443,7 @@ def test_f_coeff_against_oracle():
 
 
 def test_f_coeff_base_value():
-    datum = make("diag_a1a1")
+    datum = diag_a1a1()
     for lam in range(-3, 4):
         lw = weight(datum, {"1": lam})
         d = datum.qi("1")
@@ -459,13 +453,13 @@ def test_f_coeff_base_value():
 
 
 def test_f_coeff_range_errors():
-    datum = make("qs_a2")
+    datum = qs_a2()
     lw = weight(datum)
     with pytest.raises(ValueError):
         iuea.f_coeff(datum, 2, 1, "1", lw)
     with pytest.raises(ValueError):
         iuea.f_coeff(datum, 0, 0, "1", lw)
-    split = make("split_a1")
+    split = split_a1()
     with pytest.raises(ValueError):
         iuea.f_coeff(split, 0, 1, "1", weight(split, par={"1": 0}))
 
@@ -477,7 +471,7 @@ def test_f_coeff_matches_pairing_quotient():
     # The nabla vector of a word has the divided theta word as its j-image,
     # and the two bar twists cancel, so each is a plain pairing of jt.
     for name in ("diag_a1a1", "qs_a2"):
-        datum = make(name)
+        datum = STANDARD[name]()
         i, j = "1", "2"
         assert datum.tau[j] == i
         empty = freealg.theta_word(datum, ())
@@ -491,7 +485,7 @@ def test_f_coeff_matches_pairing_quotient():
 def test_triangularity_of_nabla_pairing():
     from itertools import product
 
-    datum = make("qs_a2")
+    datum = qs_a2()
     lw = weight(datum, {"1": 1})
     words = [w for n in range(4) for w in product(datum.nodes, repeat=n)]
     for wi in words:
@@ -511,7 +505,7 @@ def test_ipair_is_linear_in_a_bar_invariant_right_scalar():
     # scale and over leave a valid right argument only for a bar-invariant one
     from itertools import product
 
-    datum = make("qs_a2")
+    datum = qs_a2()
     c = RatQ(qint(2))
     ratio = RatQ(qint(2), qint(3))
     assert c.bar() == c and ratio.bar() == ratio
@@ -548,7 +542,7 @@ def test_ipair_pairs_only_words_of_one_content(monkeypatch):
 
     nonzero = 0
     for name in STANDARD:
-        datum = make(name)
+        datum = STANDARD[name]()
         lws = satake.weight_sweep(datum, -1, 1)
         for _ in range(10):
             lw = rng.choice(lws)
@@ -571,7 +565,7 @@ def test_ipair_pairs_only_words_of_one_content(monkeypatch):
 
 def test_over_by_one_shares_the_numerators():
     rng = random.Random(1119)
-    datum = make("qs_a2")
+    datum = qs_a2()
     xi = _random_ielem(rng, datum, rng.choice(satake.weight_sweep(datum, -1, 1)))
     fact = qint(2) * qint(3)
     got = xi.over(LaurentPoly.one(), fact)

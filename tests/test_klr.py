@@ -32,19 +32,7 @@ from iquantum.selftest import _shuffled as shuffled
 from iquantum.selftest import _tables
 from iquantum.shapes import pair_theta
 from iquantum.standard import STANDARD, diag_a1a1, qs_a2, qs_a3, split_a1, split_a2
-from small_data import SMALL_DATA, small_data
-
-
-def aux_a1a1():
-    """Two fixed nodes, no edge: the shortest Serre complex (m = 1)."""
-    return make_datum(["1", "2"], [[2, 0], [0, 2]], [1, 1], {"1": "1", "2": "2"}, {"1": -1, "2": -1})
-
-
-def aux_double_edge():
-    """Two fixed nodes joined by a double edge: m = 3."""
-    return make_datum(
-        ["1", "2"], [[2, -2], [-2, 2]], [1, 1], {"1": "1", "2": "2"}, {"1": -1, "2": -1}
-    )
+from small_data import DOUBLE_EDGE, FIXED_A1A1, SMALL_DATA, small_data
 
 
 def qs_a3_table():
@@ -356,25 +344,28 @@ def test_tensor():
 
 
 def test_serre_complex_shortest():
-    qt = geometric_qtable(aux_a1a1())
+    qt = geometric_qtable(FIXED_A1A1)
     report = serre_complex_check(qt, "1", "2")
     assert report.m == 1
     assert report.ok
 
 
 def test_serre_complex_single_edge():
-    report = serre_complex_check(geometric_qtable(split_a2()), "1", "2")
-    assert report.m == 2
-    assert report.dd_zero and report.split_ok
-    qt = qs_a3_table()
-    for i, j in (("1", "2"), ("3", "2")):
-        report = serre_complex_check(qt, i, j)
-        assert report.m == 2
-        assert report.ok, report.details
+    # m = 2 on the tables with every arrow reversed, with leading
+    # coefficients of both signs; criterion 10 builds these complexes on the
+    # default tables
+    want = ("d_1 d_2 = 0: ok",) + tuple(f"splitting at n={n}: ok" for n in range(3))
+    jobs = ((split_a2(), [("1", "2"), ("2", "1")]), (qs_a3(), [("1", "2"), ("3", "2")]))
+    for datum, pairs in jobs:
+        qt = geometric_qtable(datum, {(j, i): n for (i, j), n in klr.edge_counts(datum).items()})
+        assert qt != geometric_qtable(datum)
+        for i, j in pairs:
+            report = serre_complex_check(qt, i, j)
+            assert report.m == 2 and report.details == want, (datum.nodes, i, j)
 
 
 def test_serre_complex_double_edge():
-    report = serre_complex_check(geometric_qtable(aux_double_edge()), "1", "2")
+    report = serre_complex_check(geometric_qtable(DOUBLE_EDGE), "1", "2")
     assert report.m == 3
     assert report.ok, report.details
 
@@ -506,8 +497,8 @@ def _grid():
     """(datum, convention, orientation) over eight data, two conventions and
     an unknown one, and ten orientations of the pair of nodes 1 and 2."""
     data = [make() for make in STANDARD.values()] + [
-        aux_a1a1(),
-        aux_double_edge(),
+        FIXED_A1A1,
+        DOUBLE_EDGE,
         make_datum(["1", "2"], [[2, -1], [-1, 2]], [2, 2], {"1": "1", "2": "2"}, {"1": -1, "2": -1}),
     ]
     orientations = [None]
@@ -777,7 +768,7 @@ def _reference_cases():
         d = divided_idempotent(tables[name], i, n)
         yield tables[name], d, d
     # d_2 of the double-edge complex, from i^(2) j i^(1) to i^(1) j i^(2)
-    qt = geometric_qtable(aux_double_edge())
+    qt = geometric_qtable(DOUBLE_EDGE)
     left = tensor(tensor(divided_idempotent(qt, "1", 1), e(("2",))), divided_idempotent(qt, "1", 2))
     right = tensor(tensor(divided_idempotent(qt, "1", 2), e(("2",))), divided_idempotent(qt, "1", 1))
     top, bottom = left.bottom, right.top

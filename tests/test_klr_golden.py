@@ -1,10 +1,11 @@
 """KLR normal forms pinned byte for byte.
 
 ``tests/golden/klr_normal_forms.json`` holds the ``str()`` of seeded
-products on the five built-in Q-tables (associativity triples, squares of
-divided idempotents, the relation instances of the operator-algebra
-self-test) and the ``serre_complex_check`` details of the self-test's six
-Serre jobs.
+products on the five built-in Q-tables: associativity triples, divided
+idempotents and the relation instances of the operator-algebra self-test.
+It pins no check the self-test makes: criterion 09 squares the divided
+idempotents of split_a1 and ``tests/test_klr.py`` those of qs_a2, and the
+self-test's six Serre complexes are checked by criterion 10 alone.
 The values were captured from the sympy fraction-field engine, so they pin
 the normal form across rewrites of the product engine.  Regenerate them
 (``python tests/test_klr_golden.py --write``) only for an intended change.
@@ -16,7 +17,7 @@ import sys
 from pathlib import Path
 
 from iquantum import klr
-from iquantum.selftest import _random_elem, _serre_jobs, _shuffled, _tables
+from iquantum.selftest import _random_elem, _shuffled, _tables
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "klr_normal_forms.json"
 
@@ -39,9 +40,7 @@ def _products():
     for name, ns in (("split_a1", range(1, 5)), ("qs_a2", range(1, 4))):
         qt = tables[name]
         for n in ns:
-            d = klr.divided_idempotent(qt, "1", n)
-            out[f"{name} idempotent {n}"] = str(d)
-            out[f"{name} idempotent {n} squared"] = str(klr.mul(qt, d, d))
+            out[f"{name} idempotent {n}"] = str(klr.divided_idempotent(qt, "1", n))
     nil = tables["split_a1"]
     w = ("1", "1")
     psi = klr.crossing(w, 1)
@@ -66,22 +65,14 @@ def _products():
     return out
 
 
-def _serre_details():
-    tables = _tables()
-    return {
-        f"{name} ({i},{j})": list(klr.serre_complex_check(tables[name], i, j).details)
-        for name, i, j in _serre_jobs(tables)
-    }
-
-
 def _capture():
-    return {"products": _products(), "serre": _serre_details()}
+    return {"products": _products()}
 
 
 def test_klr_normal_forms_match_golden():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     got = _capture()
-    assert len(got["products"]) >= 60 and len(got["serre"]) == 6
+    assert len(got["products"]) >= 60
     assert got == golden
 
 

@@ -22,6 +22,7 @@ from iquantum.satake import (
     word_weight,
 )
 from iquantum.standard import STANDARD, qs_a2, qs_a3, split_a1, split_a2
+from small_data import FIXED_A1A1, MIXED_D
 
 
 ALL_DATA = list(STANDARD.values())
@@ -110,14 +111,7 @@ def test_validate_diagnostics():
 
 def test_validate_parity_warning_only():
     # two tau-fixed nodes with a_{12} = -1, a_{21} = -2: mod-2 mismatch
-    datum = make_datum(
-        ["1", "2"],
-        [[2, -1], [-2, 2]],
-        [2, 1],
-        {"1": "1", "2": "2"},
-        {"1": -1, "2": -1},
-    )
-    msgs = validate(datum)
+    msgs = validate(MIXED_D)
     assert msgs and all(m.startswith("warning:") for m in msgs)
 
 
@@ -301,8 +295,7 @@ def test_key_is_the_content_computed_at_construction(make):
 
 def test_key_tells_apart_data_over_the_same_nodes():
     a2 = split_a2()
-    b2 = make_datum(["1", "2"], [[2, -1], [-2, 2]], [2, 1], {"1": "1", "2": "2"}, {"1": -1, "2": -1})
-    a1a1 = make_datum(["1", "2"], [[2, 0], [0, 2]], [1, 1], {"1": "1", "2": "2"}, {"1": -1, "2": -1})
+    b2, a1a1 = MIXED_D, FIXED_A1A1
     assert a2.nodes == b2.nodes == a1a1.nodes == ("1", "2")
     # equality and hashing see the whole content, not only the node tuple
     assert a2 != b2 and b2 != a1a1 and a2 != a1a1

@@ -12,48 +12,13 @@ import iquantum
 from iquantum import freealg, iuea, satake, selftest, shapes
 from iquantum.freealg import FElem, inv_one_minus_qinv2
 from iquantum.qring import ASC_Q, LaurentPoly, PowerSeriesTrunc, RatQ, expand
-from iquantum.satake import make_datum, to_dpword, word_weight
-from iquantum.standard import STANDARD, builtin_weights
-from small_data import SMALL_DATA
-
-
-def make(name):
-    return STANDARD[name]()
-
-
-def weight(datum, lam=None, par=None):
-    return satake.make_iweight(datum, lam or {}, par)
+from iquantum.satake import to_dpword, word_weight
+from iquantum.standard import STANDARD, diag_a1a1, qs_a2, qs_a3, split_a1, split_a2
+from small_data import FIXED_A1A1, MIXED_D, SMALL_DATA, golden_weights, strand_pair, weight
 
 
 def monomial(word):
     return FElem({tuple(word): RatQ.one()})
-
-
-def strand_pair(rng, datum, strands):
-    """Two shuffled words built from seeded strands, a prop (i over i), a cup
-    (i, tau i on top) or a cap (i, tau i below): at least one matching."""
-    top, bottom = [], []
-    for _ in range(strands):
-        i = rng.choice(datum.nodes)
-        kind = rng.choice(("prop", "cup", "cap"))
-        if kind == "prop":
-            top.append(i)
-            bottom.append(i)
-        else:
-            (top if kind == "cup" else bottom).extend((i, datum.tau[i]))
-    rng.shuffle(top)
-    rng.shuffle(bottom)
-    return tuple(top), tuple(bottom)
-
-
-def oracle_weights(rng, datum):
-    """L0, L1 and two seeded weights of the sweep."""
-    sweep = satake.weight_sweep(datum)
-    return [
-        *(weight(datum, *lp) for lp in builtin_weights(datum).values()),
-        rng.choice(sweep),
-        rng.choice(sweep),
-    ]
 
 
 # ------------------------------------------------------ reference degree route
@@ -159,26 +124,11 @@ def _assemble_reference(shapes_data, sign):
     return RatQ(num, den)
 
 
-def mixed_d_datum():
-    """Two fixed nodes with d = 2, 1 (from tests/test_satake.py): the only
-    datum here whose strands carry more than one d-value."""
-    return make_datum(
-        ["1", "2"], [[2, -1], [-2, 2]], [2, 1], {"1": "1", "2": "2"}, {"1": -1, "2": -1}
-    )
-
-
-def _a1a1():
-    """Two fixed nodes named like split_a2's, with a_12 = a_21 = 0."""
-    return make_datum(
-        ["1", "2"], [[2, 0], [0, 2]], [1, 1], {"1": "1", "2": "2"}, {"1": -1, "2": -1}
-    )
-
-
 # ---------------------------------------------------------------- enumeration
 
 
 def test_enumerate_single_prop():
-    datum = make("split_a1")
+    datum = split_a1()
     out = shapes.enumerate_shapes(datum, ("1",), ("1",))
     assert len(out) == 1
     sh = out[0]
@@ -188,7 +138,7 @@ def test_enumerate_single_prop():
 
 
 def test_enumerate_single_cup():
-    datum = make("qs_a2")
+    datum = qs_a2()
     out = shapes.enumerate_shapes(datum, ("2", "1"), ())
     assert len(out) == 1
     assert out[0].cups == ((0, 1),)
@@ -199,7 +149,7 @@ def test_enumerate_single_cup():
 
 
 def test_enumerate_counts_fixed_node():
-    datum = make("split_a1")
+    datum = split_a1()
     word = ("1", "1")
     assert len(shapes.enumerate_shapes(datum, word, word, "all")) == 3
     assert len(shapes.enumerate_shapes(datum, word, word, "cap_free")) == 2
@@ -207,13 +157,13 @@ def test_enumerate_counts_fixed_node():
 
 
 def test_enumerate_odd_or_mismatched():
-    datum = make("split_a2")
+    datum = split_a2()
     assert shapes.enumerate_shapes(datum, ("1",), ()) == []
     assert shapes.enumerate_shapes(datum, ("1",), ("2",)) == []
 
 
 def test_enumerate_unknown_mode():
-    datum = make("split_a1")
+    datum = split_a1()
     with pytest.raises(ValueError):
         shapes.enumerate_shapes(datum, (), (), "reduced")
     with pytest.raises(ValueError):
@@ -223,7 +173,7 @@ def test_enumerate_unknown_mode():
 def test_shape_count_is_the_number_of_matchings():
     rng = random.Random(90210)
     for name in STANDARD:
-        datum = make(name)
+        datum = STANDARD[name]()
         pairs = [strand_pair(rng, datum, rng.randint(0, 5)) for _ in range(30)]
         pairs += [
             tuple(tuple(rng.choice(datum.nodes) for _ in range(rng.randint(0, 5))) for _ in "tb")
@@ -240,13 +190,13 @@ def test_shape_count_is_the_number_of_matchings():
 
 
 def test_shape_count_closed_forms():
-    split = make("split_a1")
+    split = split_a1()
     ones = ("1",) * 8
     assert shapes.shape_count(split, ones, ones) == 2027025  # 15!!
     assert shapes.shape_count(split, ones[:7], ones[:7]) == 135135  # 13!!
     assert shapes.shape_count(split, ones, ones, "cup_cap_free") == 40320  # 8!
     assert shapes.shape_count(split, ones[:7], ()) == 0
-    qs = make("qs_a2")  # tau swaps 1 and 2
+    qs = qs_a2()  # tau swaps 1 and 2
     assert shapes.shape_count(qs, ("1", "2"), ()) == 1
     assert shapes.shape_count(qs, ("1", "1"), ()) == 0
     assert shapes.shape_count(qs, ("1",) * 8, ("1",) * 8) == 40320
@@ -258,7 +208,7 @@ def test_shape_count_closed_forms():
 def test_degree_single_cup():
     # cup over (tau i, i) contributes d_i (1 + vs_i - lam_i), read off the
     # right endpoint label
-    datum = make("qs_a2")
+    datum = qs_a2()
     sh = shapes.enumerate_shapes(datum, ("2", "1"), ())[0]
     for lam in range(-3, 4):
         lw = weight(datum, {"1": lam})
@@ -266,7 +216,7 @@ def test_degree_single_cup():
 
 
 def test_degree_crossing():
-    datum = make("split_a2")
+    datum = split_a2()
     out = shapes.enumerate_shapes(datum, ("1", "2"), ("2", "1"))
     assert len(out) == 1
     lw = weight(datum, {}, {"1": 0, "2": 0})
@@ -290,10 +240,10 @@ def test_degrees_match_the_letter_by_letter_reference():
     rng = random.Random(31337)
     checked = 0
     for name in STANDARD:
-        datum = make(name)
+        datum = STANDARD[name]()
         pairs = [strand_pair(rng, datum, rng.randint(1, 5)) for _ in range(12)]
         pairs = [(t, b) for t, b in pairs if max(len(t), len(b)) <= 5]
-        for lw in oracle_weights(rng, datum):
+        for lw in golden_weights(rng, datum).values():
             for top, bottom in pairs:
                 for sh in shapes.enumerate_shapes(datum, top, bottom):
                     want = _degree_reference(datum, sh, lw, reflected=False)
@@ -375,10 +325,10 @@ def test_memoized_degrees_match_the_memo_free_route():
     assert sorted(golden) == sorted(STANDARD) and sum(map(len, golden.values())) == 40
     weights_differ = 0
     for name in STANDARD:
-        datum = make(name)
+        datum = STANDARD[name]()
         found = _all_shapes(datum, golden[name] + [_series_pair(rng, name)])
         assert len(found) >= 630
-        lw_a, lw_b = oracle_weights(rng, datum)[:2]
+        lw_a, lw_b = list(golden_weights(rng, datum).values())[:2]
         want = {lw: _memo_free_table(datum, found, lw) for lw in (lw_a, lw_b)}
         weights_differ += want[lw_a] != want[lw_b]
         # weight A, weight B, then A again: every change of weight is a new scope
@@ -386,8 +336,7 @@ def test_memoized_degrees_match_the_memo_free_route():
             assert _memo_table(datum, found, lw) == want[lw], (name, lw)
     assert weights_differ >= 3
     # two data over the same nodes with different content, at one IWeight value
-    a1a1 = _a1a1()
-    split = make("split_a2")
+    split, a1a1 = split_a2(), FIXED_A1A1
     assert split.nodes == a1a1.nodes and split != a1a1
     par = {"1": 0, "2": 1}
     lw = weight(split, {}, par)
@@ -399,7 +348,7 @@ def test_memoized_degrees_match_the_memo_free_route():
     for datum in (split, a1a1, split, a1a1):
         assert _memo_table(datum, found, lw) == want[datum]
     # equal IWeight values that are distinct instances share one scope
-    datum = make("qs_a3")
+    datum = qs_a3()
     found = _all_shapes(datum, golden["qs_a3"] + [_series_pair(rng, "qs_a3")])
     reps, fixed = satake.orbit_reps(datum)
     lam, par = {i: 2 for i in reps}, {i: 1 for i in fixed}
@@ -422,7 +371,7 @@ def test_memoized_degrees_match_the_memo_free_route():
 def test_arc_memo_closes_each_arc_set_once_per_realization(monkeypatch):
     iquantum.clear_caches()
     assert iquantum.cache_stats()["shapes._ARC_MEMO"] == {"hits": 0, "misses": 0, "size": 0}
-    datum = make("qs_a2")
+    datum = qs_a2()
     top, bottom = _series_pair(random.Random(77), "qs_a2")
     lw = weight(datum, {"1": 1})
     found = shapes.enumerate_shapes(datum, top, bottom)
@@ -463,7 +412,7 @@ def test_arc_memo_closes_each_arc_set_once_per_realization(monkeypatch):
 
 def test_crossing_degree_runs_once_per_prop_set_per_scope(monkeypatch):
     iquantum.clear_caches()
-    split, a1a1 = make("split_a2"), _a1a1()
+    split, a1a1 = split_a2(), FIXED_A1A1
     lw_a, lw_b = weight(split, {}, {"1": 0, "2": 1}), weight(split, {}, {"1": 1, "2": 0})
     assert weight(a1a1, {}, {"1": 0, "2": 1}) == lw_a
     pairs = [(("1", "2", "1", "2"), ("2", "1")), _series_pair(random.Random(2020), "split_a2")]
@@ -496,8 +445,8 @@ def test_crossing_degree_runs_once_per_prop_set_per_scope(monkeypatch):
 
 
 def test_one_prop_set_on_two_bottom_words_keeps_two_crossing_terms():
-    datum = make("split_a2")
-    lw = oracle_weights(random.Random(2021), datum)[0]
+    datum = split_a2()
+    lw = golden_weights(random.Random(2021), datum)["L0"]
     crossed = ((0, 1), (1, 0))
     (mixed,) = shapes.enumerate_shapes(datum, ("1", "2"), ("2", "1"))
     (equal,) = [
@@ -556,12 +505,12 @@ def test_memoized_histogram_is_the_counter_of_degrees():
     golden = _golden_pairs()
     empty = 0
     for name in STANDARD:
-        datum = make(name)
+        datum = STANDARD[name]()
         pairs = golden[name] + [_series_pair(rng, name) for _ in range(2)]
         pairs += [strand_pair(rng, datum, rng.randint(1, 3)) for _ in range(4)]
         # even length with mismatched letters: no matching in any mode
         pairs.append(((datum.nodes[0],) * 2, (datum.nodes[-1],) * 2))
-        for lw in oracle_weights(rng, datum)[1:3]:
+        for lw in list(golden_weights(rng, datum).values())[1:3]:
             for top, bottom in pairs:
                 for mode, route in SUMS.items():
                     want = Counter(
@@ -574,13 +523,13 @@ def test_memoized_histogram_is_the_counter_of_degrees():
                     if want:
                         assert hist == want, (name, top, bottom, mode, lw)
                     else:
-                        # a falsy value that get_or_make still counts a hit
-                        assert hist == () and route(datum, top, bottom, lw).is_zero()
+                        # an empty Counter, which get_or_make still counts a hit
+                        assert hist == Counter() and route(datum, top, bottom, lw).is_zero()
                         empty += 1
     assert empty >= 20
     # odd total length is zero before any lookup
     before, scope = _shape_stats(), shapes._SHAPE_MEMO.scope
-    datum = make("qs_a2")
+    datum = qs_a2()
     lw = weight(datum, {"1": 1})
     for route in SUMS.values():
         assert route(datum, ("1", "2", "1"), ("2", "1"), lw).is_zero()
@@ -590,7 +539,7 @@ def test_memoized_histogram_is_the_counter_of_degrees():
 
 def test_hom_rank_after_pair_b_is_one_miss_then_one_hit(monkeypatch):
     iquantum.clear_caches()
-    datum = make("qs_a3")
+    datum = qs_a3()
     top, bottom = _series_pair(random.Random(16), "qs_a3")
     lw = weight(datum, {"1": 1}, {"2": 1})
     calls = []
@@ -616,13 +565,13 @@ def test_hom_rank_after_pair_b_is_one_miss_then_one_hit(monkeypatch):
     assert shapes.pair_b(datum, *none, lw).is_zero()
     assert shapes.hom_rank(datum, *none, lw).series.coeffs == {}
     assert _shape_stats() == {"hits": 2, "misses": 4, "size": 2}
-    assert shapes._SHAPE_MEMO[("all", lw)] == () and shapes._SHAPE_MEMO["all"] == ()
+    assert shapes._SHAPE_MEMO[("all", lw)] == Counter() and shapes._SHAPE_MEMO["all"] == ()
     assert len(calls) == 2
 
 
 def test_another_pair_empties_the_histograms():
     iquantum.clear_caches()
-    datum = make("qs_a2")
+    datum = qs_a2()
     rng = random.Random(1661)
     pairs = [_series_pair(rng, "qs_a2") for _ in range(2)]
     assert pairs[0] != pairs[1]
@@ -648,7 +597,7 @@ def test_another_pair_empties_the_histograms():
 
 
 def test_one_pair_at_two_weights_keeps_two_histograms(monkeypatch):
-    datum = make("qs_a2")
+    datum = qs_a2()
     top, bottom = _series_pair(random.Random(1662), "qs_a2")
     lw_a, lw_b = weight(datum, {"1": 1}), weight(datum, {"1": -2})
     fresh = {}
@@ -674,12 +623,12 @@ def test_one_pair_at_two_weights_keeps_two_histograms(monkeypatch):
 
 
 def test_each_mode_reads_its_own_histogram():
-    datum = make("split_a2")
+    datum = split_a2()
     rng = random.Random(1771)
     top, bottom = _series_pair(rng, "split_a2")
     # a shorter bottom word: all matchings, cup-only ones and none at all
     bottom = bottom[:4]
-    lw = oracle_weights(rng, datum)[2]
+    lw = golden_weights(rng, datum)["sweep a"]
     fresh = {}
     for mode, route in SUMS.items():
         iquantum.clear_caches()
@@ -691,7 +640,7 @@ def test_each_mode_reads_its_own_histogram():
     # each mode is one histogram and one list of matchings; the restricted
     # modes read theirs off the stored "all" list, a hit each
     assert _shape_stats() == {"hits": 2, "misses": 6, "size": 6}
-    assert shapes._SHAPE_MEMO[("cup_cap_free", lw)] == ()
+    assert shapes._SHAPE_MEMO[("cup_cap_free", lw)] == Counter()
 
 
 # ------------------------------------------------------------------ shape memo
@@ -708,7 +657,7 @@ def test_enumerate_shapes_matches_the_memo_free_recursion():
     npairs = scopes = 0
     last = None
     for name in STANDARD:
-        datum = make(name)
+        datum = STANDARD[name]()
         pairs = golden[name] + [_series_pair(rng, name) for _ in range(2)]
         pairs += [strand_pair(rng, datum, rng.randint(1, 3)) for _ in range(4)]
         for top, bottom in pairs:
@@ -741,7 +690,7 @@ def test_restricted_modes_after_all_are_read_off_it(monkeypatch):
     calls = _record_enumerations(monkeypatch)
     npairs = proper = 0
     for name in STANDARD:
-        datum = make(name)
+        datum = STANDARD[name]()
         pairs = golden[name] + [_series_pair(rng, name) for _ in range(2)]
         pairs += [strand_pair(rng, datum, rng.randint(1, 4)) for _ in range(4)]
         for top, bottom in pairs:
@@ -765,7 +714,7 @@ def test_restricted_modes_after_all_are_read_off_it(monkeypatch):
 
 def test_a_cold_restricted_mode_is_enumerated_by_itself(monkeypatch):
     iquantum.clear_caches()
-    datum = make("split_a1")
+    datum = split_a1()
     top, bottom = ("1",) * 7, ("1",) * 3
     calls = _record_enumerations(monkeypatch)
     for mode in ("cup_cap_free", "cap_free"):
@@ -784,7 +733,7 @@ def test_a_cold_restricted_mode_is_enumerated_by_itself(monkeypatch):
 
 def test_returned_lists_are_copies():
     iquantum.clear_caches()
-    datum = make("qs_a2")
+    datum = qs_a2()
     top, bottom = _series_pair(random.Random(1718), "qs_a2")
     first = shapes.enumerate_shapes(datum, top, bottom)
     want = list(first)
@@ -800,7 +749,7 @@ def test_returned_lists_are_copies():
 
 def test_another_pair_or_datum_empties_the_shape_memo():
     iquantum.clear_caches()
-    qs, split = make("qs_a2"), make("split_a2")
+    qs, split = qs_a2(), split_a2()
     assert qs.nodes == split.nodes and qs != split
     pair_a, pair_b = _series_pair(random.Random(1719), "qs_a2"), (("1", "2"), ())
     for mode in shapes.MODES:
@@ -822,7 +771,7 @@ def test_another_pair_or_datum_empties_the_shape_memo():
 
 def test_hom_rank_then_enumerate_shapes_is_one_miss_then_one_hit(monkeypatch):
     iquantum.clear_caches()
-    datum = make("qs_a3")
+    datum = qs_a3()
     top, bottom = _series_pair(random.Random(1720), "qs_a3")
     lw = weight(datum, {"1": 1}, {"2": 1})
     calls = _record_enumerations(monkeypatch)
@@ -837,7 +786,7 @@ def test_hom_rank_then_enumerate_shapes_is_one_miss_then_one_hit(monkeypatch):
 
 def test_odd_lengths_never_touch_the_shape_memo():
     iquantum.clear_caches()
-    datum = make("qs_a2")
+    datum = qs_a2()
     assert len(shapes.enumerate_shapes(datum, ("1", "2"), ("2", "1"))) == 2
     before, scope = _shape_stats(), shapes._SHAPE_MEMO.scope
     for mode in shapes.MODES:
@@ -853,14 +802,14 @@ def test_odd_lengths_never_touch_the_shape_memo():
 
 def test_pair_b_single_letter():
     for name in STANDARD:
-        datum = make(name)
+        datum = STANDARD[name]()
         lw = satake.weight_sweep(datum, 1, 1)[0]
         for i in datum.nodes:
             assert shapes.pair_b(datum, (i,), (i,), lw) == inv_one_minus_qinv2(datum.qi(i))
 
 
 def test_pair_b_single_cup_value():
-    datum = make("qs_a2")
+    datum = qs_a2()
     for lam in (-2, 0, 3):
         lw = weight(datum, {"1": lam})
         got = shapes.pair_b(datum, ("2", "1"), (), lw)
@@ -869,7 +818,7 @@ def test_pair_b_single_cup_value():
 
 
 def test_pair_theta_distinct_letters():
-    datum = make("split_a2")
+    datum = split_a2()
     got = shapes.pair_theta(datum, ("1", "2"), ("1", "2"))
     assert got == inv_one_minus_qinv2(1) * inv_one_minus_qinv2(1)
 
@@ -877,7 +826,7 @@ def test_pair_theta_distinct_letters():
 def test_pair_theta_matches_freealg():
     rng = random.Random(97)
     for name in STANDARD:
-        datum = make(name)
+        datum = STANDARD[name]()
         words = selftest.word_pairs(datum, 3)[0]
         for _ in range(40):
             wi, wj = rng.choice(words), rng.choice(words)
@@ -891,7 +840,7 @@ def test_pair_b_matches_ipair():
     # the other walks the recursive generator action; two 3-letter words
     # make a pair longer than selftest criterion 01 runs (5, or 4 on qs_a3)
     for name in STANDARD:
-        datum = make(name)
+        datum = STANDARD[name]()
         words = [w for w in selftest.word_pairs(datum, 3)[0] if len(w) == 3]
         for lw in satake.weight_sweep(datum, 0, 0):
             images = {w: iuea.b_word(datum, to_dpword(w), lw) for w in words}
@@ -905,7 +854,7 @@ def test_pair_b_matches_ipair():
 def test_pair_b_symmetric():
     rng = random.Random(5150)
     for name in STANDARD:
-        datum = make(name)
+        datum = STANDARD[name]()
         words = selftest.word_pairs(datum, 3)[0]
         pool = satake.weight_sweep(datum, -2, 2)
         for _ in range(25):
@@ -916,7 +865,7 @@ def test_pair_b_symmetric():
 
 def test_pair_b_nabla_triangular():
     for name in ("split_a1", "qs_a2", "split_a2"):
-        datum = make(name)
+        datum = STANDARD[name]()
         words = selftest.word_pairs(datum, 3)[0]
         lw = satake.weight_sweep(datum, 0, 0)[0]
         for wi in words:
@@ -930,7 +879,7 @@ def test_pair_b_nabla_triangular():
 def test_pair_delta_nabla_weight_free():
     # without cups or caps the degree never sees the weight, so the
     # permutation-only pairing collapses to the theta pairing
-    datum = make("qs_a3")
+    datum = qs_a3()
     words = selftest.word_pairs(datum, 2)[0]
     for lw in satake.weight_sweep(datum, -1, 1)[:4]:
         for wi in words:
@@ -942,7 +891,7 @@ def test_pair_delta_nabla_weight_free():
 
 def test_every_shape_has_the_strands_counted_from_the_letters():
     rng = random.Random(4242)
-    data = [(name, make(name)) for name in STANDARD] + [("mixed_d", mixed_d_datum())]
+    data = [(name, STANDARD[name]()) for name in STANDARD] + [("mixed_d", MIXED_D)]
     seen_mixed = 0
     for name, datum in data:
         for _ in range(25):
@@ -961,7 +910,7 @@ def test_every_shape_has_the_strands_counted_from_the_letters():
 
 def test_shape_sums_match_the_per_shape_assembly():
     rng = random.Random(8086)
-    data = [(name, make(name)) for name in STANDARD] + [("mixed_d", mixed_d_datum())]
+    data = [(name, STANDARD[name]()) for name in STANDARD] + [("mixed_d", MIXED_D)]
     routes = (
         ("all", shapes.pair_b),
         ("cap_free", shapes.pair_b_nabla),
@@ -977,7 +926,7 @@ def test_shape_sums_match_the_per_shape_assembly():
             for _ in range(5)
         ]
         pairs = [(t, b) for t, b in pairs if max(len(t), len(b)) <= 5]
-        for lw in oracle_weights(rng, datum)[1:3]:
+        for lw in list(golden_weights(rng, datum).values())[1:3]:
             for top, bottom in pairs:
                 for mode, route in routes:
                     found = shapes.enumerate_shapes(datum, top, bottom, mode)
@@ -1013,7 +962,7 @@ def test_shape_sums_match_the_per_shape_assembly():
 
 def test_hom_rank_single_strand():
     for name in ("split_a1", "qs_a2"):
-        datum = make(name)
+        datum = STANDARD[name]()
         lw = satake.weight_sweep(datum, 0, 0)[0]
         for i in datum.nodes:
             d = datum.qi(i)
@@ -1023,14 +972,14 @@ def test_hom_rank_single_strand():
 
 
 def test_hom_rank_empty_words():
-    datum = make("split_a1")
+    datum = split_a1()
     lw = weight(datum, {}, {"1": 0})
     rs = shapes.hom_rank(datum, (), (), lw, order=8)
     assert rs.coeff(0) == 1 and all(rs.coeff(e) == 0 for e in range(1, 9))
 
 
 def test_hom_rank_incompatible():
-    datum = make("split_a2")
+    datum = split_a2()
     lw = weight(datum, {}, {"1": 0, "2": 0})
     rs = shapes.hom_rank(datum, ("1",), (), lw, order=8)
     assert rs.series.coeffs == {}
@@ -1039,7 +988,7 @@ def test_hom_rank_incompatible():
 def test_hom_rank_three_shape_example():
     # (i, i) at a fixed node with vs_i - lam_i = -1: shapes contribute
     # degrees 0, -2, 0 and the series is (2 + q^-2)/(1 - q^2)^2
-    datum = make("split_a1")
+    datum = split_a1()
     lw = weight(datum, {"1": 0}, {"1": 0})
     assert datum.varsigma["1"] - 0 == -1
     rs = shapes.hom_rank(datum, ("1", "1"), ("1", "1"), lw, order=10)
@@ -1054,7 +1003,7 @@ def test_hom_rank_equals_bar_pair_b():
     # to order 30 (the criterion runs -4..4 and order 20)
     rng = random.Random(777)
     for name in STANDARD:
-        datum = make(name)
+        datum = STANDARD[name]()
         words = selftest.word_pairs(datum, 2)[0]
         pool = satake.weight_sweep(datum, -8, -5) + satake.weight_sweep(datum, 5, 8)
         for _ in range(15):
@@ -1073,7 +1022,7 @@ def test_end_grdim_split_a1():
     # the coefficient of q^(2k) counts the partitions of k into odd parts,
     # counted here by a recursion of their own to order 30 (selftest
     # criterion 07 compares a table to order 10)
-    rs = shapes.end_grdim(make("split_a1"), order=30)
+    rs = shapes.end_grdim(split_a1(), order=30)
     odd = [1] + [0] * 15
     for part in range(1, 16, 2):
         for k in range(part, 16):
@@ -1083,11 +1032,11 @@ def test_end_grdim_split_a1():
     ]
 
 def test_end_grdim_partition_series():
-    rs = shapes.end_grdim(make("diag_a1a1"), order=10)
+    rs = shapes.end_grdim(diag_a1a1(), order=10)
     assert [rs.coeff(2 * k) for k in range(6)] == [1, 1, 2, 3, 5, 7]
 
 
 def test_end_grdim_order_zero():
     for name in STANDARD:
-        rs = shapes.end_grdim(make(name), order=0)
+        rs = shapes.end_grdim(STANDARD[name](), order=0)
         assert rs.coeff(0) == 1 and rs.series.coeffs == {0: 1}

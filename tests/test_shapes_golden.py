@@ -18,7 +18,7 @@ from pathlib import Path
 
 from iquantum import shapes
 from iquantum.standard import STANDARD
-from small_data import golden_weights
+from small_data import golden_weights, strand_pair
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "shape_degrees.json"
 
@@ -28,27 +28,12 @@ def _arcs(arcs) -> str:
 
 
 def _pairs(rng, datum):
-    """Eight distinct seeded pairs of words of at most five letters each.
-
-    Each pair is built from one to four seeded strands, a prop (i over i), a
-    cup (i, tau i on top) or a cap (i, tau i below), and both words are then
-    shuffled, so every pair has at least one matching and most have several.
-    """
+    """Eight distinct seeded pairs of one to four strands each
+    (``small_data.strand_pair``), both words of at most five letters."""
     out = []
     while len(out) < 8:
-        top, bottom = [], []
-        for _ in range(rng.randint(1, 4)):
-            i = rng.choice(datum.nodes)
-            kind = rng.choice(("prop", "cup", "cap"))
-            if kind == "prop":
-                top.append(i)
-                bottom.append(i)
-            else:
-                (top if kind == "cup" else bottom).extend((i, datum.tau[i]))
-        rng.shuffle(top)
-        rng.shuffle(bottom)
-        pair = (tuple(top), tuple(bottom))
-        if max(len(top), len(bottom)) <= 5 and pair not in out:
+        pair = strand_pair(rng, datum, rng.randint(1, 4))
+        if max(map(len, pair)) <= 5 and pair not in out:
             out.append(pair)
     return out
 
