@@ -385,8 +385,13 @@ def serre_complexes():
     checks = 0
     for name, i, j in _serre_jobs(tables):
         rep = klr.serre_complex_check(tables[name], i, j)
-        if not rep.ok:
-            bad = "; ".join(s for s in rep.details if s.endswith("FAIL"))
+        # a report of the complex of length 1 - a_ij holds all of its checks:
+        # m - 1 squares and m + 1 splittings, whatever its own ok says
+        m = 1 - tables[name].datum.a[(i, j)]
+        if not rep.ok or rep.m != m or len(rep.details) != 2 * m:
+            bad = "; ".join(s for s in rep.details if s.endswith("FAIL")) or (
+                f"{len(rep.details)} checks for m = {rep.m}"
+            )
             return False, f"complex fails on {name} ({i},{j}): {bad}"
         checks += 1
     return True, f"{checks} complexes square to zero and split"

@@ -1,10 +1,13 @@
 """The test inputs that more than one test file reads, each written once:
 every small valid datum of symmetric type (``SMALL_DATA``), three named
 data off the built-ins, the weights at which the golden files pin each
-built-in datum, and the seeded word pairs with at least one matching."""
+built-in datum, the seeded word pairs with at least one matching, and the
+environment of the tests' child interpreters."""
 
 import itertools
+import os
 
+import iquantum
 from iquantum.satake import make_datum, make_iweight, validate, weight_sweep
 from iquantum.standard import builtin_weights
 
@@ -23,6 +26,15 @@ DOUBLE_EDGE = make_datum(
 MIXED_D = make_datum(
     ["1", "2"], [[2, -1], [-2, 2]], [2, 1], {"1": "1", "2": "2"}, {"1": -1, "2": -1}
 )
+
+
+def child_env():
+    """The environment of a child interpreter: it imports the package from
+    where this process did, and the tests' own modules beside it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(iquantum.__file__)))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def weight(datum, lam=None, par=None):

@@ -10,7 +10,6 @@ argparse's own usage error and the ``python -m iquantum`` entry point.
 
 import gc
 import json
-import os
 import re
 import subprocess
 import sys
@@ -22,6 +21,7 @@ import iquantum
 from iquantum import cli, klr, selftest, shapes
 from iquantum.qring import PowerSeriesTrunc
 from iquantum.standard import STANDARD
+from small_data import child_env
 
 
 def run_cli(capsys, *argv):
@@ -304,13 +304,11 @@ def _cold_cli(*argv):
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
-    src = os.path.dirname(os.path.dirname(os.path.abspath(iquantum.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "iquantum", *argv],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
         timeout=30,
         preexec_fn=limit,
     )

@@ -1,7 +1,6 @@
 """Tests for the module-element layer: generator action, divided powers,
 pairings, straightening coefficients and the degree-(1-a) relation."""
 
-import os
 import random
 import subprocess
 import sys
@@ -14,7 +13,7 @@ from iquantum.freealg import FElem, inv_one_minus_q2, inv_one_minus_qinv2
 from iquantum.qring import LaurentPoly, RatQ, qint
 from iquantum.standard import STANDARD, diag_a1a1, qs_a2, qs_a3, split_a1, split_a2
 from freealg_reference import add, iR, iRtilde, mul, psi
-from small_data import FIXED_A1A1, SMALL_DATA, weight
+from small_data import FIXED_A1A1, SMALL_DATA, child_env, weight
 
 
 def test_unit_and_single_action():
@@ -233,41 +232,39 @@ def test_b_word_memo_matches_the_reference_fold():
         assert [iuea.b_word(datum, w, lw) for w in words] == want[datum]
 
 
-def test_b_word_acts_once_per_distinct_word_in_a_block(monkeypatch):
+def test_b_word_acts_once_per_distinct_word_in_a_block():
     # one criterion-01 block: every word within the budget on qs_a2 at one
-    # weight, where every letter is one b_i
+    # weight, where every letter is one b_i, so a miss is the one act_b
+    # that makes a word's image from its suffix's
     datum = qs_a2()
     words, _ = selftest.word_pairs(datum, selftest._budget("qs_a2"))
+    assert len(words) == 63
     lw = weight(datum, {"1": 1})
     iuea.b_word(datum, (), weight(datum, {"1": 2}))  # another scope empties the memo
-    calls = []
-    act_b = iuea.act_b
-
-    def counted(datum, i, xi):
-        calls.append(i)
-        return act_b(datum, i, xi)
-
-    monkeypatch.setattr(iuea, "act_b", counted)
     before = iquantum.cache_stats()["iuea._B_WORD_MEMO"]
     images = {w: iuea.b_word(datum, satake.to_dpword(w), lw) for w in words}
-    assert len(calls) == len(words) - 1 == 62
     # the words are closed under suffixes: each is one miss, the empty word
     # included, and each nonempty word reads its suffix once more, a hit
     after = iquantum.cache_stats()["iuea._B_WORD_MEMO"]
     assert after["misses"] - before["misses"] == len(words)
     assert after["hits"] - before["hits"] == len(words) - 1
     assert after["size"] == len(words)
-    # a repeat is served from the memo, and so is any order of the words
+    # a repeat, in reverse order, is served from the memo
     for w in reversed(words):
         assert iuea.b_word(datum, satake.to_dpword(w), lw) is images[w]
-    assert len(calls) == 62
+    assert iquantum.cache_stats()["iuea._B_WORD_MEMO"]["misses"] == after["misses"]
+    # at another weight, in any order, each word is still made once: a
+    # suffix read before its own call is the miss, and that call the hit
     shuffled = list(words)
     random.Random(11).shuffle(shuffled)
-    calls.clear()
     other = weight(datum, {"1": -1})
+    before = iquantum.cache_stats()["iuea._B_WORD_MEMO"]
     for w in shuffled:
         iuea.b_word(datum, satake.to_dpword(w), other)
-    assert len(calls) == 62
+    again = iquantum.cache_stats()["iuea._B_WORD_MEMO"]
+    assert again["misses"] - before["misses"] == len(words)
+    assert again["hits"] - before["hits"] == len(words) - 1
+    assert again["size"] == len(words)
 
 
 def test_clear_caches_forgets_the_scopes():
@@ -308,14 +305,11 @@ print(psi(xi.jt))
 def test_b_word_survives_a_bare_clear_of_its_memo():
     # the dict's own clear() keeps the scope but drops every entry; a hang
     # here must fail the test, not stall the suite, so a child runs it
-    src = os.path.dirname(os.path.dirname(os.path.abspath(iquantum.__file__)))
-    tests = os.path.dirname(os.path.abspath(__file__))
-    path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", _BARE_CLEAR],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr

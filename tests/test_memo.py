@@ -1,7 +1,6 @@
 """The memo protocol: one counted get-or-make path and one scope rule."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -9,6 +8,7 @@ import pytest
 
 import iquantum
 from iquantum.memo import MEMOS, Memo
+from small_data import child_env
 
 
 @pytest.fixture
@@ -109,13 +109,11 @@ print(json.dumps([start, worked, lengths()]))
 
 
 def test_no_package_state_survives_clear_caches():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(iquantum.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", _STATE_SCRIPT],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr

@@ -12,13 +12,12 @@ sympy, and must print their recorded output.
 """
 
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
-import iquantum
+from small_data import child_env
 from test_contract import RECORD, readme_examples
 
 RECORDED_CALLS = {tuple(call["argv"]): call for call in RECORD["calls"]}
@@ -73,14 +72,12 @@ json.dump({"examples": examples, "products": products, "foreign": foreign}, sys.
 def test_package_runs_without_sympy():
     # sympy is an extra for the test oracles only; with it blocked, every
     # example still prints its recorded output and nothing else is imported
-    src = os.path.dirname(os.path.dirname(os.path.abspath(iquantum.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", NO_SYMPY],
         input=json.dumps(NO_SYMPY_CASES),
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
         timeout=30,
     )
     assert proc.returncode == 0, proc.stderr

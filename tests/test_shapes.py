@@ -257,8 +257,10 @@ def test_degrees_match_the_letter_by_letter_reference():
 # ------------------------------------------------------------------- arc memo
 #
 # degree and degree_alt read each annihilation term and the crossing term
-# through shapes._ARC_MEMO; the memo-free route calls the miss paths,
-# shapes._close_arcs and shapes._prop_crossing, every time.
+# through shapes._ARC_MEMO, scoped to the (datum, weight) of the last call.
+# Each memo promise of the shapes module docstring is tested once, and the
+# work is counted through iquantum.cache_stats() and the memo's keys and
+# scope: a miss is the one time a term is made.
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "shape_degrees.json"
 
@@ -271,14 +273,6 @@ SERIES_CONTENT = {
     "qs_a3": "1132222",
     "split_a2": "111112",
 }
-
-
-def _degree_memo_free(datum, sh, lw, reflected):
-    return (
-        shapes._close_arcs(datum, sh.bottom, sh.caps, lw, reflected)
-        + shapes._prop_crossing(datum, sh)
-        + shapes._close_arcs(datum, sh.top, sh.cups, lw, reflected)
-    )
 
 
 def _golden_pairs():
@@ -306,142 +300,92 @@ def _all_shapes(datum, pairs):
     ]
 
 
-def _memo_free_table(datum, found, lw):
-    return [
-        (_degree_memo_free(datum, sh, lw, False), _degree_memo_free(datum, sh, lw, True))
-        for sh in found
-    ]
-
-
 def _memo_table(datum, found, lw):
     return [(shapes.degree(datum, sh, lw), shapes.degree_alt(datum, sh, lw)) for sh in found]
 
 
-def test_memoized_degrees_match_the_memo_free_route():
-    iquantum.clear_caches()
-    assert all(v == {"hits": 0, "misses": 0, "size": 0} for v in iquantum.cache_stats().values())
-    rng = random.Random(1212)
-    golden = _golden_pairs()
-    assert sorted(golden) == sorted(STANDARD) and sum(map(len, golden.values())) == 40
-    weights_differ = 0
-    for name in STANDARD:
-        datum = STANDARD[name]()
-        found = _all_shapes(datum, golden[name] + [_series_pair(rng, name)])
-        assert len(found) >= 630
-        lw_a, lw_b = list(golden_weights(rng, datum).values())[:2]
-        want = {lw: _memo_free_table(datum, found, lw) for lw in (lw_a, lw_b)}
-        weights_differ += want[lw_a] != want[lw_b]
-        # weight A, weight B, then A again: every change of weight is a new scope
-        for lw in (lw_a, lw_b, lw_a):
-            assert _memo_table(datum, found, lw) == want[lw], (name, lw)
-    assert weights_differ >= 3
-    # two data over the same nodes with different content, at one IWeight value
-    split, a1a1 = split_a2(), FIXED_A1A1
-    assert split.nodes == a1a1.nodes and split != a1a1
-    par = {"1": 0, "2": 1}
-    lw = weight(split, {}, par)
-    assert weight(a1a1, {}, par) == lw
-    pairs = [(("1", "2", "1", "2"), ("2", "1")), (("1", "2", "2", "1"), ("2", "1", "1", "2"))]
-    found = _all_shapes(split, pairs)
-    want = {d: _memo_free_table(d, found, lw) for d in (split, a1a1)}
-    assert want[split] != want[a1a1]
-    for datum in (split, a1a1, split, a1a1):
-        assert _memo_table(datum, found, lw) == want[datum]
-    # equal IWeight values that are distinct instances share one scope
-    datum = qs_a3()
-    found = _all_shapes(datum, golden["qs_a3"] + [_series_pair(rng, "qs_a3")])
-    reps, fixed = satake.orbit_reps(datum)
-    lam, par = {i: 2 for i in reps}, {i: 1 for i in fixed}
-    lw, twin = weight(datum, lam, par), weight(datum, lam, par)
-    assert lw == twin and lw is not twin
-    want = _memo_free_table(datum, found, lw)
-    iquantum.clear_caches()
-    assert _memo_table(datum, found, lw) == want
-    # each realization closes each arc set once, and the two share each
-    # (bottom, props) crossing term; every other lookup is a hit
+def _arc_stats():
+    return iquantum.cache_stats()["shapes._ARC_MEMO"]
+
+
+def _arc_terms(found):
+    """The number of arc sets that each realization closes and the number of
+    (bottom, props) crossing terms that the two share."""
     arc_sets = {(sh.top, sh.cups) for sh in found} | {(sh.bottom, sh.caps) for sh in found}
-    stored = 2 * len(arc_sets) + len({(sh.bottom, sh.props) for sh in found})
-    before = iquantum.cache_stats()["shapes._ARC_MEMO"]
-    assert before == {"hits": 6 * len(found) - stored, "misses": stored, "size": stored}
-    assert _memo_table(datum, found, twin) == want
-    after = iquantum.cache_stats()["shapes._ARC_MEMO"]
-    assert after == {"hits": 12 * len(found) - stored, "misses": stored, "size": stored}
+    return len(arc_sets), len({(sh.bottom, sh.props) for sh in found})
 
 
-def test_arc_memo_closes_each_arc_set_once_per_realization(monkeypatch):
+def test_arc_memo_closes_each_arc_set_once_per_realization():
     iquantum.clear_caches()
-    assert iquantum.cache_stats()["shapes._ARC_MEMO"] == {"hits": 0, "misses": 0, "size": 0}
     datum = qs_a2()
     top, bottom = _series_pair(random.Random(77), "qs_a2")
     lw = weight(datum, {"1": 1})
     found = shapes.enumerate_shapes(datum, top, bottom)
     assert len(found) == 720
-    calls = []
-    close = shapes._close_arcs
-
-    def recorded(datum, word, arcs, lw, reflected):
-        calls.append((word, arcs, reflected))
-        return close(datum, word, arcs, lw, reflected)
-
-    monkeypatch.setattr(shapes, "_close_arcs", recorded)
-    arc_sets = {(sh.top, sh.cups) for sh in found} | {(sh.bottom, sh.caps) for sh in found}
-    props = {(sh.bottom, sh.props) for sh in found}
-    degs = [shapes.degree(datum, sh, lw) for sh in found]
-    n, k = len(arc_sets), len(props)
+    n, k = _arc_terms(found)
     assert 1 < k < len(found)
-    assert len(calls) == n and {c[:2] for c in calls} == arc_sets
-    assert not any(reflected for *_, reflected in calls)
+    # degree closes each arc set once and makes each crossing term once;
+    # every other of its three lookups per matching is a hit
+    degs = [shapes.degree(datum, sh, lw) for sh in found]
+    assert _arc_stats() == {"hits": 3 * len(found) - n - k, "misses": n + k, "size": n + k}
     # the reflected realization closes every arc set again and reads the
     # crossing terms that degree stored
     assert [shapes.degree_alt(datum, sh, lw) for sh in found] == degs
-    assert len(calls) == 2 * n and {c[:2] for c in calls[n:]} == arc_sets
-    assert all(reflected for *_, reflected in calls[n:])
-    assert iquantum.cache_stats()["shapes._ARC_MEMO"] == {
-        "hits": 6 * len(found) - 2 * n - k, "misses": 2 * n + k, "size": 2 * n + k,
-    }
+    stored = 2 * n + k
+    assert _arc_stats() == {"hits": 6 * len(found) - stored, "misses": stored, "size": stored}
     # a repeat of either is served from the memo
-    assert [shapes.degree(datum, sh, lw) for sh in found] == degs
-    assert [shapes.degree_alt(datum, sh, lw) for sh in found] == degs
-    assert len(calls) == 2 * n
-    assert iquantum.cache_stats()["shapes._ARC_MEMO"] == {
-        "hits": 12 * len(found) - 2 * n - k, "misses": 2 * n + k, "size": 2 * n + k,
+    assert _memo_table(datum, found, lw) == [(deg, deg) for deg in degs]
+    assert _arc_stats() == {"hits": 12 * len(found) - stored, "misses": stored, "size": stored}
+
+
+def test_each_new_scope_recomputes_every_degree_term_once():
+    rng = random.Random(2020)
+    golden = _golden_pairs()
+    # two weights of qs_a3, whose moved nodes read lam; two data over the
+    # same nodes with different content, at one IWeight value
+    qs, split, a1a1 = qs_a3(), split_a2(), FIXED_A1A1
+    reps, fixed = satake.orbit_reps(qs)
+    par = {i: 1 for i in fixed}
+    lw_a, lw_b = weight(qs, {i: 2 for i in reps}, par), weight(qs, {i: -1 for i in reps}, par)
+    # equal IWeight values that are distinct instances share one scope
+    twin = weight(qs, {i: -1 for i in reps}, par)
+    assert twin == lw_b and twin is not lw_b
+    assert split.nodes == a1a1.nodes and split != a1a1
+    lw = weight(split, {}, {"1": 0, "2": 1})
+    assert weight(a1a1, {}, {"1": 0, "2": 1}) == lw
+    pairs = {
+        qs: golden["qs_a3"][:4] + [_series_pair(rng, "qs_a3")],
+        split: [(("1", "2", "1", "2"), ("2", "1")), _series_pair(rng, "split_a2")],
     }
+    pairs[a1a1] = pairs[split]
+    found = {datum: _all_shapes(datum, pairs[datum]) for datum in pairs}
+    # each scope with whether it is new: the twin keeps lw_b's
+    scopes = [
+        (qs, lw_a, True), (qs, lw_b, True), (qs, twin, False),
+        (split, lw, True), (a1a1, lw, True), (split, lw, True),
+    ]
+    want = {
+        (datum, lw): [
+            (_degree_reference(datum, sh, lw, False), _degree_reference(datum, sh, lw, True))
+            for sh in found[datum]
+        ]
+        for datum, lw, _ in scopes
+    }
+    assert want[qs, lw_a] != want[qs, lw_b] and want[split, lw] != want[a1a1, lw]
     iquantum.clear_caches()
-    assert iquantum.cache_stats()["shapes._ARC_MEMO"] == {"hits": 0, "misses": 0, "size": 0}
-
-
-def test_crossing_degree_runs_once_per_prop_set_per_scope(monkeypatch):
-    iquantum.clear_caches()
-    split, a1a1 = split_a2(), FIXED_A1A1
-    lw_a, lw_b = weight(split, {}, {"1": 0, "2": 1}), weight(split, {}, {"1": 1, "2": 0})
-    assert weight(a1a1, {}, {"1": 0, "2": 1}) == lw_a
-    pairs = [(("1", "2", "1", "2"), ("2", "1")), _series_pair(random.Random(2020), "split_a2")]
-    found = _all_shapes(split, pairs)
-    props = {(sh.bottom, sh.props) for sh in found}
-    strands = sorted([(bottom[b], t) for b, t in ps] for bottom, ps in props)
-    assert 1 < len(props) < len(found)
-    # the first scope, another weight, another datum content, the first again
-    scopes = [(split, lw_a), (split, lw_b), (a1a1, lw_a), (split, lw_a)]
-    want = [_memo_free_table(datum, found, lw) for datum, lw in scopes]
-    assert want[2] != want[0]
-    calls = []
-    crossing = shapes._crossing_degree
-
-    def recorded(datum, strands):
-        calls.append(strands)
-        return crossing(datum, strands)
-
-    monkeypatch.setattr(shapes, "_crossing_degree", recorded)
-    for run, ((datum, lw), table) in enumerate(zip(scopes, want)):
-        # one run per distinct (bottom, props) in each scope, whatever reads
-        # it: degree, degree_alt, a repeat of both, the histograms of the sums
-        assert _memo_table(datum, found, lw) == table
-        assert sorted(calls[run * len(props) :]) == strands
-        assert _memo_table(datum, found, lw) == table
-        for top, bottom in pairs:
+    for datum, lw, new in scopes:
+        n, k = _arc_terms(found[datum])
+        misses = _arc_stats()["misses"]
+        # every term is made once per scope, whatever reads it: degree,
+        # degree_alt, a repeat of both, the histograms of the sums
+        assert _memo_table(datum, found[datum], lw) == want[datum, lw], (datum, lw)
+        assert _memo_table(datum, found[datum], lw) == want[datum, lw]
+        for top, bottom in pairs[datum]:
             for route in SUMS.values():
                 route(datum, top, bottom, lw)
-        assert len(calls) == (run + 1) * len(props)
+        assert _arc_stats()["misses"] - misses == (2 * n + k if new else 0)
+        assert _arc_stats()["size"] == 2 * n + k
+        assert shapes._ARC_MEMO.scope == (datum, lw)
 
 
 def test_one_prop_set_on_two_bottom_words_keeps_two_crossing_terms():
@@ -486,19 +430,6 @@ def _shape_stats():
     return iquantum.cache_stats()["shapes._SHAPE_MEMO"]
 
 
-def _record_enumerations(monkeypatch):
-    """The modes that reach shapes._enumerate, in call order."""
-    calls = []
-    recursion = shapes._enumerate
-
-    def recorded(datum, top, bottom, mode):
-        calls.append(mode)
-        return recursion(datum, top, bottom, mode)
-
-    monkeypatch.setattr(shapes, "_enumerate", recorded)
-    return calls
-
-
 def test_memoized_histogram_is_the_counter_of_degrees():
     iquantum.clear_caches()
     rng = random.Random(1616)
@@ -523,211 +454,118 @@ def test_memoized_histogram_is_the_counter_of_degrees():
                     if want:
                         assert hist == want, (name, top, bottom, mode, lw)
                     else:
-                        # an empty Counter, which get_or_make still counts a hit
-                        assert hist == Counter() and route(datum, top, bottom, lw).is_zero()
+                        # an empty Counter is stored too, and read back as a hit
+                        assert hist == Counter()
+                        before = _shape_stats()
+                        assert route(datum, top, bottom, lw).is_zero()
+                        after = _shape_stats()
+                        assert after["hits"] == before["hits"] + 1
+                        assert after["misses"] == before["misses"]
                         empty += 1
     assert empty >= 20
-    # odd total length is zero before any lookup
-    before, scope = _shape_stats(), shapes._SHAPE_MEMO.scope
-    datum = qs_a2()
-    lw = weight(datum, {"1": 1})
-    for route in SUMS.values():
-        assert route(datum, ("1", "2", "1"), ("2", "1"), lw).is_zero()
-    assert shapes.hom_rank(datum, ("1",), (), lw).series.coeffs == {}
-    assert _shape_stats() == before and shapes._SHAPE_MEMO.scope == scope
 
 
-def test_hom_rank_after_pair_b_is_one_miss_then_one_hit(monkeypatch):
-    iquantum.clear_caches()
+def test_one_enumeration_serves_both_sums_at_two_weights_and_a_walk():
     datum = qs_a3()
     top, bottom = _series_pair(random.Random(16), "qs_a3")
-    lw = weight(datum, {"1": 1}, {"2": 1})
-    calls = []
-    enumerate_shapes = shapes.enumerate_shapes
-
-    def recorded(*args):
-        calls.append(args)
-        return enumerate_shapes(*args)
-
-    monkeypatch.setattr(shapes, "enumerate_shapes", recorded)
-    pb = shapes.pair_b(datum, top, bottom, lw)
-    # the histogram's miss enumerates the matchings: a second miss, in the
-    # same table
-    assert _shape_stats() == {"hits": 0, "misses": 2, "size": 2}
-    rank = shapes.hom_rank(datum, top, bottom, lw, order=12)
-    assert _shape_stats() == {"hits": 1, "misses": 2, "size": 2}
-    assert len(calls) == 1
-    # each side still assembles its own sum: the check compares two signs
-    assert rank.series == expand(pb.bar(), ASC_Q, 12)
-    # a pair with no matching is stored too, and read back as a hit; it is
-    # another scope, so the table holds only its two entries
-    none = (("1", "1"), ("2", "2"))
-    assert shapes.pair_b(datum, *none, lw).is_zero()
-    assert shapes.hom_rank(datum, *none, lw).series.coeffs == {}
-    assert _shape_stats() == {"hits": 2, "misses": 4, "size": 2}
-    assert shapes._SHAPE_MEMO[("all", lw)] == Counter() and shapes._SHAPE_MEMO["all"] == ()
-    assert len(calls) == 2
-
-
-def test_another_pair_empties_the_histograms():
-    iquantum.clear_caches()
-    datum = qs_a2()
-    rng = random.Random(1661)
-    pairs = [_series_pair(rng, "qs_a2") for _ in range(2)]
-    assert pairs[0] != pairs[1]
-    lw_a, lw_b = weight(datum, {"1": 1}), weight(datum, {"1": -2})
-    sums = {}
-    for lw in (lw_a, lw_b):
-        iquantum.clear_caches()
-        sums[lw] = [shapes.pair_b(datum, t, b, lw) for t, b in pairs]
-    assert sums[lw_a] != sums[lw_b]
-    iquantum.clear_caches()
-    assert [shapes.pair_b(datum, t, b, lw_a) for t, b in pairs] == sums[lw_a]
-    # one histogram and one enumeration per pair; the table holds the last
-    # pair's two entries
-    assert _shape_stats() == {"hits": 0, "misses": 4, "size": 2}
-    assert shapes._SHAPE_MEMO.scope == (datum, *pairs[1])
-    # another pair is another scope, whatever the weight
-    assert shapes.pair_b(datum, *pairs[0], lw_b) == sums[lw_b][0]
-    assert _shape_stats() == {"hits": 0, "misses": 6, "size": 2}
-    assert shapes._SHAPE_MEMO.scope == (datum, *pairs[0])
-    # another weight on that pair adds its histogram over the stored matchings
-    assert shapes.pair_b(datum, *pairs[0], lw_a) == sums[lw_a][0]
-    assert _shape_stats() == {"hits": 1, "misses": 7, "size": 3}
-
-
-def test_one_pair_at_two_weights_keeps_two_histograms(monkeypatch):
-    datum = qs_a2()
-    top, bottom = _series_pair(random.Random(1662), "qs_a2")
-    lw_a, lw_b = weight(datum, {"1": 1}), weight(datum, {"1": -2})
+    lw_a, lw_b = weight(datum, {"1": 1}, {"2": 1}), weight(datum, {"1": -2}, {"2": 0})
     fresh = {}
     for lw in (lw_a, lw_b):
         iquantum.clear_caches()
         fresh[lw] = shapes.pair_b(datum, top, bottom, lw)
     assert fresh[lw_a] != fresh[lw_b]
     iquantum.clear_caches()
-    want_rank = expand(fresh[lw_a].bar(), ASC_Q, 12)
-    calls = _record_enumerations(monkeypatch)
-    assert shapes.hom_rank(datum, top, bottom, lw_a, order=12).series == want_rank
-    assert shapes.pair_b(datum, top, bottom, lw_b) == fresh[lw_b]
-    # one enumeration serves both weights; each weight keeps its histogram
-    assert len(calls) == 1
-    assert _shape_stats() == {"hits": 1, "misses": 3, "size": 3}
-    found = shapes.enumerate_shapes(datum, top, bottom)
-    for lw in (lw_a, lw_b):
-        assert shapes._SHAPE_MEMO[("all", lw)] == Counter(
-            shapes.degree(datum, sh, lw) for sh in found
-        )
+    # the histogram's miss enumerates the matchings: a second miss, in the
+    # same table
     assert shapes.pair_b(datum, top, bottom, lw_a) == fresh[lw_a]
+    assert _shape_stats() == {"hits": 0, "misses": 2, "size": 2}
+    # hom_rank reads pair_b's histogram at its weight, and at the other one
+    # makes a histogram over the stored matchings; each side still assembles
+    # its own sum, so the check compares two signs
+    for lw, seen in ((lw_a, 1), (lw_b, 2)):
+        rank = shapes.hom_rank(datum, top, bottom, lw, order=12)
+        assert rank.series == expand(fresh[lw].bar(), ASC_Q, 12)
+        assert _shape_stats() == {"hits": seen, "misses": 1 + seen, "size": 1 + seen}
+    # a walk of the matchings after the sums reads them too
+    found = shapes.enumerate_shapes(datum, top, bottom, "all")
     assert _shape_stats() == {"hits": 3, "misses": 3, "size": 3}
-
-
-def test_each_mode_reads_its_own_histogram():
-    datum = split_a2()
-    rng = random.Random(1771)
-    top, bottom = _series_pair(rng, "split_a2")
-    # a shorter bottom word: all matchings, cup-only ones and none at all
-    bottom = bottom[:4]
-    lw = golden_weights(rng, datum)["sweep a"]
-    fresh = {}
-    for mode, route in SUMS.items():
-        iquantum.clear_caches()
-        fresh[mode] = route(datum, top, bottom, lw)
-    assert len(set(map(str, fresh.values()))) == 3
-    iquantum.clear_caches()
-    for mode, route in SUMS.items():
-        assert route(datum, top, bottom, lw) == fresh[mode], mode
-    # each mode is one histogram and one list of matchings; the restricted
-    # modes read theirs off the stored "all" list, a hit each
-    assert _shape_stats() == {"hits": 2, "misses": 6, "size": 6}
-    assert shapes._SHAPE_MEMO[("cup_cap_free", lw)] == Counter()
+    assert len(found) == shapes.shape_count(datum, top, bottom)
+    assert all(shapes.degree(datum, sh, lw_b) == shapes.degree_alt(datum, sh, lw_b) for sh in found)
 
 
 # ------------------------------------------------------------------ shape memo
 #
 # enumerate_shapes reads the matchings of one word pair through
-# shapes._SHAPE_MEMO, keyed by mode at the (datum, top, bottom) scope; the
-# memo-free route calls the miss path, shapes._enumerate, every time.
+# shapes._SHAPE_MEMO, keyed by mode at the (datum, top, bottom) scope; a
+# mode enumerated on a cold table is the reference of every other read.
 
 
-def test_enumerate_shapes_matches_the_memo_free_recursion():
+def test_another_pair_or_datum_empties_the_shape_memo():
     iquantum.clear_caches()
-    rng = random.Random(1717)
-    golden = _golden_pairs()
-    npairs = scopes = 0
-    last = None
-    for name in STANDARD:
-        datum = STANDARD[name]()
-        pairs = golden[name] + [_series_pair(rng, name) for _ in range(2)]
-        pairs += [strand_pair(rng, datum, rng.randint(1, 3)) for _ in range(4)]
-        for top, bottom in pairs:
-            # a pair equal to the one before keeps its scope and only hits
-            scopes += (name, top, bottom) != last
-            last = (name, top, bottom)
-            want = {m: list(shapes._enumerate(datum, top, bottom, m)) for m in shapes.MODES}
-            assert len(want["all"]) == shapes.shape_count(datum, top, bottom)
-            # every mode cold, the restricted ones read off "all", then again
-            # in reverse order from the memo
-            for mode in (*shapes.MODES, *reversed(shapes.MODES)):
-                assert shapes.enumerate_shapes(datum, top, bottom, mode) == want[mode], (
-                    name, top, bottom, mode,
-                )
-            # lists name the same pair as tuples
-            assert shapes.enumerate_shapes(datum, list(top), list(bottom)) == want["all"]
-            npairs += 1
-    assert npairs == 40 + 5 * 6
-    # a new scope: three misses and two reads of "all" for the restricted
-    # modes; the other calls hit
-    assert _shape_stats() == {
-        "hits": 7 * npairs - scopes, "misses": 3 * scopes, "size": 3,
-    }
+    qs, split = qs_a2(), split_a2()
+    assert qs.nodes == split.nodes and qs != split
+    long, short = _series_pair(random.Random(1719), "qs_a2"), (("1", "2"), ())
+    lw = weight(qs, {"1": 1})
+    want = shapes.pair_b(qs, *long, lw)
+    # the histogram and the matchings it enumerated
+    assert _shape_stats() == {"hits": 0, "misses": 2, "size": 2}
+    assert shapes._SHAPE_MEMO.scope == (qs, *long)
+    # another pair: the table holds only its entry
+    assert len(shapes.enumerate_shapes(qs, *short)) == 1
+    assert _shape_stats() == {"hits": 0, "misses": 3, "size": 1}
+    assert shapes._SHAPE_MEMO.scope == (qs, *short)
+    # the same words on another datum: 1 and 2 are not partners there
+    assert shapes.enumerate_shapes(split, *short) == []
+    assert _shape_stats() == {"hits": 0, "misses": 4, "size": 1}
+    assert shapes._SHAPE_MEMO.scope == (split, *short)
+    assert len(shapes.enumerate_shapes(qs, *short)) == 1
+    assert _shape_stats() == {"hits": 0, "misses": 5, "size": 1}
+    # the first pair again is made afresh
+    assert shapes.pair_b(qs, *long, lw) == want
+    assert _shape_stats() == {"hits": 0, "misses": 7, "size": 2}
 
 
-def test_restricted_modes_after_all_are_read_off_it(monkeypatch):
+def test_restricted_modes_after_all_are_read_off_it():
     rng = random.Random(1727)
     golden = _golden_pairs()
-    recursion = shapes._enumerate
-    calls = _record_enumerations(monkeypatch)
     npairs = proper = 0
     for name in STANDARD:
         datum = STANDARD[name]()
         pairs = golden[name] + [_series_pair(rng, name) for _ in range(2)]
         pairs += [strand_pair(rng, datum, rng.randint(1, 4)) for _ in range(4)]
         for top, bottom in pairs:
+            cold = {}
+            for mode in ("cap_free", "cup_cap_free"):
+                iquantum.clear_caches()
+                cold[mode] = shapes.enumerate_shapes(datum, top, bottom, mode)
             iquantum.clear_caches()
             every = shapes.enumerate_shapes(datum, top, bottom, "all")
             for mode in ("cap_free", "cup_cap_free"):
-                want = list(recursion(datum, top, bottom, mode))
-                assert shapes.enumerate_shapes(datum, top, bottom, mode) == want, (
+                assert shapes.enumerate_shapes(datum, top, bottom, mode) == cold[mode], (
                     name, top, bottom, mode,
                 )
-                proper += 0 < len(want) < len(every)
-            # one enumeration, of "all"; each restricted mode is a hit on
-            # "all" and a miss on its own key
-            assert calls == ["all"]
-            calls.clear()
+                proper += 0 < len(cold[mode]) < len(every)
+            # each restricted mode is a hit on "all" and a miss on its own key
             assert _shape_stats() == {"hits": 2, "misses": 3, "size": 3}
             npairs += 1
     assert npairs == 40 + 5 * 6
     assert proper >= 40
 
 
-def test_a_cold_restricted_mode_is_enumerated_by_itself(monkeypatch):
+def test_a_cold_restricted_mode_is_enumerated_by_itself():
     iquantum.clear_caches()
     datum = split_a1()
     top, bottom = ("1",) * 7, ("1",) * 3
-    calls = _record_enumerations(monkeypatch)
     for mode in ("cup_cap_free", "cap_free"):
         found = shapes.enumerate_shapes(datum, top, bottom, mode)
         assert len(found) == shapes.shape_count(datum, top, bottom, mode)
     # "all" holds 945 matchings against none and 630: it is never made for them
     assert shapes.shape_count(datum, top, bottom) == 945
-    assert calls == ["cup_cap_free", "cap_free"] and "all" not in shapes._SHAPE_MEMO
+    assert sorted(shapes._SHAPE_MEMO) == ["cap_free", "cup_cap_free"]
     assert _shape_stats() == {"hits": 0, "misses": 2, "size": 2}
     assert len(shapes.enumerate_shapes(datum, top, bottom, "all")) == 945
     # a stored restricted mode is one hit, with no read of "all"
     assert len(shapes.enumerate_shapes(datum, top, bottom, "cap_free")) == 630
-    assert calls == ["cup_cap_free", "cap_free", "all"]
     assert _shape_stats() == {"hits": 1, "misses": 3, "size": 3}
 
 
@@ -743,55 +581,25 @@ def test_returned_lists_are_copies():
     second = shapes.enumerate_shapes(datum, top, bottom)
     assert second == want and second is not first
     second.clear()
-    assert shapes.enumerate_shapes(datum, top, bottom) == want
+    # lists name the same pair as tuples
+    assert shapes.enumerate_shapes(datum, list(top), list(bottom)) == want
     assert _shape_stats() == {"hits": 2, "misses": 1, "size": 1}
 
 
-def test_another_pair_or_datum_empties_the_shape_memo():
-    iquantum.clear_caches()
-    qs, split = qs_a2(), split_a2()
-    assert qs.nodes == split.nodes and qs != split
-    pair_a, pair_b = _series_pair(random.Random(1719), "qs_a2"), (("1", "2"), ())
-    for mode in shapes.MODES:
-        shapes.enumerate_shapes(qs, *pair_a, mode)
-    # the restricted modes read the stored "all" list, a hit each
-    assert _shape_stats() == {"hits": 2, "misses": 3, "size": 3}
-    assert shapes._SHAPE_MEMO.scope == (qs, *pair_a)
-    # another pair: the table holds only its entry
-    assert len(shapes.enumerate_shapes(qs, *pair_b)) == 1
-    assert _shape_stats() == {"hits": 2, "misses": 4, "size": 1}
-    assert shapes._SHAPE_MEMO.scope == (qs, *pair_b)
-    # the same words on another datum: 1 and 2 are not partners there
-    assert shapes.enumerate_shapes(split, *pair_b) == []
-    assert _shape_stats() == {"hits": 2, "misses": 5, "size": 1}
-    assert shapes._SHAPE_MEMO.scope == (split, *pair_b)
-    assert len(shapes.enumerate_shapes(qs, *pair_b)) == 1
-    assert _shape_stats() == {"hits": 2, "misses": 6, "size": 1}
-
-
-def test_hom_rank_then_enumerate_shapes_is_one_miss_then_one_hit(monkeypatch):
-    iquantum.clear_caches()
-    datum = qs_a3()
-    top, bottom = _series_pair(random.Random(1720), "qs_a3")
-    lw = weight(datum, {"1": 1}, {"2": 1})
-    calls = _record_enumerations(monkeypatch)
-    shapes.hom_rank(datum, top, bottom, lw, order=12)
-    # the histogram and the matchings it enumerated
-    assert _shape_stats() == {"hits": 0, "misses": 2, "size": 2}
-    found = shapes.enumerate_shapes(datum, top, bottom, "all")
-    assert _shape_stats() == {"hits": 1, "misses": 2, "size": 2}
-    assert len(calls) == 1 and len(found) == shapes.shape_count(datum, top, bottom)
-    assert all(shapes.degree(datum, sh, lw) == shapes.degree_alt(datum, sh, lw) for sh in found)
-
-
 def test_odd_lengths_never_touch_the_shape_memo():
+    # an odd total length is empty or zero, and an unknown mode an error,
+    # before any lookup
     iquantum.clear_caches()
     datum = qs_a2()
+    lw = weight(datum, {"1": 1})
     assert len(shapes.enumerate_shapes(datum, ("1", "2"), ("2", "1"))) == 2
     before, scope = _shape_stats(), shapes._SHAPE_MEMO.scope
     for mode in shapes.MODES:
         assert shapes.enumerate_shapes(datum, ("1", "2", "1"), ("2", "1"), mode) == []
         assert shapes.enumerate_shapes(datum, ("1",), (), mode) == []
+    for route in SUMS.values():
+        assert route(datum, ("1", "2", "1"), ("2", "1"), lw).is_zero()
+    assert shapes.hom_rank(datum, ("1",), (), lw).series.coeffs == {}
     with pytest.raises(ValueError, match="unknown mode"):
         shapes.enumerate_shapes(datum, ("1", "2"), ("2", "1"), "no_props")
     assert _shape_stats() == before and shapes._SHAPE_MEMO.scope == scope
