@@ -29,6 +29,12 @@ def test_unit_and_single_action():
             assert iuea.ipair(datum, one, one) == RatQ.one()
 
 
+def test_elements_over_other_weights_do_not_add():
+    datum = qs_a2()
+    with pytest.raises(ValueError, match="different base weights"):
+        iuea.unit(weight(datum, {"1": 1})) + iuea.unit(weight(datum, {"1": 2}))
+
+
 def _act_b_reference(datum, i, base, jt, j):
     """b_i on the two images coefficient by coefficient: theta_i times the
     image plus the iRtilde (jt) or iR (j) correction of each word, twisted

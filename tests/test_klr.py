@@ -1,6 +1,7 @@
 """Quiver Hecke layer: relations, normal forms, idempotents, Serre complex."""
 
 import copy
+import dataclasses
 import itertools
 import random
 
@@ -8,7 +9,7 @@ import pytest
 import sympy
 
 import iquantum
-from iquantum import klr
+from iquantum import klr, selftest
 from iquantum.klr import (
     KLRBasisElem,
     KLRElem,
@@ -331,6 +332,11 @@ def test_divided_idempotent_kills_lower_crossings():
         assert mul(qt, d3, crossing(w, r)).is_zero()
 
 
+def test_divided_idempotent_rejects_a_negative_thickness():
+    with pytest.raises(ValueError, match="negative thickness"):
+        divided_idempotent(geometric_qtable(split_a1()), "1", -1)
+
+
 def test_tensor():
     qt = geometric_qtable(split_a2())
     assert tensor(e(("1",)), e(("2",))) == e(("1", "2"))
@@ -383,6 +389,28 @@ def test_serre_complex_rejects():
         serre_complex_check(geometric_qtable(triple), "1", "2")
 
 
+def _failed(rep):
+    return dataclasses.replace(
+        rep, split_ok=False, details=rep.details[:-1] + ("splitting at n=2: FAIL",)
+    )
+
+
+@pytest.mark.parametrize(
+    "fault,detail",
+    [
+        (_failed, "splitting at n=2: FAIL"),
+        # its own ok holds, but a check is missing or the length is not 1 - a_ij
+        (lambda rep: dataclasses.replace(rep, details=rep.details[:-1]), "3 checks for m = 2"),
+        (lambda rep: dataclasses.replace(rep, m=rep.m + 1), "4 checks for m = 3"),
+    ],
+    ids=["failed", "short", "other-length"],
+)
+def test_criterion_10_fails_a_report_that_does_not_hold_every_check(monkeypatch, fault, detail):
+    check = klr.serre_complex_check
+    monkeypatch.setattr(klr, "serre_complex_check", lambda qt, i, j: fault(check(qt, i, j)))
+    assert selftest.serre_complexes() == (False, f"complex fails on split_a2 (1,2): {detail}")
+
+
 def test_zero_and_scale():
     w = ("1", "2")
     z = zero(w, w)
@@ -390,6 +418,15 @@ def test_zero_and_scale():
     assert (e(w) + e(w).scale(-1)).is_zero()
     assert str(z) == "0"
     assert "e" in str(e(w))
+
+
+def test_elements_of_other_boundaries_do_not_add():
+    w, u = ("1", "2"), ("2", "1")
+    for other in (zero(u, w), zero(w, u)):  # the top word differs, then the bottom
+        with pytest.raises(ValueError, match="boundary words differ"):
+            e(w) + other
+        with pytest.raises(ValueError, match="boundary words differ"):
+            e(w) - other
 
 
 @pytest.mark.parametrize(

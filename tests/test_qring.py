@@ -69,6 +69,8 @@ def test_qint_small():
 def test_qfact_qbinom_values():
     assert qfact(0, 1) == LaurentPoly.one()
     assert qfact(3, 1) == L({3: 1, 1: 2, -1: 2, -3: 1})
+    with pytest.raises(ValueError):
+        qfact(-1, 1)
     assert qbinom(1, 0, 1) == LaurentPoly.one()
     assert qbinom(4, 2, 1) == L({4: 1, 2: 1, 0: 2, -2: 1, -4: 1})
     assert qbinom(5, -1, 1) == L({})
@@ -207,6 +209,11 @@ def test_expand_negative_valuation():
     assert s.coeffs == {e: 1 for e in range(-3, 4)}
     # exponents below -order fall outside the storable window
     assert expand(a, ASC_Q, 2).coeff(-3) == 0
+
+
+def test_expand_rejects_an_unknown_direction():
+    with pytest.raises(ValueError, match="unknown direction"):
+        expand(RatQ.one(), "descending", 3)
 
 
 def test_expand_integrality_guard():

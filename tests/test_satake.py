@@ -119,6 +119,10 @@ def test_iweight_construction():
     datum = qs_a2()
     lw = make_iweight(datum, {"1": 3})
     assert lw.lam_of("1") == 3 and lw.lam_of("2") == -3
+    with pytest.raises(KeyError):
+        lw.par_of("1")  # no parity at a node that tau moves
+    with pytest.raises(ValueError):
+        make_iweight(datum, {"7": 1})
     with pytest.raises(ValueError):
         make_iweight(datum, {"1": 3, "2": 3})
     with pytest.raises(ValueError):
@@ -218,6 +222,8 @@ def test_words():
         parse_dpword("7", datum)
     with pytest.raises(ValueError):
         parse_dpword("1^(0)", datum)
+    with pytest.raises(ValueError):
+        parse_dpword("1^[2]", datum)
 
 
 def test_apply_word_roundtrip():

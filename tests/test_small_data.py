@@ -4,17 +4,22 @@ the five built-ins: the 30 data of ``small_data.SMALL_DATA``.
 Three of them equal a built-in (split_a1, diag_a1a1 and split_a2).  On
 those, criteria 01, 02, 03 and 09 of ``selftest`` run the pairing, theta,
 relation and graded-dimension checks on more inputs than here, so this file
-skips the four there; the degree and associativity checks run on all 30."""
+skips the four there; the degree and associativity checks run on all 30.
+It also checks the environment ``small_data.child_env`` gives the tests'
+child interpreters."""
 
+import inspect
+import os
 import random
 
+import iquantum
 from iquantum import freealg, iuea, klr, satake, shapes
 from iquantum.qring import ASC_Q, expand
 from iquantum.selftest import _random_elem as random_elem
 from iquantum.selftest import _shuffled as shuffled
 from iquantum.selftest import word_pairs
 from iquantum.standard import STANDARD
-from small_data import SMALL_DATA, canonical, small_data
+from small_data import SMALL_DATA, canonical, child_env, small_data
 
 BUILTINS = [make() for make in STANDARD.values()]
 
@@ -73,3 +78,17 @@ def test_cross_checks_on_every_small_datum():
             x, y, z = random_elem(rng, wa, wb), random_elem(rng, wb, wc), random_elem(rng, wc, wd)
             lhs = klr.mul(qt, klr.mul(qt, x, y), z)
             assert lhs == klr.mul(qt, x, klr.mul(qt, y, z)), (datum, x, y, z)
+
+
+def test_child_env_puts_the_package_and_the_tests_before_the_inherited_path(monkeypatch):
+    # a child imports the package this process tests, and the tests' own
+    # modules, ahead of anything the inherited path holds
+    monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    monkeypatch.setenv("IQUANTUM_CHILD_ENV_PROBE", "kept")
+    env = child_env()
+    src, tests, rest = env["PYTHONPATH"].split(os.pathsep)
+    assert os.path.join(src, "iquantum", "__init__.py") == os.path.abspath(iquantum.__file__)
+    assert os.path.join(tests, "small_data.py") == os.path.abspath(inspect.getfile(child_env))
+    assert rest == "elsewhere" and env["IQUANTUM_CHILD_ENV_PROBE"] == "kept"
+    monkeypatch.delenv("PYTHONPATH")
+    assert child_env()["PYTHONPATH"] == os.pathsep.join([src, tests])
